@@ -7,7 +7,7 @@ GOBIN := $(shell go env GOPATH)/bin
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: build test race lint lint-tools vet fmt
+.PHONY: build test race lint lint-tools vet fmt bench bench-one
 
 build:
 	go build ./...
@@ -39,3 +39,14 @@ lint-tools:
 	go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 	$(GOBIN)/staticcheck ./...
 	$(GOBIN)/govulncheck ./...
+
+# bench: the BENCHMARK.json benchmark — builds flock-serve and the harness
+# from this checkout and runs all six workloads, window and traced phase
+# (several minutes). bench-one runs one workload: make bench-one W=predict_point.
+# Extra harness flags ride ARGS, e.g. ARGS="-repeat 5 -out /tmp/change.json";
+# compare two reports with: go -C bench run . -compare parent.json change.json
+bench:
+	bash bench/run.sh $(ARGS)
+
+bench-one:
+	bash bench/run.sh -workload $(W) $(ARGS)

@@ -83,9 +83,8 @@ func main() {
 	replQuorum := flag.Int("repl-quorum", 1, "follower acks required per commit under -repl-ack=quorum")
 	replQuorumTimeout := flag.Duration("repl-quorum-timeout", 5*time.Second, "how long a commit waits for quorum before failing as ambiguous")
 	replPeers := flag.String("repl-peers", "", "comma-separated peer base URLs, probed at boot: a restarted ex-leader deposed while down comes back fenced instead of accepting doomed writes")
-	inferOn := flag.Bool("infer", true, "route PREDICT through the inference plane (micro-batching, score cache, canary deployments)")
-	inferWindow := flag.Duration("infer-batch-window", 2*time.Millisecond, "micro-batch latency bound: longest a queued PREDICT waits for peers")
-	inferRows := flag.Int("infer-batch-rows", 256, "micro-batch size bound; larger requests bypass coalescing")
+	inferOn := flag.Bool("infer", true, "route PREDICT through the inference plane (batching on overlap, score cache, canary deployments)")
+	inferRows := flag.Int("infer-batch-rows", 256, "rows merged into one coalesced backend call at most; requests this large bypass coalescing and the score cache")
 	inferCache := flag.Int("infer-cache-size", 65536, "score-cache capacity in entries (negative disables caching)")
 	inferCanaryMin := flag.Int64("infer-canary-min-samples", 500, "mirrored samples required before the canary gate acts")
 	inferCanaryMaxDis := flag.Float64("infer-canary-max-disagreement", 0.05, "largest mean |candidate-primary| the canary gate promotes through")
@@ -214,14 +213,13 @@ func main() {
 
 	srv := server.New(flock, cfg) // breaker gauges ride /metrics natively
 
-	// Inference plane: micro-batched, cached, canaried PREDICT. On a
-	// replica the cache stays correct because applied frames refresh the
-	// model registry and bump its generation. With -scorer-url set the
-	// plane's backend calls ride the same resilient remote scorer — one
-	// round trip per micro-batch window instead of one per call.
+	// Inference plane: batched, cached, canaried PREDICT. On a replica the
+	// cache stays correct because applied frames refresh the model
+	// registry and bump its generation. With -scorer-url set the plane's
+	// backend calls ride the same resilient remote scorer — requests that
+	// arrive during a round trip share the next one.
 	if *inferOn {
 		icfg := infer.Config{
-			BatchWindow:           *inferWindow,
 			BatchRows:             *inferRows,
 			CacheSize:             *inferCache,
 			CanaryMinSamples:      *inferCanaryMin,

@@ -71,7 +71,7 @@ func TestInferPlaneEndToEnd(t *testing.T) {
 	const q = "SELECT id, PREDICT(churn, age, region) AS s FROM events ORDER BY id"
 	baseline := scoresOf(t, f, q)
 
-	p := f.EnableInferPlane(infer.Config{BatchWindow: time.Millisecond})
+	p := f.EnableInferPlane(infer.Config{})
 	defer f.DisableInferPlane()
 
 	got := scoresOf(t, f, q)
@@ -107,7 +107,7 @@ func TestInferBatchChaosZeroFailedQueries(t *testing.T) {
 	const q = "SELECT id, PREDICT(churn, age, region) AS s FROM events ORDER BY id"
 	baseline := scoresOf(t, f, q)
 
-	p := f.EnableInferPlane(infer.Config{BatchWindow: 500 * time.Microsecond})
+	p := f.EnableInferPlane(infer.Config{})
 	defer f.DisableInferPlane()
 
 	fault.Enable("infer.batch", fault.Spec{}) // deterministic: every flush fails
@@ -160,7 +160,7 @@ func TestRetrainMidFlightGenerationSafety(t *testing.T) {
 	if _, err := f.DeployGraph("root", "const", constGraph(consts[0]), TrainingInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	f.EnableInferPlane(infer.Config{BatchWindow: 250 * time.Microsecond})
+	f.EnableInferPlane(infer.Config{})
 	defer f.DisableInferPlane()
 
 	const q = "SELECT id, PREDICT(const, age) AS s FROM events ORDER BY id"

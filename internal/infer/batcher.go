@@ -2,150 +2,128 @@ package infer
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/onnx"
 )
 
-// errBatcherStopped reports a submit against a closed plane; callers fall
-// back to direct scoring.
-var errBatcherStopped = errors.New("infer: batcher stopped")
-
-// pendingReq is one coalesced scoring request. out is owned by the batcher
-// until done is signalled, so a caller whose context dies mid-window can
-// abandon the request without racing the dispatcher's result scatter.
+// pendingReq is one request parked behind an in-flight backend call. out is
+// owned by the batcher until done is signalled, so a caller whose context
+// dies while parked can abandon the request without racing the result
+// scatter.
 type pendingReq struct {
 	b    *onnx.Batch
 	out  []float64
 	done chan error
 }
 
-// batcher coalesces small scoring requests for one (model, graph) pair into
-// single backend calls: the window closes when maxRows rows have queued or
-// window time has passed since the first request, whichever comes first —
-// the classic size/latency-bounded micro-batch. One dispatcher goroutine
-// per batcher; requests ride channels, so concurrent sessions coalesce
-// without shared-state locking on the hot path.
+// batchStats counts backend invocations made through batchers and the rows
+// they carried — occupancy is rows/calls. It lives on the plane so the
+// totals survive a batcher being dropped.
+type batchStats struct{ calls, rows atomic.Int64 }
+
+// batcher aggregates small scoring requests for one graph fingerprint, and
+// never on a clock. A request that finds the batcher idle is scored at once
+// on its caller's goroutine. Requests that arrive while a backend call is in
+// flight park, and are merged — up to maxRows rows per call — into the next
+// call, which starts the moment the current one returns. So aggregation
+// happens exactly when it pays: a microsecond native session almost never
+// overlaps another request, a millisecond remote scorer collects a round
+// trip's worth of arrivals, and neither needs tuning.
 type batcher struct {
 	maxRows int
-	window  time.Duration
-	score   func(b *onnx.Batch, out []float64) error
+	score   scoreFn
+	stats   *batchStats
 
-	submit chan *pendingReq
-	stop   chan struct{}
-	once   sync.Once
-
-	calls atomic.Int64 // backend invocations
-	rows  atomic.Int64 // rows scored through those invocations
+	mu    sync.Mutex
+	busy  bool          // a backend call is in flight, or drain is running
+	queue []*pendingReq // parked while busy, oldest first
 }
 
-func newBatcher(maxRows int, window time.Duration, score func(b *onnx.Batch, out []float64) error) *batcher {
-	ba := &batcher{
-		maxRows: maxRows,
-		window:  window,
-		score:   score,
-		submit:  make(chan *pendingReq, 64),
-		stop:    make(chan struct{}),
-	}
-	go ba.run()
-	return ba
-}
-
-func (ba *batcher) close() { ba.once.Do(func() { close(ba.stop) }) }
-
-// scoreBatched submits the batch and waits for the window it joins to be
-// scored. The result lands in a batcher-owned slice and is copied to out
-// only on success, so an abandoned request never writes caller memory.
+// scoreBatched scores the batch through the batcher. Uncontended, it writes
+// out directly. A parked request's result lands in a batcher-owned slice and
+// is copied to out only on success, so abandoning it on ctx never writes
+// caller memory.
 func (ba *batcher) scoreBatched(ctx context.Context, b *onnx.Batch, out []float64) error {
-	r := &pendingReq{b: b, out: make([]float64, b.N), done: make(chan error, 1)}
-	select {
-	case ba.submit <- r:
-	case <-ba.stop:
-		return errBatcherStopped
-	case <-ctx.Done():
-		return ctx.Err()
+	ba.mu.Lock()
+	if !ba.busy {
+		ba.busy = true
+		ba.mu.Unlock()
+		err := fault.Inject("infer.batch")
+		if err == nil {
+			err = ba.call(b, out)
+		}
+		ba.release()
+		return err
 	}
+	r := &pendingReq{b: b, out: make([]float64, b.N), done: make(chan error, 1)}
+	ba.queue = append(ba.queue, r)
+	ba.mu.Unlock()
 	select {
 	case err := <-r.done:
-		if err != nil {
-			return err
+		if err == nil {
+			copy(out, r.out)
 		}
-		copy(out, r.out)
-		return nil
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// run is the dispatcher loop: idle-wait for the first request of a window,
-// then drain until the row cap or the latency deadline.
-func (ba *batcher) run() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// release ends the caller's turn. With nothing parked the batcher goes
+// idle; otherwise the queue is served by a transient goroutine, so the
+// caller never waits on the requests that queued behind it. The goroutine
+// exits once the queue is empty, and every flush is bounded by one backend
+// call (done channels are buffered), so nothing has to stop or await it.
+func (ba *batcher) release() {
+	ba.mu.Lock()
+	if len(ba.queue) == 0 {
+		ba.busy = false
+		ba.mu.Unlock()
+		return
 	}
-	var (
-		pend []*pendingReq
-		rows int
-	)
-	flush := func() {
-		if len(pend) > 0 {
-			ba.flush(pend, rows)
-		}
-		pend, rows = nil, 0
-	}
+	ba.mu.Unlock()
+	go ba.drain()
+}
+
+// drain flushes the parked requests, one merged backend call per maxRows
+// rows, until none remain; requests parked during a flush ride the next.
+func (ba *batcher) drain() {
 	for {
-		if len(pend) == 0 {
-			select {
-			case r := <-ba.submit:
-				pend = append(pend, r)
-				rows = r.b.N
-				timer.Reset(ba.window)
-			case <-ba.stop:
-				return
-			}
-			if rows >= ba.maxRows {
-				stopTimer(timer)
-				flush()
-			}
-			continue
+		ba.mu.Lock()
+		n, rows := 0, 0
+		for n < len(ba.queue) && (n == 0 || rows+ba.queue[n].b.N <= ba.maxRows) {
+			rows += ba.queue[n].b.N
+			n++
 		}
-		select {
-		case r := <-ba.submit:
-			pend = append(pend, r)
-			rows += r.b.N
-			if rows >= ba.maxRows {
-				stopTimer(timer)
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-ba.stop:
-			stopTimer(timer)
-			flush()
+		if n == 0 {
+			ba.busy = false
+			ba.mu.Unlock()
 			return
 		}
+		pend := ba.queue[:n:n]
+		if ba.queue = ba.queue[n:]; len(ba.queue) == 0 {
+			ba.queue = nil // let the flushed requests go
+		}
+		ba.mu.Unlock()
+		ba.flush(pend, rows)
 	}
 }
 
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
+// call is one counted backend invocation.
+func (ba *batcher) call(b *onnx.Batch, out []float64) error {
+	ba.stats.calls.Add(1)
+	ba.stats.rows.Add(int64(b.N))
+	return ba.score(b, out)
 }
 
 // flush merges the pending requests into one columnar batch, makes a single
 // backend call, and scatters the scores back. The infer.batch failpoint
-// fires here: an injected failure is broadcast to every waiter, and the
-// plane degrades those requests to direct scoring — a wedged or failing
-// batcher must never fail a query.
+// fires once per flush: an injected failure is broadcast to every waiter,
+// and the plane degrades each of those requests to direct scoring — a
+// failing batcher must never fail a query.
 func (ba *batcher) flush(pend []*pendingReq, rows int) {
 	if err := fault.Inject("infer.batch"); err != nil {
 		for _, r := range pend {
@@ -154,11 +132,9 @@ func (ba *batcher) flush(pend []*pendingReq, rows int) {
 		return
 	}
 	if len(pend) == 1 {
-		// Single-request window: score in place, no merge copy.
+		// Nothing to merge: score in place.
 		r := pend[0]
-		ba.calls.Add(1)
-		ba.rows.Add(int64(rows))
-		r.done <- ba.score(r.b, r.out)
+		r.done <- ba.call(r.b, r.out)
 		return
 	}
 
@@ -180,9 +156,7 @@ func (ba *batcher) flush(pend []*pendingReq, rows int) {
 		}
 	}
 	scores := make([]float64, rows)
-	ba.calls.Add(1)
-	ba.rows.Add(int64(rows))
-	err := ba.score(merged, scores)
+	err := ba.call(merged, scores)
 	off := 0
 	for _, r := range pend {
 		if err == nil {
@@ -191,9 +165,4 @@ func (ba *batcher) flush(pend []*pendingReq, rows int) {
 		off += r.b.N
 		r.done <- err
 	}
-}
-
-// stats returns (backend calls, total rows) — occupancy is rows/calls.
-func (ba *batcher) stats() (int64, int64) {
-	return ba.calls.Load(), ba.rows.Load()
 }

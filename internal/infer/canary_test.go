@@ -3,7 +3,6 @@ package infer
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -38,7 +37,6 @@ func TestCanaryAutoPromotes(t *testing.T) {
 
 	var promoted []string
 	p := New(reg, Config{
-		BatchWindow:      time.Millisecond,
 		CacheSize:        -1, // every row must reach the backend and mirror
 		CanaryMinSamples: 100,
 		Promote: func(model string, version int) error {
@@ -75,7 +73,6 @@ func TestCanaryAutoRollsBackDriftedCandidate(t *testing.T) {
 
 	promoted := 0
 	p := New(reg, Config{
-		BatchWindow:      time.Millisecond,
 		CacheSize:        -1,
 		CanaryMinSamples: 100,
 		Promote:          func(string, int) error { promoted++; return nil },
@@ -114,7 +111,6 @@ func TestCanaryFaultForcesRollback(t *testing.T) {
 	reg.addVersion("m", 2, serving) // identical candidate
 
 	p := New(reg, Config{
-		BatchWindow:      time.Millisecond,
 		CacheSize:        -1,
 		CanaryMinSamples: 100,
 		Promote:          func(string, int) error { t.Fatal("promoted under drift"); return nil },
@@ -140,7 +136,6 @@ func TestShadowObservesWithoutActing(t *testing.T) {
 
 	promoted := 0
 	p := New(reg, Config{
-		BatchWindow:      time.Millisecond,
 		CacheSize:        -1,
 		CanaryMinSamples: 50,
 		Promote:          func(string, int) error { promoted++; return nil },

@@ -1,8 +1,8 @@
 // Package infer is the production inference plane: the model-serving layer
 // between the engine's PREDICT operator and the scorer backends. It adds
 // the three capabilities a per-call scoring path lacks at production
-// concurrency — an async micro-batcher that coalesces PREDICT calls from
-// concurrent sessions and cursors into single vectorized backend calls, a
+// concurrency — a batcher that merges PREDICT calls from concurrent sessions
+// and cursors that overlap a backend call into single vectorized calls, a
 // score cache keyed on feature-vector hash and model generation (guarded,
 // like the plan cache, by revalidation rather than eager invalidation), and
 // versioned candidate deployments whose mirrored traffic feeds the
@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/onnx"
@@ -37,12 +36,11 @@ type Registry interface {
 
 // Config tunes the plane; zero values take the documented defaults.
 type Config struct {
-	// BatchWindow is the micro-batch latency bound: the longest a queued
-	// request waits for peers before the window is scored. Default 2ms.
-	BatchWindow time.Duration
-	// BatchRows is the micro-batch size bound, and also the threshold at
-	// or above which a request bypasses coalescing entirely (it is already
-	// a full window riding the morsel batch granularity). Default 256.
+	// BatchRows bounds the rows merged into one coalesced backend call. It
+	// is also the batch shape at or above which a request bypasses both
+	// coalescing and the score cache: it is already a full vectorized
+	// batch riding the morsel granularity, and a scan's rows would only
+	// evict entries a point query might have hit. Default 256.
 	BatchRows int
 	// CacheSize is the score-cache capacity in entries; 0 takes the
 	// default 65536, negative disables caching.
@@ -60,15 +58,12 @@ type Config struct {
 	Promote func(model string, version int) error
 	// Remote optionally builds a remote scorer per graph (e.g. the HTTP
 	// scoring-service client flock-serve configures): when set, backend
-	// calls go through it — one round trip per micro-batch window —
-	// instead of the in-process native session.
+	// calls go through it — one round trip per merged batch — instead of
+	// the in-process native session.
 	Remote func(g *onnx.Graph) (onnx.Scorer, error)
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.BatchRows == 0 {
 		c.BatchRows = 256
 	}
@@ -91,12 +86,11 @@ type Plane struct {
 	reg Registry
 
 	cache *scoreCache // nil when disabled
+	batch batchStats
 
 	mu       sync.RWMutex
 	closed   bool
-	fps      map[*onnx.Graph]uint64 // per-plan fingerprint memo
-	backends map[uint64]scoreFn     // keyed by graph fingerprint
-	batchers map[uint64]*batcher    // keyed by graph fingerprint
+	backends map[uint64]*batcher // keyed by graph fingerprint
 	deps     map[string]*deployment
 
 	direct      atomic.Int64 // requests scored without coalescing
@@ -113,9 +107,7 @@ func New(reg Registry, cfg Config) *Plane {
 	p := &Plane{
 		cfg:      cfg,
 		reg:      reg,
-		fps:      map[*onnx.Graph]uint64{},
-		backends: map[uint64]scoreFn{},
-		batchers: map[uint64]*batcher{},
+		backends: map[uint64]*batcher{},
 		deps:     map[string]*deployment{},
 	}
 	if cfg.CacheSize > 0 {
@@ -124,19 +116,12 @@ func New(reg Registry, cfg Config) *Plane {
 	return p
 }
 
-// Close stops the dispatchers. In-flight requests complete; later requests
-// degrade to direct scoring.
+// Close stops coalescing. In-flight and parked requests complete; later
+// requests score directly.
 func (p *Plane) Close() {
 	p.mu.Lock()
 	p.closed = true
-	bas := make([]*batcher, 0, len(p.batchers))
-	for _, ba := range p.batchers {
-		bas = append(bas, ba)
-	}
 	p.mu.Unlock()
-	for _, ba := range bas {
-		ba.close()
-	}
 }
 
 // Score scores the batch for model through the plane — the engine's
@@ -148,16 +133,33 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 	if n == 0 {
 		return nil
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	// The generation is captured once per call: in-flight work planned
 	// against this generation may serve and fill entries stamped with it,
 	// while any later lookup that observes a bump treats them as stale.
 	gen := p.reg.Generation()
 	// The content fingerprint identifies "this model version" across the
-	// per-plan graph clones the planner hands us — it keys cache entries,
-	// backends, and the shared micro-batcher.
-	fp := p.fingerprintOf(g)
+	// per-plan graph clones the planner hands us — it keys cache entries
+	// and the shared backend.
+	fp := g.Fingerprint()
 
-	cacheOK := p.cache != nil
+	p.mu.RLock()
+	ba, dep, closed := p.backends[fp], p.deps[model], p.closed
+	p.mu.RUnlock()
+	if ba == nil {
+		var err error
+		if ba, err = p.addBackend(g, fp); err != nil {
+			return err
+		}
+	}
+	// A batch of BatchRows or more is scan-mode PREDICT: one direct
+	// vectorized call, with neither batcher nor cache in the way.
+	small := n < p.cfg.BatchRows
+	coalesce := small && !closed
+
+	cacheOK := small && p.cache != nil
 	if cacheOK {
 		if err := fault.Inject("infer.cache"); err != nil {
 			// An unavailable cache costs recomputation, never correctness.
@@ -173,7 +175,7 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 		hashes = make([]uint64, n)
 		missRows = make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			hashes[i] = hashRow(b, i)
+			hashes[i] = b.HashRow(i)
 			if s, ok := p.cache.lookup(model, hashes[i], gen, fp); ok {
 				out[i] = s
 			} else {
@@ -183,13 +185,13 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 	}
 
 	if !cacheOK || len(missRows) == n {
-		if err := p.scoreBackend(ctx, g, fp, b, out[:n]); err != nil {
+		if err := p.scoreBackend(ctx, ba, coalesce, b, out[:n]); err != nil {
 			return err
 		}
 	} else if len(missRows) > 0 {
 		sub := gatherBatch(b, missRows)
 		subOut := make([]float64, len(missRows))
-		if err := p.scoreBackend(ctx, g, fp, sub, subOut); err != nil {
+		if err := p.scoreBackend(ctx, ba, coalesce, sub, subOut); err != nil {
 			return err
 		}
 		for k, i := range missRows {
@@ -201,7 +203,9 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 			p.cache.store(model, hashes[i], gen, fp, out[i])
 		}
 	}
-	p.mirror(model, b, out[:n])
+	if dep != nil {
+		p.mirror(model, dep, b, out[:n])
+	}
 	return nil
 }
 
@@ -209,75 +213,35 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 // a remote scorer round trip.
 type scoreFn func(b *onnx.Batch, out []float64) error
 
-// scoreBackend routes one (sub-)batch to the backend: full windows score
-// directly, small batches coalesce through the model's micro-batcher, and
-// any batcher failure — injected or real — degrades to direct scoring.
-func (p *Plane) scoreBackend(ctx context.Context, g *onnx.Graph, fp uint64, b *onnx.Batch, out []float64) error {
-	fn, err := p.backendFor(g, fp)
-	if err != nil {
-		return err
-	}
-	if b.N >= p.cfg.BatchRows || p.isClosed() {
-		p.direct.Add(1)
-		return fn(b, out)
-	}
-	ba := p.batcherFor(fp, fn)
-	if ba != nil {
+// scoreBackend makes the backend call for one (sub-)batch: through the
+// graph's batcher when coalescing, and directly otherwise or when the
+// batcher fails — injected or real, a batcher failure degrades the request
+// rather than failing the query.
+func (p *Plane) scoreBackend(ctx context.Context, ba *batcher, coalesce bool, b *onnx.Batch, out []float64) error {
+	if coalesce {
 		err := ba.scoreBatched(ctx, b, out)
 		if err == nil {
 			p.coalesced.Add(1)
 			return nil
 		}
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		// Batcher failure (failpoint, stopped dispatcher, backend error
-		// inside the merged window): degrade this request to a direct
-		// call rather than failing the query.
 		p.degraded.Add(1)
 	}
 	p.direct.Add(1)
-	return fn(b, out)
+	return ba.score(b, out)
 }
 
-func (p *Plane) isClosed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.closed
-}
-
-// fingerprintOf returns the content fingerprint for a planned graph,
-// memoized per pointer: each query plan clones the deployed graph, so the
-// memo is bounded by concurrent plan lifetimes plus churn, and is reset
-// before it can accumulate without bound.
-func (p *Plane) fingerprintOf(g *onnx.Graph) uint64 {
-	p.mu.RLock()
-	fp, ok := p.fps[g]
-	p.mu.RUnlock()
-	if ok {
-		return fp
-	}
-	fp = fingerprint(g)
-	p.mu.Lock()
-	if len(p.fps) > 4096 {
-		p.fps = map[*onnx.Graph]uint64{}
-	}
-	p.fps[g] = fp
-	p.mu.Unlock()
-	return fp
-}
-
-// backendFor returns the cached backend for a graph's content. Deployed
-// graphs are immutable and content-identical clones score identically, so
-// fingerprint keying is sound; the map is reset when retrains accumulate
-// dead versions.
-func (p *Plane) backendFor(g *onnx.Graph, fp uint64) (scoreFn, error) {
-	p.mu.RLock()
-	fn := p.backends[fp]
-	p.mu.RUnlock()
-	if fn != nil {
-		return fn, nil
-	}
+// addBackend resolves and registers the backend for a graph's content: its
+// scorer and the batcher every concurrent session and cursor scoring that
+// model version shares — which is what makes cross-query coalescing work.
+// Deployed graphs are immutable and content-identical clones score
+// identically, so fingerprint keying is sound; the map is reset when
+// retrains accumulate dead versions (requests still holding a dropped
+// batcher finish through it).
+func (p *Plane) addBackend(g *onnx.Graph, fp uint64) (*batcher, error) {
+	var fn scoreFn
 	if p.cfg.Remote != nil {
 		scorer, err := p.cfg.Remote(g)
 		if err != nil {
@@ -304,35 +268,11 @@ func (p *Plane) backendFor(g *onnx.Graph, fp uint64) (scoreFn, error) {
 		return have, nil
 	}
 	if len(p.backends) > 128 {
-		p.backends = map[uint64]scoreFn{}
+		p.backends = map[uint64]*batcher{}
 	}
-	p.backends[fp] = fn
-	return fn, nil
-}
-
-// batcherFor returns the micro-batcher for a graph fingerprint, creating
-// it on first use (nil once the plane is closed). Keying by content means
-// every concurrent session and cursor scoring the same model version
-// shares one batcher — which is what makes cross-query coalescing work.
-func (p *Plane) batcherFor(fp uint64, fn scoreFn) *batcher {
-	p.mu.RLock()
-	ba := p.batchers[fp]
-	closed := p.closed
-	p.mu.RUnlock()
-	if ba != nil || closed {
-		return ba
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	if have := p.batchers[fp]; have != nil {
-		return have
-	}
-	ba = newBatcher(p.cfg.BatchRows, p.cfg.BatchWindow, fn)
-	p.batchers[fp] = ba
-	return ba
+	ba := &batcher{maxRows: p.cfg.BatchRows, score: fn, stats: &p.batch}
+	p.backends[fp] = ba
+	return ba, nil
 }
 
 // gatherBatch extracts the given rows of b into a dense batch.
@@ -356,15 +296,9 @@ func gatherBatch(b *onnx.Batch, rows []int) *onnx.Batch {
 	return sub
 }
 
-// mirror feeds a scored batch to the model's candidate deployment, if any,
-// and applies the gate's decision.
-func (p *Plane) mirror(model string, b *onnx.Batch, primary []float64) {
-	p.mu.RLock()
-	d := p.deps[model]
-	p.mu.RUnlock()
-	if d == nil {
-		return
-	}
+// mirror feeds a scored batch to the model's candidate deployment and
+// applies the gate's decision.
+func (p *Plane) mirror(model string, d *deployment, b *onnx.Batch, primary []float64) {
 	switch d.observe(b, primary, p.cfg.CanaryMinSamples, p.cfg.CanaryMaxDisagreement) {
 	case +1:
 		if p.cfg.Promote != nil {
@@ -460,14 +394,7 @@ func (p *Plane) Deployments() []DeploymentStatus {
 // 4 rolled-back.
 func (p *Plane) Gauges() map[string]float64 {
 	m := map[string]float64{}
-	var calls, rows int64
-	p.mu.RLock()
-	for _, ba := range p.batchers {
-		c, r := ba.stats()
-		calls += c
-		rows += r
-	}
-	p.mu.RUnlock()
+	calls, rows := p.batch.calls.Load(), p.batch.rows.Load()
 	m["flock_infer_batch_calls_total"] = float64(calls)
 	m["flock_infer_batch_rows_total"] = float64(rows)
 	if calls > 0 {

@@ -13,6 +13,7 @@ package onnx
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ml"
 )
@@ -120,6 +121,10 @@ type Graph struct {
 	Feats  []FeatNode
 	Model  ModelNode
 	Output string // output column name, e.g. "score"
+
+	// fp memoizes Fingerprint. Unexported, so gob never ships it, and
+	// deliberately not carried over by Clone.
+	fp atomic.Uint64
 }
 
 // Width returns the total feature-matrix width.

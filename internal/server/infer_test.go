@@ -18,7 +18,7 @@ import (
 func newInferServer(t testing.TB, rows int) (*core.Flock, *httptest.Server) {
 	t.Helper()
 	flock := newTestFlock(t, rows)
-	plane := flock.EnableInferPlane(infer.Config{BatchWindow: time.Millisecond, CanaryMinSamples: 50})
+	plane := flock.EnableInferPlane(infer.Config{CanaryMinSamples: 50})
 	s := New(flock, Config{OnSession: func(user string) { flock.Access.AssignRole(user, "admin") }})
 	s.AttachInferPlane(plane)
 	ts := httptest.NewServer(s.Handler())
