@@ -11,6 +11,7 @@ package server
 // engine work per fetch goes through the same admission gate as queries.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -19,11 +20,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // cursorState classifies a cursor-id lookup.
@@ -44,6 +47,8 @@ type serverCursor struct {
 	sess *session
 	cur  engine.Cursor
 	cols []string
+	// types are the page-form type tags of cols, fixed at open.
+	types []wire.Type
 
 	// ctx descends from the owning session, so session close and server
 	// shutdown abort an in-flight fetch and poison later ones; each fetch
@@ -120,7 +125,8 @@ func (cs *cursorStore) put(sess *session, cur engine.Cursor, cols []string) (*se
 	ctx, cancel := context.WithCancel(sess.ctx)
 	c := &serverCursor{
 		id: hex.EncodeToString(buf[:]), sess: sess, cur: cur, cols: cols,
-		ctx: ctx, cancel: cancel,
+		types: pageTypes(cur.Schema()),
+		ctx:   ctx, cancel: cancel,
 	}
 	c.touch()
 	cs.mu.Lock()
@@ -401,22 +407,40 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	capHint := maxRows
-	if capHint > defaultFetchRows {
-		capHint = defaultFetchRows
+	// The page is built in the form the request asked for: the binary
+	// columnar page for an SDK that sent the page type in Accept (column
+	// slices go straight into a pooled buffer), row-JSON for everyone else.
+	var (
+		rows   [][]any
+		enc    *wire.Encoder
+		pulled int
+	)
+	if r.Header.Get("Accept") == wire.ContentType {
+		enc = pageEncoders.Get().(*wire.Encoder)
+		defer putPageEncoder(enc)
+		enc.Begin(c.types)
+	} else {
+		rows = make([][]any, 0, min(maxRows, defaultFetchRows))
 	}
-	rows := make([][]any, 0, capHint)
+	emit := func(b *engine.Batch, lo, hi int) {
+		if enc != nil {
+			appendChunk(enc, b, lo, hi)
+		} else {
+			rows = append(rows, engine.ResultFromRowSet(b.Slice(lo, hi)).Rows...)
+		}
+		pulled += hi - lo
+	}
 	done := false
-	for len(rows) < maxRows {
+	for pulled < maxRows {
 		// Drain the parked tail of the previous batch before pulling more.
 		if c.pending != nil {
-			take := maxRows - len(rows)
+			take := maxRows - pulled
 			if avail := c.pending.N - c.pendOff; take >= avail {
-				rows = append(rows, engine.ResultFromRowSet(c.pending.Slice(c.pendOff, c.pending.N)).Rows...)
+				emit(c.pending, c.pendOff, c.pending.N)
 				c.pending, c.pendOff = nil, 0
 				continue
 			}
-			rows = append(rows, engine.ResultFromRowSet(c.pending.Slice(c.pendOff, c.pendOff+take)).Rows...)
+			emit(c.pending, c.pendOff, c.pendOff+take)
 			c.pendOff += take
 			break
 		}
@@ -433,7 +457,7 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 				// this fetch are PAST the rollback point, so deliver them
 				// as a short page rather than dropping them — a retry then
 				// resumes exactly after what the client received.
-				if len(rows) > 0 {
+				if pulled > 0 {
 					break
 				}
 				s.met.observeQuery("fetch", label, time.Since(start))
@@ -448,16 +472,93 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 		}
 		c.pending, c.pendOff = b, 0
 	}
+
+	// Encode before the status line goes out: a page that cannot be encoded
+	// (row-JSON cannot carry a non-finite float) is an execution error with
+	// a body that says so, not a 200 with nothing after it.
+	var body []byte
+	var encErr error
+	contentType := "application/json"
+	if enc != nil {
+		body, encErr = enc.Finish(done)
+		contentType = wire.ContentType
+	} else {
+		buf := jsonBufs.Get().(*bytes.Buffer)
+		defer putJSONBuf(buf)
+		encErr = encodeJSON(buf, map[string]any{
+			"columns": c.cols,
+			"rows":    rows,
+			"done":    done,
+		})
+		body = buf.Bytes()
+	}
+	if encErr != nil {
+		// The rows were consumed from the engine cursor and cannot be
+		// re-served, so the cursor is released like any sticky error.
+		s.cursors.finishLocked(c)
+		status, label := classifyErr(encErr)
+		s.met.observeQuery("fetch", label, time.Since(start))
+		writeError(w, status, encErr)
+		return
+	}
 	if done {
 		s.cursors.finishLocked(c)
 	}
 	c.touch()
 	s.met.observeQuery("fetch", "ok", time.Since(start))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"columns": c.cols,
-		"rows":    rows,
-		"done":    done,
-	})
+	if enc != nil {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	writeBody(w, http.StatusOK, contentType, body)
+}
+
+// pageEncoders recycles page buffers across fetches.
+var pageEncoders = sync.Pool{New: func() any { return new(wire.Encoder) }}
+
+// maxPooledBuf keeps one giant page or response from pinning its buffer in
+// a pool forever.
+const maxPooledBuf = 4 << 20
+
+func putPageEncoder(e *wire.Encoder) {
+	if e.Cap() <= maxPooledBuf {
+		pageEncoders.Put(e)
+	}
+}
+
+// pageTypes maps a result schema to page type tags.
+func pageTypes(schema engine.Schema) []wire.Type {
+	types := make([]wire.Type, len(schema))
+	for i, m := range schema {
+		switch m.Type {
+		case engine.TypeInt:
+			types[i] = wire.Int64
+		case engine.TypeFloat:
+			types[i] = wire.Float64
+		case engine.TypeString:
+			types[i] = wire.String
+		case engine.TypeBool:
+			types[i] = wire.Bool
+		}
+	}
+	return types
+}
+
+// appendChunk appends rows [lo, hi) of b to the page as one chunk, straight
+// from the engine's column slices.
+func appendChunk(enc *wire.Encoder, b *engine.Batch, lo, hi int) {
+	enc.Rows(hi - lo)
+	for i := range b.Cols {
+		switch col := &b.Cols[i]; col.Type {
+		case engine.TypeInt:
+			enc.Ints(col.Ints[lo:hi])
+		case engine.TypeFloat:
+			enc.Floats(col.Floats[lo:hi])
+		case engine.TypeString:
+			enc.Strings(col.Strs[lo:hi])
+		case engine.TypeBool:
+			enc.Bools(col.Bools[lo:hi])
+		}
+	}
 }
 
 // handleCursorClose releases a cursor early. Closing an already-dead

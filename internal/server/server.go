@@ -31,6 +31,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -585,10 +586,51 @@ type queryResponse struct {
 	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
+// errNonFiniteJSON is the execution error for a result row-JSON cannot
+// express: encoding/json refuses ±Inf and NaN. The cursor's page form
+// carries them bit-exactly.
+var errNonFiniteJSON = errors.New("result holds a non-finite float; JSON cannot carry it")
+
+// jsonBufs recycles response buffers: a body is encoded in full before the
+// status line is written, so an encode failure can still answer with an
+// error status.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putJSONBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}
+}
+
+// encodeJSON appends to buf the bytes json.NewEncoder(w).Encode(v) writes.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	err := json.NewEncoder(buf).Encode(v)
+	var unsupported *json.UnsupportedValueError
+	if errors.As(err, &unsupported) {
+		return errNonFiniteJSON
+	}
+	return err
+}
+
+// writeJSON answers with v as JSON, or with the error that kept v from
+// being encoded.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer putJSONBuf(buf)
+	if err := encodeJSON(buf, v); err != nil {
+		status, _ = classifyErr(err)
+		buf.Reset()
+		_ = encodeJSON(buf, map[string]string{"error": err.Error()}) // a string map always encodes
+	}
+	writeBody(w, status, "application/json", buf.Bytes())
+}
+
+// writeBody sends an already encoded response.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is the client's disconnect
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -934,8 +976,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
 		// but a nil here must not panic the handler.
 		res = &engine.Result{}
 	}
-	s.met.observeQuery(kind, "ok", elapsed)
 	if stream {
+		s.met.observeQuery(kind, "ok", elapsed)
 		s.streamResult(w, res, elapsed)
 		return
 	}
@@ -946,10 +988,19 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
 	if rows == nil {
 		rows = [][]any{}
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer putJSONBuf(buf)
+	if err := encodeJSON(buf, queryResponse{
 		Columns: cols, Rows: rows, Affected: res.Affected,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-	})
+	}); err != nil {
+		status, label := classifyErr(err)
+		s.met.observeQuery(kind, label, elapsed)
+		writeError(w, status, err)
+		return
+	}
+	s.met.observeQuery(kind, "ok", elapsed)
+	writeBody(w, http.StatusOK, "application/json", buf.Bytes())
 }
 
 // streamCursor drains a governed cursor as NDJSON: a header object, one

@@ -33,6 +33,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // APIError is a non-2xx response from the server, carrying the HTTP status
@@ -98,6 +100,10 @@ type Client struct {
 	level     string
 	retryMax  int
 	retryBase time.Duration
+	// wait is how postIdem backs off between attempts: it blocks for d or
+	// until ctx is done. A field so tests can read the delay the retry
+	// policy asked for instead of sleeping through it.
+	wait func(ctx context.Context, d time.Duration) error
 
 	// epMu guards base and session: failover re-dials a session at another
 	// endpoint and swaps both while calls may be in flight.
@@ -209,6 +215,7 @@ func Dial(ctx context.Context, baseURL, user string, opts ...Option) (*Client, e
 		user:      user,
 		batchRows: 4096,
 		retryBase: 100 * time.Millisecond,
+		wait:      sleepCtx,
 	}
 	for _, o := range opts {
 		o(c)
@@ -451,7 +458,7 @@ func (c *Client) queryHere(ctx context.Context, sql string) (*Rows, error) {
 	if out.Cursor == "" {
 		return nil, errors.New("flockclient: server returned no cursor id")
 	}
-	return &Rows{c: c, ctx: ctx, cursor: out.Cursor, cols: out.Columns}, nil
+	return newRows(c, ctx, out.Cursor, out.Columns), nil
 }
 
 // Stmt is a prepared statement handle. The server may evict handles from
@@ -494,7 +501,7 @@ func (s *Stmt) Query(ctx context.Context) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{c: s.c, ctx: ctx, cursor: out.Cursor, cols: out.Columns}, nil
+	return newRows(s.c, ctx, out.Cursor, out.Columns), nil
 }
 
 // Exec runs a prepared statement and materializes the result.
@@ -575,16 +582,27 @@ func (c *Client) postIdem(ctx context.Context, path string, body, out any) error
 		if errors.As(err, &ae) && ae.RetryAfter > 0 {
 			delay = ae.RetryAfter
 		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
+		if c.wait(ctx, delay) != nil {
 			return err
 		}
 	}
 }
 
-// post sends a JSON body to the current endpoint and decodes a JSON
-// response into out (out may be nil). Non-2xx responses become *APIError.
+// sleepCtx blocks for d, or until ctx is done and then reports why.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// post sends a JSON body to the current endpoint and decodes the response
+// into out: JSON for most destinations, nothing for nil, and a binary page
+// for a *pageBody. Non-2xx responses become *APIError.
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	return c.postTo(ctx, c.endpointURL(), path, body, out)
 }
@@ -600,6 +618,10 @@ func (c *Client) postTo(ctx context.Context, base, path string, body, out any) e
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	page, _ := out.(*pageBody)
+	if page != nil {
+		req.Header.Set("Accept", wire.ContentType)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -608,13 +630,38 @@ func (c *Client) postTo(ctx context.Context, base, path string, body, out any) e
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return readAPIError(resp)
 	}
-	if out == nil {
+	switch {
+	case out == nil:
 		io.Copy(io.Discard, resp.Body)
 		return nil
+	case page != nil:
+		return page.readFrom(resp)
 	}
 	dec := json.NewDecoder(resp.Body)
 	dec.UseNumber()
 	return dec.Decode(out)
+}
+
+// pageBody is a post destination that asks for a binary columnar page
+// (Accept: wire.ContentType) and keeps the response bytes in a buffer it
+// reuses from one fetch to the next.
+type pageBody struct{ bytes.Buffer }
+
+// pagePresize bounds what a Content-Length header alone can make the
+// client allocate; a longer body grows the buffer only as bytes arrive.
+const pagePresize = 16 << 20
+
+func (p *pageBody) readFrom(resp *http.Response) error {
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
+		return fmt.Errorf("flockclient: cursor fetch answered Content-Type %q, want %q (page format version %d): the SDK and the server must come from the same build",
+			ct, wire.ContentType, wire.Version)
+	}
+	p.Reset()
+	if n := resp.ContentLength; n > 0 && n <= pagePresize {
+		p.Grow(int(n) + bytes.MinRead) // ReadFrom keeps MinRead bytes spare to find EOF
+	}
+	_, err := p.ReadFrom(resp.Body)
+	return err
 }
 
 // readAPIError consumes an error response body ({"error": "..."}).
@@ -655,24 +702,44 @@ func decodeRows(raw [][]json.RawMessage) ([][]any, error) {
 	return rows, nil
 }
 
+// decodeCell converts one row-JSON cell: a number without fraction or
+// exponent that fits int64 is an int64 (exactly, past 2^53 too), any other
+// number a float64; strings, booleans and null map to string, bool and nil.
 func decodeCell(cell json.RawMessage) (any, error) {
-	dec := json.NewDecoder(bytes.NewReader(cell))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
+	cell = bytes.TrimSpace(cell)
+	if len(cell) == 0 {
+		return nil, errors.New("flockclient: empty result cell")
 	}
-	if num, ok := v.(json.Number); ok {
-		if i, err := num.Int64(); err == nil && !strings.ContainsAny(num.String(), ".eE") {
-			return i, nil
+	switch c := cell[0]; {
+	case c == '"':
+		var s string
+		if err := json.Unmarshal(cell, &s); err != nil {
+			return nil, err
 		}
-		f, err := num.Float64()
+		return s, nil
+	case c == '-' || (c >= '0' && c <= '9'):
+		// strconv accepts more than JSON does ("0x10", "1_0", "-Inf").
+		if !json.Valid(cell) {
+			break
+		}
+		if !bytes.ContainsAny(cell, ".eE") {
+			if i, err := strconv.ParseInt(string(cell), 10, 64); err == nil {
+				return i, nil
+			}
+		}
+		f, err := strconv.ParseFloat(string(cell), 64)
 		if err != nil {
 			return nil, err
 		}
 		return f, nil
+	case string(cell) == "true":
+		return true, nil
+	case string(cell) == "false":
+		return false, nil
+	case string(cell) == "null":
+		return nil, nil
 	}
-	return v, nil
+	return nil, fmt.Errorf("flockclient: result cell %.40q is not a JSON scalar", cell)
 }
 
 // InferDeployment is the server's view of one candidate model deployment

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // stubFlock scripts per-path failure counts: the first fail[path] requests
@@ -69,7 +71,21 @@ func (s *stubFlock) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		_ = json.NewEncoder(w).Encode(map[string]any{"columns": []string{"id"}, "rows": [][]any{{1}}, "affected": 1})
 	case "/v1/cursor/fetch":
-		_ = json.NewEncoder(w).Encode(map[string]any{"rows": [][]any{{1}, {2}}, "done": true})
+		if r.Header.Get("Accept") != wire.ContentType {
+			http.Error(w, `{"error":"the SDK must ask for pages"}`, http.StatusNotAcceptable)
+			return
+		}
+		var e wire.Encoder
+		e.Begin([]wire.Type{wire.Int64})
+		e.Rows(2)
+		e.Ints([]int64{1, 2})
+		page, err := e.Finish(true)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		_, _ = w.Write(page)
 	case "/v1/cursor/close":
 		_ = json.NewEncoder(w).Encode(map[string]any{})
 	default:
@@ -124,18 +140,56 @@ func TestRetryAfterParsedIntoError(t *testing.T) {
 	}
 }
 
+// recordWaits substitutes postIdem's backoff wait: the delays the retry
+// policy asks for are recorded instead of slept through, so the tests below
+// assert the policy and not the clock.
+func recordWaits(waits *[]time.Duration, after func(n int) error) Option {
+	return func(c *Client) {
+		c.wait = func(ctx context.Context, d time.Duration) error {
+			*waits = append(*waits, d)
+			return after(len(*waits))
+		}
+	}
+}
+
 func TestRetryHonorsRetryAfterAdvice(t *testing.T) {
-	// One failure carrying "Retry-After: 1": the retry must wait the advised
-	// second, not the 1ms base backoff.
+	// One failure carrying "Retry-After: 1": the retry must ask to wait the
+	// advised second, not the 1ms base backoff.
 	stub := newStub(map[string]int{"/v1/sessions": 1}, "1")
 	ts := httptest.NewServer(stub)
 	defer ts.Close()
-	start := time.Now()
-	if _, err := Dial(context.Background(), ts.URL, "root", WithRetry(1, time.Millisecond)); err != nil {
+	var waits []time.Duration
+	_, err := Dial(context.Background(), ts.URL, "root", WithRetry(1, time.Millisecond),
+		recordWaits(&waits, func(int) error { return nil }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("retried after %v, want >= the advised 1s", elapsed)
+	if len(waits) != 1 || waits[0] != time.Second {
+		t.Fatalf("waits requested = %v, want exactly the advised [1s]", waits)
+	}
+	if got := stub.hit("/v1/sessions").Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2", got)
+	}
+}
+
+func TestRetryBackoffDoublesWithJitter(t *testing.T) {
+	stub := newStub(map[string]int{"/v1/sessions": 3}, "")
+	ts := httptest.NewServer(stub)
+	defer ts.Close()
+	var waits []time.Duration
+	const base = 40 * time.Millisecond
+	_, err := Dial(context.Background(), ts.URL, "root", WithRetry(3, base),
+		recordWaits(&waits, func(int) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(waits) != 3 {
+		t.Fatalf("waits requested = %v, want 3", waits)
+	}
+	for i, d := range waits {
+		if lo, hi := (base<<i)/2, (base<<i)*3/2; d < lo || d >= hi {
+			t.Fatalf("wait %d = %v, want within [%v, %v): base doubled per retry, ±50%% jitter", i, d, lo, hi)
+		}
 	}
 }
 
@@ -187,17 +241,43 @@ func TestQueryAndFetchRetried(t *testing.T) {
 }
 
 func TestRetryStopsOnContextCancel(t *testing.T) {
+	// The context is canceled during the third backoff wait: the loop must
+	// stop there — three attempts, no fourth — with 47 retries still in its
+	// budget.
 	stub := newStub(map[string]int{"/v1/sessions": 99}, "")
 	ts := httptest.NewServer(stub)
 	defer ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	start := time.Now()
-	_, err := Dial(ctx, ts.URL, "root", WithRetry(50, 40*time.Millisecond))
-	if err == nil {
-		t.Fatal("canceled Dial should fail")
+	var waits []time.Duration
+	_, err := Dial(ctx, ts.URL, "root", WithRetry(50, 40*time.Millisecond),
+		recordWaits(&waits, func(n int) error {
+			if n == 3 {
+				cancel()
+			}
+			return ctx.Err()
+		}))
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want the last attempt's 503", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retry loop ignored the context for %v", elapsed)
+	if got := stub.hit("/v1/sessions").Load(); got != 3 {
+		t.Fatalf("attempts = %d, want 3: the retry loop must stop at the cancel", got)
+	}
+	if len(waits) != 3 {
+		t.Fatalf("waits = %v, want 3", waits)
+	}
+}
+
+// The shipped wait returns early, with the context's error, once the
+// context is done.
+func TestSleepCtxReturnsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := sleepCtx(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sleepCtx under a canceled context = %v, want context.Canceled", err)
+	}
+	if err := sleepCtx(context.Background(), time.Nanosecond); err != nil {
+		t.Fatalf("sleepCtx = %v, want nil once the delay elapsed", err)
 	}
 }

@@ -2,10 +2,11 @@ package flockclient
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+
+	"repro/internal/wire"
 )
 
 // Rows iterates a query result database/sql-style, fetching pages from the
@@ -23,15 +24,23 @@ type Rows struct {
 	cursor string
 	cols   []string
 
-	page [][]any
-	i    int   // next unread row within page
-	cur  []any // the row Next advanced to; what Scan reads
+	// body is the last fetch response and page its decoded typed columns;
+	// both are reused across fetches, so a warm iteration allocates only
+	// the string columns' bytes.
+	body pageBody
+	page wire.Page
+	i    int // next unread row within page
+	cur  int // the row Next advanced to, what Scan reads; -1 when there is none
 	// done: the server finished (and already released) the cursor; the
 	// buffered page may still hold rows to iterate. closed: the user (or a
 	// drained iteration) is finished with the Rows.
 	done   bool
 	closed bool
 	err    error
+}
+
+func newRows(c *Client, ctx context.Context, cursor string, cols []string) *Rows {
+	return &Rows{c: c, ctx: ctx, cursor: cursor, cols: cols, cur: -1}
 }
 
 // Columns names the result columns.
@@ -46,17 +55,17 @@ func (r *Rows) Next() bool {
 	if r.err != nil || (r.closed && !r.done) {
 		return false
 	}
-	for r.i >= len(r.page) {
+	for r.i >= r.page.N {
+		r.cur = -1
 		if r.done {
 			r.closed = true // drained; the server already released the cursor
-			r.cur = nil
 			return false
 		}
 		if !r.fetch() {
 			return false
 		}
 	}
-	r.cur = r.page[r.i]
+	r.cur = r.i
 	r.i++
 	return true
 }
@@ -67,25 +76,18 @@ func (r *Rows) Next() bool {
 // reporting, so re-fetching resumes from the same position — no rows are
 // skipped or duplicated.
 func (r *Rows) fetch() bool {
-	var out struct {
-		Rows [][]json.RawMessage `json:"rows"`
-		Done bool                `json:"done"`
-	}
 	err := r.c.postIdem(r.ctx, "/v1/cursor/fetch", map[string]any{
 		"session": r.c.sessionID(), "cursor": r.cursor, "max_rows": r.c.batchRows,
-	}, &out)
+	}, &r.body)
+	if err == nil {
+		err = r.page.Decode(r.body.Bytes())
+	}
 	if err != nil {
 		r.err = err
 		return false
 	}
-	page, err := decodeRows(out.Rows)
-	if err != nil {
-		r.err = err
-		return false
-	}
-	r.page = page
 	r.i = 0
-	r.done = out.Done
+	r.done = r.page.Done
 	return true
 }
 
@@ -97,15 +99,15 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.err != nil {
 		return r.err
 	}
-	row := r.cur
-	if row == nil {
+	if r.cur < 0 {
 		return errors.New("flockclient: Scan called without a successful Next")
 	}
-	if len(dest) != len(row) {
-		return fmt.Errorf("flockclient: Scan got %d destinations for %d columns", len(dest), len(row))
+	cols := r.page.Cols
+	if len(dest) != len(cols) {
+		return fmt.Errorf("flockclient: Scan got %d destinations for %d columns", len(dest), len(cols))
 	}
 	for i, d := range dest {
-		if err := assign(d, row[i]); err != nil {
+		if err := assign(d, &cols[i], r.cur); err != nil {
 			return fmt.Errorf("flockclient: column %d (%s): %w", i, r.colName(i), err)
 		}
 	}
@@ -146,60 +148,66 @@ func (r *Rows) Close() error {
 	return err
 }
 
-// assign converts one wire value into a destination pointer.
-func assign(dest, v any) error {
+// assign copies row i of a page column into a destination pointer.
+func assign(dest any, col *wire.Column, i int) error {
 	switch d := dest.(type) {
 	case *any:
-		*d = v
+		switch col.Type {
+		case wire.Int64:
+			*d = col.Ints[i]
+		case wire.Float64:
+			*d = col.Floats[i]
+		case wire.String:
+			*d = col.Strs[i]
+		case wire.Bool:
+			*d = col.Bools[i]
+		}
 		return nil
 	case *int64:
-		switch x := v.(type) {
-		case int64:
-			*d = x
+		switch col.Type {
+		case wire.Int64:
+			*d = col.Ints[i]
 			return nil
-		case float64:
-			if x == float64(int64(x)) {
+		case wire.Float64:
+			if x := col.Floats[i]; x == float64(int64(x)) {
 				*d = int64(x)
 				return nil
 			}
-			return fmt.Errorf("float %v into *int64", x)
+			return fmt.Errorf("float %v into *int64", col.Floats[i])
 		}
 	case *int:
-		switch x := v.(type) {
-		case int64:
-			*d = int(x)
+		switch col.Type {
+		case wire.Int64:
+			*d = int(col.Ints[i])
 			return nil
-		case float64:
-			if x == float64(int64(x)) {
+		case wire.Float64:
+			if x := col.Floats[i]; x == float64(int64(x)) {
 				*d = int(x)
 				return nil
 			}
-			return fmt.Errorf("float %v into *int", x)
+			return fmt.Errorf("float %v into *int", col.Floats[i])
 		}
 	case *float64:
-		switch x := v.(type) {
-		case float64:
-			*d = x
+		switch col.Type {
+		case wire.Float64:
+			*d = col.Floats[i]
 			return nil
-		case int64:
-			*d = float64(x)
+		case wire.Int64:
+			*d = float64(col.Ints[i])
 			return nil
 		}
 	case *string:
-		if x, ok := v.(string); ok {
-			*d = x
+		if col.Type == wire.String {
+			*d = col.Strs[i]
 			return nil
 		}
 	case *bool:
-		if x, ok := v.(bool); ok {
-			*d = x
+		if col.Type == wire.Bool {
+			*d = col.Bools[i]
 			return nil
 		}
 	default:
 		return fmt.Errorf("unsupported Scan destination %T", dest)
 	}
-	if v == nil {
-		return fmt.Errorf("NULL into %T (use *any)", dest)
-	}
-	return fmt.Errorf("cannot scan %T into %T", v, dest)
+	return fmt.Errorf("cannot scan %s into %T", col.Type, dest)
 }
