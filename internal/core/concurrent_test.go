@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/opt"
 )
 
@@ -187,4 +188,56 @@ func TestPreparedStalenessOnModelDeploy(t *testing.T) {
 	if !found {
 		t.Fatal("prepared PREDICT execution missing from audit log")
 	}
+}
+
+// TestConcurrentPreparedSharesAnnotatedPlan executes one prepared plan that
+// carries both planner annotations (a pruned scan and a bounded sort) from 16
+// goroutines at once. The plan is shared, not copied, so under -race this
+// proves the executor only ever reads Scan.Cols and Sort.TopK; functionally
+// every execution must return the same rows.
+func TestConcurrentPreparedSharesAnnotatedPlan(t *testing.T) {
+	f := newFlock(t)
+	const n = 20000 // wide enough for the parallel operators
+	ids := make([]int64, n)
+	vals := make([]float64, n)
+	tags := make([]string, n)
+	for i := range ids {
+		ids[i] = int64(i)
+		vals[i] = float64((i * 7919) % 1000)
+		tags[i] = fmt.Sprintf("t%d", i%13)
+	}
+	if _, err := f.DB.CreateTableFromColumns("big", []string{"id", "val", "tag"},
+		[]engine.Column{engine.IntColumn(ids), engine.FloatColumn(vals), engine.StringColumn(tags)}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.Prepare("SELECT id FROM big WHERE tag <> 't3' ORDER BY val DESC LIMIT 50", opt.LevelFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.ExecPrepared(context.Background(), "root", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 50 {
+		t.Fatalf("%d rows, want 50", len(want.Rows))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				got, err := f.ExecPrepared(context.Background(), "root", p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Errorf("concurrent execution returned different rows")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

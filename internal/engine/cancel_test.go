@@ -364,3 +364,54 @@ func TestSortCancelsInsideComparator(t *testing.T) {
 		t.Fatalf("want context.Canceled from mid-sort cancellation, got %v", err)
 	}
 }
+
+// TestTopKCancelsAtBatchBoundary pins the bounded ORDER BY … LIMIT k path:
+// its selection loop polls the context once per cancelBatchRows rows, and a
+// cancellation landing there aborts the statement at that boundary — no
+// further poll, no further batch.
+func TestTopKCancelsAtBatchBoundary(t *testing.T) {
+	db := NewDB()
+	for name, batches := range map[string]int{"big4": 4, "big8": 8} {
+		n := cancelBatchRows * batches
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64((i * 2654435761) % n)
+		}
+		if _, err := db.CreateTableFromColumns(name, []string{"id"}, []Column{IntColumn(vals)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(ctx context.Context, table string) error {
+		ex := &executor{ctx: ctx, db: db, o: ExecOptions{Level: opt.LevelVectorized},
+			env: &compileEnv{ctx: ctx}}
+		_, err := ex.execSort(&opt.Sort{
+			Input: &opt.Scan{Table: table, Version: -1},
+			Keys:  []opt.SortKey{{Expr: &sql.ColRef{Name: "id"}, Desc: true}},
+			TopK:  100,
+		})
+		return err
+	}
+	polls := func(table string) int {
+		c := newCountdownCtx(1 << 30)
+		if err := run(c, table); err != nil {
+			t.Fatal(err)
+		}
+		return c.polls
+	}
+	// Twice the input is four more batches, so at least four more polls: the
+	// selection loop is what polls (the scan and the key column do not scale
+	// with rows), and it polls far less than a sort's comparator would.
+	p4, p8 := polls("big4"), polls("big8")
+	if p8-p4 < 4 || p8 > 100 {
+		t.Fatalf("top-k polled %d times over 4 batches and %d over 8: want one poll per batch", p4, p8)
+	}
+	// The last polls of a run are the selection loop's (100 candidates sort
+	// without reaching a checkpoint). Trip the context on one of them.
+	c := newCountdownCtx(p8 - 3)
+	if err := run(c, "big8"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled from mid-selection cancellation, got %v", err)
+	}
+	if c.polls != p8-2 {
+		t.Errorf("polled %d times after tripping at poll %d: the loop ran past the batch boundary", c.polls, p8-2)
+	}
+}

@@ -77,6 +77,12 @@ type ExecCounters struct {
 	// a capped streamable pipeline stops scanning early, so this stays well
 	// below the table size (pinned by TestCursorLimitShortCircuitsScan).
 	RowsScanned atomic.Int64
+	// CellsGathered counts the cells (rows × columns) copied by filter
+	// gathers: scans with pushed-down conjuncts, Filter nodes and join
+	// residuals. A scan gathers only the columns the plan above it reads
+	// (opt.Scan.Cols), so this is the number projection pruning moves while
+	// RowsScanned stays put.
+	CellsGathered atomic.Int64
 }
 
 // OpenCursor plans a SELECT and opens a cursor over it — the streaming
@@ -173,7 +179,8 @@ peel:
 		}
 	}
 
-	sc := &streamCursor{ex: ex}
+	sc := &streamCursor{ex: ex, ops: make([]streamOp, 0, len(chain)+1)}
+	var schema Schema // of the rows flowing into the next op
 	if scan, ok := node.(*opt.Scan); ok {
 		src, err := ex.scanSource(scan)
 		if err != nil {
@@ -181,9 +188,19 @@ peel:
 		}
 		sc.src = src
 		sc.srcIsScan = true
-		if len(scan.Filters) > 0 {
-			// Pushed-down scan conjuncts become the bottom-most filter op.
-			chain = append(chain, &opt.Filter{Preds: scan.Filters})
+		out := src.pick(scan.Cols)
+		schema = out.Schema
+		if pred := opt.AndAll(scan.Filters); pred != nil {
+			// Pushed-down scan conjuncts become the bottom-most filter op. Like
+			// execScan it reads the whole snapshot (zero-copy batches) and
+			// copies only the columns read above the scan.
+			fn, err := compileVec(pred, src.Schema, ex.env)
+			if err != nil {
+				return nil, err
+			}
+			sc.ops = append(sc.ops, &filterOp{fn: fn, cols: scan.Cols, sc: schema})
+		} else {
+			sc.src = out
 		}
 	} else {
 		// Blocking subtree (or FROM-less nil): materialize it now; the
@@ -193,10 +210,9 @@ peel:
 			return nil, err
 		}
 		sc.src = rs
+		schema = rs.Schema
 	}
 
-	schema := sc.src.Schema
-	sc.ops = make([]streamOp, 0, len(chain))
 	for i := len(chain) - 1; i >= 0; i-- {
 		var op streamOp
 		var err error
@@ -440,10 +456,13 @@ func concatBatches(t ColType, batches []*Batch, i, total int) Column {
 
 // ---- streamable operators ----
 
-// filterOp applies a precompiled predicate kernel per batch.
+// filterOp applies a precompiled predicate kernel per batch and emits the
+// columns named in cols (nil: all of them — every filter but a scan's own,
+// which emits opt.Scan.Cols); sc is the emitted schema.
 type filterOp struct {
-	fn vecFunc
-	sc Schema
+	fn   vecFunc
+	cols []string
+	sc   Schema
 }
 
 func newFilterOp(ex *executor, pred sql.Expr, in Schema) (*filterOp, error) {
@@ -457,7 +476,7 @@ func newFilterOp(ex *executor, pred sql.Expr, in Schema) (*filterOp, error) {
 func (f *filterOp) schema() Schema { return f.sc }
 
 func (f *filterOp) apply(ex *executor, in *RowSet) (*RowSet, error) {
-	return ex.filterCompiled(in, f.fn)
+	return ex.filterGather(in, in.pick(f.cols), f.fn)
 }
 
 // projExpr is one compiled projection: either a bare column alias or a

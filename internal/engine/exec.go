@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/opt"
@@ -120,7 +121,9 @@ func (ex *executor) exec(node opt.Node) (*RowSet, error) {
 }
 
 // execScan materializes a scan: the shared snapshot (scanSource, which
-// stream cursors also open) plus pushed-down filters.
+// stream cursors also open), pushed-down filters evaluated over the whole
+// zero-copy snapshot — a compiled predicate reads only the columns it names —
+// and a gather of just the columns the plan above reads (n.Cols).
 func (ex *executor) execScan(n *opt.Scan) (*RowSet, error) {
 	rs, err := ex.scanSource(n)
 	if err != nil {
@@ -129,17 +132,19 @@ func (ex *executor) execScan(n *opt.Scan) (*RowSet, error) {
 	if c := ex.o.Counters; c != nil {
 		c.RowsScanned.Add(int64(rs.N))
 	}
+	out := rs.pick(n.Cols)
 	if len(n.Filters) == 0 {
-		return rs, nil
+		return out, nil
 	}
-	return ex.filterRowSet(rs, opt.AndAll(n.Filters))
+	fn, err := compileVec(opt.AndAll(n.Filters), rs.Schema, ex.env)
+	if err != nil {
+		return nil, err
+	}
+	return ex.filterGather(rs, out, fn)
 }
 
 // filterRowSet evaluates pred as a batch kernel over rs and gathers the
-// surviving rows. Workers pull morsels from a shared queue (so a skewed
-// predicate cannot idle part of the pool), buffer one pooled selection
-// vector per morsel, and the buffers concatenate in morsel order — parallel
-// output row order is identical to serial.
+// surviving rows.
 func (ex *executor) filterRowSet(rs *RowSet, pred sql.Expr) (*RowSet, error) {
 	if pred == nil {
 		return rs, nil
@@ -148,14 +153,17 @@ func (ex *executor) filterRowSet(rs *RowSet, pred sql.Expr) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ex.filterCompiled(rs, fn)
+	return ex.filterGather(rs, rs, fn)
 }
 
-// filterCompiled is filterRowSet after predicate compilation — the entry
-// point for stream cursors, whose filter ops compile once at open and run
-// the kernel per batch.
-func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
-	sels, err := ex.filterMorsels(fn, rs, ex.workers(rs.N))
+// filterGather runs the compiled predicate over in and gathers the surviving
+// rows of out — in itself, or a pick of its columns (a scan copies only what
+// is read above it). Workers pull morsels from a shared queue (so a skewed
+// predicate cannot idle part of the pool), buffer one pooled selection
+// vector per morsel, and the buffers concatenate in morsel order — parallel
+// output row order is identical to serial.
+func (ex *executor) filterGather(in, out *RowSet, fn vecFunc) (*RowSet, error) {
+	sels, err := ex.filterMorsels(fn, in, ex.workers(in.N))
 	release := func() {
 		for _, s := range sels {
 			if s != nil {
@@ -171,16 +179,24 @@ func (ex *executor) filterCompiled(rs *RowSet, fn vecFunc) (*RowSet, error) {
 	for _, s := range sels {
 		total += len(*s)
 	}
-	if total == rs.N {
+	if total == in.N {
 		release()
-		return rs, nil
+		return out, nil
+	}
+	if len(out.Cols) == 0 {
+		// Nothing above reads a column (count(*)): the row count is the answer.
+		release()
+		return &RowSet{Schema: out.Schema, N: total}, nil
 	}
 	sel := make([]int32, 0, total)
 	for _, s := range sels {
 		sel = append(sel, *s...)
 	}
 	release()
-	return rs.Gather(sel), nil
+	if c := ex.o.Counters; c != nil {
+		c.CellsGathered.Add(int64(total) * int64(len(out.Cols)))
+	}
+	return out.Gather(sel), nil
 }
 
 // filterMorsels runs the compiled predicate over every morsel of rs on w
@@ -889,6 +905,11 @@ func (ex *executor) execSort(n *opt.Sort) (*RowSet, error) {
 		}
 		keyVecs[i] = v.materialize(in.N)
 	}
+	// Under a LIMIT smaller than the input, select the k first rows instead
+	// of ordering all of them; both inputs to the choice are known here.
+	if 0 < n.TopK && n.TopK < int64(in.N) {
+		return ex.execTopK(in, n.Keys, keyVecs, int(n.TopK))
+	}
 	if w := ex.workers(in.N); w > 1 {
 		return ex.execSortParallel(in, n.Keys, keyVecs, w)
 	}
@@ -923,19 +944,115 @@ func (ex *executor) execSort(n *opt.Sort) (*RowSet, error) {
 	return in.Gather(sel), nil
 }
 
-// lessRows is the shared ORDER BY comparator core: it orders rows ra and rb
-// under the sort keys (NULLs first, numeric kinds as float64).
-func lessRows(keyVecs []*Vec, keys []opt.SortKey, ra, rb int) bool {
-	for i, kv := range keyVecs {
-		c := vecCompareRows(kv, ra, rb)
-		if c != 0 {
-			if keys[i].Desc {
-				return c > 0
-			}
+// execTopK answers ORDER BY … LIMIT k without sorting the input. Rows are
+// ranked by a total order — the sort keys, then input position — so the
+// result is exactly the first k rows of the stable sort, whatever the worker
+// count. Each of w contiguous chunks keeps its k first rows in a max-heap of
+// row ids (the root is the row that would be cut next); the at most k·w
+// survivors are sorted under the same order, cut to k, and only those rows
+// are gathered.
+func (ex *executor) execTopK(in *RowSet, keys []opt.SortKey, keyVecs []*Vec, k int) (*RowSet, error) {
+	before := func(a, b int32) bool {
+		if c := compareRows(keyVecs, keys, int(a), int(b)); c != 0 {
 			return c < 0
 		}
+		return a < b
 	}
-	return false
+	w := ex.workers(in.N)
+	size := (in.N + w - 1) / w
+	heaps := make([][]int32, (in.N+size-1)/size)
+	err := ex.runTasks(len(heaps), w, func(_, ci int) error {
+		lo, hi := ci*size, min((ci+1)*size, in.N)
+		h := make([]int32, 0, min(k, hi-lo))
+		for r := lo; r < hi; r++ {
+			if (r-lo)%cancelBatchRows == 0 {
+				if err := ex.checkCtx(); err != nil {
+					return err
+				}
+			}
+			if len(h) < k {
+				h = append(h, int32(r))
+				for i := len(h) - 1; i > 0; { // sift up
+					parent := (i - 1) / 2
+					if !before(h[parent], h[i]) {
+						break
+					}
+					h[parent], h[i] = h[i], h[parent]
+					i = parent
+				}
+				continue
+			}
+			// r comes after every row in the heap, so it displaces the root
+			// only with strictly smaller keys: ties keep the earlier row.
+			if !lessRows(keyVecs, keys, r, int(h[0])) {
+				continue
+			}
+			h[0] = int32(r)
+			for i := 0; ; { // sift down
+				last := i
+				if c := 2*i + 1; c < k && before(h[last], h[c]) {
+					last = c
+				}
+				if c := 2*i + 2; c < k && before(h[last], h[c]) {
+					last = c
+				}
+				if last == i {
+					break
+				}
+				h[i], h[last] = h[last], h[i]
+				i = last
+			}
+		}
+		heaps[ci] = h
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	cand := slices.Concat(heaps...)
+	// Same checkpoint as the full sorts: once canceled the comparator turns
+	// constant, the doomed sort finishes cheaply and its result is dropped.
+	var cerr error
+	sinceCheck := 0
+	slices.SortFunc(cand, func(a, b int32) int {
+		if cerr != nil {
+			return 0
+		}
+		if sinceCheck++; sinceCheck >= cancelBatchRows {
+			sinceCheck = 0
+			if cerr = ex.checkCtx(); cerr != nil {
+				return 0
+			}
+		}
+		if before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	if cerr != nil {
+		return nil, cerr
+	}
+	return in.Gather(cand[:k]), nil
+}
+
+// compareRows is the shared ORDER BY comparator core: it orders rows ra and
+// rb under the sort keys (NULLs first, numeric kinds as float64, NaN after
+// every number; DESC mirrors the whole order). Zero means the keys tie.
+func compareRows(keyVecs []*Vec, keys []opt.SortKey, ra, rb int) int {
+	for i, kv := range keyVecs {
+		if c := vecCompareRows(kv, ra, rb); c != 0 {
+			if keys[i].Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// lessRows reports whether row ra sorts strictly before row rb.
+func lessRows(keyVecs []*Vec, keys []opt.SortKey, ra, rb int) bool {
+	return compareRows(keyVecs, keys, ra, rb) < 0
 }
 
 // inferType statically determines the result type of an expression.

@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RowSet is a materialized intermediate result: a schema plus columns of
 // equal length. Columns may alias table storage (scans are zero-copy).
@@ -33,6 +36,23 @@ func (rs *RowSet) Gather(sel []int32) *RowSet {
 	out.Cols = make([]Column, len(rs.Cols))
 	for i := range rs.Cols {
 		out.Cols[i] = rs.Cols[i].Gather(sel)
+	}
+	return out
+}
+
+// pick returns a zero-copy rowset over the columns of rs named in cols, in
+// rs's own order; nil keeps every column (opt.Scan.Cols). Names rs does not
+// have are ignored: the planner matches by bare name, conservatively.
+func (rs *RowSet) pick(cols []string) *RowSet {
+	if cols == nil {
+		return rs
+	}
+	out := &RowSet{N: rs.N, Schema: make(Schema, 0, len(cols)), Cols: make([]Column, 0, len(cols))}
+	for i, m := range rs.Schema {
+		if slices.Contains(cols, m.Name) {
+			out.Schema = append(out.Schema, m)
+			out.Cols = append(out.Cols, rs.Cols[i])
+		}
 	}
 	return out
 }

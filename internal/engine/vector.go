@@ -432,9 +432,11 @@ func appendTrue(sel []int32, v *Vec, n, base int) []int32 {
 	return sel
 }
 
-// vecCompareRows orders logical rows a and b of one vector with the scalar
-// Compare semantics: NULL sorts first and equals only NULL; numeric kinds
-// compare as float64 (so NaN ties with everything).
+// vecCompareRows orders logical rows a and b of one vector for ORDER BY:
+// NULL sorts first and equals only NULL; numeric kinds compare as float64
+// (so -0.0 ties with 0.0); NaN sorts after every number and equals itself,
+// as PostgreSQL orders it — without a definite place for NaN the comparator
+// is not a strict weak order and no sort over it is a sort.
 func vecCompareRows(v *Vec, a, b int) int {
 	an, bn := v.isNull(a), v.isNull(b)
 	if an || bn {
@@ -463,6 +465,11 @@ func vecCompareRows(v *Vec, a, b int) int {
 		case x < y:
 			return -1
 		case x > y:
+			return 1
+		case math.IsNaN(x) != math.IsNaN(y):
+			if math.IsNaN(y) {
+				return -1
+			}
 			return 1
 		}
 	case TypeString:

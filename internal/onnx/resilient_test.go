@@ -153,17 +153,20 @@ func TestResilientScorerFallbackAndFastFail(t *testing.T) {
 
 func TestResilientScorerCallerCancelWins(t *testing.T) {
 	dead := &flakyScorer{failures: 1 << 30, err: transientErr("ep")}
+	fallback := &flakyScorer{}
 	rs := &ResilientScorer{S: dead, MaxRetries: 5, BaseBackoff: 50 * time.Millisecond,
-		Fallback: &flakyScorer{}}
+		Fallback: fallback}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
 	_, err := rs.ScoreContext(ctx, nil)
 	if err == nil {
 		t.Fatal("canceled context should not be masked by the fallback")
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("canceled call kept retrying")
+	if got := dead.calls.Load(); got > 1 {
+		t.Fatalf("canceled call kept retrying: %d calls to the dead primary", got)
+	}
+	if got := fallback.calls.Load(); got != 0 {
+		t.Fatalf("canceled call reached the fallback %d times", got)
 	}
 }
 

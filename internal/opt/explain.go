@@ -28,6 +28,9 @@ func writePlan(b *strings.Builder, n Node, depth int) {
 			fmt.Fprintf(b, " VERSION %d", x.Version)
 		}
 		b.WriteString(")")
+		if x.Cols != nil {
+			fmt.Fprintf(b, " cols=%v", x.Cols)
+		}
 		if len(x.Filters) > 0 {
 			fmt.Fprintf(b, " filter=%s", sql.FormatExpr(AndAll(x.Filters)))
 		}
@@ -91,7 +94,11 @@ func writePlan(b *strings.Builder, n Node, depth int) {
 			}
 			keys = append(keys, s)
 		}
-		fmt.Fprintf(b, "%sSort(%s)\n", indent, strings.Join(keys, ", "))
+		fmt.Fprintf(b, "%sSort(%s)", indent, strings.Join(keys, ", "))
+		if x.TopK > 0 {
+			fmt.Fprintf(b, " top=%d", x.TopK)
+		}
+		b.WriteString("\n")
 		writePlan(b, x.Input, depth+1)
 	case *Limit:
 		fmt.Fprintf(b, "%sLimit(%d)\n", indent, x.N)

@@ -1,9 +1,12 @@
 // Package opt is the query + cross optimizer: it lowers a parsed SELECT into
 // a logical plan and applies both classical relational rules (predicate
-// pushdown, projection pruning) and the paper's cross-optimizations between
-// SQL and ML (§4.1): UDF inlining of PREDICT into a vectorized operator,
-// predicate push-down below inference, predicate push-up into the model,
-// model-sparsity input pruning, and stats-driven model compression.
+// pushdown into scans; projection pruning: every Scan is annotated with the
+// columns the plan above it reads, see pruneScans) and the paper's
+// cross-optimizations between SQL and ML (§4.1): UDF inlining of PREDICT
+// into a vectorized operator, predicate push-down below inference, predicate
+// push-up into the model, model-sparsity input pruning, and stats-driven
+// model compression. The prune pass runs last, so a model input the
+// cross-optimizer dropped is a column the scan never copies.
 //
 // The optimizer manipulates the sql AST and onnx graphs only; physical
 // execution lives in internal/engine, which interprets the plan.
@@ -81,6 +84,16 @@ type Scan struct {
 	Alias   string // qualifier used in the query ("" when none)
 	Filters []sql.Expr
 	Version int64 // -1 means current
+	// Cols names the columns the scan emits, in table order: the ones the
+	// plan above it reads (Filters are evaluated against the whole table and
+	// need not be listed). nil means every column — SELECT *, or a Scan
+	// built by hand — and is distinct from an empty list, which emits rows
+	// without columns (count(*)). Set once by pruneScans at plan time and
+	// read-only afterwards: cached plans are executed concurrently.
+	Cols []string
+	// tableCols is the catalog's column list at plan time, kept so that the
+	// prune pass can spell Cols in table order without a second lookup.
+	tableCols []string
 }
 
 // Filter applies residual conjuncts.
@@ -151,10 +164,13 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort orders rows.
+// Sort orders rows. TopK > 0 records the LIMIT stacked above it: only the
+// first TopK rows of the order are ever read, so the executor may select
+// them instead of sorting everything.
 type Sort struct {
 	Input Node
 	Keys  []SortKey
+	TopK  int64
 }
 
 // Limit truncates to N rows.

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/onnx"
 	"repro/internal/sql"
@@ -16,6 +17,9 @@ func PlanSelect(s *sql.SelectStmt, models ModelProvider, catalog CatalogInfo, le
 	if err != nil {
 		return nil, err
 	}
+	// Last, over the finished tree: the cross-optimizations above decide
+	// which model inputs survive, and a dropped input must not be scanned.
+	pruneScans(root, colSet{all: true})
 	return &Plan{Root: root, Report: p.report}, nil
 }
 
@@ -289,18 +293,130 @@ func (p *planner) plan(s *sql.SelectStmt) (Node, error) {
 				orderBy[i].Expr = &sql.ColRef{Name: name}
 			}
 		}
+		// A key over a column the select list drops cannot be computed from
+		// the projection's output: sort its input instead, with output names
+		// mapped back to the expressions they alias. (Aggregate queries keep
+		// the sort on top; their keys were rewritten to aggregate outputs.)
+		if !needAgg && !keysResolve(orderBy, proj.Names) {
+			if s.Distinct {
+				return nil, fmt.Errorf("opt: for SELECT DISTINCT, ORDER BY expressions must appear in select list")
+			}
+			for i := range orderBy {
+				orderBy[i].Expr = RewriteExpr(orderBy[i].Expr, func(e sql.Expr) sql.Expr {
+					if cr, ok := e.(*sql.ColRef); ok && cr.Table == "" {
+						if j := slices.Index(proj.Names, cr.Name); j >= 0 {
+							return proj.Exprs[j]
+						}
+					}
+					return nil
+				})
+			}
+			proj.Input = &Sort{Input: outNode, Keys: orderBy, TopK: max(s.Limit, 0)}
+			orderBy = nil
+		}
 		outNode = proj
 	}
 	if s.Distinct {
 		outNode = &Distinct{Input: outNode}
 	}
 	if len(orderBy) > 0 {
-		outNode = &Sort{Input: outNode, Keys: orderBy}
+		outNode = &Sort{Input: outNode, Keys: orderBy, TopK: max(s.Limit, 0)}
 	}
 	if s.Limit >= 0 {
 		outNode = &Limit{Input: outNode, N: s.Limit}
 	}
 	return outNode, nil
+}
+
+// keysResolve reports whether every column the ORDER BY keys read is one of
+// the projection's output names.
+func keysResolve(keys []SortKey, names []string) bool {
+	ok := true
+	for _, k := range keys {
+		sql.WalkExprs(k.Expr, func(x sql.Expr) bool {
+			if cr, isRef := x.(*sql.ColRef); isRef && (cr.Table != "" || !slices.Contains(names, cr.Name)) {
+				ok = false
+			}
+			return ok
+		})
+	}
+	return ok
+}
+
+// colSet is the set of columns a plan node's consumers read, by bare name:
+// a qualifier may be a table name, an alias or an enclosing derived table's
+// alias, and keeping a same-named column on both sides of a join costs
+// nothing where dropping a needed one is a wrong answer. all marks a
+// consumer that reads every column (SELECT *).
+type colSet struct {
+	all   bool
+	names []string
+}
+
+// with returns the set extended by the columns exprs reference (PREDICT
+// arguments included: WalkExprs descends into them). It appends to the
+// receiver's backing array, so a set handed to two consumers is clipped first.
+func (c colSet) with(exprs ...sql.Expr) colSet {
+	if c.all {
+		return c
+	}
+	for _, e := range exprs {
+		sql.WalkExprs(e, func(x sql.Expr) bool {
+			if cr, ok := x.(*sql.ColRef); ok && !slices.Contains(c.names, cr.Name) {
+				c.names = append(c.names, cr.Name)
+			}
+			return true
+		})
+	}
+	return c
+}
+
+// pruneScans walks the finished plan top-down and records on every Scan the
+// columns read above it (Scan.Cols). Project and Aggregate compute their
+// outputs from their own expressions only, so they reset the set; Filter,
+// Sort, Join and Predict read columns on top of whatever passes through
+// them; Limit passes the set along. Distinct compares whole rows — the one
+// operator that reads columns it does not name — so it needs everything its
+// input produces (which a Project below it then narrows).
+func pruneScans(n Node, need colSet) {
+	switch x := n.(type) {
+	case *Scan:
+		if need.all {
+			return
+		}
+		x.Cols = make([]string, 0, len(need.names))
+		for _, c := range x.tableCols {
+			if slices.Contains(need.names, c) {
+				x.Cols = append(x.Cols, c)
+			}
+		}
+	case *Filter:
+		pruneScans(x.Input, need.with(x.Preds...))
+	case *Predict:
+		pruneScans(x.Input, need.with(x.Args...))
+	case *Join:
+		need = need.with(x.On)
+		need.names = slices.Clip(need.names) // two consumers: neither appends in place
+		pruneScans(x.Left, need)
+		pruneScans(x.Right, need)
+	case *Aggregate:
+		need = colSet{names: make([]string, 0, len(x.GroupBy)+len(x.Aggs))}.with(x.GroupBy...)
+		for _, a := range x.Aggs {
+			need = need.with(a.Arg)
+		}
+		pruneScans(x.Input, need)
+	case *Project:
+		pruneScans(x.Input, colSet{names: make([]string, 0, len(x.Exprs))}.with(x.Exprs...))
+	case *Distinct:
+		pruneScans(x.Input, colSet{all: true})
+	case *Sort:
+		for _, k := range x.Keys {
+			need = need.with(k.Expr)
+		}
+		pruneScans(x.Input, need)
+	case *Limit:
+		pruneScans(x.Input, need)
+	}
 }
 
 // planFrom builds the scan/join subtree and returns the list of scans for
@@ -320,14 +436,15 @@ func (p *planner) planFrom(from []sql.FromItem) (Node, []*Scan, error) {
 			}
 			item = sub
 		} else {
-			if _, err := p.catalog.TableColumns(f.Table); err != nil {
+			cols, err := p.catalog.TableColumns(f.Table)
+			if err != nil {
 				return nil, nil, err
 			}
 			alias := f.Alias
 			if alias == "" {
 				alias = f.Table
 			}
-			sc := &Scan{Table: f.Table, Alias: alias, Version: f.Version}
+			sc := &Scan{Table: f.Table, Alias: alias, Version: f.Version, tableCols: cols}
 			scans = append(scans, sc)
 			item = sc
 		}

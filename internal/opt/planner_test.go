@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -341,5 +342,237 @@ func TestFormatPlan(t *testing.T) {
 	// The pushed-down filter lives on the scan, below the predict.
 	if !strings.Contains(out, "filter=") {
 		t.Errorf("pushed filter missing:\n%s", out)
+	}
+}
+
+// benchCatalog mirrors the tables the scan_agg and predict_scan workloads
+// query.
+func benchCatalog() *fakeCatalog {
+	return &fakeCatalog{cols: map[string][]string{
+		"customers": {"id", "age", "income", "tenure", "region", "notes"},
+		"visits":    {"id", "cust_id", "amount"},
+	}}
+}
+
+// TestPlanGoldenScanAggShapes pins, through the EXPLAIN rendering, what each
+// scan_agg statement shape is annotated with: the columns every scan emits
+// (cols=…) and the bound on every sort under a LIMIT (top=…).
+func TestPlanGoldenScanAggShapes(t *testing.T) {
+	for _, tc := range []struct{ name, query, want string }{
+		{"filter_count",
+			`SELECT count(*) FROM customers WHERE age > 35.0 AND income < 130000.0`,
+			`Project(agg_1 AS agg_1)
+  Aggregate(group=[] aggs=[count(*) AS agg_1])
+    Scan(customers) cols=[] filter=((age > 35.0) AND (income < 130000.0))
+`},
+		{"group_region",
+			`SELECT region, count(*), avg(income), sum(tenure) FROM customers WHERE age > 30.0 GROUP BY region ORDER BY region`,
+			`Sort(region)
+  Project(region AS region, agg_1 AS agg_1, agg_2 AS agg_2, agg_3 AS agg_3)
+    Aggregate(group=[region] aggs=[count(*) AS agg_1, avg(income) AS agg_2, sum(tenure) AS agg_3])
+      Scan(customers) cols=[income tenure region] filter=(age > 30.0)
+`},
+		{"distinct",
+			`SELECT DISTINCT region, notes FROM customers WHERE age > 30.0 ORDER BY region, notes`,
+			`Sort(region, notes)
+  Distinct
+    Project(region AS region, notes AS notes)
+      Scan(customers) cols=[region notes] filter=(age > 30.0)
+`},
+		{"topk",
+			`SELECT id, income FROM customers WHERE tenure > 2.5 ORDER BY income DESC LIMIT 100`,
+			`Limit(100)
+  Sort(income DESC) top=100
+    Project(id AS id, income AS income)
+      Scan(customers) cols=[id income] filter=(tenure > 2.5)
+`},
+		{"join_group",
+			`SELECT c.region, count(*), sum(v.amount) FROM visits v JOIN customers c ON v.cust_id = c.id WHERE v.amount > 12.5 GROUP BY c.region ORDER BY c.region`,
+			`Sort(region)
+  Project(region AS region, agg_1 AS agg_1, agg_2 AS agg_2)
+    Aggregate(group=[c.region] aggs=[count(*) AS agg_1, sum(v.amount) AS agg_2])
+      InnerJoin((v.cust_id = c.id))
+        Scan(visits AS v) cols=[id cust_id amount] filter=(amount > 12.5)
+        Scan(customers AS c) cols=[id region]
+`},
+	} {
+		pl := plan(t, tc.query, nil, benchCatalog(), LevelFull)
+		if got := FormatPlan(pl.Root); got != tc.want {
+			t.Errorf("%s:\n got:\n%s want:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// scanOf returns the plan's single scan.
+func scanOf(t *testing.T, root Node) *Scan {
+	t.Helper()
+	var found *Scan
+	walkPlan(root, func(n Node) {
+		if sc, ok := n.(*Scan); ok {
+			found = sc
+		}
+	})
+	if found == nil {
+		t.Fatalf("no scan in:\n%s", FormatPlan(root))
+	}
+	return found
+}
+
+func walkPlan(n Node, fn func(Node)) {
+	if n == nil {
+		return
+	}
+	fn(n)
+	switch x := n.(type) {
+	case *Filter:
+		walkPlan(x.Input, fn)
+	case *Predict:
+		walkPlan(x.Input, fn)
+	case *Join:
+		walkPlan(x.Left, fn)
+		walkPlan(x.Right, fn)
+	case *Aggregate:
+		walkPlan(x.Input, fn)
+	case *Project:
+		walkPlan(x.Input, fn)
+	case *Distinct:
+		walkPlan(x.Input, fn)
+	case *Sort:
+		walkPlan(x.Input, fn)
+	case *Limit:
+		walkPlan(x.Input, fn)
+	}
+}
+
+// TestPruneFollowsModelInputs pins the predict_scan shape: the scan emits
+// the model's inputs and nothing else at every level — and once the
+// cross-optimizer drops an input the model does not read, the scan stops
+// emitting that column too (the prune pass runs after compressModels).
+func TestPruneFollowsModelInputs(t *testing.T) {
+	const q = `SELECT count(*) FROM customers WHERE id BETWEEN 1 AND 12288 AND PREDICT(m, age, region) > 0.5`
+	g := testGraph(t)
+	for _, level := range []Level{LevelUDF, LevelVectorized, LevelParallel, LevelFull} {
+		pl := plan(t, q, fakeModels{"m": g}, benchCatalog(), level)
+		want := []string{"age", "region"}
+		if level == LevelVectorized || level == LevelParallel {
+			// Only LevelFull pushes the id conjunct below an extracted
+			// Predict; here a Filter above the scan reads it.
+			want = []string{"id", "age", "region"}
+		}
+		if sc := scanOf(t, pl.Root); !slices.Equal(sc.Cols, want) {
+			t.Errorf("level %v: scan cols = %v, want %v\n%s", level, sc.Cols, want, FormatPlan(pl.Root))
+		}
+	}
+
+	// A model whose region block is all zeros never reads region.
+	dead := g.Clone()
+	for i := range dead.Feats {
+		if f := &dead.Feats[i]; f.Input == "region" {
+			for j := 0; j < f.Width(); j++ {
+				dead.Model.Coeff[f.Offset+j] = 0
+			}
+		}
+	}
+	pl := plan(t, q, fakeModels{"m": dead}, benchCatalog(), LevelFull)
+	if !slices.Contains(pl.Report.PrunedInputs, "region") {
+		t.Fatalf("region not pruned from the model: %v", pl.Report.PrunedInputs)
+	}
+	if sc := scanOf(t, pl.Root); !slices.Equal(sc.Cols, []string{"age"}) {
+		t.Errorf("scan cols = %v, want [age]\n%s", sc.Cols, FormatPlan(pl.Root))
+	}
+	// The UDF baseline scores inside the expression and must keep both.
+	pl = plan(t, q, fakeModels{"m": dead}, benchCatalog(), LevelUDF)
+	if sc := scanOf(t, pl.Root); !slices.Equal(sc.Cols, []string{"age", "region"}) {
+		t.Errorf("udf scan cols = %v\n%s", sc.Cols, FormatPlan(pl.Root))
+	}
+}
+
+// TestPruneNeededSets covers the per-node rules the goldens above do not
+// reach: SELECT * and hand-built scans need everything (nil), DISTINCT over a
+// star sub-plan needs whole rows, a star sub-plan without DISTINCT passes the
+// outer set through, and names match across join sides and qualifiers.
+func TestPruneNeededSets(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  map[string][]string // scan alias -> Cols (nil = everything)
+	}{
+		{`SELECT * FROM customers WHERE age > 30`, map[string][]string{"customers": nil}},
+		{`SELECT * FROM customers ORDER BY income LIMIT 5`, map[string][]string{"customers": nil}},
+		{`SELECT id FROM (SELECT DISTINCT * FROM customers) q`, map[string][]string{"customers": nil}},
+		{`SELECT id FROM (SELECT * FROM customers WHERE age > 30 ORDER BY income LIMIT 5) q WHERE tenure > 1`,
+			map[string][]string{"customers": {"id", "income", "tenure"}}},
+		{`SELECT n FROM (SELECT id AS n, age FROM customers) q`, map[string][]string{"customers": {"id", "age"}}},
+		{`SELECT c.region FROM visits v JOIN customers c ON v.cust_id = c.id`,
+			map[string][]string{"v": {"id", "cust_id"}, "c": {"id", "region"}}},
+		{`SELECT region, count(*) FROM customers GROUP BY region HAVING sum(income) > 10`,
+			map[string][]string{"customers": {"income", "region"}}},
+		{`SELECT id FROM customers ORDER BY tenure DESC LIMIT 3`, map[string][]string{"customers": {"id", "tenure"}}},
+	} {
+		pl := plan(t, tc.query, nil, benchCatalog(), LevelFull)
+		got := map[string][]string{}
+		walkPlan(pl.Root, func(n Node) {
+			if sc, ok := n.(*Scan); ok {
+				got[sc.Alias] = sc.Cols
+			}
+		})
+		for alias, want := range tc.want {
+			cols, ok := got[alias]
+			if !ok || (want == nil) != (cols == nil) || !slices.Equal(cols, want) {
+				t.Errorf("%s: scan %s cols = %#v, want %#v", tc.query, alias, cols, want)
+			}
+		}
+	}
+}
+
+// TestOrderByOutsideSelectList pins where the sort goes when a key is not a
+// projected column: below the projection, on the input schema, with aliases
+// mapped back to their expressions — and still bounded by the LIMIT.
+func TestOrderByOutsideSelectList(t *testing.T) {
+	pl := plan(t, `SELECT id AS k, income * 2 AS dbl FROM customers ORDER BY dbl DESC, tenure, k LIMIT 7`,
+		nil, benchCatalog(), LevelFull)
+	want := `Limit(7)
+  Project(id AS k, (income * 2) AS dbl)
+    Sort((income * 2) DESC, tenure, id) top=7
+      Scan(customers) cols=[id income tenure]
+`
+	if got := FormatPlan(pl.Root); got != want {
+		t.Errorf("got:\n%s want:\n%s", got, want)
+	}
+
+	// Keys that all resolve against the select list keep the sort on top.
+	pl = plan(t, `SELECT id AS k, income FROM customers ORDER BY income, k`, nil, benchCatalog(), LevelFull)
+	if _, ok := pl.Root.(*Sort); !ok {
+		t.Errorf("root %T, want Sort above the projection:\n%s", pl.Root, FormatPlan(pl.Root))
+	}
+
+	stmt, err := sql.ParseOne(`SELECT DISTINCT region FROM customers ORDER BY income`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = PlanSelect(stmt.(*sql.SelectStmt), nil, benchCatalog(), LevelFull)
+	if err == nil || !strings.Contains(err.Error(), "for SELECT DISTINCT, ORDER BY expressions must appear in select list") {
+		t.Errorf("DISTINCT with an unprojected key: err = %v", err)
+	}
+}
+
+// TestSortTopK pins when a sort is bounded: only with a positive LIMIT.
+func TestSortTopK(t *testing.T) {
+	for query, want := range map[string]int64{
+		`SELECT id FROM customers ORDER BY id`:                                           0,
+		`SELECT id FROM customers ORDER BY id LIMIT 0`:                                   0,
+		`SELECT id FROM customers ORDER BY id LIMIT 9`:                                   9,
+		`SELECT DISTINCT region FROM customers ORDER BY region LIMIT 2`:                  2,
+		`SELECT region, count(*) AS n FROM customers GROUP BY region ORDER BY n LIMIT 4`: 4,
+	} {
+		pl := plan(t, query, nil, benchCatalog(), LevelFull)
+		var got int64 = -1
+		walkPlan(pl.Root, func(n Node) {
+			if s, ok := n.(*Sort); ok {
+				got = s.TopK
+			}
+		})
+		if got != want {
+			t.Errorf("%s: TopK = %d, want %d", query, got, want)
+		}
 	}
 }
