@@ -211,7 +211,9 @@ func main() {
 		flock.DB.SetUDFScorerFactory(remoteScorer)
 	}
 
-	srv := server.New(flock, cfg) // breaker gauges ride /metrics natively
+	// The subsystems are built first and handed to server.New, which wires
+	// each one's routes and gauges (the breaker gauges ride /metrics
+	// natively).
 
 	// Inference plane: batched, cached, canaried PREDICT. On a replica the
 	// cache stays correct because applied frames refresh the model
@@ -228,8 +230,7 @@ func main() {
 		if *scorerURL != "" {
 			icfg.Remote = remoteScorer
 		}
-		plane := flock.EnableInferPlane(icfg)
-		srv.AttachInferPlane(plane)
+		cfg.Infer = flock.EnableInferPlane(icfg)
 		defer flock.DisableInferPlane()
 	}
 
@@ -238,7 +239,7 @@ func main() {
 	// replica skips it: its model arrives later from the leader's log.
 	if !replica {
 		if mon := baselineMonitor(flock); mon != nil {
-			srv.AttachMonitor(mon)
+			cfg.Monitors = append(cfg.Monitors, mon)
 		}
 	}
 
@@ -246,8 +247,7 @@ func main() {
 		// Background checkpointer + durability gauges on /metrics, and the
 		// operator recovery path for a degraded (poisoned-WAL) instance.
 		dur.Run(*ckptEvery, func(err error) { log.Printf("flock-serve: checkpoint failed: %v", err) })
-		srv.AttachGauges(dur.Gauges)
-		srv.AttachReopen(dur.Reopen)
+		cfg.Durability = dur
 	}
 
 	// Replication wiring. Both roles mount a repl.Node, so either can
@@ -259,6 +259,7 @@ func main() {
 	// /v1/admin/promote.
 	replCtx, replCancel := context.WithCancel(context.Background())
 	defer replCancel()
+	var node *repl.Node
 	if replica || *dataDir != "" {
 		leaderOpts := repl.Options{Token: *replToken, AckTimeout: *replQuorumTimeout}
 		switch *replAck {
@@ -286,10 +287,9 @@ func main() {
 				},
 			},
 		}
-		var node *repl.Node
 		if replica {
 			node = repl.NewFollowerNode(flock.DB, *replicaOf, nodeOpts)
-			srv.AttachReadiness(func() error {
+			cfg.Ready = func() error {
 				f := node.Follower()
 				if f == nil {
 					return nil // promoted: the leader readiness rules apply
@@ -301,14 +301,18 @@ func main() {
 					return fmt.Errorf("replica: %d frames behind the leader (max %d)", f.Lag(), *maxReplicaLag)
 				}
 				return nil
-			})
+			}
 		} else {
 			node = repl.NewLeaderNode(flock.DB, nodeOpts)
 			if leaderOpts.Quorum > 0 {
 				fmt.Printf("flock-serve: quorum acks enabled (%d follower(s), timeout %s)\n", leaderOpts.Quorum, *replQuorumTimeout)
 			}
 		}
-		srv.AttachReplicationNode(node)
+		cfg.Repl = node
+	}
+
+	srv := server.New(flock, cfg)
+	if node != nil {
 		if *replPeers != "" {
 			node.ProbePeers(replCtx, strings.Split(*replPeers, ","))
 			if fenced, observed, source := flock.DB.Fenced(); fenced {

@@ -62,10 +62,14 @@ type outcome struct {
 
 func (o outcome) fail() error {
 	if o.latency > 0 {
-		time.Sleep(o.latency)
+		sleep(o.latency)
 	}
 	return o.err
 }
+
+// sleep serves armed latency; tests swap it to assert the requested
+// duration instead of timing the wait.
+var sleep = time.Sleep
 
 type point struct {
 	spec      Spec

@@ -106,13 +106,15 @@ func TestProbabilityIsSeededAndPartial(t *testing.T) {
 func TestLatency(t *testing.T) {
 	Reset()
 	defer Reset()
+	var slept []time.Duration
+	sleep = func(d time.Duration) { slept = append(slept, d) }
+	defer func() { sleep = time.Sleep }()
 	Enable("x", Spec{Latency: 30 * time.Millisecond})
-	start := time.Now()
 	if err := Inject("x"); err == nil {
 		t.Fatal("latency failpoint should still error")
 	}
-	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Fatalf("returned after %v, want >= 30ms", d)
+	if len(slept) != 1 || slept[0] != 30*time.Millisecond {
+		t.Fatalf("slept %v, want one 30ms wait", slept)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestGBMBatchRowEquivalence(t *testing.T) {
 }
 
 // BenchmarkTreeEnsemblePredict compares per-row dispatch against the
-// vectorized batch walk over a realistic GBM (benchguard-tracked).
+// vectorized batch walk over a realistic GBM.
 func BenchmarkTreeEnsemblePredict(b *testing.B) {
 	x := synthMatrix(2000, 8, 7)
 	y := synthLabels(x, 8)

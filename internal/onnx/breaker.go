@@ -168,7 +168,7 @@ func ResetBreakers() {
 }
 
 // BreakerGauges exports per-endpoint breaker state plus the process-wide
-// retry/fallback counters for /metrics (attach via server.AttachGauges).
+// retry/fallback counters for /metrics (the server exports them natively).
 func BreakerGauges() map[string]float64 {
 	breakerMu.Lock()
 	defer breakerMu.Unlock()

@@ -13,8 +13,8 @@ import (
 
 // BenchmarkReplicationShip measures the per-frame ship+apply round trip:
 // each op commits one row on the leader and drives the follower until it
-// has applied it (HTTP batch fetch, replay, one fsync, ack). The
-// frames/sec metric feeds benchguard via the CI bench job.
+// has applied it (HTTP batch fetch, replay, one fsync, ack), reported as
+// frames/sec.
 func BenchmarkReplicationShip(b *testing.B) {
 	ldb, _, err := engine.OpenDirDB(b.TempDir(), false)
 	if err != nil {
@@ -59,8 +59,8 @@ func BenchmarkReplicationShip(b *testing.B) {
 // BenchmarkReplicationQuorum measures quorum-ack commit latency: the gate
 // is installed, so each Exec blocks until the configured quorum of live
 // followers has applied and acked the frame. followers=N runs N tailing
-// followers with quorum=N (every follower must ack). Scheduling-shaped —
-// excluded from the benchguard gate, informational in the artifact.
+// followers with quorum=N (every follower must ack). Scheduling-shaped,
+// so informational.
 func BenchmarkReplicationQuorum(b *testing.B) {
 	for _, n := range []int{1, 2} {
 		b.Run(fmt.Sprintf("followers=%d", n), func(b *testing.B) {

@@ -354,13 +354,6 @@ func (f *Follower) CurrentStatus() ReplicaStatus {
 	}
 }
 
-// HandleStatus serves the follower replication status as JSON (mounted on
-// /v1/repl/status in replica mode; read-only, no token — it leaks nothing
-// a /metrics scrape doesn't).
-func (f *Follower) HandleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.CurrentStatus())
-}
-
 // Gauges exports the follower-side replication metrics for /metrics.
 func (f *Follower) Gauges() map[string]float64 {
 	connected := 0.0

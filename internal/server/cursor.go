@@ -9,6 +9,8 @@ package server
 // swept, and fetches against an expired or completed cursor get a distinct
 // 410 so clients can tell "re-run the query" from "bad request"), and
 // engine work per fetch goes through the same admission gate as queries.
+// A single-SELECT "stream": true is the same cursor, drained as NDJSON by
+// the request that opened it.
 
 import (
 	"bytes"
@@ -72,6 +74,25 @@ type serverCursor struct {
 }
 
 func (c *serverCursor) touch() { c.lastUsed.Store(time.Now().UnixNano()) }
+
+// lock takes c.mu, giving up when ctx ends. The wait is bounded: a close
+// or expiry cancels c.ctx, and every step's context descends from it.
+func (c *serverCursor) lock(ctx context.Context) error {
+	if c.mu.TryLock() {
+		return nil
+	}
+	done := make(chan struct{})
+	go func() { c.mu.Lock(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		// The lock grab is still in flight; hand its eventual acquisition
+		// to a releaser so the mutex is not leaked.
+		go func() { <-done; c.mu.Unlock() }()
+		return ctx.Err()
+	}
+}
 
 // cursorStore holds open server-side cursors, bounds them per session,
 // expires idle ones, and remembers recently dead ids so expired fetches
@@ -322,10 +343,10 @@ func (s *Server) resolveCursor(sessID, curID string) (*session, *serverCursor, i
 	return sess, c, 0, nil
 }
 
-// handleCursorFetch pulls the next page from a server-side cursor. Engine
-// work happens under a worker slot from the shared admission gate, but the
-// slot is held only for this page — paginating clients never pin the pool
-// between fetches.
+// handleCursorFetch pulls the next page from a server-side cursor. The
+// page is one engine step: the cursor lock, then a worker slot, both held
+// only for this page — paginating clients never pin the pool between
+// fetches.
 func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 	var req fetchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -344,68 +365,12 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 	if maxRows > maxFetchRows {
 		maxRows = maxFetchRows
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	// The fetch context descends from the cursor (whose context descends
-	// from the session), dies with the client connection, and carries this
-	// page's deadline.
-	fctx, cancel := context.WithTimeout(c.ctx, timeout)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	sess.begin()
-	defer sess.end()
-	start := time.Now()
-
-	// Serialize on the cursor BEFORE taking a worker slot: fetches queued
-	// behind a slow page on one cursor must not pin pool slots other
-	// sessions need. The wait is bounded — a close/expiry cancels c.ctx
-	// (and through it fctx), and a client disconnect cancels fctx.
-	if !c.mu.TryLock() {
-		lockErr := func() error {
-			done := make(chan struct{})
-			go func() { c.mu.Lock(); close(done) }()
-			select {
-			case <-done:
-				return nil
-			case <-fctx.Done():
-				// The lock grab is still in flight; hand its eventual
-				// acquisition to a releaser so the mutex is not leaked.
-				go func() { <-done; c.mu.Unlock() }()
-				return fctx.Err()
-			}
-		}()
-		if lockErr != nil {
-			status, label := classifyErr(lockErr)
-			s.met.observeQuery("fetch", label, time.Since(start))
-			writeError(w, status, lockErr)
-			return
-		}
-	}
-	defer c.mu.Unlock()
-	if c.finished.Load() {
-		// Lost a race with close/expiry while waiting for the lock.
-		writeError(w, http.StatusGone, errCursorExpired)
+	q, ok := s.admit(w, r, sess, c, s.timeout(req.TimeoutMS), "fetch")
+	defer q.exit()
+	if !ok {
 		return
 	}
 	c.touch()
-
-	// Worker slot for this page's engine work only.
-	if err := s.adm.acquire(fctx); err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery("fetch", label, time.Since(start))
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-		}
-		writeError(w, status, err)
-		return
-	}
-	defer s.adm.release()
 
 	// The page is built in the form the request asked for: the binary
 	// columnar page for an SDK that sent the page type in Accept (column
@@ -444,14 +409,13 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 			c.pendOff += take
 			break
 		}
-		b, err := c.cur.Next(fctx)
+		b, err := c.cur.Next(q.ctx)
 		if err == io.EOF {
 			done = true
 			break
 		}
 		if err != nil {
-			status, label := classifyErr(err)
-			if status == http.StatusGatewayTimeout || status == 499 {
+			if status, _ := classifyErr(err); status == http.StatusGatewayTimeout || status == 499 {
 				// Deadline/disconnect: the engine rolled back the failing
 				// window and the cursor stays open. Rows already pulled
 				// this fetch are PAST the rollback point, so deliver them
@@ -460,14 +424,11 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 				if pulled > 0 {
 					break
 				}
-				s.met.observeQuery("fetch", label, time.Since(start))
-				writeError(w, status, err)
-				return
+			} else {
+				// Execution errors are sticky in the engine cursor: release it.
+				s.cursors.finishLocked(c)
 			}
-			// Execution errors are sticky in the engine cursor: release it.
-			s.cursors.finishLocked(c)
-			s.met.observeQuery("fetch", label, time.Since(start))
-			writeError(w, status, err)
+			q.fail(err)
 			return
 		}
 		c.pending, c.pendOff = b, 0
@@ -496,16 +457,14 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 		// The rows were consumed from the engine cursor and cannot be
 		// re-served, so the cursor is released like any sticky error.
 		s.cursors.finishLocked(c)
-		status, label := classifyErr(encErr)
-		s.met.observeQuery("fetch", label, time.Since(start))
-		writeError(w, status, encErr)
+		q.fail(encErr)
 		return
 	}
 	if done {
 		s.cursors.finishLocked(c)
 	}
 	c.touch()
-	s.met.observeQuery("fetch", "ok", time.Since(start))
+	q.observe("ok")
 	if enc != nil {
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	}
@@ -592,53 +551,26 @@ func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// openServerCursor runs the open half of the cursor protocol: admission,
-// governance-gated open (planning plus any blocking materialization happen
-// here, deadline-bound), and registration in the store. open must return a
-// governed cursor (core.Flock.Query*).
-func (s *Server) openServerCursor(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, open func(ctx context.Context) (engine.Cursor, error)) {
+// openCursor runs the open half of the cursor protocol for "cursor": true
+// and a single-SELECT "stream": true alike: admission, the governed open
+// (planning plus any blocking materialization, deadline-bound, under a
+// worker slot), and registration in the store — so a stream counts
+// against the session's cursor cap, shows in flock_cursors_open, and is
+// released by session close, shutdown and the TTL sweep like any cursor.
+// A cursor answers with its id; a stream is drained on the spot. open must
+// return a governed cursor (core.Flock.Query*).
+func (s *Server) openCursor(w http.ResponseWriter, r *http.Request, sess *session,
+	timeoutMS int64, stream bool, open func(ctx context.Context) (engine.Cursor, error)) {
 
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	qctx, cancel := context.WithTimeout(sess.ctx, timeout)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	sess.begin()
-	defer sess.end()
-
-	start := time.Now()
-	if err := s.adm.acquire(qctx); err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery("select", label, time.Since(start))
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-		}
-		writeError(w, status, err)
+	q, ok := s.admit(w, r, sess, nil, s.timeout(timeoutMS), "select")
+	defer q.exit()
+	if !ok {
 		return
 	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.adm.release()
-		}
-	}
-	defer release()
-
-	cur, err := open(qctx)
-	release() // open work (planning, blocking materialization) is done
-	elapsed := time.Since(start)
+	cur, err := open(q.ctx)
+	q.release() // open work (planning, blocking materialization) is done
 	if err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery("select", label, elapsed)
-		writeError(w, status, err)
+		q.fail(err)
 		return
 	}
 	cols := cur.Schema().Names()
@@ -648,14 +580,65 @@ func (s *Server) openServerCursor(w http.ResponseWriter, r *http.Request, sess *
 	c, err := s.cursors.put(sess, cur, cols)
 	if err != nil {
 		_ = cur.Close()
-		s.met.observeQuery("select", "rejected", elapsed)
+		q.observe("rejected")
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	s.met.observeQuery("select", "ok", elapsed)
+	if stream {
+		q.drain(c)
+		return
+	}
+	q.observe("ok")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cursor":  c.id,
 		"columns": cols,
 		"ttl_s":   s.cfg.CursorTTL.Seconds(),
 	})
+}
+
+// drain streams a registered cursor as NDJSON until it is exhausted, an
+// execution error ends it, or the client goes away. Each pull is one
+// engine step; the rows are written after it, holding nothing.
+func (q *request) drain(c *serverCursor) {
+	defer q.s.cursors.finish(c)
+	// The stream is this request's alone: its context dies with the
+	// session, a close or expiry of the cursor, and the connection.
+	ctx := c.ctx
+	stop := context.AfterFunc(q.conn, c.cancel)
+	defer stop()
+	out := q.beginStream(c.cols)
+	var err error
+	for !out.broken {
+		var b *engine.Batch
+		if b, err = q.pull(ctx, c); err != nil {
+			break
+		}
+		for _, row := range engine.ResultFromRowSet(b).Rows {
+			if !out.row(row) {
+				break
+			}
+		}
+		out.flush()
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	q.endStream(out, 0, err)
+}
+
+// pull is one engine step of a stream, admitted like a fetch (take) and
+// run under a per-pull deadline derived from ctx: the query timeout bounds
+// a window of engine work, not the client-paced transfer. The lock and
+// slot are released before it returns, so engine work always holds a
+// worker slot, the client's write never does, and session close or
+// shutdown never waits on a slow reader.
+func (q *request) pull(ctx context.Context, c *serverCursor) (*engine.Batch, error) {
+	ctx, cancel := context.WithTimeout(ctx, q.timeout)
+	defer cancel()
+	if err := q.take(ctx, c); err != nil {
+		return nil, err
+	}
+	defer q.release()
+	c.touch()
+	return c.cur.Next(ctx)
 }

@@ -10,13 +10,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/onnx"
 )
 
 // waitForCursorsClosed polls until no engine cursor is open (drains tear
@@ -265,6 +268,76 @@ func TestStreamDrainFromCursor(t *testing.T) {
 	}
 	if lines != rows+2 {
 		t.Fatalf("%d NDJSON lines, want %d", lines, rows+2)
+	}
+	waitForCursorsClosed(t)
+}
+
+// TestStreamPullHoldsAWorkerSlot pins the one admission rule: every engine
+// pull of a stream holds a worker slot, so MaxWorkers bounds streams too.
+// (A stream used to give its slot back after the open and pull outside
+// admission: with one worker, this read inflight 0 and the second query ran
+// at once.) Counted, not timed.
+func TestStreamPullHoldsAWorkerSlot(t *testing.T) {
+	s, ts := newTestServer(t, 200, Config{MaxWorkers: 1, MaxQueue: 4})
+	gate := &gatedScorer{started: make(chan struct{}, 1), release: make(chan struct{})}
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(gate.release) }) }
+	t.Cleanup(openGate) // runs before the server's cleanup: a failed run does not wedge Close
+	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
+	sid := openSession(t, ts.URL, "root")
+
+	post := func(body map[string]any) (int, string) {
+		buf, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(string(buf)))
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	stream, query := make(chan answer, 1), make(chan answer, 1)
+	go func() {
+		code, body := post(map[string]any{"session": sid, "sql": predictUDFSQL, "level": "udf", "stream": true})
+		stream <- answer{code, body}
+	}()
+	select {
+	case <-gate.started: // the first pull is parked in the scorer
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream's first pull never reached the scorer")
+	}
+	if n := gaugeValue(t, metricsBody(t, ts.URL), "flock_admission_inflight"); n != 1 {
+		t.Fatalf("flock_admission_inflight = %v while a stream pull runs, want 1", n)
+	}
+
+	go func() {
+		code, body := post(map[string]any{"session": sid, "sql": "SELECT count(*) FROM customers"})
+		query <- answer{code, body}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); gaugeValue(t, metricsBody(t, ts.URL), "flock_admission_queue_depth") != 1; {
+		select {
+		case a := <-query:
+			t.Fatalf("a query ran beside the stream's pull on the only worker: %d %s", a.code, a.body)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second query never queued")
+		}
+		runtime.Gosched()
+	}
+	openGate()
+
+	if a := <-query; a.code != http.StatusOK {
+		t.Fatalf("queued query: %d %s", a.code, a.body)
+	}
+	a := <-stream
+	lines := strings.Split(strings.TrimSpace(a.body), "\n")
+	if a.code != http.StatusOK || len(lines) != 200+2 || !strings.HasPrefix(lines[len(lines)-1], `{"affected":0,`) {
+		t.Fatalf("stream: %d, %d lines, trailer %q", a.code, len(lines), lines[len(lines)-1])
 	}
 	waitForCursorsClosed(t)
 }

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,9 +40,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	flock.Access.AssignRole("root", "admin")
-	s := New(flock, Config{OnSession: func(u string) { flock.Access.AssignRole(u, "admin") }})
-	s.AttachGauges(dur.Gauges)
-	s.AttachReopen(dur.Reopen)
+	s := New(flock, Config{OnSession: func(u string) { flock.Access.AssignRole(u, "admin") }, Durability: dur})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -133,8 +132,10 @@ func TestPredictBreakerFailsFastAndHeals(t *testing.T) {
 	// A backend whose health we control: 503 while down, real scoring when up.
 	var down atomic.Bool
 	down.Store(true)
+	var hits atomic.Int64
 	var scoring *onnx.ScoringServer
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		if down.Load() {
 			http.Error(w, "backend down", http.StatusServiceUnavailable)
 			return
@@ -153,7 +154,10 @@ func TestPredictBreakerFailsFastAndHeals(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	const cooldown = 100 * time.Millisecond
+	// The open-breaker call below must land inside the cooldown; a second
+	// is a generous bound for one request, and the heal waits on the
+	// breaker's own half-open gauge rather than on a sleep.
+	const cooldown = time.Second
 	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) {
 		if scoring == nil {
 			srv, err := onnx.ServeGraph(g)
@@ -171,36 +175,41 @@ func TestPredictBreakerFailsFastAndHeals(t *testing.T) {
 		}, nil
 	})
 	sid := openSession(t, ts.URL, "alice")
-	predict := func() (int, map[string]any, time.Duration) {
-		start := time.Now()
+	predict := func() (int, map[string]any) {
 		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{
 			"session": sid, "sql": predictUDFSQL, "level": "udf"})
-		return resp.StatusCode, body, time.Since(start)
+		return resp.StatusCode, body
 	}
 
 	// Down backend: typed backend error, mapped to 502.
-	code, body, _ := predict()
+	code, body := predict()
 	if code != http.StatusBadGateway {
 		t.Fatalf("down backend: %d %v, want 502", code, body)
 	}
 	// The failures opened the breaker: the next call fails fast (no retry
 	// loop, no backend round-trips).
-	code, _, elapsed := predict()
-	if code != http.StatusBadGateway {
+	before := hits.Load()
+	if code, _ := predict(); code != http.StatusBadGateway {
 		t.Fatalf("open breaker: %d, want 502", code)
 	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("open breaker took %v, want fast failure", elapsed)
+	if n := hits.Load() - before; n != 0 {
+		t.Fatalf("open breaker let %d calls through to the backend, want 0", n)
 	}
+	halfOpen := fmt.Sprintf("flock_scorer_breaker_state{endpoint=%q} 2", backend.URL)
 	if raw := metricsBody(t, ts.URL); !strings.Contains(raw, "flock_scorer_breaker_state") {
 		t.Fatalf("/metrics missing breaker state:\n%s", raw)
 	}
 
-	// Backend recovers; after the cooldown the half-open probe restores
-	// service with no operator action.
+	// Backend recovers; once the cooldown is over the half-open probe
+	// restores service with no operator action.
 	down.Store(false)
-	time.Sleep(cooldown + 20*time.Millisecond)
-	code, body, _ = predict()
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(metricsBody(t, ts.URL), halfOpen); {
+		if time.Now().After(deadline) {
+			t.Fatal("the breaker never half-opened")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	code, body = predict()
 	if code != http.StatusOK {
 		t.Fatalf("healed backend: %d %v, want 200 via half-open probe", code, body)
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/infer"
 )
 
-// AttachInferPlane mounts the inference-plane admin endpoints and exports
-// the plane's gauges on /metrics:
+// routeInfer mounts the inference-plane admin endpoints (New does, when
+// Config.Infer is set; the plane's gauges ride /metrics):
 //
 //	POST /v1/admin/infer/deploy   {session, model, version, stage}
 //	POST /v1/admin/infer/promote  {session, model}
@@ -22,8 +22,7 @@ import (
 // canary stage; promote/rollback act manually on the candidate ahead of
 // (or against) the automatic gate; status reports every candidate's
 // mirrored-traffic stats.
-func (s *Server) AttachInferPlane(p *infer.Plane) {
-	s.AttachGauges(p.Gauges)
+func (s *Server) routeInfer(p *infer.Plane) {
 	s.mux.HandleFunc("POST /v1/admin/infer/deploy", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Session string `json:"session"`

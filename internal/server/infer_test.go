@@ -19,8 +19,7 @@ func newInferServer(t testing.TB, rows int) (*core.Flock, *httptest.Server) {
 	t.Helper()
 	flock := newTestFlock(t, rows)
 	plane := flock.EnableInferPlane(infer.Config{CanaryMinSamples: 50})
-	s := New(flock, Config{OnSession: func(user string) { flock.Access.AssignRole(user, "admin") }})
-	s.AttachInferPlane(plane)
+	s := New(flock, Config{OnSession: func(user string) { flock.Access.AssignRole(user, "admin") }, Infer: plane})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -23,11 +23,20 @@
 //	GET    /healthz            {"status":"ok"} (liveness: the process serves)
 //	GET    /readyz             {"status":"ready"} | 503 {"status":"degraded", ...} (readiness: writes accepted)
 //
-// Results flow pull-based end-to-end: "stream": true drains an engine
-// cursor as NDJSON with O(batch) server memory, and "cursor": true opens a
-// server-side cursor (TTL-bound, session-scoped) that /v1/cursor/fetch
-// pages through without ever re-running the query. See docs/api.md for the
-// full wire protocol.
+// Results flow pull-based end-to-end: "cursor": true opens a server-side
+// cursor (TTL-bound, session-scoped) that /v1/cursor/fetch pages through
+// without ever re-running the query, and a single-SELECT "stream": true is
+// the same cursor drained as NDJSON on the spot, with O(batch) server
+// memory. See docs/api.md for the full wire protocol.
+//
+// The optional subsystems (durability, inference plane, replication node,
+// score monitors, a readiness gate) are Config fields that New wires once;
+// after New only counters and the session and cursor stores change. Every
+// request that does engine work follows one lifecycle (request, in
+// admission.go): admit derives its context and takes its first step — the
+// cursor lock when it works on a cursor, then a worker slot — each engine
+// step holds a slot, nothing client-paced does, and every failure leaves
+// through fail.
 package server
 
 import (
@@ -38,19 +47,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"net"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/governance"
+	"repro/internal/infer"
 	"repro/internal/monitor"
 	"repro/internal/onnx"
 	"repro/internal/opt"
@@ -84,14 +93,9 @@ type Config struct {
 	SessionMaxLifetime time.Duration
 	// CursorTTL expires idle server-side cursors; defaults to 5m.
 	CursorTTL time.Duration
-	// MaxCursorsPerSession bounds open server-side cursors per session;
-	// defaults to 16.
+	// MaxCursorsPerSession bounds open server-side cursors per session,
+	// NDJSON streams included; defaults to 16.
 	MaxCursorsPerSession int
-	// MaxStreamDrains bounds concurrent NDJSON stream drains. A drain
-	// holds a drain slot — not a worker slot — for its (client-paced)
-	// lifetime, so slow readers can exhaust only the drain budget, never
-	// the query worker pool. Defaults to 2x MaxWorkers.
-	MaxStreamDrains int
 	// PlanCacheSize bounds the prepared-plan LRU; defaults to 256 entries.
 	PlanCacheSize int
 	// Level is the optimization level for queries that don't specify one.
@@ -103,6 +107,23 @@ type Config struct {
 	Authenticate func(user, token string) error
 	// OnSession runs after successful authentication (e.g. to grant roles).
 	OnSession func(user string)
+
+	// The subsystems below are wired once, by New; nil leaves one out.
+
+	// Durability exports its gauges on /metrics and backs
+	// /v1/admin/reopen (its Reopen also syncs the audit log and counts the
+	// fold as a checkpoint). Without it reopen is the engine's ReopenWAL.
+	Durability *core.Durability
+	// Infer mounts /v1/admin/infer/* and exports the plane's gauges.
+	Infer *infer.Plane
+	// Repl mounts the replication endpoints and /v1/admin/{promote,repoint},
+	// exports the node's gauges, and adds its role and epoch to /readyz.
+	Repl *repl.Node
+	// Monitors export their drift state on /metrics.
+	Monitors []*monitor.ScoreMonitor
+	// Ready extends /readyz beyond the degraded and fenced probes (replica
+	// mode gates on replication lag): an error answers 503 with its message.
+	Ready func() error
 }
 
 func (c Config) normalize() Config {
@@ -133,9 +154,6 @@ func (c Config) normalize() Config {
 	if c.MaxCursorsPerSession <= 0 {
 		c.MaxCursorsPerSession = 16
 	}
-	if c.MaxStreamDrains <= 0 {
-		c.MaxStreamDrains = 2 * c.MaxWorkers
-	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 256
 	}
@@ -160,37 +178,10 @@ type Server struct {
 	met      *metrics
 	plans    *planCache
 	cursors  *cursorStore
-
-	// streamDrains counts (and bounds) in-flight NDJSON drains; see
-	// Config.MaxStreamDrains.
-	streamDrains atomic.Int64
-
-	monMu    sync.Mutex
-	monitors []*monitor.ScoreMonitor
-
-	gaugeMu      sync.Mutex
-	gaugeSources []func() map[string]float64
-
-	// reopenFn services POST /v1/admin/reopen; defaults to the engine's
-	// ReopenWAL and is replaced via AttachReopen when a core.Durability
-	// owns the data directory (its Reopen also syncs the audit log and
-	// counts the fold as a checkpoint).
-	reopenMu sync.Mutex
-	reopenFn func() error
-
-	// readyChecks extend /readyz beyond the degraded-mode probe (e.g. the
-	// replica-mode lag gate); any check returning an error flips readiness
-	// to 503 with its message.
-	readyMu     sync.Mutex
-	readyChecks []func() error
-
-	// replNode, when attached, backs the promote/repoint admin endpoints
-	// and enriches /readyz with the node's replication role and epoch.
-	replMu   sync.Mutex
-	replNode *repl.Node
 }
 
-// New assembles a server over flock. Call Serve/ListenAndServe to accept
+// New assembles a server over flock and mounts every route, the routes of
+// the subsystems cfg names included. Call Serve/ListenAndServe to accept
 // connections, or mount Handler() yourself (tests use httptest).
 func New(flock *core.Flock, cfg Config) *Server {
 	cfg = cfg.normalize()
@@ -203,16 +194,13 @@ func New(flock *core.Flock, cfg Config) *Server {
 		cancelBase: cancel,
 		met:        newMetrics(),
 	}
-	s.sessions = newSessionStore(base, cfg.SessionTTL, cfg.SessionMaxLifetime)
 	s.adm = newAdmission(cfg.MaxWorkers, cfg.MaxQueue, s.met)
 	s.plans = newPlanCache(cfg.PlanCacheSize, s.met)
 	s.cursors = newCursorStore(cfg.CursorTTL, cfg.MaxCursorsPerSession, &s.met.cursorsExpired)
 	// A session hitting the hard lifetime cap retires its cursors, so a
-	// fetch on one answers 410 (gone) instead of 404 (never existed). Set
-	// under the store lock: its sweeper is already ticking.
-	s.sessions.mu.Lock()
-	s.sessions.onExpire = func(sess *session) { s.cursors.closeForSession(sess.id) }
-	s.sessions.mu.Unlock()
+	// fetch on one answers 410 (gone) instead of 404 (never existed).
+	s.sessions = newSessionStore(base, cfg.SessionTTL, cfg.SessionMaxLifetime,
+		func(sess *session) { s.cursors.closeForSession(sess.id) })
 
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
@@ -230,6 +218,14 @@ func New(flock *core.Flock, cfg Config) *Server {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	if cfg.Infer != nil {
+		s.routeInfer(cfg.Infer)
+	}
+	if cfg.Repl != nil {
+		cfg.Repl.Register(s.mux)
+		s.mux.HandleFunc("POST /v1/admin/promote", s.handleAdminPromote)
+		s.mux.HandleFunc("POST /v1/admin/repoint", s.handleAdminRepoint)
+	}
 
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
@@ -244,76 +240,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Flock returns the served instance.
 func (s *Server) Flock() *core.Flock { return s.flock }
 
-// AttachMonitor exports a score monitor's drift state on /metrics.
-func (s *Server) AttachMonitor(m *monitor.ScoreMonitor) {
-	s.monMu.Lock()
-	s.monitors = append(s.monitors, m)
-	s.monMu.Unlock()
-}
-
-// AttachGauges exports an external gauge source on /metrics; the source is
-// polled per scrape (e.g. the durability subsystem's WAL size and
-// checkpoint age).
-func (s *Server) AttachGauges(src func() map[string]float64) {
-	s.gaugeMu.Lock()
-	s.gaugeSources = append(s.gaugeSources, src)
-	s.gaugeMu.Unlock()
-}
-
-// AttachReopen replaces the function behind POST /v1/admin/reopen (wired
-// to core.Durability.Reopen by flock-serve so the recovery fold also syncs
-// the audit log and counts as a checkpoint).
-func (s *Server) AttachReopen(fn func() error) {
-	s.reopenMu.Lock()
-	s.reopenFn = fn
-	s.reopenMu.Unlock()
-}
-
-// AttachReadiness adds a readiness check to /readyz: any check returning
-// an error makes the probe answer 503 with the message. Used by replica
-// mode to gate readiness on replication lag, so load balancers stop
-// routing reads to a follower that has fallen too far behind.
-func (s *Server) AttachReadiness(check func() error) {
-	s.readyMu.Lock()
-	s.readyChecks = append(s.readyChecks, check)
-	s.readyMu.Unlock()
-}
-
-// AttachReplicationLeader mounts the leader replication endpoints
-// (/v1/repl/wal, /v1/repl/snapshot, /v1/repl/ack, /v1/repl/status) and
-// exports the leader-side replication gauges on /metrics.
-func (s *Server) AttachReplicationLeader(l *repl.Leader) {
-	l.Register(s.mux)
-	s.AttachGauges(l.Gauges)
-}
-
-// AttachReplicationFollower exposes the follower's replication status on
-// /v1/repl/status and its gauges (apply LSN, lag, reconnects) on /metrics.
-func (s *Server) AttachReplicationFollower(f *repl.Follower) {
-	s.mux.HandleFunc("GET "+repl.PathStatus, f.HandleStatus)
-	s.AttachGauges(f.Gauges)
-}
-
-// AttachReplicationNode mounts a role-switching replication node: the
-// role-aware replication endpoints, the node gauges, and the promote /
-// repoint admin endpoints that drive failover at runtime. Supersedes the
-// fixed-role attach methods for deployments that may change roles.
-func (s *Server) AttachReplicationNode(n *repl.Node) {
-	s.replMu.Lock()
-	s.replNode = n
-	s.replMu.Unlock()
-	n.Register(s.mux)
-	s.AttachGauges(n.Gauges)
-	s.mux.HandleFunc("POST /v1/admin/promote", s.handleAdminPromote)
-	s.mux.HandleFunc("POST /v1/admin/repoint", s.handleAdminRepoint)
-}
-
-func (s *Server) replicationNode() *repl.Node {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	return s.replNode
-}
-
 // handleReadyz is the readiness probe: 200 while the instance accepts
 // writes, 503 with the degradation reason once the WAL is poisoned and the
 // DB is read-only. Load balancers route writes away on 503; /healthz stays
@@ -321,14 +247,9 @@ func (s *Server) replicationNode() *repl.Node {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Replication context rides on every readiness answer so operators and
 	// probes see the role and epoch without a second request.
-	extra := map[string]any{}
-	if n := s.replicationNode(); n != nil {
-		extra["role"] = n.Role()
-		extra["epoch"] = n.Epoch()
-	}
 	ready := func(status int, fields map[string]any) {
-		for k, v := range extra {
-			fields[k] = v
+		if n := s.cfg.Repl; n != nil {
+			fields["role"], fields["epoch"] = n.Role(), n.Epoch()
 		}
 		writeJSON(w, status, fields)
 	}
@@ -346,11 +267,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.readyMu.Lock()
-	checks := append([]func() error(nil), s.readyChecks...)
-	s.readyMu.Unlock()
-	for _, check := range checks {
-		if err := check(); err != nil {
+	if s.cfg.Ready != nil {
+		if err := s.cfg.Ready(); err != nil {
 			ready(http.StatusServiceUnavailable, map[string]any{
 				"status": "not-ready", "reason": err.Error(),
 			})
@@ -366,24 +284,17 @@ func (s *Server) handleAdminReopen(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Session string `json:"session"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad reopen request: %w", err))
-		return
-	}
-	sess, ok := s.sessions.get(req.Session)
+	user, ok := s.adminSession(w, r, &req, &req.Session)
 	if !ok {
-		writeError(w, http.StatusUnauthorized, errors.New("unknown or expired session"))
 		return
 	}
 	wasDegraded, _ := s.flock.DB.Degraded()
-	s.reopenMu.Lock()
-	reopen := s.reopenFn
-	s.reopenMu.Unlock()
-	if reopen == nil {
-		reopen = s.flock.DB.ReopenWAL
+	reopen := s.flock.DB.ReopenWAL
+	if s.cfg.Durability != nil {
+		reopen = s.cfg.Durability.Reopen
 	}
 	err := reopen()
-	s.flock.Audit.Record(sess.user, "admin.reopen", "", fmt.Sprintf("degraded=%v", wasDegraded), err == nil)
+	s.flock.Audit.Record(user, "admin.reopen", "", fmt.Sprintf("degraded=%v", wasDegraded), err == nil)
 	if err != nil {
 		// The disk is still bad: the instance stays degraded and the error
 		// says why. 503 matches what writes are returning.
@@ -400,22 +311,13 @@ func (s *Server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Session string `json:"session"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad promote request: %w", err))
-		return
-	}
-	sess, ok := s.sessions.get(req.Session)
+	user, ok := s.adminSession(w, r, &req, &req.Session)
 	if !ok {
-		writeError(w, http.StatusUnauthorized, errors.New("unknown or expired session"))
 		return
 	}
-	n := s.replicationNode()
-	if n == nil {
-		writeError(w, http.StatusConflict, errors.New("this node has no replication role"))
-		return
-	}
+	n := s.cfg.Repl // mounted only when set
 	epoch, err := n.Promote(r.Context())
-	s.flock.Audit.Record(sess.user, "admin.promote", "", fmt.Sprintf("epoch=%d", epoch), err == nil)
+	s.flock.Audit.Record(user, "admin.promote", "", fmt.Sprintf("epoch=%d", epoch), err == nil)
 	if err != nil {
 		// The node is still a follower (Promote's contract); 409 says the
 		// operation could not proceed, not that the server is down.
@@ -434,26 +336,17 @@ func (s *Server) handleAdminRepoint(w http.ResponseWriter, r *http.Request) {
 		Session string `json:"session"`
 		Leader  string `json:"leader"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad repoint request: %w", err))
-		return
-	}
-	sess, ok := s.sessions.get(req.Session)
+	user, ok := s.adminSession(w, r, &req, &req.Session)
 	if !ok {
-		writeError(w, http.StatusUnauthorized, errors.New("unknown or expired session"))
 		return
 	}
 	if req.Leader == "" {
 		writeError(w, http.StatusBadRequest, errors.New("repoint requires a leader URL"))
 		return
 	}
-	n := s.replicationNode()
-	if n == nil {
-		writeError(w, http.StatusConflict, errors.New("this node has no replication role"))
-		return
-	}
+	n := s.cfg.Repl // mounted only when set
 	err := n.Repoint(r.Context(), req.Leader)
-	s.flock.Audit.Record(sess.user, "admin.repoint", "", "leader="+req.Leader, err == nil)
+	s.flock.Audit.Record(user, "admin.repoint", "", "leader="+req.Leader, err == nil)
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
@@ -474,15 +367,11 @@ func (s *Server) setLeaderHint(w http.ResponseWriter, err error) {
 }
 
 // retryAfterSeconds derives backpressure advice from live pressure instead
-// of a constant: the deeper the wait queue (or drain-slot overflow)
-// relative to the worker pool, the longer shed clients should back off.
-// Bounded to [1, 30] so advice stays actionable.
+// of a constant: the deeper the wait queue relative to the worker pool, the
+// longer shed clients should back off. Bounded to [1, 30] so advice stays
+// actionable.
 func (s *Server) retryAfterSeconds() int {
-	pressure := int(s.adm.queued.Load())
-	if over := int(s.streamDrains.Load()) - s.cfg.MaxStreamDrains; over > pressure {
-		pressure = over
-	}
-	secs := 1 + pressure/s.cfg.MaxWorkers
+	secs := 1 + int(s.adm.queued.Load())/s.cfg.MaxWorkers
 	if secs > 30 {
 		secs = 30
 	}
@@ -700,16 +589,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Cursor {
-		s.openServerCursor(w, r, sess, req.TimeoutMS, func(ctx context.Context) (engine.Cursor, error) {
-			return s.flock.QueryLevel(ctx, sess.user, req.SQL, level)
-		})
-		return
-	}
-	if req.Stream && isSingleSelect(req.SQL) {
-		// Pull-based drain: the cursor feeds NDJSON batch by batch, so the
-		// server holds O(batch) memory no matter the result size.
-		s.streamCursor(w, r, sess, req.TimeoutMS, func(ctx context.Context) (engine.Cursor, error) {
+	if req.Cursor || req.Stream && isSingleSelect(req.SQL) {
+		s.openCursor(w, r, sess, req.TimeoutMS, req.Stream && !req.Cursor, func(ctx context.Context) (engine.Cursor, error) {
 			return s.flock.QueryLevel(ctx, sess.user, req.SQL, level)
 		})
 		return
@@ -752,23 +633,13 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	// rewrites), so prepares go through the same admission gate as
 	// queries — prepare floods cannot starve query traffic. The deadline
 	// and disconnect handling bound the queue wait; planning itself is
-	// short (no table scans) and runs to completion once admitted.
-	pctx, cancel := context.WithTimeout(sess.ctx, s.cfg.DefaultTimeout)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel) // abandon the queue slot if the client goes away
-	defer stop()
-	sess.begin()
-	defer sess.end()
-	if err := s.adm.acquire(pctx); err != nil {
-		status, _ := classifyErr(err)
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-			s.setLeaderHint(w, err)
-		}
-		writeError(w, status, err)
+	// short (no table scans) and runs to completion once admitted. No
+	// latency family: a prepare is not a query.
+	q, ok := s.admit(w, r, sess, nil, s.cfg.DefaultTimeout, "")
+	defer q.exit()
+	if !ok {
 		return
 	}
-	defer s.adm.release()
 
 	key := planKey(req.SQL, level)
 	p, handle, cached := s.plans.get(key)
@@ -818,18 +689,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if kind != "select" {
 		kind = "dml"
 	}
-	if req.Cursor {
-		if kind != "select" {
-			writeError(w, http.StatusBadRequest, errors.New("cursor requires a prepared SELECT"))
-			return
-		}
-		s.openServerCursor(w, r, sess, req.TimeoutMS, func(ctx context.Context) (engine.Cursor, error) {
-			return s.flock.QueryPrepared(ctx, sess.user, p)
-		})
+	if req.Cursor && kind != "select" {
+		writeError(w, http.StatusBadRequest, errors.New("cursor requires a prepared SELECT"))
 		return
 	}
-	if req.Stream && kind == "select" {
-		s.streamCursor(w, r, sess, req.TimeoutMS, func(ctx context.Context) (engine.Cursor, error) {
+	if req.Cursor || req.Stream && kind == "select" {
+		s.openCursor(w, r, sess, req.TimeoutMS, req.Stream && !req.Cursor, func(ctx context.Context) (engine.Cursor, error) {
 			return s.flock.QueryPrepared(ctx, sess.user, p)
 		})
 		return
@@ -849,12 +714,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Engine operator workers running right now across every in-flight
 		// query: the live intra-query parallel degree.
 		"flock_exec_workers": float64(engine.ActiveWorkers()),
-		// Server-side cursors currently open, engine cursors open across
-		// the whole process (drains included; the two diverging for long
-		// means a leak), and in-flight NDJSON stream drains.
-		"flock_cursors_open":         float64(s.cursors.count()),
-		"flock_engine_cursors_open":  float64(engine.CursorsOpen()),
-		"flock_stream_drains_active": float64(s.streamDrains.Load()),
+		// Server-side cursors currently open (NDJSON streams included) and
+		// engine cursors open across the whole process: the two diverging
+		// for long means a leak.
+		"flock_cursors_open":        float64(s.cursors.count()),
+		"flock_engine_cursors_open": float64(engine.CursorsOpen()),
 	}
 	// Fsync amortization: committed records per group-commit fsync (0 until
 	// the first durable commit; ~1 under serial writers; >1 when concurrent
@@ -867,8 +731,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauges["flock_wal_group_commit_batch"] = 0
 	}
 	// Degradation state straight from the engine, so the gauges exist even
-	// when no durability subsystem is attached (an attached one exports the
-	// same values — map assignment keeps them single).
+	// without a durability subsystem (one exports the same values — map
+	// assignment keeps them single).
 	gauges["flock_degraded_mode"], gauges["flock_wal_poisoned"] = 0, 0
 	if down, _ := s.flock.DB.Degraded(); down {
 		gauges["flock_degraded_mode"], gauges["flock_wal_poisoned"] = 1, 1
@@ -882,21 +746,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Scorer resilience: per-endpoint circuit-breaker state plus the
 	// process-wide retry/fallback counters (present even before the first
 	// remote scorer is built — the registry is process-wide).
-	for k, v := range onnx.BreakerGauges() {
-		gauges[k] = v
+	maps.Copy(gauges, onnx.BreakerGauges())
+	if d := s.cfg.Durability; d != nil {
+		maps.Copy(gauges, d.Gauges())
 	}
-	s.gaugeMu.Lock()
-	sources := append([]func() map[string]float64(nil), s.gaugeSources...)
-	s.gaugeMu.Unlock()
-	for _, src := range sources {
-		for k, v := range src() {
-			gauges[k] = v
-		}
+	if p := s.cfg.Infer; p != nil {
+		maps.Copy(gauges, p.Gauges())
 	}
-	s.monMu.Lock()
-	monitors := append([]*monitor.ScoreMonitor(nil), s.monitors...)
-	s.monMu.Unlock()
-	for _, m := range monitors {
+	if n := s.cfg.Repl; n != nil {
+		maps.Copy(gauges, n.Gauges())
+	}
+	for _, m := range s.cfg.Monitors {
 		label := fmt.Sprintf(`flock_monitor_window_size{model=%q}`, m.Model)
 		gauges[label] = float64(m.WindowSize())
 		gauges[fmt.Sprintf(`flock_monitor_alerts{model=%q}`, m.Model)] = float64(len(m.Alerts()))
@@ -915,60 +775,18 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
 	timeoutMS int64, kind string, stream bool,
 	do func(ctx context.Context) (*engine.Result, error)) {
 
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	// The query context descends from the session (so session close and
-	// server shutdown cancel it) and additionally dies with the client
-	// connection and the deadline.
-	qctx, cancel := context.WithTimeout(sess.ctx, timeout)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	sess.begin()
-	defer sess.end()
-
-	start := time.Now()
-	if err := s.adm.acquire(qctx); err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery(kind, label, time.Since(start))
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-			s.setLeaderHint(w, err)
-		}
-		writeError(w, status, err)
+	q, ok := s.admit(w, r, sess, nil, s.timeout(timeoutMS), kind)
+	defer q.exit()
+	if !ok {
 		return
 	}
-
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.adm.release()
-		}
-	}
-	defer release() // a panicking handler must not leak the worker slot
-
-	res, err := do(qctx)
+	res, err := do(q.ctx)
 	// The result is fully materialized: release the worker slot BEFORE
 	// encoding, so a slow-reading client stalls only its own connection,
 	// never the worker pool.
-	release()
-	elapsed := time.Since(start)
+	q.release()
 	if err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery(kind, label, elapsed)
-		if status == http.StatusServiceUnavailable {
-			// Degraded instance (or saturated queue): tell clients how long
-			// to back off instead of letting them spin.
-			s.setRetryAfter(w)
-			s.setLeaderHint(w, err)
-		}
-		writeError(w, status, err)
+		q.fail(err)
 		return
 	}
 	if res == nil {
@@ -977,8 +795,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
 		res = &engine.Result{}
 	}
 	if stream {
-		s.met.observeQuery(kind, "ok", elapsed)
-		s.streamResult(w, res, elapsed)
+		q.streamResult(res)
 		return
 	}
 	cols, rows := res.Columns, res.Rows
@@ -992,196 +809,101 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
 	defer putJSONBuf(buf)
 	if err := encodeJSON(buf, queryResponse{
 		Columns: cols, Rows: rows, Affected: res.Affected,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+		ElapsedMS: millis(q.elapsed()),
 	}); err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery(kind, label, elapsed)
-		writeError(w, status, err)
+		q.fail(err)
 		return
 	}
-	s.met.observeQuery(kind, "ok", elapsed)
+	q.observe("ok")
 	writeBody(w, http.StatusOK, "application/json", buf.Bytes())
 }
 
-// streamCursor drains a governed cursor as NDJSON: a header object, one
-// JSON array per row, and a trailer object. Admission: the open (planning
-// plus any blocking materialization) runs under a worker slot; the drain
-// itself — whose pace the client controls — downgrades to a bounded drain
-// slot so slow readers can never pin the query worker pool. A mid-stream
-// encode/write error aborts the drain and releases the cursor (recorded in
-// flock_stream_aborts_total) instead of silently truncating; a mid-stream
-// execution error is reported in the trailer (the 200 header is long
-// gone).
-func (s *Server) streamCursor(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, open func(ctx context.Context) (engine.Cursor, error)) {
+// ndjson is a stream response: a {"columns":[...]} header line, one JSON
+// array per row, and a trailer object — the one writer for a materialized
+// result (DML, multi-statement strings) and a drained cursor alike. A
+// failed write means the client went away: every later write is skipped,
+// and endStream records the stream as aborted.
+type ndjson struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+	rows    int
+	broken  bool
+}
 
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	// The drain context has NO deadline of its own — a stream's total
-	// duration is paced by the client, exactly like the pre-cursor path
-	// where only execution was deadline-bound. It still dies with the
-	// session, the server, and the client connection. The query timeout
-	// bounds execution instead: the open below, and each engine pull in
-	// the drain loop.
-	qctx, cancel := context.WithCancel(sess.ctx)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	sess.begin()
-	defer sess.end()
-
-	start := time.Now()
-	octx, ocancel := context.WithTimeout(qctx, timeout)
-	defer ocancel()
-	if err := s.adm.acquire(octx); err != nil {
-		status, label := classifyErr(err)
-		s.met.observeQuery("select", label, time.Since(start))
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-			s.setLeaderHint(w, err)
-		}
-		writeError(w, status, err)
-		return
-	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.adm.release()
-		}
-	}
-	defer release()
-
-	cur, err := open(octx)
-	if err != nil {
-		release()
-		status, label := classifyErr(err)
-		s.met.observeQuery("select", label, time.Since(start))
-		if status == http.StatusServiceUnavailable {
-			s.setRetryAfter(w)
-			s.setLeaderHint(w, err)
-		}
-		writeError(w, status, err)
-		return
-	}
-	defer cur.Close()
-
-	// Downgrade worker slot -> drain slot before the client-paced part.
-	if s.streamDrains.Add(1) > int64(s.cfg.MaxStreamDrains) {
-		s.streamDrains.Add(-1)
-		release()
-		s.met.observeQuery("select", "rejected", time.Since(start))
-		s.setRetryAfter(w)
-		writeError(w, http.StatusServiceUnavailable,
-			errors.New("server: too many concurrent stream drains, try again later"))
-		return
-	}
-	defer s.streamDrains.Add(-1)
-	release()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	cols := cur.Schema().Names()
+// beginStream answers 200 and writes the header line.
+func (q *request) beginStream(cols []string) *ndjson {
 	if cols == nil {
 		cols = []string{} // same always-arrays contract as the non-stream path
 	}
-	abort := func() {
-		s.met.streamAborts.Add(1)
-		s.met.observeQuery("select", "abort", time.Since(start))
+	q.w.Header().Set("Content-Type", "application/x-ndjson")
+	q.w.WriteHeader(http.StatusOK)
+	out := &ndjson{enc: json.NewEncoder(q.w)}
+	out.flusher, _ = q.w.(http.Flusher)
+	out.put(map[string]any{"columns": cols})
+	return out
+}
+
+// put writes one line unless an earlier write failed, and reports whether
+// the stream is still intact.
+func (out *ndjson) put(v any) bool {
+	if !out.broken && out.enc.Encode(v) != nil {
+		out.broken = true
 	}
-	if err := enc.Encode(map[string]any{"columns": cols}); err != nil {
-		abort()
-		return
+	return !out.broken
+}
+
+func (out *ndjson) row(row []any) bool {
+	if out.put(row) {
+		out.rows++
 	}
-	n := 0
-	for {
-		// Per-pull deadline: bounds one window of engine work, not the
-		// client-paced transfer.
-		nctx, ncancel := context.WithTimeout(qctx, timeout)
-		b, err := cur.Next(nctx)
-		ncancel()
-		if err == io.EOF {
+	return !out.broken
+}
+
+func (out *ndjson) flush() {
+	if out.flusher != nil && !out.broken {
+		out.flusher.Flush()
+	}
+}
+
+// endStream writes the trailer — the totals, or the execution error that
+// cut the rows short (the 200 header is long gone, so the trailer is the
+// only channel left) — and records the outcome. A stream the client
+// abandoned, by a failed write or by a pull its disconnect canceled, is
+// an abort (flock_stream_aborts_total): its output stops without a valid
+// trailer, visibly rather than silently truncated.
+func (q *request) endStream(out *ndjson, affected int64, err error) {
+	trailer := map[string]any{"rows": out.rows, "affected": affected, "elapsed_ms": millis(q.elapsed())}
+	label := "ok"
+	if err != nil {
+		trailer = map[string]any{"error": err.Error(), "rows": out.rows}
+		_, label = classifyErr(err)
+	}
+	out.put(trailer)
+	out.flush()
+	if out.broken || err != nil && q.conn.Err() != nil {
+		q.s.met.streamAborts.Add(1)
+		label = "abort"
+	}
+	q.observe(label)
+}
+
+// streamResult streams an already-materialized result — the shape kept for
+// DML and multi-statement strings; a single SELECT streams from a cursor
+// (drain).
+func (q *request) streamResult(res *engine.Result) {
+	out := q.beginStream(res.Columns)
+	for i, row := range res.Rows {
+		if !out.row(row) {
 			break
 		}
-		if err != nil {
-			// Execution died mid-stream: the trailer is the only channel
-			// left to tell the client the stream is incomplete.
-			_, label := classifyErr(err)
-			s.met.observeQuery("select", label, time.Since(start))
-			_ = enc.Encode(map[string]any{"error": err.Error(), "rows": n})
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
-		}
-		for _, row := range engine.ResultFromRowSet(b).Rows {
-			if err := enc.Encode(row); err != nil {
-				abort()
-				return
-			}
-			n++
-		}
-		if flusher != nil {
-			flusher.Flush()
+		if i%256 == 255 {
+			out.flush()
 		}
 	}
-	if err := enc.Encode(map[string]any{
-		"rows": n, "affected": int64(0),
-		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	}); err != nil {
-		abort()
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	s.met.observeQuery("select", "ok", time.Since(start))
+	q.endStream(out, res.Affected, nil)
 }
 
-// streamResult encodes an already-materialized result as NDJSON — the
-// legacy stream shape kept for DML and multi-statement strings (SELECTs
-// stream through streamCursor). Encode/write errors abort the stream and
-// count in flock_stream_aborts_total instead of being dropped.
-func (s *Server) streamResult(w http.ResponseWriter, res *engine.Result, elapsed time.Duration) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	cols := res.Columns
-	if cols == nil {
-		cols = []string{} // same always-arrays contract as the non-stream path
-	}
-	if err := enc.Encode(map[string]any{"columns": cols}); err != nil {
-		s.met.streamAborts.Add(1)
-		return
-	}
-	for i, row := range res.Rows {
-		if err := enc.Encode(row); err != nil {
-			s.met.streamAborts.Add(1)
-			return
-		}
-		if flusher != nil && i%256 == 255 {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(map[string]any{
-		"rows": len(res.Rows), "affected": res.Affected,
-		"elapsed_ms": float64(elapsed.Microseconds()) / 1000,
-	}); err != nil {
-		s.met.streamAborts.Add(1)
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // classifyErr maps an execution error to an HTTP status and a metrics
 // status label.
@@ -1208,6 +930,10 @@ func classifyErr(err error) (int, string) {
 		// 499: client closed request (nginx convention) — the session was
 		// closed, the client disconnected, or the server is shutting down.
 		return 499, "canceled"
+	case errors.Is(err, errCursorExpired):
+		// Closed or expired while the request waited on it: canceled by the
+		// close, and the cursor's distinct 410 tells the client why.
+		return http.StatusGone, "canceled"
 	case errors.As(err, &perm):
 		return http.StatusForbidden, "denied"
 	case errors.As(err, &se):
@@ -1223,6 +949,16 @@ func classifyErr(err error) (int, string) {
 	default:
 		return http.StatusBadRequest, "error"
 	}
+}
+
+// timeout is a request's deadline: timeout_ms when given, else
+// DefaultTimeout, never beyond MaxTimeout.
+func (s *Server) timeout(ms int64) time.Duration {
+	t := s.cfg.DefaultTimeout
+	if ms > 0 {
+		t = time.Duration(ms) * time.Millisecond
+	}
+	return min(t, s.cfg.MaxTimeout)
 }
 
 // levelOf parses a request optimization level; "" uses the configured

@@ -53,8 +53,8 @@ type sessionStore struct {
 	stopOnce sync.Once
 }
 
-func newSessionStore(base context.Context, ttl, maxLife time.Duration) *sessionStore {
-	st := &sessionStore{m: map[string]*session{}, ttl: ttl, maxLife: maxLife, base: base, stop: make(chan struct{})}
+func newSessionStore(base context.Context, ttl, maxLife time.Duration, onExpire func(*session)) *sessionStore {
+	st := &sessionStore{m: map[string]*session{}, ttl: ttl, maxLife: maxLife, onExpire: onExpire, base: base, stop: make(chan struct{})}
 	go st.sweep()
 	return st
 }
@@ -153,12 +153,11 @@ func (st *sessionStore) sweep() {
 					delete(st.m, id)
 				}
 			}
-			onExpire := st.onExpire
 			st.mu.Unlock()
 			for _, s := range expired {
 				s.cancel()
-				if onExpire != nil {
-					onExpire(s)
+				if st.onExpire != nil {
+					st.onExpire(s)
 				}
 			}
 		}
