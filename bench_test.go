@@ -656,6 +656,15 @@ func BenchmarkParallelDistinct(b *testing.B) {
 	benchExecParallel(b, `SELECT DISTINCT cat, grp FROM events`, 80_000)
 }
 
+// BenchmarkParallelDistinctAgg: count(DISTINCT) and sum(DISTINCT) over 1M
+// rows into 10K groups — per-worker value sets, a union at the merge, and a
+// sorted fold for the sum.
+func BenchmarkParallelDistinctAgg(b *testing.B) {
+	benchExecParallel(b,
+		`SELECT grp, count(DISTINCT cat) AS dc, sum(DISTINCT val) AS ds FROM events GROUP BY grp`,
+		10_000)
+}
+
 // BenchmarkParallelSort: chunk sorts + pairwise merges over 1M rows.
 func BenchmarkParallelSort(b *testing.B) {
 	benchExecParallel(b, `SELECT val, id FROM events ORDER BY val, id`, parallelBenchRows)

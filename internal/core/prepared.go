@@ -184,26 +184,10 @@ func (p *Prepared) replanLocked(f *Flock, sel *sql.SelectStmt) error {
 
 // collectScanTables gathers the base tables a plan scans.
 func collectScanTables(n opt.Node, out map[string]int64) {
-	switch x := n.(type) {
-	case nil:
-	case *opt.Scan:
-		out[x.Table] = 0
-	case *opt.Filter:
-		collectScanTables(x.Input, out)
-	case *opt.Predict:
-		collectScanTables(x.Input, out)
-	case *opt.Join:
-		collectScanTables(x.Left, out)
-		collectScanTables(x.Right, out)
-	case *opt.Aggregate:
-		collectScanTables(x.Input, out)
-	case *opt.Project:
-		collectScanTables(x.Input, out)
-	case *opt.Distinct:
-		collectScanTables(x.Input, out)
-	case *opt.Sort:
-		collectScanTables(x.Input, out)
-	case *opt.Limit:
-		collectScanTables(x.Input, out)
+	if s, ok := n.(*opt.Scan); ok {
+		out[s.Table] = 0
+	}
+	for _, in := range opt.Inputs(n) {
+		collectScanTables(in, out)
 	}
 }

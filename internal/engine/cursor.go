@@ -11,12 +11,11 @@ package engine
 // streamable chain is materialized once at open and then drained in
 // batches, so every plan shape speaks the same cursor protocol.
 //
-// The materialized API is preserved as a thin wrapper: ExecSelect is
-// Collect(OpenPlanCursor(...)), and Collect drains a limit-free streamable
-// cursor in one window covering the whole input — byte-for-byte the same
-// kernel invocations (and the same zero-copy pass-through results) as the
-// pre-cursor executor, so materialized callers pay nothing for the
-// redesign.
+// Materializing is Collect over a cursor, everywhere: ExecSelect is
+// Collect(OpenPlanCursor(...)), and a breaker's streamable input is opened
+// and collected the same way (executor.collect). Collect drains a limit-free
+// streamable cursor in one window covering the whole input, so each stream
+// op runs its kernels once over all of it and a pass-through stays zero-copy.
 
 import (
 	"context"
@@ -62,9 +61,10 @@ type Cursor interface {
 // errCursorClosed surfaces pulls on a closed cursor.
 var errCursorClosed = errors.New("engine: cursor is closed")
 
-// openCursors counts engine cursors that were opened and not yet closed,
-// across every query (exported on /metrics and asserted zero by cursor-leak
-// tests).
+// openCursors counts engine cursors that OpenPlanCursor handed to a caller
+// and that were not yet closed, across every query (exported on /metrics and
+// asserted zero by cursor-leak tests). The cursors an executor opens and
+// drains internally are not counted.
 var openCursors atomic.Int64
 
 // CursorsOpen reports how many engine cursors are currently open.
@@ -108,7 +108,13 @@ func (db *DB) OpenCursor(ctx context.Context, s *sql.SelectStmt, o ExecOptions) 
 func (db *DB) OpenPlanCursor(ctx context.Context, plan *opt.Plan, o ExecOptions) (Cursor, error) {
 	ex := &executor{ctx: ctx, db: db, o: o,
 		env: &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}}
-	return ex.openCursor(plan.Root)
+	sc, err := ex.openCursor(plan.Root)
+	if err != nil {
+		return nil, err
+	}
+	sc.counted = true
+	openCursors.Add(1)
+	return sc, nil
 }
 
 // streamOp is one precompiled streamable operator applied batch-by-batch.
@@ -130,8 +136,8 @@ type streamCursor struct {
 	out Schema
 
 	// srcIsScan marks src as a live table snapshot (rows pulled from it
-	// count toward ExecCounters.RowsScanned; materialized sources were
-	// already counted by their scans inside exec).
+	// count toward ExecCounters.RowsScanned; a breaker's output was already
+	// counted by the cursors that collected its inputs).
 	srcIsScan bool
 	// window is how many morsels one Next processes; the parallel worker
 	// cap, so a batch is exactly one round of the morsel pool.
@@ -148,12 +154,15 @@ type streamCursor struct {
 	nextMorsel int
 	closed     bool
 	err        error
+	// counted marks a cursor handed out by OpenPlanCursor: it is in
+	// openCursors until Close.
+	counted bool
 }
 
 // openCursor peels the maximal streamable chain (Limit / Project / Filter /
 // Predict) off the top of the plan, materializes whatever blocking subtree
 // remains below it, and assembles the cursor bottom-up.
-func (ex *executor) openCursor(root opt.Node) (Cursor, error) {
+func (ex *executor) openCursor(root opt.Node) (*streamCursor, error) {
 	if err := ex.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -191,9 +200,9 @@ peel:
 		out := src.pick(scan.Cols)
 		schema = out.Schema
 		if pred := opt.AndAll(scan.Filters); pred != nil {
-			// Pushed-down scan conjuncts become the bottom-most filter op. Like
-			// execScan it reads the whole snapshot (zero-copy batches) and
-			// copies only the columns read above the scan.
+			// Pushed-down scan conjuncts become the bottom-most filter op: it
+			// reads the whole snapshot (zero-copy batches) and copies only the
+			// columns read above the scan.
 			fn, err := compileVec(pred, src.Schema, ex.env)
 			if err != nil {
 				return nil, err
@@ -242,12 +251,11 @@ peel:
 	if sc.window < 1 {
 		sc.window = 1
 	}
-	openCursors.Add(1)
 	return sc, nil
 }
 
 // scanSource snapshots the scanned table with the alias-qualified schema
-// (the scan half of execScan; pushed-down filters become a stream op).
+// (pushed-down filters become a stream op).
 func (ex *executor) scanSource(n *opt.Scan) (*RowSet, error) {
 	t, err := ex.db.Table(n.Table)
 	if err != nil {
@@ -372,7 +380,9 @@ func (sc *streamCursor) Close() error {
 	sc.closed = true
 	sc.src = nil
 	sc.ops = nil
-	openCursors.Add(-1)
+	if sc.counted {
+		openCursors.Add(-1)
+	}
 	return nil
 }
 
@@ -386,10 +396,10 @@ func (ex *executor) setCtx(ctx context.Context) {
 	ex.env.ctx = ctx
 }
 
-// Collect drains a cursor into a materialized RowSet and closes it — the
-// bridge that keeps every pre-cursor caller working. On a limit-free
-// streamable cursor it drains the whole input as one window, so the kernel
-// work (and zero-copy pass-through results) match the old executor exactly;
+// Collect drains a cursor into a materialized RowSet and closes it: the one
+// way a result or a breaker's input is materialized. On a limit-free
+// streamable cursor it drains the whole input as one window, so each op runs
+// its kernels once over all of it (and a pass-through stays zero-copy);
 // capped cursors keep their window-at-a-time pulls so LIMIT still
 // short-circuits the scan.
 func Collect(ctx context.Context, c Cursor) (*RowSet, error) {

@@ -110,6 +110,33 @@ func TestCursorLimitShortCircuitsScan(t *testing.T) {
 	}
 }
 
+// TestBreakerInputLimitShortCircuitsScan: a breaker's input is collected
+// through a cursor, so a LIMIT inside a FROM sub-query stops its scan early
+// there too, at any worker count.
+func TestBreakerInputLimitShortCircuitsScan(t *testing.T) {
+	const rows = 200_000
+	db := parallelTestDB(t, rows)
+	query := `SELECT count(*) AS n FROM (SELECT id FROM facts WHERE val > -1000.0 LIMIT 64) q`
+	for _, o := range []ExecOptions{
+		{Level: opt.LevelVectorized},
+		{Level: opt.LevelParallel, Parallelism: 8},
+	} {
+		o.Counters = &ExecCounters{}
+		stmt, _ := sql.ParseOne(query)
+		rs, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rs.Cols[0].Ints[0]; n != 64 {
+			t.Fatalf("workers=%d: count = %d, want 64", o.MaxWorkers(), n)
+		}
+		if scanned := o.Counters.RowsScanned.Load(); scanned == 0 || scanned >= rows/2 {
+			t.Fatalf("workers=%d: scanned %d of %d rows under LIMIT 64; want an early-terminated scan",
+				o.MaxWorkers(), scanned, rows)
+		}
+	}
+}
+
 // TestCursorDrainMatchesExec pins cursor-vs-materialized equivalence over
 // streamable and blocking plan shapes at 1 and 8 workers: a windowed drain
 // must concatenate to exactly what ExecSelect materializes.

@@ -1,11 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 
 	"repro/internal/opt"
 	"repro/internal/sql"
@@ -80,6 +80,9 @@ func (ex *executor) workers(n int) int {
 	return w
 }
 
+// exec runs a pipeline breaker — an operator that must see all of its input
+// before it emits a row. Streamable nodes (Scan, Filter, Project, Predict,
+// Limit) never reach it: openCursor peels them off and builds stream ops.
 func (ex *executor) exec(node opt.Node) (*RowSet, error) {
 	if err := ex.checkCtx(); err != nil {
 		return nil, err
@@ -87,92 +90,67 @@ func (ex *executor) exec(node opt.Node) (*RowSet, error) {
 	switch n := node.(type) {
 	case nil:
 		return &RowSet{N: 1}, nil // FROM-less SELECT
-	case *opt.Scan:
-		return ex.execScan(n)
-	case *opt.Filter:
-		in, err := ex.exec(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		return ex.filterRowSet(in, opt.AndAll(n.Preds))
-	case *opt.Predict:
-		return ex.execPredict(n)
 	case *opt.Join:
 		return ex.execJoin(n)
 	case *opt.Aggregate:
 		return ex.execAggregate(n)
-	case *opt.Project:
-		return ex.execProject(n)
 	case *opt.Distinct:
 		return ex.execDistinct(n)
 	case *opt.Sort:
 		return ex.execSort(n)
-	case *opt.Limit:
-		in, err := ex.exec(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		if int64(in.N) <= n.N {
-			return in, nil
-		}
-		return in.Slice(0, int(n.N)), nil
 	}
 	return nil, fmt.Errorf("engine: unknown plan node %T", node)
 }
 
-// execScan materializes a scan: the shared snapshot (scanSource, which
-// stream cursors also open), pushed-down filters evaluated over the whole
-// zero-copy snapshot — a compiled predicate reads only the columns it names —
-// and a gather of just the columns the plan above reads (n.Cols).
-func (ex *executor) execScan(n *opt.Scan) (*RowSet, error) {
-	rs, err := ex.scanSource(n)
+// collect materializes a breaker's input the way ExecPlanContext
+// materializes the root: it opens the input as a cursor and drains it with
+// Collect. The cursor never leaves the executor, so it is not counted in
+// CursorsOpen.
+func (ex *executor) collect(node opt.Node) (*RowSet, error) {
+	sc, err := ex.openCursor(node)
 	if err != nil {
 		return nil, err
 	}
-	if c := ex.o.Counters; c != nil {
-		c.RowsScanned.Add(int64(rs.N))
-	}
-	out := rs.pick(n.Cols)
-	if len(n.Filters) == 0 {
-		return out, nil
-	}
-	fn, err := compileVec(opt.AndAll(n.Filters), rs.Schema, ex.env)
-	if err != nil {
-		return nil, err
-	}
-	return ex.filterGather(rs, out, fn)
+	return Collect(ex.ctx, sc)
 }
 
-// filterRowSet evaluates pred as a batch kernel over rs and gathers the
-// surviving rows.
-func (ex *executor) filterRowSet(rs *RowSet, pred sql.Expr) (*RowSet, error) {
-	if pred == nil {
-		return rs, nil
+// evalColumn evaluates e over the whole of in with one kernel call and
+// materializes the result: the group keys, aggregate arguments and sort keys
+// the breakers read row by row.
+func (ex *executor) evalColumn(e sql.Expr, in *RowSet) (*Vec, error) {
+	if err := ex.checkCtx(); err != nil {
+		return nil, err
 	}
-	fn, err := compileVec(pred, rs.Schema, ex.env)
+	fn, err := compileVec(e, in.Schema, ex.env)
 	if err != nil {
 		return nil, err
 	}
-	return ex.filterGather(rs, rs, fn)
+	v, err := fn(in)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.pendingErr(in.N); err != nil {
+		return nil, err
+	}
+	return v.materialize(in.N), nil
 }
 
 // filterGather runs the compiled predicate over in and gathers the surviving
 // rows of out — in itself, or a pick of its columns (a scan copies only what
 // is read above it). Workers pull morsels from a shared queue (so a skewed
 // predicate cannot idle part of the pool), buffer one pooled selection
-// vector per morsel, and the buffers concatenate in morsel order — parallel
-// output row order is identical to serial.
+// vector per morsel, and the buffers concatenate in morsel order — the same
+// rows in the same order at any worker count.
 func (ex *executor) filterGather(in, out *RowSet, fn vecFunc) (*RowSet, error) {
 	sels, err := ex.filterMorsels(fn, in, ex.workers(in.N))
-	release := func() {
+	defer func() {
 		for _, s := range sels {
 			if s != nil {
 				putSel(s)
 			}
 		}
-	}
+	}()
 	if err != nil {
-		release()
 		return nil, err
 	}
 	total := 0
@@ -180,19 +158,16 @@ func (ex *executor) filterGather(in, out *RowSet, fn vecFunc) (*RowSet, error) {
 		total += len(*s)
 	}
 	if total == in.N {
-		release()
 		return out, nil
 	}
 	if len(out.Cols) == 0 {
 		// Nothing above reads a column (count(*)): the row count is the answer.
-		release()
 		return &RowSet{Schema: out.Schema, N: total}, nil
 	}
 	sel := make([]int32, 0, total)
 	for _, s := range sels {
 		sel = append(sel, *s...)
 	}
-	release()
 	if c := ex.o.Counters; c != nil {
 		c.CellsGathered.Add(int64(total) * int64(len(out.Cols)))
 	}
@@ -223,29 +198,12 @@ func (ex *executor) filterMorsels(fn vecFunc, rs *RowSet, w int) ([]*[]int32, er
 	return sels, err
 }
 
-// execPredict runs the vectorized inference operator: it binds the argument
-// columns to the model graph's inputs, scores in chunks (in parallel at
-// LevelParallel and above), optionally applies a fused threshold compare,
-// and appends the score column. The operator body lives in predictOp
-// (cursor.go) so the streaming path shares it batch-by-batch.
-func (ex *executor) execPredict(n *opt.Predict) (*RowSet, error) {
-	in, err := ex.exec(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	op, err := newPredictOp(ex, n, in.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return op.apply(ex, in)
-}
-
 func (ex *executor) execJoin(n *opt.Join) (*RowSet, error) {
-	left, err := ex.exec(n.Left)
+	left, err := ex.collect(n.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.exec(n.Right)
+	right, err := ex.collect(n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -313,10 +271,9 @@ func (ex *executor) execJoin(n *opt.Join) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Morsel-parallel probe: workers pull probe-side morsels and buffer their
-	// matched pairs (and unmatched left rows) per morsel; the buffers
-	// concatenate in morsel order, so parallel output is identical to the
-	// serial probe loop.
+	// Morsel probe: workers pull probe-side morsels and buffer their matched
+	// pairs (and unmatched left rows) per morsel; the buffers concatenate in
+	// morsel order, so the output is in probe-row order at any worker count.
 	type probeOut struct {
 		lsel, rsel, unmatched []int32
 	}
@@ -375,9 +332,11 @@ func (ex *executor) materializeJoin(left, right *RowSet, schema Schema,
 	rpart := right.Gather(rsel)
 	out := &RowSet{Schema: schema, Cols: append(lpart.Cols, rpart.Cols...), N: len(lsel)}
 	if len(residual) > 0 {
-		var err error
-		out, err = ex.filterRowSet(out, opt.AndAll(residual))
+		fn, err := compileVec(opt.AndAll(residual), schema, ex.env)
 		if err != nil {
+			return nil, err
+		}
+		if out, err = ex.filterGather(out, out, fn); err != nil {
 			return nil, err
 		}
 	}
@@ -446,7 +405,8 @@ func resolvePair(l, r sql.Expr, left, right Schema) (int, int, bool) {
 
 // aggAcc holds the typed per-group accumulators of one aggregate spec.
 // Group ids index every slice; only the fields the function needs are
-// allocated.
+// allocated. A DISTINCT aggregate's worker-local state is the value set
+// alone (distinct); the merge folds the union into a fresh accumulator.
 type aggAcc struct {
 	count    []int64
 	sum      []float64
@@ -458,93 +418,162 @@ type aggAcc struct {
 	distinct map[distinctKey]bool
 }
 
+// workerAgg is one worker's pre-aggregation state: its group table plus one
+// accumulator per aggregate spec, all indexed by local group id.
+type workerAgg struct {
+	lg   *localGroups
+	accs []*aggAcc
+}
+
+// execAggregate is GROUP BY over the morsel queue at ex.workers(n) workers.
+// Each worker pre-aggregates the morsels it pulls into its own group table
+// and accumulators; the tables merge into global group ids in
+// first-occurrence order and the accumulators fold per group. DISTINCT
+// aggregates collect per-group value sets instead (two workers may both have
+// seen a value, so pre-aggregated distinct sums would double-count);
+// mergeDistinct unions the sets and folds them. With one worker its table
+// and non-DISTINCT accumulators are the global ones and nothing is merged.
 func (ex *executor) execAggregate(n *opt.Aggregate) (*RowSet, error) {
-	in, err := ex.exec(n.Input)
+	in, err := ex.collect(n.Input)
+	if err != nil {
+		return nil, err
+	}
+	// Group keys and aggregate arguments evaluate once as whole columns,
+	// shared read-only by the workers. A bare column reference aliases table
+	// storage, so this is free; a computed argument (sum(a*b)) evaluates here
+	// before the fan-out, which bounds speedup for expression-heavy aggregates.
+	keyVecs := make([]*Vec, len(n.GroupBy))
+	for i, g := range n.GroupBy {
+		if keyVecs[i], err = ex.evalColumn(g, in); err != nil {
+			return nil, err
+		}
+	}
+	argVecs := make([]*Vec, len(n.Aggs))
+	for ai, spec := range n.Aggs {
+		if spec.Arg == nil {
+			continue
+		}
+		if argVecs[ai], err = ex.evalColumn(spec.Arg, in); err != nil {
+			return nil, err
+		}
+	}
+
+	w := ex.workers(in.N)
+	modes := vecKeyModes(keyVecs)
+	// rowGid holds each row's local group id; rows are written only by the
+	// worker that pulled their morsel, so the slice is write-disjoint.
+	rowGid := make([]int32, in.N)
+	states := make([]*workerAgg, w)
+	err = ex.runMorsels(in.N, w, func(wid, m, lo, hi int) error {
+		st := states[wid]
+		if st == nil {
+			st = &workerAgg{lg: &localGroups{}, accs: make([]*aggAcc, len(n.Aggs))}
+			for ai, spec := range n.Aggs {
+				st.accs[ai] = &aggAcc{}
+				if spec.Distinct && spec.Arg != nil {
+					st.accs[ai].distinct = make(map[distinctKey]bool)
+				}
+			}
+			states[wid] = st
+		}
+		st.lg.assign(keyVecs, modes, rowGid, lo, hi)
+		G := len(st.lg.groupRows)
+		for ai, spec := range n.Aggs {
+			a := st.accs[ai]
+			a.growCount(G)
+			if spec.Arg == nil {
+				if spec.Star {
+					for r := lo; r < hi; r++ {
+						a.count[rowGid[r]]++
+					}
+				}
+				continue
+			}
+			av := argVecs[ai]
+			if spec.Distinct {
+				for r := lo; r < hi; r++ {
+					if av.Nulls != nil && av.Nulls[r] {
+						continue
+					}
+					// Look up first: a value seen before (most rows,
+					// for a low-cardinality argument) costs no map write.
+					if k := distinctKeyAt(av, r, rowGid[r]); !a.distinct[k] {
+						a.distinct[k] = true
+					}
+				}
+				continue
+			}
+			a.grow(spec, av.Type, G)
+			if err := accumulateRange(a, spec, av, rowGid, lo, hi); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Evaluate the group keys as whole columns, then hash them once into
-	// dense group ids.
-	keyVecs := make([]*Vec, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		fn, err := compileVec(g, in.Schema, ex.env)
-		if err != nil {
-			return nil, err
-		}
-		v, err := fn(in)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.pendingErr(in.N); err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v.materialize(in.N)
+	states = slices.DeleteFunc(states, func(st *workerAgg) bool { return st == nil })
+	tables := make([]*localGroups, len(states))
+	for i, st := range states {
+		tables[i] = st.lg
 	}
-
-	if w := ex.workers(in.N); w > 1 {
-		return ex.execAggregateParallel(n, in, keyVecs, w)
-	}
-
-	gt := buildGroupTable(keyVecs, in.N)
-	G := len(gt.groupRows)
+	glob, srcs, remap := mergeLocalGroups(keyVecs, modes, tables)
+	G := len(glob.groupRows)
 	if G == 0 && len(n.GroupBy) == 0 {
 		G = 1 // global aggregate over empty input still yields one row
 	}
-	rg := gt.rowGroup
 
 	accs := make([]*aggAcc, len(n.Aggs))
 	for ai, spec := range n.Aggs {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		a := &aggAcc{}
-		a.growCount(G)
-		accs[ai] = a
-		if spec.Arg == nil {
-			if spec.Star {
-				for _, g := range rg {
-					a.count[g]++
-				}
-			}
+		distinct := spec.Distinct && spec.Arg != nil
+		if len(states) == 1 && !distinct {
+			accs[ai] = states[0].accs[ai] // one worker: already global
 			continue
 		}
-		av, err := ex.evalAggArg(spec, in)
-		if err != nil {
+		ga := &aggAcc{}
+		ga.growCount(G)
+		if spec.Arg != nil {
+			ga.grow(spec, argVecs[ai].Type, G)
+		}
+		accs[ai] = ga
+	}
+	// Fold the non-distinct locals in first-occurrence order — a fixed,
+	// input-determined order, so merged results are stable across runs. srcs
+	// is empty unless there are two tables or more.
+	for _, s := range srcs {
+		st := states[s.wid]
+		g := int(remap[s.wid][s.lgid])
+		for ai, spec := range n.Aggs {
+			if spec.Distinct && spec.Arg != nil {
+				continue
+			}
+			la, ga := st.accs[ai], accs[ai]
+			lgid := int(s.lgid)
+			if lgid < len(la.count) {
+				ga.count[g] += la.count[lgid]
+			}
+			if ga.sum != nil && lgid < len(la.sum) {
+				ga.sum[g] += la.sum[lgid]
+			}
+			if lgid < len(la.seen) && la.seen[lgid] {
+				mergeMinMax(ga, g, la, lgid, spec.Func == "min", argVecs[ai].Type)
+			}
+		}
+	}
+	for ai, spec := range n.Aggs {
+		if !spec.Distinct || spec.Arg == nil {
+			continue
+		}
+		if err := mergeDistinct(accs[ai], spec, argVecs[ai].Type, G, states, remap, ai); err != nil {
 			return nil, err
 		}
-		if spec.Distinct {
-			a.distinct = make(map[distinctKey]bool)
-		}
-		a.grow(spec, av.Type, G)
-		if err := accumulateRange(a, spec, av, rg, 0, in.N); err != nil {
-			return nil, err
-		}
 	}
-	return ex.buildAggOutput(n, keyVecs, gt.groupRows, accs, G)
+	return ex.buildAggOutput(n, keyVecs, glob.groupRows, accs, G)
 }
 
-// evalAggArg materializes one aggregate's argument column.
-func (ex *executor) evalAggArg(spec opt.AggSpec, in *RowSet) (*Vec, error) {
-	fn, err := compileVec(spec.Arg, in.Schema, ex.env)
-	if err != nil {
-		return nil, err
-	}
-	v, err := fn(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.pendingErr(in.N); err != nil {
-		return nil, err
-	}
-	return v.materialize(in.N), nil
-}
-
-// buildAggOutput boxes the per-group accumulators into the result rowset
-// (shared by the serial and parallel aggregate paths).
+// buildAggOutput boxes the per-group accumulators into the result rowset.
 func (ex *executor) buildAggOutput(n *opt.Aggregate, keyVecs []*Vec, groupRows []int32, accs []*aggAcc, G int) (*RowSet, error) {
 	outSchema := make(Schema, 0, len(n.GroupNames)+len(n.Aggs))
 	outCols := make([]Column, 0, len(n.GroupNames)+len(n.Aggs))
@@ -620,9 +649,8 @@ func (a *aggAcc) growCount(G int) {
 }
 
 // grow extends every accumulator array the (func, type) pair needs to G
-// groups, preserving existing group state. The serial path grows once to the
-// final group count; parallel workers grow as their thread-local tables
-// discover groups.
+// groups, preserving existing group state: workers grow per morsel as their
+// tables discover groups, the merge once to the global group count.
 func (a *aggAcc) grow(spec opt.AggSpec, t ColType, G int) {
 	a.growCount(G)
 	switch spec.Func {
@@ -660,27 +688,13 @@ func (a *aggAcc) grow(spec opt.AggSpec, t ColType, G int) {
 // accumulateRange folds rows [lo, hi) of one aggregate's argument column
 // into its per-group accumulators with a typed inner loop; rg maps each row
 // to its group id and the accumulators are already grown to cover every
-// referenced group. NULLs are skipped; DISTINCT deduplicates per
-// (group, value) through the typed key.
+// referenced group. NULLs are skipped. DISTINCT aggregates never come here:
+// they collect value sets (execAggregate) and fold them in mergeDistinct.
 func accumulateRange(a *aggAcc, spec opt.AggSpec, av *Vec, rg []int32, lo, hi int) error {
-	// skip reports whether row r is null or a distinct-duplicate, mirroring
-	// the row interpreter's per-row checks.
-	skip := func(r int) bool {
-		if av.Nulls != nil && av.Nulls[r] {
-			return true
-		}
-		if a.distinct != nil {
-			k := distinctKeyAt(av, r, rg[r])
-			if a.distinct[k] {
-				return true
-			}
-			a.distinct[k] = true
-		}
-		return false
-	}
+	skip := func(r int) bool { return av.Nulls != nil && av.Nulls[r] }
 	switch spec.Func {
 	case "count":
-		if a.distinct == nil && av.Nulls == nil {
+		if av.Nulls == nil {
 			for r := lo; r < hi; r++ {
 				a.count[rg[r]]++
 			}
@@ -695,7 +709,7 @@ func accumulateRange(a *aggAcc, spec opt.AggSpec, av *Vec, rg []int32, lo, hi in
 	case "sum", "avg":
 		switch av.Type {
 		case TypeFloat:
-			if a.distinct == nil && av.Nulls == nil {
+			if av.Nulls == nil {
 				for r := lo; r < hi; r++ {
 					g := rg[r]
 					a.count[g]++
@@ -711,7 +725,7 @@ func accumulateRange(a *aggAcc, spec opt.AggSpec, av *Vec, rg []int32, lo, hi in
 				a.sum[rg[r]] += av.Floats[r]
 			}
 		case TypeInt:
-			if a.distinct == nil && av.Nulls == nil {
+			if av.Nulls == nil {
 				for r := lo; r < hi; r++ {
 					g := rg[r]
 					a.count[g]++
@@ -738,10 +752,9 @@ func accumulateRange(a *aggAcc, spec opt.AggSpec, av *Vec, rg []int32, lo, hi in
 			}
 		default:
 			for r := lo; r < hi; r++ {
-				if av.Nulls != nil && av.Nulls[r] {
-					continue
+				if !skip(r) {
+					return fmt.Errorf("engine: %s over %s", spec.Func, av.Type)
 				}
-				return fmt.Errorf("engine: %s over %s", spec.Func, av.Type)
 			}
 		}
 	case "min", "max":
@@ -833,55 +846,38 @@ func minMaxValue(a *aggAcc, g int) Value {
 	return NullValue()
 }
 
-// execProject computes the output expressions; the operator body lives in
-// projectOp (cursor.go) so the streaming path shares it batch-by-batch.
-func (ex *executor) execProject(n *opt.Project) (*RowSet, error) {
-	in, err := ex.exec(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	op, err := newProjectOp(ex, n, in.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return op.apply(ex, in)
-}
-
+// execDistinct keeps the first occurrence of every distinct row, in input
+// order: all columns are the key, and the merged group table's
+// first-occurrence rows are exactly the distinct rows — GROUP BY's machinery
+// without accumulators.
 func (ex *executor) execDistinct(n *opt.Distinct) (*RowSet, error) {
-	in, err := ex.exec(n.Input)
+	in, err := ex.collect(n.Input)
 	if err != nil {
 		return nil, err
 	}
 	if in.N == 0 {
 		return in, nil
 	}
-	// All columns are the key: the group table's first-occurrence rows are
-	// exactly the distinct rows, in input order.
 	vecs := make([]*Vec, len(in.Cols))
 	for i := range in.Cols {
 		vecs[i] = colVec(&in.Cols[i])
 	}
-	if w := ex.workers(in.N); w > 1 {
-		// Thread-local tables over morsels, merged in first-occurrence order
-		// — the same machinery as parallel GROUP BY without accumulators.
-		groupRows, err := ex.parallelGroupRows(vecs, in.N, w)
-		if err != nil {
-			return nil, err
-		}
-		if len(groupRows) == in.N {
-			return in, nil
-		}
-		return in.Gather(groupRows), nil
+	groupRows, err := ex.parallelGroupRows(vecs, in.N, ex.workers(in.N))
+	if err != nil {
+		return nil, err
 	}
-	gt := buildGroupTable(vecs, in.N)
-	if len(gt.groupRows) == in.N {
+	if len(groupRows) == in.N {
 		return in, nil
 	}
-	return in.Gather(gt.groupRows), nil
+	return in.Gather(groupRows), nil
 }
 
+// execSort is ORDER BY at ex.workers(n) workers: contiguous chunks sort
+// stably as tasks, then pairwise merges — ties take the earlier-input run —
+// fold them into the one stable order. One worker sorts one chunk and merges
+// nothing.
 func (ex *executor) execSort(n *opt.Sort) (*RowSet, error) {
-	in, err := ex.exec(n.Input)
+	in, err := ex.collect(n.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -889,59 +885,74 @@ func (ex *executor) execSort(n *opt.Sort) (*RowSet, error) {
 	// slices instead of boxed per-row values.
 	keyVecs := make([]*Vec, len(n.Keys))
 	for i, k := range n.Keys {
-		if err := ex.checkCtx(); err != nil {
+		if keyVecs[i], err = ex.evalColumn(k.Expr, in); err != nil {
 			return nil, err
 		}
-		fn, err := compileVec(k.Expr, in.Schema, ex.env)
-		if err != nil {
-			return nil, err
-		}
-		v, err := fn(in)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.pendingErr(in.N); err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v.materialize(in.N)
 	}
 	// Under a LIMIT smaller than the input, select the k first rows instead
 	// of ordering all of them; both inputs to the choice are known here.
 	if 0 < n.TopK && n.TopK < int64(in.N) {
 		return ex.execTopK(in, n.Keys, keyVecs, int(n.TopK))
 	}
-	if w := ex.workers(in.N); w > 1 {
-		return ex.execSortParallel(in, n.Keys, keyVecs, w)
+	if in.N == 0 {
+		return in, nil
 	}
+	w := ex.workers(in.N)
 	sel := make([]int32, in.N)
 	for i := range sel {
 		sel[i] = int32(i)
 	}
-	// The comparator polls the context at batch granularity: sort.SliceStable
-	// offers no early exit, so after a cancellation the comparator degrades
-	// to a constant (cheap passes to completion) and the sort's result is
-	// discarded — a huge ORDER BY can no longer pin a worker between key
-	// materialization and gather.
-	canceled := false
-	sinceCheck := 0
-	sort.SliceStable(sel, func(a, b int) bool {
-		if canceled {
-			return false
+	chunks := make([][]int32, 0, w)
+	size := (in.N + w - 1) / w
+	for lo := 0; lo < in.N; lo += size {
+		chunks = append(chunks, sel[lo:min(lo+size, in.N)])
+	}
+	order := func(a, b int32) int { return compareRows(keyVecs, n.Keys, int(a), int(b)) }
+	if err := ex.runTasks(len(chunks), w, func(_, ci int) error {
+		return ex.sortRows(chunks[ci], order)
+	}); err != nil {
+		return nil, err
+	}
+	for len(chunks) > 1 {
+		merged := make([][]int32, (len(chunks)+1)/2)
+		err := ex.runTasks(len(merged), w, func(_, i int) error {
+			if 2*i+1 == len(chunks) {
+				merged[i] = chunks[2*i]
+				return nil
+			}
+			m, err := ex.mergeRuns(chunks[2*i], chunks[2*i+1], keyVecs, n.Keys)
+			merged[i] = m
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		sinceCheck++
-		if sinceCheck >= cancelBatchRows {
+		chunks = merged
+	}
+	return in.Gather(chunks[0]), nil
+}
+
+// sortRows sorts row ids stably under order, polling the context every
+// cancelBatchRows comparisons. A sort offers no early exit, so once the
+// context is done the comparator turns constant: the doomed sort finishes
+// cheaply, its result is dropped, and the context error is returned — a huge
+// ORDER BY cannot pin a worker between key materialization and gather.
+func (ex *executor) sortRows(rows []int32, order func(a, b int32) int) error {
+	var err error
+	sinceCheck := 0
+	slices.SortStableFunc(rows, func(a, b int32) int {
+		if err != nil {
+			return 0
+		}
+		if sinceCheck++; sinceCheck >= cancelBatchRows {
 			sinceCheck = 0
-			if ex.checkCtx() != nil {
-				canceled = true
-				return false
+			if err = ex.checkCtx(); err != nil {
+				return 0
 			}
 		}
-		return lessRows(keyVecs, n.Keys, int(sel[a]), int(sel[b]))
+		return order(a, b)
 	})
-	if canceled {
-		return nil, ex.ctx.Err()
-	}
-	return in.Gather(sel), nil
+	return err
 }
 
 // execTopK answers ORDER BY … LIMIT k without sorting the input. Rows are
@@ -952,12 +963,13 @@ func (ex *executor) execSort(n *opt.Sort) (*RowSet, error) {
 // survivors are sorted under the same order, cut to k, and only those rows
 // are gathered.
 func (ex *executor) execTopK(in *RowSet, keys []opt.SortKey, keyVecs []*Vec, k int) (*RowSet, error) {
-	before := func(a, b int32) bool {
+	order := func(a, b int32) int {
 		if c := compareRows(keyVecs, keys, int(a), int(b)); c != 0 {
-			return c < 0
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	}
+	before := func(a, b int32) bool { return order(a, b) < 0 }
 	w := ex.workers(in.N)
 	size := (in.N + w - 1) / w
 	heaps := make([][]int32, (in.N+size-1)/size)
@@ -1010,27 +1022,8 @@ func (ex *executor) execTopK(in *RowSet, keys []opt.SortKey, keyVecs []*Vec, k i
 		return nil, err
 	}
 	cand := slices.Concat(heaps...)
-	// Same checkpoint as the full sorts: once canceled the comparator turns
-	// constant, the doomed sort finishes cheaply and its result is dropped.
-	var cerr error
-	sinceCheck := 0
-	slices.SortFunc(cand, func(a, b int32) int {
-		if cerr != nil {
-			return 0
-		}
-		if sinceCheck++; sinceCheck >= cancelBatchRows {
-			sinceCheck = 0
-			if cerr = ex.checkCtx(); cerr != nil {
-				return 0
-			}
-		}
-		if before(a, b) {
-			return -1
-		}
-		return 1
-	})
-	if cerr != nil {
-		return nil, cerr
+	if err := ex.sortRows(cand, order); err != nil {
+		return nil, err
 	}
 	return in.Gather(cand[:k]), nil
 }

@@ -1,24 +1,27 @@
 package engine
 
-// Parallel physical operators over the morsel queue: GROUP BY / DISTINCT
-// with thread-local pre-aggregation and a deterministic merge phase, and
-// ORDER BY as per-worker chunk sorts folded by pairwise merges. Every path
-// here produces the same rows in the same order as its serial twin in
-// exec.go (float sums may differ in rounding only, because parallel folding
-// re-associates the additions).
+// The machinery the breakers in exec.go share across workers: per-worker
+// group tables and their first-occurrence merge (GROUP BY, DISTINCT), the
+// accumulator folds, the radix-partitioned hash-join build, and the run
+// merge of ORDER BY. Each operator has exactly one implementation, run at
+// ex.workers(n) workers; one worker is the same code with one table, one
+// partition or one chunk, and nothing to merge. The answer is the same at
+// every worker count, except that non-DISTINCT float sums re-associate their
+// additions and so may differ in rounding.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/opt"
 )
 
 // localGroups is one worker's (or the merge phase's) group hash table: open
 // addressing over group hashes, growing as groups appear. groupRows holds
-// the first input row of each group in discovery order.
+// the first input row of each group in discovery order. The zero value is
+// an empty table; gidFor allocates its slots on the first keyed row.
 type localGroups struct {
 	slots     []int32 // open-addressing table of group ids (-1 empty)
 	mask      uint64
@@ -26,18 +29,37 @@ type localGroups struct {
 	hashes    []uint64 // group hash, for rehashing without re-reading keys
 }
 
-func newLocalGroups() *localGroups {
-	const initCap = 1024
-	lg := &localGroups{slots: make([]int32, initCap), mask: initCap - 1}
+// setSlots installs an empty open-addressing table of n slots (a power of
+// two).
+func (lg *localGroups) setSlots(n int) {
+	lg.slots = make([]int32, n)
 	for i := range lg.slots {
 		lg.slots[i] = -1
 	}
-	return lg
+	lg.mask = uint64(n - 1)
+}
+
+// assign writes the group id of every row in [lo, hi) to gids. With no key
+// columns every row is group 0: gids (zeroed by the caller) stay as they are
+// and nothing is hashed.
+func (lg *localGroups) assign(keys []*Vec, modes []keyMode, gids []int32, lo, hi int) {
+	if len(keys) == 0 {
+		if len(lg.groupRows) == 0 {
+			lg.groupRows = append(lg.groupRows, int32(lo))
+		}
+		return
+	}
+	for r := lo; r < hi; r++ {
+		gids[r] = lg.gidFor(keys, modes, r)
+	}
 }
 
 // gidFor returns the group id of row r, inserting a new group when the key
 // is unseen.
 func (lg *localGroups) gidFor(keys []*Vec, modes []keyMode, r int) int32 {
+	if lg.slots == nil {
+		lg.setSlots(1024)
+	}
 	h := hashKeyRow(keys, modes, r)
 	p := h & lg.mask
 	for {
@@ -61,19 +83,14 @@ func (lg *localGroups) gidFor(keys []*Vec, modes []keyMode, r int) int32 {
 
 // rehash doubles the slot table, reseating every group by its stored hash.
 func (lg *localGroups) rehash() {
-	slots := make([]int32, 2*len(lg.slots))
-	for i := range slots {
-		slots[i] = -1
-	}
-	mask := uint64(len(slots) - 1)
+	lg.setSlots(2 * len(lg.slots))
 	for g, h := range lg.hashes {
-		p := h & mask
-		for slots[p] >= 0 {
-			p = (p + 1) & mask
+		p := h & lg.mask
+		for lg.slots[p] >= 0 {
+			p = (p + 1) & lg.mask
 		}
-		slots[p] = int32(g)
+		lg.slots[p] = int32(g)
 	}
-	lg.slots, lg.mask = slots, mask
 }
 
 // groupSrc identifies one worker-local group during the merge phase.
@@ -83,33 +100,36 @@ type groupSrc struct {
 	lgid int32
 }
 
-// mergeLocalGroups folds worker-local group tables into one global table.
-// Sources are sorted by first row before insertion, so global group ids are
-// assigned in true first-occurrence order — the serial GROUP BY / DISTINCT
-// output order — and each global group's representative row is its earliest
-// occurrence. Returns the global table, the sorted sources (the
-// deterministic fold order for accumulator merging), and the per-worker
-// localGid -> globalGid remap.
+// mergeLocalGroups folds the (non-nil) worker-local group tables into one
+// global table. Sources are sorted by first row before insertion, so global
+// group ids are assigned in true first-occurrence order — the GROUP BY /
+// DISTINCT output order — and each global group's representative row is its
+// earliest occurrence. Returns the global table, the sorted sources (the
+// deterministic fold order for accumulator merging), and the per-table
+// localGid -> globalGid remap. A single table already is the global one, in
+// first-occurrence order: it comes back as is, with no sources and a nil
+// (identity) remap.
 func mergeLocalGroups(keyVecs []*Vec, modes []keyMode, tables []*localGroups) (*localGroups, []groupSrc, [][]int32) {
+	switch len(tables) {
+	case 0:
+		return &localGroups{}, nil, nil
+	case 1:
+		return tables[0], nil, nil
+	}
 	total := 0
 	for _, lg := range tables {
-		if lg != nil {
-			total += len(lg.groupRows)
-		}
+		total += len(lg.groupRows)
 	}
 	srcs := make([]groupSrc, 0, total)
 	remap := make([][]int32, len(tables))
 	for wid, lg := range tables {
-		if lg == nil {
-			continue
-		}
 		remap[wid] = make([]int32, len(lg.groupRows))
 		for lgid, row := range lg.groupRows {
 			srcs = append(srcs, groupSrc{row: row, wid: int32(wid), lgid: int32(lgid)})
 		}
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i].row < srcs[j].row })
-	glob := newLocalGroups()
+	glob := &localGroups{}
 	for _, s := range srcs {
 		remap[s.wid][s.lgid] = glob.gidFor(keyVecs, modes, int(s.row))
 	}
@@ -117,15 +137,15 @@ func mergeLocalGroups(keyVecs []*Vec, modes []keyMode, tables []*localGroups) (*
 }
 
 // parallelGroupRows computes the first-occurrence rows of every distinct key
-// combination (the parallel DISTINCT core): workers build thread-local
-// tables over morsels, then the tables merge in first-occurrence order.
+// combination (the DISTINCT core): w workers build their own tables over the
+// morsels they pull, then the tables merge in first-occurrence order.
 func (ex *executor) parallelGroupRows(keyVecs []*Vec, nRows, w int) ([]int32, error) {
 	modes := vecKeyModes(keyVecs)
 	tables := make([]*localGroups, w)
 	err := ex.runMorsels(nRows, w, func(wid, m, lo, hi int) error {
 		lg := tables[wid]
 		if lg == nil {
-			lg = newLocalGroups()
+			lg = &localGroups{}
 			tables[wid] = lg
 		}
 		for r := lo; r < hi; r++ {
@@ -136,157 +156,13 @@ func (ex *executor) parallelGroupRows(keyVecs []*Vec, nRows, w int) ([]int32, er
 	if err != nil {
 		return nil, err
 	}
+	tables = slices.DeleteFunc(tables, func(lg *localGroups) bool { return lg == nil })
 	glob, _, _ := mergeLocalGroups(keyVecs, modes, tables)
 	return glob.groupRows, nil
 }
 
-// workerAgg is one worker's thread-local pre-aggregation state: its group
-// table plus one accumulator per aggregate spec, all indexed by local group
-// id.
-type workerAgg struct {
-	lg   *localGroups
-	accs []*aggAcc
-}
-
-// execAggregateParallel is the morsel-parallel GROUP BY: each worker
-// pre-aggregates its morsels into thread-local accumulators, the local
-// tables merge into global group ids in first-occurrence order, and the
-// local accumulators fold per group. DISTINCT aggregates collect per-group
-// value sets instead (two workers may both have seen the same value, so
-// pre-aggregated distinct sums would double-count); the merge unions the
-// sets and recomputes.
-func (ex *executor) execAggregateParallel(n *opt.Aggregate, in *RowSet, keyVecs []*Vec, w int) (*RowSet, error) {
-	// Materialize every aggregate argument once, shared read-only. For the
-	// common case — a bare column reference — the kernel aliases table
-	// storage and materialize is a no-op, so this costs nothing. A computed
-	// argument (sum(a*b)) does evaluate serially here before the fan-out,
-	// which bounds speedup for expression-heavy aggregates; pushing kernel
-	// evaluation into the morsel loop would need per-morsel Vec stitching
-	// (nulls, errmasks, consts) and is left as a follow-up.
-	argVecs := make([]*Vec, len(n.Aggs))
-	for ai, spec := range n.Aggs {
-		if spec.Arg == nil {
-			continue
-		}
-		av, err := ex.evalAggArg(spec, in)
-		if err != nil {
-			return nil, err
-		}
-		argVecs[ai] = av
-	}
-	modes := vecKeyModes(keyVecs)
-	// rowGid holds each row's local group id; rows are written only by the
-	// worker that pulled their morsel, so the slice is write-disjoint.
-	rowGid := make([]int32, in.N)
-	states := make([]*workerAgg, w)
-	err := ex.runMorsels(in.N, w, func(wid, m, lo, hi int) error {
-		st := states[wid]
-		if st == nil {
-			st = &workerAgg{lg: newLocalGroups(), accs: make([]*aggAcc, len(n.Aggs))}
-			for ai, spec := range n.Aggs {
-				st.accs[ai] = &aggAcc{}
-				if spec.Distinct && spec.Arg != nil {
-					st.accs[ai].distinct = make(map[distinctKey]bool)
-				}
-			}
-			states[wid] = st
-		}
-		for r := lo; r < hi; r++ {
-			rowGid[r] = st.lg.gidFor(keyVecs, modes, r)
-		}
-		G := len(st.lg.groupRows)
-		for ai := range n.Aggs {
-			spec := n.Aggs[ai]
-			a := st.accs[ai]
-			a.growCount(G)
-			if spec.Arg == nil {
-				if spec.Star {
-					for r := lo; r < hi; r++ {
-						a.count[rowGid[r]]++
-					}
-				}
-				continue
-			}
-			av := argVecs[ai]
-			if spec.Distinct {
-				for r := lo; r < hi; r++ {
-					if av.Nulls != nil && av.Nulls[r] {
-						continue
-					}
-					a.distinct[distinctKeyAt(av, r, rowGid[r])] = true
-				}
-				continue
-			}
-			a.grow(spec, av.Type, G)
-			if err := accumulateRange(a, spec, av, rowGid, lo, hi); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	tables := make([]*localGroups, len(states))
-	for wid, st := range states {
-		if st != nil {
-			tables[wid] = st.lg
-		}
-	}
-	glob, srcs, remap := mergeLocalGroups(keyVecs, modes, tables)
-	groupRows := glob.groupRows
-	G := len(groupRows)
-	if G == 0 && len(n.GroupBy) == 0 {
-		G = 1 // parity with the serial path (unreachable: parallel implies rows)
-	}
-
-	accs := make([]*aggAcc, len(n.Aggs))
-	for ai, spec := range n.Aggs {
-		ga := &aggAcc{}
-		ga.growCount(G)
-		if spec.Arg != nil {
-			ga.grow(spec, argVecs[ai].Type, G)
-		}
-		accs[ai] = ga
-	}
-	// Fold the non-distinct locals in first-occurrence order — a fixed,
-	// input-determined order, so merged results are stable across runs.
-	for _, s := range srcs {
-		st := states[s.wid]
-		g := int(remap[s.wid][s.lgid])
-		for ai := range n.Aggs {
-			spec := n.Aggs[ai]
-			if spec.Distinct && spec.Arg != nil {
-				continue
-			}
-			la, ga := st.accs[ai], accs[ai]
-			lgid := int(s.lgid)
-			if lgid < len(la.count) {
-				ga.count[g] += la.count[lgid]
-			}
-			if ga.sum != nil && lgid < len(la.sum) {
-				ga.sum[g] += la.sum[lgid]
-			}
-			if lgid < len(la.seen) && la.seen[lgid] {
-				mergeMinMax(ga, g, la, lgid, spec.Func == "min", argVecs[ai].Type)
-			}
-		}
-	}
-	for ai := range n.Aggs {
-		spec := n.Aggs[ai]
-		if !spec.Distinct || spec.Arg == nil {
-			continue
-		}
-		if err := mergeDistinct(accs[ai], spec, argVecs[ai].Type, G, states, remap, ai); err != nil {
-			return nil, err
-		}
-	}
-	return ex.buildAggOutput(n, keyVecs, groupRows, accs, G)
-}
-
 // mergeMinMax folds one local group's min/max into the global accumulator,
-// replicating the serial comparison rules per type.
+// under accumulateRange's comparison rules per type.
 func mergeMinMax(ga *aggAcc, g int, la *aggAcc, lgid int, isMin bool, t ColType) {
 	switch t {
 	case TypeInt:
@@ -315,36 +191,61 @@ func mergeMinMax(ga *aggAcc, g int, la *aggAcc, lgid int, isMin bool, t ColType)
 
 // mergeDistinct unions the workers' per-group distinct value sets under the
 // global group ids and recomputes the aggregate from the deduplicated
-// values, folding each group's values in sorted order so the result is
-// deterministic.
+// values. A nil remap is the identity (one worker).
+//
+// Where the fold order can change the answer — the rounding of a sum, or a
+// NaN meeting a float min/max — each group's values fold in ascending key
+// order (a float by its bit pattern read as an int64), so the result is the
+// same at every worker count. Those aggregates never read a string, so the
+// values counting-sort by group into one flat array of keys, each group's
+// segment sorts, and a value two workers both saw is the adjacent duplicate.
+// Every other fold takes the values as the sets hand them out.
 func mergeDistinct(ga *aggAcc, spec opt.AggSpec, t ColType, G int, states []*workerAgg, remap [][]int32, ai int) error {
-	seen := make(map[distinctKey]bool)
-	perGroup := make([][]distinctKey, G)
-	for wid, st := range states {
-		if st == nil {
-			continue
+	isMin := spec.Func == "min"
+	each := func(visit func(g int, k distinctKey) error) error {
+		for wid, st := range states {
+			for k := range st.accs[ai].distinct {
+				if remap != nil {
+					k.g = remap[wid][k.g]
+				}
+				if err := visit(int(k.g), k); err != nil {
+					return err
+				}
+			}
 		}
-		for k := range st.accs[ai].distinct {
-			gk := k
-			gk.g = remap[wid][k.g]
-			if seen[gk] {
+		return nil
+	}
+	if !(spec.Func == "sum" || spec.Func == "avg" || ((isMin || spec.Func == "max") && t == TypeFloat)) {
+		var seen map[distinctKey]bool
+		if remap != nil {
+			seen = make(map[distinctKey]bool)
+		}
+		return each(func(g int, k distinctKey) error {
+			if seen != nil {
+				if seen[k] {
+					return nil
+				}
+				seen[k] = true
+			}
+			return foldDistinctKey(ga, spec, t, g, k, isMin)
+		})
+	}
+	start := make([]int, G+1)
+	_ = each(func(g int, _ distinctKey) error { start[g+1]++; return nil })
+	for g := 0; g < G; g++ {
+		start[g+1] += start[g]
+	}
+	flat := make([]int64, start[G])
+	fill := slices.Clone(start[:G])
+	_ = each(func(g int, k distinctKey) error { flat[fill[g]] = k.i; fill[g]++; return nil })
+	for g := 0; g < G; g++ {
+		seg := flat[start[g]:start[g+1]]
+		slices.Sort(seg)
+		for j, v := range seg {
+			if j > 0 && v == seg[j-1] {
 				continue
 			}
-			seen[gk] = true
-			perGroup[gk.g] = append(perGroup[gk.g], gk)
-		}
-	}
-	isMin := spec.Func == "min"
-	for g := 0; g < G; g++ {
-		ks := perGroup[g]
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].i != ks[j].i {
-				return ks[i].i < ks[j].i
-			}
-			return ks[i].s < ks[j].s
-		})
-		for _, k := range ks {
-			if err := foldDistinctKey(ga, spec, t, g, k, isMin); err != nil {
+			if err := foldDistinctKey(ga, spec, t, g, distinctKey{i: v}, isMin); err != nil {
 				return err
 			}
 		}
@@ -406,19 +307,13 @@ func foldDistinctKey(ga *aggAcc, spec opt.AggSpec, t ColType, g int, k distinctK
 	return nil
 }
 
-// buildJoinIndex builds the hash-join build side, in parallel when the
-// build input is wide enough: key hashes are computed over morsels, rows
-// are radix-partitioned by their high hash bits (with slack over the worker
-// count so one hot partition cannot serialize the build), and the
-// partitions' tables build as independent tasks.
-func (ex *executor) buildJoinIndex(keys []*Vec, n int, modes []keyMode) (joinIndex, error) {
+// buildJoinIndex builds the hash-join build side at ex.workers(n) workers:
+// key hashes are computed over morsels, rows are radix-partitioned by their
+// high hash bits (two partitions per worker, so one hot partition cannot
+// serialize the build; one partition at one worker), and the partitions'
+// tables build as independent tasks.
+func (ex *executor) buildJoinIndex(keys []*Vec, n int, modes []keyMode) (*partedJoinTable, error) {
 	w := ex.workers(n)
-	if w <= 1 {
-		if err := ex.checkCtx(); err != nil {
-			return nil, err
-		}
-		return buildJoinTable(keys, n, modes), nil
-	}
 	hashes := make([]uint64, n)
 	if err := ex.runMorsels(n, w, func(wid, m, lo, hi int) error {
 		for r := lo; r < hi; r++ {
@@ -429,12 +324,12 @@ func (ex *executor) buildJoinIndex(keys []*Vec, n int, modes []keyMode) (joinInd
 		return nil, err
 	}
 	P, logP := 1, 0
-	for P < 2*w && P < 256 {
+	for w > 1 && P < 2*w && P < 256 {
 		P <<= 1
 		logP++
 	}
-	shift := uint(64 - logP)
-	// Parallel radix scatter: per-morsel partition histograms, a small
+	shift := uint(64 - logP) // 64 at one partition: every hash>>shift is 0
+	// Radix scatter: per-morsel partition histograms, a small
 	// serial prefix-sum over (morsel × partition), then each morsel writes
 	// its rows into disjoint slots of one flat array — no serial O(n) pass.
 	// Within a partition, morsel-major order keeps rows ascending, which
@@ -473,80 +368,14 @@ func (ex *executor) buildJoinIndex(keys []*Vec, n int, modes []keyMode) (joinInd
 	}); err != nil {
 		return nil, err
 	}
-	pt := &partedJoinTable{keys: keys, modes: modes, parts: make([]joinPart, P), shift: shift}
+	pt := &partedJoinTable{keys: keys, modes: modes, parts: make([]joinPart, P), next: make([]int32, n), shift: shift}
 	if err := ex.runTasks(P, w, func(wid, p int) error {
-		pt.parts[p] = buildJoinPart(flat[starts[p]:starts[p+1]], hashes)
+		pt.parts[p] = buildJoinPart(flat[starts[p]:starts[p+1]], hashes, pt.next)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return pt, nil
-}
-
-// execSortParallel is the morsel-era ORDER BY: contiguous chunks sort in
-// parallel (stable within each chunk), then pairwise merges — ties prefer
-// the earlier-input run — fold them into one order identical to the serial
-// stable sort.
-func (ex *executor) execSortParallel(in *RowSet, keys []opt.SortKey, keyVecs []*Vec, w int) (*RowSet, error) {
-	sel := make([]int32, in.N)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	chunks := make([][]int32, 0, w)
-	size := (in.N + w - 1) / w
-	for lo := 0; lo < in.N; lo += size {
-		hi := lo + size
-		if hi > in.N {
-			hi = in.N
-		}
-		chunks = append(chunks, sel[lo:hi])
-	}
-	var canceled atomic.Bool
-	err := ex.runTasks(len(chunks), w, func(wid, ci int) error {
-		chunk := chunks[ci]
-		var cerr error
-		sinceCheck := 0
-		// Same comparator-degradation trick as the serial path: after a
-		// cancellation the comparator turns constant so the doomed sort
-		// finishes cheaply, and every other chunk bails through the flag.
-		sort.SliceStable(chunk, func(a, b int) bool {
-			if cerr != nil || canceled.Load() {
-				return false
-			}
-			sinceCheck++
-			if sinceCheck >= cancelBatchRows {
-				sinceCheck = 0
-				if e := ex.checkCtx(); e != nil {
-					cerr = e
-					canceled.Store(true)
-					return false
-				}
-			}
-			return lessRows(keyVecs, keys, int(chunk[a]), int(chunk[b]))
-		})
-		return cerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	for len(chunks) > 1 {
-		merged := make([][]int32, (len(chunks)+1)/2)
-		err := ex.runTasks(len(merged), w, func(wid, i int) error {
-			a := chunks[2*i]
-			if 2*i+1 == len(chunks) {
-				merged[i] = a
-				return nil
-			}
-			m, err := ex.mergeRuns(a, chunks[2*i+1], keyVecs, keys)
-			merged[i] = m
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		chunks = merged
-	}
-	return in.Gather(chunks[0]), nil
 }
 
 // mergeRuns merges two sorted runs; equal keys take the left (earlier-input)

@@ -1,8 +1,8 @@
 package engine
 
-// Typed multi-column hash tables for the aggregate/distinct/join hot paths.
-// These replace the old fmt.Fprintf/strings.Builder string-key encoding: key
-// columns are hashed over their raw representation (int64 bits, normalized
+// Typed multi-column hashing for the aggregate/distinct/join hot paths, and
+// the hash-join build table (the group tables are localGroups in
+// exec_parallel.go). Key columns are hashed over their raw representation (int64 bits, normalized
 // float64 bits, string bytes) and equality is checked column-wise, so the
 // steady state allocates nothing per row.
 //
@@ -198,159 +198,54 @@ func tableCap(n int) int {
 	return c
 }
 
-// groupTable assigns a dense group id to every row of a key-column batch.
-type groupTable struct {
-	// rowGroup maps each input row to its group id.
-	rowGroup []int32
-	// groupRows holds the first input row of each group, in first-occurrence
-	// order (which is the output order of GROUP BY and DISTINCT).
-	groupRows []int32
-}
-
-// buildGroupTable hashes the key columns of n rows into dense group ids
-// with an open-addressing, linear-probe table. keys must be materialized
-// (non-const) vectors of length n.
-func buildGroupTable(keys []*Vec, n int) *groupTable {
-	gt := &groupTable{rowGroup: make([]int32, n)}
-	if len(keys) == 0 {
-		// No keys: every row is the single global group.
-		if n > 0 {
-			gt.groupRows = []int32{0}
-		}
-		return gt
-	}
-	modes := vecKeyModes(keys)
-	capacity := tableCap(n)
-	mask := uint64(capacity - 1)
-	slots := make([]int32, capacity)
-	for i := range slots {
-		slots[i] = -1
-	}
-	for r := 0; r < n; r++ {
-		h := hashKeyRow(keys, modes, r)
-		p := h & mask
-		for {
-			g := slots[p]
-			if g < 0 {
-				g = int32(len(gt.groupRows))
-				gt.groupRows = append(gt.groupRows, int32(r))
-				slots[p] = g
-				gt.rowGroup[r] = g
-				break
-			}
-			if keyRowsEqual(keys, r, keys, int(gt.groupRows[g]), modes) {
-				gt.rowGroup[r] = g
-				break
-			}
-			p = (p + 1) & mask
-		}
-	}
-	return gt
-}
-
-// joinTable is the build side of a hash join: rows are chained per bucket
-// in ascending row order so probe output preserves the original
-// build-insertion order.
-type joinTable struct {
-	keys  []*Vec
-	modes []keyMode
-	slots []int32 // bucket heads (build row index, -1 empty)
-	next  []int32 // chain: next build row in the same bucket, -1 end
-	mask  uint64
-}
-
-// buildJoinTable indexes the right-side key columns (length n).
-func buildJoinTable(keys []*Vec, n int, modes []keyMode) *joinTable {
-	capacity := tableCap(n)
-	jt := &joinTable{
-		keys:  keys,
-		modes: modes,
-		slots: make([]int32, capacity),
-		next:  make([]int32, n),
-		mask:  uint64(capacity - 1),
-	}
-	for i := range jt.slots {
-		jt.slots[i] = -1
-	}
-	// Insert in reverse so each chain reads in ascending row order.
-	for r := n - 1; r >= 0; r-- {
-		p := hashKeyRow(keys, modes, r) & jt.mask
-		jt.next[r] = jt.slots[p]
-		jt.slots[p] = int32(r)
-	}
-	return jt
-}
-
-// probe appends the build rows matching probe row l (of probeKeys) to dst,
-// in build order.
-func (jt *joinTable) probe(probeKeys []*Vec, l int, dst []int32) []int32 {
-	p := hashKeyRow(probeKeys, jt.modes, l) & jt.mask
-	for e := jt.slots[p]; e >= 0; e = jt.next[e] {
-		if keyRowsEqual(probeKeys, l, jt.keys, int(e), jt.modes) {
-			dst = append(dst, e)
-		}
-	}
-	return dst
-}
-
-// joinIndex is the probe side's view of a hash-join build: the serial
-// single-table build and the parallel radix-partitioned build both satisfy
-// it, so the probe loop is build-agnostic.
-type joinIndex interface {
-	probe(probeKeys []*Vec, l int, dst []int32) []int32
-}
-
-// partedJoinTable is the parallel hash-join build: build rows are radix-
-// partitioned by the high bits of their key hash, and each partition holds
-// an independent open-addressing table built by one worker. Probes hash
-// once, select the partition, and chain through it; chains read in
-// ascending build-row order, so probe output matches the serial table
-// exactly.
+// partedJoinTable is the build side of a hash join (buildJoinIndex): build
+// rows are radix-partitioned by the high bits of their key hash, and each
+// partition holds an independent open-addressing table built as one task
+// (one partition at one worker). A bucket chains build rows through next,
+// which is indexed by build row and shared by the partitions (each writes
+// only its own rows). Probes hash once, select the partition, and chain
+// through it; chains read in ascending build-row order, so probe output is
+// in build-row order at any worker count.
 type partedJoinTable struct {
 	keys  []*Vec
 	modes []keyMode
 	parts []joinPart
-	shift uint // partition id = hash >> shift
+	next  []int32 // next build row in the same bucket, -1 at the end
+	shift uint    // partition id = hash >> shift
 }
 
-// joinPart is one partition's table: rows lists the partition's build rows
-// ascending, slots/next chain local indices into rows.
+// joinPart is one partition's bucket heads (build rows, -1 empty).
 type joinPart struct {
-	rows  []int32
-	next  []int32
 	slots []int32
 	mask  uint64
 }
 
-// buildJoinPart indexes one partition's rows; hashes is the full build-side
-// hash array (indexed by global row). Inserting in reverse leaves every
-// bucket chain in ascending build-row order.
-func buildJoinPart(rows []int32, hashes []uint64) joinPart {
+// buildJoinPart indexes one partition's build rows (ascending); hashes and
+// next are indexed by build row. Inserting in reverse leaves every bucket
+// chain in ascending build-row order.
+func buildJoinPart(rows []int32, hashes []uint64, next []int32) joinPart {
 	capacity := tableCap(len(rows))
-	jp := joinPart{
-		rows:  rows,
-		next:  make([]int32, len(rows)),
-		slots: make([]int32, capacity),
-		mask:  uint64(capacity - 1),
-	}
+	jp := joinPart{slots: make([]int32, capacity), mask: uint64(capacity - 1)}
 	for i := range jp.slots {
 		jp.slots[i] = -1
 	}
 	for i := len(rows) - 1; i >= 0; i-- {
-		p := hashes[rows[i]] & jp.mask
-		jp.next[i] = jp.slots[p]
-		jp.slots[p] = int32(i)
+		r := rows[i]
+		p := hashes[r] & jp.mask
+		next[r] = jp.slots[p]
+		jp.slots[p] = r
 	}
 	return jp
 }
 
+// probe appends the build rows matching probe row l (of probeKeys) to dst,
+// in build order.
 func (pt *partedJoinTable) probe(probeKeys []*Vec, l int, dst []int32) []int32 {
 	h := hashKeyRow(probeKeys, pt.modes, l)
 	jp := &pt.parts[h>>pt.shift]
-	for e := jp.slots[h&jp.mask]; e >= 0; e = jp.next[e] {
-		r := jp.rows[e]
-		if keyRowsEqual(probeKeys, l, pt.keys, int(r), pt.modes) {
-			dst = append(dst, r)
+	for e := jp.slots[h&jp.mask]; e >= 0; e = pt.next[e] {
+		if keyRowsEqual(probeKeys, l, pt.keys, int(e), pt.modes) {
+			dst = append(dst, e)
 		}
 	}
 	return dst

@@ -99,26 +99,11 @@ func mustPlan(t testing.TB, db *DB, query string, level opt.Level) *opt.Plan {
 
 // walkScans visits every Scan of a plan.
 func walkScans(n opt.Node, fn func(*opt.Scan)) {
-	switch x := n.(type) {
-	case *opt.Scan:
-		fn(x)
-	case *opt.Filter:
-		walkScans(x.Input, fn)
-	case *opt.Predict:
-		walkScans(x.Input, fn)
-	case *opt.Join:
-		walkScans(x.Left, fn)
-		walkScans(x.Right, fn)
-	case *opt.Aggregate:
-		walkScans(x.Input, fn)
-	case *opt.Project:
-		walkScans(x.Input, fn)
-	case *opt.Distinct:
-		walkScans(x.Input, fn)
-	case *opt.Sort:
-		walkScans(x.Input, fn)
-	case *opt.Limit:
-		walkScans(x.Input, fn)
+	if s, ok := n.(*opt.Scan); ok {
+		fn(s)
+	}
+	for _, in := range opt.Inputs(n) {
+		walkScans(in, fn)
 	}
 }
 

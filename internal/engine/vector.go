@@ -16,7 +16,7 @@ package engine
 //   - Nulls are a side mask (nil when the vector has no nulls). Null slots
 //     always hold the zero value of the type, matching how Column stores
 //     NULLs, so a Vec can alias or become a Column without rewriting.
-//   - Predicates reduce to []bool truth masks; filterRowSet turns a mask
+//   - Predicates reduce to []bool truth masks; filterGather turns a mask
 //     into a selection vector ([]int32 row ids) and gathers once.
 //
 // Kernels use fast typed loops when both operands are non-null and of a

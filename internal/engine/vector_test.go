@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/opt"
 	"repro/internal/sql"
 )
 
@@ -189,6 +190,14 @@ func parseTestExpr(t testing.TB, src string) sql.Expr {
 
 // --- typed hash semantics -------------------------------------------------
 
+// groupOneTable assigns rows [lo, hi) of keys to lg, the way one worker does
+// for the morsels it pulls, and returns the rows' local group ids.
+func groupOneTable(lg *localGroups, keys []*Vec, lo, hi int) []int32 {
+	gids := make([]int32, hi)
+	lg.assign(keys, vecKeyModes(keys), gids, lo, hi)
+	return gids
+}
+
 // TestGroupKeyFloatSemantics pins the float group-key fix: -0.0 and +0.0
 // fall in one group (the old "%g" string encoding split them) and NaN
 // groups with NaN.
@@ -223,14 +232,15 @@ func TestGroupKeyFloatSemantics(t *testing.T) {
 	// NaN groups with NaN at the hash-table level.
 	nan := math.NaN()
 	keys := []*Vec{{Type: TypeFloat, Floats: []float64{nan, 1, nan, math.Copysign(0, -1), 0}}}
-	gt := buildGroupTable(keys, 5)
-	if len(gt.groupRows) != 3 {
-		t.Fatalf("NaN/zero normalization: %d groups, want 3", len(gt.groupRows))
+	lg := &localGroups{}
+	gids := groupOneTable(lg, keys, 0, 5)
+	if len(lg.groupRows) != 3 {
+		t.Fatalf("NaN/zero normalization: %d groups, want 3", len(lg.groupRows))
 	}
-	if gt.rowGroup[0] != gt.rowGroup[2] {
+	if gids[0] != gids[2] {
 		t.Error("NaN rows must share a group")
 	}
-	if gt.rowGroup[3] != gt.rowGroup[4] {
+	if gids[3] != gids[4] {
 		t.Error("-0.0 and +0.0 rows must share a group")
 	}
 }
@@ -240,14 +250,15 @@ func TestGroupKeyFloatSemantics(t *testing.T) {
 func TestGroupKeyNullSemantics(t *testing.T) {
 	nulls := []bool{true, false, true, false}
 	keys := []*Vec{{Type: TypeInt, Ints: []int64{0, 0, 0, 7}, Nulls: nulls}}
-	gt := buildGroupTable(keys, 4)
-	if len(gt.groupRows) != 3 {
-		t.Fatalf("groups = %d, want 3 (NULL, 0, 7)", len(gt.groupRows))
+	lg := &localGroups{}
+	gids := groupOneTable(lg, keys, 0, 4)
+	if len(lg.groupRows) != 3 {
+		t.Fatalf("groups = %d, want 3 (NULL, 0, 7)", len(lg.groupRows))
 	}
-	if gt.rowGroup[0] != gt.rowGroup[2] {
+	if gids[0] != gids[2] {
 		t.Error("NULL keys must share a group")
 	}
-	if gt.rowGroup[0] == gt.rowGroup[1] {
+	if gids[0] == gids[1] {
 		t.Error("NULL must not group with 0")
 	}
 
@@ -298,8 +309,10 @@ func TestJoinCrossTypeNumericKeys(t *testing.T) {
 	}
 }
 
-// TestGroupTableManyKeys stresses the open-addressing table with multi-
-// column keys against a reference map implementation.
+// TestGroupTableManyKeys stresses the open-addressing group tables with
+// multi-column keys against a reference map implementation: one table over
+// every row, and three tables over interleaved row ranges folded by
+// mergeLocalGroups, must both number the groups in first-occurrence order.
 func TestGroupTableManyKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	n := 5000
@@ -310,7 +323,7 @@ func TestGroupTableManyKeys(t *testing.T) {
 		b[i] = fmt.Sprintf("s%d", r.Intn(40))
 	}
 	keys := []*Vec{{Type: TypeInt, Ints: a}, {Type: TypeString, Strs: b}}
-	gt := buildGroupTable(keys, n)
+	modes := vecKeyModes(keys)
 
 	ref := map[string]int{}
 	var refOrder []string
@@ -325,33 +338,77 @@ func TestGroupTableManyKeys(t *testing.T) {
 		}
 		refGroup[i] = g
 	}
-	if len(gt.groupRows) != len(refOrder) {
-		t.Fatalf("groups = %d, want %d", len(gt.groupRows), len(refOrder))
-	}
-	for i := 0; i < n; i++ {
-		if int(gt.rowGroup[i]) != refGroup[i] {
-			t.Fatalf("row %d: group %d, want %d", i, gt.rowGroup[i], refGroup[i])
+	for _, nTables := range []int{1, 3} {
+		tables := make([]*localGroups, nTables)
+		for i := range tables {
+			tables[i] = &localGroups{}
+		}
+		local := make([]int32, n) // each row's group id in its own table
+		owner := make([]int, n)   // the table that grouped the row
+		const span = 97
+		for lo, c := 0, 0; lo < n; lo, c = lo+span, c+1 {
+			hi := min(lo+span, n)
+			tables[c%nTables].assign(keys, modes, local, lo, hi)
+			for r := lo; r < hi; r++ {
+				owner[r] = c % nTables
+			}
+		}
+		glob, _, remap := mergeLocalGroups(keys, modes, tables)
+		if len(glob.groupRows) != len(refOrder) {
+			t.Fatalf("%d tables: groups = %d, want %d", nTables, len(glob.groupRows), len(refOrder))
+		}
+		for i := 0; i < n; i++ {
+			g := local[i]
+			if remap != nil {
+				g = remap[owner[i]][g]
+			}
+			if int(g) != refGroup[i] {
+				t.Fatalf("%d tables: row %d: group %d, want %d", nTables, i, g, refGroup[i])
+			}
 		}
 	}
 }
 
 // TestJoinTableChainOrder verifies probe hits come back in build-row order
-// (which keeps join output byte-identical to the old map of row lists).
+// (which keeps join output byte-identical to the old map of row lists), from
+// one partition at one worker and from eight at four workers. The build side
+// is padded past the parallel threshold with keys no probe asks for.
 func TestJoinTableChainOrder(t *testing.T) {
-	build := []*Vec{{Type: TypeInt, Ints: []int64{7, 3, 7, 7, 3}}}
+	ints := make([]int64, 4*morselRows)
+	copy(ints, []int64{7, 3, 7, 7, 3})
+	for r := 5; r < len(ints); r++ {
+		ints[r] = int64(1000 + r)
+	}
+	build := []*Vec{{Type: TypeInt, Ints: ints}}
 	modes := vecKeyModes(build)
-	jt := buildJoinTable(build, 5, modes)
 	probe := []*Vec{{Type: TypeInt, Ints: []int64{7, 3, 9}}}
-	got := jt.probe(probe, 0, nil)
-	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("probe(7) = %v, want [0 2 3]", got)
-	}
-	got = jt.probe(probe, 1, nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Errorf("probe(3) = %v, want [1 4]", got)
-	}
-	if got := jt.probe(probe, 2, nil); len(got) != 0 {
-		t.Errorf("probe(9) = %v, want empty", got)
+	for _, workers := range []int{1, 4} {
+		ex := &executor{o: ExecOptions{Level: opt.LevelParallel, Parallelism: workers}}
+		if got := ex.workers(len(ints)); got != workers {
+			t.Fatalf("workers(%d) = %d, want %d", len(ints), got, workers)
+		}
+		jt, err := ex.buildJoinIndex(build, len(ints), modes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2 * workers
+		if workers == 1 {
+			want = 1
+		}
+		if len(jt.parts) != want {
+			t.Errorf("workers=%d: %d partitions, want %d", workers, len(jt.parts), want)
+		}
+		got := jt.probe(probe, 0, nil)
+		if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+			t.Errorf("workers=%d: probe(7) = %v, want [0 2 3]", workers, got)
+		}
+		got = jt.probe(probe, 1, nil)
+		if len(got) != 2 || got[0] != 1 || got[1] != 4 {
+			t.Errorf("workers=%d: probe(3) = %v, want [1 4]", workers, got)
+		}
+		if got := jt.probe(probe, 2, nil); len(got) != 0 {
+			t.Errorf("workers=%d: probe(9) = %v, want empty", workers, got)
+		}
 	}
 }
 
@@ -435,7 +492,11 @@ func TestFilterMatchesInterpreter(t *testing.T) {
 	}
 	for _, src := range preds {
 		e := parseTestExpr(t, src)
-		got, err := ex.filterRowSet(rs, e)
+		vec, err := compileVec(e, rs.Schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ex.filterGather(rs, rs, vec)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}

@@ -119,8 +119,6 @@ type Predict struct {
 	OutName string
 	// Compare, when non-nil, fuses a threshold filter into the operator.
 	Compare *CompareSpec
-	// RowMode forces row-at-a-time evaluation (LevelUDF).
-	RowMode bool
 }
 
 // Join is an equi-join with an ON condition.
@@ -188,6 +186,30 @@ func (*Project) node()   {}
 func (*Distinct) node()  {}
 func (*Sort) node()      {}
 func (*Limit) node()     {}
+
+// Inputs returns the children of n, left before right: none for a Scan or a
+// nil node. Plan walks that only look for a node type recurse through it.
+func Inputs(n Node) []Node {
+	switch x := n.(type) {
+	case *Filter:
+		return []Node{x.Input}
+	case *Predict:
+		return []Node{x.Input}
+	case *Join:
+		return []Node{x.Left, x.Right}
+	case *Aggregate:
+		return []Node{x.Input}
+	case *Project:
+		return []Node{x.Input}
+	case *Distinct:
+		return []Node{x.Input}
+	case *Sort:
+		return []Node{x.Input}
+	case *Limit:
+		return []Node{x.Input}
+	}
+	return nil
+}
 
 // Report records which optimizations fired, for ablation benches and the
 // EXPLAIN-style output in examples.

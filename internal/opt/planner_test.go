@@ -139,23 +139,11 @@ func TestPlanPushUpOnlyWhenScoreUnused(t *testing.T) {
 	}
 	// The predict node's graph must have lost its sigmoid.
 	var pn *Predict
-	var walk func(n Node)
-	walk = func(n Node) {
-		switch x := n.(type) {
-		case *Predict:
-			pn = x
-			walk(x.Input)
-		case *Project:
-			walk(x.Input)
-		case *Filter:
-			walk(x.Input)
-		case *Limit:
-			walk(x.Input)
-		case *Sort:
-			walk(x.Input)
+	walkPlan(pl.Root, func(n Node) {
+		if p, ok := n.(*Predict); ok {
+			pn = p
 		}
-	}
-	walk(pl.Root)
+	})
 	if pn == nil {
 		t.Fatal("no Predict node in plan")
 	}
@@ -423,24 +411,8 @@ func walkPlan(n Node, fn func(Node)) {
 		return
 	}
 	fn(n)
-	switch x := n.(type) {
-	case *Filter:
-		walkPlan(x.Input, fn)
-	case *Predict:
-		walkPlan(x.Input, fn)
-	case *Join:
-		walkPlan(x.Left, fn)
-		walkPlan(x.Right, fn)
-	case *Aggregate:
-		walkPlan(x.Input, fn)
-	case *Project:
-		walkPlan(x.Input, fn)
-	case *Distinct:
-		walkPlan(x.Input, fn)
-	case *Sort:
-		walkPlan(x.Input, fn)
-	case *Limit:
-		walkPlan(x.Input, fn)
+	for _, in := range Inputs(n) {
+		walkPlan(in, fn)
 	}
 }
 
