@@ -373,7 +373,10 @@ func TestCursorBoundedMemory(t *testing.T) {
 		if batch%32 == 0 {
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			if live := ms.HeapAlloc - baseline; live > maxLive {
+			// The heap can shrink below the baseline (a collection frees
+			// garbage older than the cursor); that is zero live bytes, not
+			// an unsigned wrap-around.
+			if live := ms.HeapAlloc - min(ms.HeapAlloc, baseline); live > maxLive {
 				maxLive = live
 			}
 		}

@@ -3,8 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 )
@@ -82,10 +80,11 @@ func (db *DB) noteWALErr(err error) {
 // underlying fault (full disk, failed device) is resolved: under an
 // exclusive commit barrier it writes the current in-memory state — which
 // contains every acknowledged write, plus any installed-but-unacked
-// statements whose clients saw errors — as a fresh durable snapshot,
-// discards the poisoned log and any folded segments, and attaches a fresh
-// WAL continuing the LSN sequence. On failure (the disk is still bad) the
-// DB stays degraded and the error explains why.
+// statements whose clients saw errors — as a fresh durable snapshot and
+// rebases the data directory onto it (rebaseLocked): the poisoned log and
+// any segments are retired and a fresh WAL continues the LSN sequence. On
+// failure (the disk is still bad) the DB stays degraded and the error
+// explains why.
 //
 // Also valid on a healthy DB, where it is equivalent to a checkpoint that
 // additionally swaps the log file.
@@ -107,53 +106,14 @@ func (db *DB) ReopenWAL() error {
 	// holds a superset of every durably acked statement (commit order is
 	// install-then-ack), so folding it durably loses nothing.
 	snap := db.buildSnapshotLocked()
-	if db.wal != nil {
-		db.wal.mu.Lock()
-		if db.wal.lsn > snap.LSN {
-			snap.LSN = db.wal.lsn
-		}
-		db.wal.mu.Unlock()
-	} else if db.replayLSN > snap.LSN {
-		snap.LSN = db.replayLSN
-	}
-	if err := writeSnapshotFile(filepath.Join(db.durDir, snapshotFile), snap); err != nil {
+	if err := db.rebaseLocked(snap.LSN, "snapshot", snap.encode, nil); err != nil {
 		return fmt.Errorf("engine: reopen: %w", err)
 	}
-
-	// The snapshot now covers everything; the old log and any segments are
-	// garbage. Discard the poisoned handle (best-effort close, bypassing
-	// failpoints) and remove the files — removal failures are tolerable
-	// because recovery skips their records by LSN anyway.
-	if db.wal != nil {
-		db.wal.discard()
-	}
-	if entries, err := os.ReadDir(db.durDir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, walSegSuffix) {
-				if lsn, ok := segLSN(name); ok && lsn <= snap.LSN {
-					_ = os.Remove(filepath.Join(db.durDir, name))
-				}
-			}
-		}
-	}
-
-	w, err := createWAL(filepath.Join(db.durDir, walFile), db.walSync, snap.LSN)
-	if err != nil {
-		// Acked state is safe in the snapshot, but with no log to append to
-		// the DB must stay read-only.
-		db.noteWALErr(fmt.Errorf("%w: reopen could not create a fresh log: %w", ErrWALPoisoned, err))
-		return fmt.Errorf("engine: reopen: %w", err)
-	}
-	db.wal = w
-	db.retiredWAL = nil
-	db.walHorizon = snap.LSN // the old log and segments are gone
-	db.degraded.Store(nil)
 	return nil
 }
 
 // discard closes the underlying file ignoring errors and leaves the WAL
-// poisoned — the reopen path's teardown, where the log's content is already
+// poisoned — the rebase's teardown, where the log's content is already
 // superseded by a freshly written snapshot.
 func (w *WAL) discard() {
 	w.mu.Lock()
@@ -164,7 +124,7 @@ func (w *WAL) discard() {
 	}
 	w.broken = true
 	if w.syncErr == nil {
-		w.syncErr = fmt.Errorf("%w: log discarded by reopen", ErrWALPoisoned)
+		w.syncErr = fmt.Errorf("%w: log discarded by a snapshot rebase", ErrWALPoisoned)
 	}
 	w.cond.Broadcast()
 	w.notifyLocked()

@@ -3,9 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"time"
 )
 
@@ -76,11 +73,11 @@ func (db *DB) Fenced() (bool, int64, string) {
 // PromoteToLeader turns a replica into the leader of a new epoch: under an
 // exclusive commit barrier it folds the replayed state — which contains
 // every frame the old leader shipped, a superset of every quorum-acked
-// write — into a fresh durable snapshot stamped epoch+1, discards the old
-// log (reusing the ReopenWAL machinery), attaches a fresh WAL continuing
-// the LSN sequence, appends a durable WALEpoch record so the transition
-// ships in-band to other followers, and opens the write gate by leaving
-// replica mode. Returns the new epoch.
+// write — into a fresh durable snapshot stamped epoch+1, rebases the data
+// directory onto it through the same rebaseLocked as ReopenWAL (old log
+// retired, a fresh WAL continuing the LSN sequence), appends a durable
+// WALEpoch record so the transition ships in-band to other followers, and
+// opens the write gate by leaving replica mode. Returns the new epoch.
 //
 // On failure the node stays a read-only replica: at most one writable node
 // exists under any schedule, including a crash mid-promotion (recovery
@@ -106,58 +103,23 @@ func (db *DB) PromoteToLeader() (int64, error) {
 		newEpoch = f.observed + 1
 	}
 
-	snap := db.buildSnapshotLocked()
-	if db.wal != nil {
-		db.wal.mu.Lock()
-		if db.wal.lsn > snap.LSN {
-			snap.LSN = db.wal.lsn
-		}
-		db.wal.mu.Unlock()
-	} else if db.replayLSN > snap.LSN {
-		snap.LSN = db.replayLSN
-	}
 	// The fold point is the last LSN of the old epoch: frames above it (the
 	// WALEpoch record and everything after) belong to the new generation.
+	snap := db.buildSnapshotLocked()
 	snap.Epoch = newEpoch
 	snap.EpochStart = snap.LSN
-	if err := writeSnapshotFile(filepath.Join(db.durDir, snapshotFile), snap); err != nil {
+	// A failure past the fold leaves a degraded read-only replica, never a
+	// half-promoted leader.
+	if err := db.rebaseLocked(snap.LSN, "snapshot", snap.encode, nil); err != nil {
 		return 0, fmt.Errorf("engine: promote: %w", err)
 	}
-
-	// The stamped snapshot now covers the whole shared prefix; the old log
-	// and segments are garbage (same teardown as ReopenWAL).
-	if db.wal != nil {
-		db.wal.discard()
-	}
-	if entries, err := os.ReadDir(db.durDir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, walSegSuffix) {
-				if lsn, ok := segLSN(name); ok && lsn <= snap.LSN {
-					_ = os.Remove(filepath.Join(db.durDir, name))
-				}
-			}
-		}
-	}
-
-	w, err := createWAL(filepath.Join(db.durDir, walFile), db.walSync, snap.LSN)
-	if err != nil {
-		// The fold succeeded but there is no log to lead with: stay a
-		// read-only replica (degraded), never a half-promoted leader.
-		db.noteWALErr(fmt.Errorf("%w: promote could not create a fresh log: %w", ErrWALPoisoned, err))
-		return 0, fmt.Errorf("engine: promote: %w", err)
-	}
-	db.wal = w
-	db.retiredWAL = nil
-	db.walHorizon = snap.LSN
-	db.replayLSN = snap.LSN
 
 	// The epoch record is the first frame of the new generation. It must be
 	// durable before the node leads: a leader whose own epoch transition
 	// could vanish in a crash would resurrect at the old epoch, unfenced.
-	lsn, err := w.appendFrame(&WALRecord{Kind: WALEpoch, Epoch: newEpoch}, true)
+	lsn, err := db.wal.appendFrame(&WALRecord{Kind: WALEpoch, Epoch: newEpoch}, true)
 	if err == nil {
-		err = w.waitDurable(lsn)
+		err = db.wal.waitDurable(lsn)
 	}
 	if err != nil {
 		db.noteWALErr(err)
@@ -168,7 +130,6 @@ func (db *DB) PromoteToLeader() (int64, error) {
 	db.epochStart.Store(snap.EpochStart)
 	db.fenced.Store(nil)
 	db.replica.Store(nil) // the write gate opens last: everything above is in place
-	db.degraded.Store(nil)
 	return newEpoch, nil
 }
 

@@ -106,7 +106,8 @@ func (db *DB) buildSnapshotLocked() savedDB {
 	return snap
 }
 
-func encodeSnapshot(w io.Writer, snap savedDB) error {
+// encode writes the snapshot stream: magic, then the gob-encoded image.
+func (snap savedDB) encode(w io.Writer) error {
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return fmt.Errorf("engine: SaveSnapshot: %w", err)
 	}
@@ -121,7 +122,7 @@ func encodeSnapshot(w io.Writer, snap savedDB) error {
 // statement-level commit barrier, so concurrent DML cannot tear it; the
 // encoding happens after the barrier is released.
 func (db *DB) SaveSnapshot(w io.Writer) error {
-	return encodeSnapshot(w, db.buildSnapshot())
+	return db.buildSnapshot().encode(w)
 }
 
 func copyColumn(c Column) Column {
@@ -236,7 +237,7 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 // same directory, fsync, atomic rename, directory fsync — the export path
 // (e.g. flock-sql's \save) shares the checkpoint's write discipline.
 func (db *DB) SaveSnapshotFile(path string) error {
-	return writeSnapshotFile(path, db.buildSnapshot())
+	return writeFileDurable(path, "snapshot", db.buildSnapshot().encode)
 }
 
 // SnapshotBytes is a convenience wrapper returning the snapshot as a blob.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -513,13 +514,11 @@ func OpenDirDB(dir string, syncWAL bool) (*DB, RecoveryInfo, error) {
 	// Consolidate: fold whatever we replayed into a durable snapshot so the
 	// old segments can be retired before new commits arrive.
 	if len(files) > 0 {
-		if err := writeSnapshotFile(snapPath, db.buildSnapshot()); err != nil {
+		if err := writeFileDurable(snapPath, "snapshot", db.buildSnapshot().encode); err != nil {
 			return nil, info, err
 		}
-		for _, path := range files {
-			if err := os.Remove(path); err != nil {
-				return nil, info, fmt.Errorf("engine: retiring %s: %w", path, err)
-			}
+		if err := retireWAL(dir, retireAll); err != nil {
+			return nil, info, err
 		}
 	}
 
@@ -584,7 +583,7 @@ func (db *DB) replayWALFile(path string) (applied, skipped int, torn bool, err e
 		return 0, 0, false, err
 	}
 	defer func() { _ = f.Close() }()
-	return db.replayWAL(f)
+	return db.ReplayWAL(f)
 }
 
 // ReplayWAL applies a WAL stream (header + frames) to the database,
@@ -592,36 +591,53 @@ func (db *DB) replayWALFile(path string) (applied, skipped int, torn bool, err e
 // same log twice is a no-op. It reports the applied/skipped record counts
 // and whether the stream ended in a torn record.
 func (db *DB) ReplayWAL(r io.Reader) (applied, skipped int, torn bool, err error) {
-	return db.replayWAL(r)
-}
-
-func (db *DB) replayWAL(r io.Reader) (applied, skipped int, torn bool, err error) {
-	hdr := make([]byte, len(walHeader))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, true, nil // an empty/torn header: nothing was ever logged
-		}
-		return 0, 0, false, err
-	}
-	if string(hdr) != walHeader {
-		return 0, 0, false, fmt.Errorf("engine: not a WAL file (bad header)")
-	}
-	torn, err = ReadFrames(r, func(payload []byte) error {
-		var rec WALRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return fmt.Errorf("engine: wal decode: %w", err)
-		}
+	torn, err = readWAL(r, func(rec *WALRecord, _ []byte) error {
 		if rec.LSN <= db.replayLSN {
 			skipped++
 			return nil
 		}
-		if err := db.applyWALRecord(&rec); err != nil {
+		if err := db.applyWALRecord(rec); err != nil {
 			return err
 		}
 		applied++
 		return nil
 	})
 	return applied, skipped, torn, err
+}
+
+// readWAL is the one reader of WAL files, shared by boot replay and the
+// log shipper: it checks the header, then hands each intact frame's decoded
+// record and raw payload to fn. It reports whether the stream ended in a
+// torn frame; an empty or torn header reads as a torn empty log (nothing
+// was ever logged).
+func readWAL(r io.Reader, fn func(rec *WALRecord, payload []byte) error) (torn bool, err error) {
+	hdr := make([]byte, len(walHeader))
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return true, nil
+		}
+		return false, err
+	}
+	if string(hdr) != walHeader {
+		return false, fmt.Errorf("engine: not a WAL file (bad header)")
+	}
+	return ReadFrames(r, func(payload []byte) error {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			return err
+		}
+		return fn(&rec, payload)
+	})
+}
+
+// decodeWALRecord decodes one frame payload — from a log file or a shipped
+// batch — into its record.
+func decodeWALRecord(payload []byte) (WALRecord, error) {
+	var rec WALRecord
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		return rec, fmt.Errorf("engine: wal decode: %w", err)
+	}
+	return rec, nil
 }
 
 // applyWALRecord re-executes one committed statement's physical effect
@@ -711,7 +727,7 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 
-	if err := writeSnapshotFile(filepath.Join(db.durDir, snapshotFile), snap); err != nil {
+	if err := writeFileDurable(filepath.Join(db.durDir, snapshotFile), "snapshot", snap.encode); err != nil {
 		return err
 	}
 	// Frames at or below snap.LSN are folded: followers behind this point
@@ -719,58 +735,110 @@ func (db *DB) Checkpoint() error {
 	// so no ReadWALSince can observe the horizon ahead of the retirement).
 	db.walHorizon = snap.LSN
 	// The snapshot covers every rotated segment (snap.LSN >= their records);
-	// the live log holds only newer commits.
-	entries, err := os.ReadDir(db.durDir)
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint: %w", err)
+	// the live log holds only newer commits and stays.
+	return retireWAL(db.durDir, snap.LSN)
+}
+
+// rebaseLocked makes a freshly published snapshot the data directory's
+// whole history — the one transition behind ReopenWAL, PromoteToLeader and
+// BootstrapReplica. In order it:
+//
+//  1. publishes the snapshot, covering every record up to lsn, by running
+//     write under writeFileDurable with the point failpoints;
+//  2. discards the old log;
+//  3. runs install, which adopts in-memory state that must match the
+//     snapshot (nil when memory already does);
+//  4. retires every log file;
+//  5. starts a fresh wal.log whose next record is lsn+1.
+//
+// A failed publish changes nothing. Past it the old log is gone, so a later
+// failure degrades the DB to read-only — acked state is safe in the
+// snapshot — and a retry of the caller heals it. The caller holds ckptMu
+// and commitMu exclusively.
+func (db *DB) rebaseLocked(lsn int64, point string, write func(io.Writer) error, install func()) error {
+	if err := writeFileDurable(filepath.Join(db.durDir, snapshotFile), point, write); err != nil {
+		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, walSegSuffix) {
+	if db.wal != nil {
+		db.wal.discard()
+	}
+	if install != nil {
+		install()
+	}
+	err := retireWAL(db.durDir, retireAll)
+	var w *WAL
+	if err == nil {
+		w, err = createWAL(filepath.Join(db.durDir, walFile), db.walSync, lsn)
+	}
+	if err != nil {
+		db.noteWALErr(fmt.Errorf("%w: no fresh log after the snapshot at LSN %d: %w", ErrWALPoisoned, lsn, err))
+		return err
+	}
+	db.wal = w
+	db.retiredWAL = nil
+	db.replayLSN = lsn
+	db.walHorizon = lsn
+	db.degraded.Store(nil)
+	return nil
+}
+
+// retireAll is the retireWAL bound that retires the live log as well.
+const retireAll = math.MaxInt64
+
+// retireWAL deletes the data directory's log files whose records a durable
+// snapshot already holds: every rotated segment named at or below upTo, and
+// the live log only under retireAll (its records have no upper bound). The
+// first failure is returned: a log file that outlives its fold is replayed
+// by the next boot on top of a snapshot it does not belong to.
+func retireWAL(dir string, upTo int64) error {
+	files, err := walFilesInOrder(dir)
+	if err != nil {
+		return err
+	}
+	for _, path := range files {
+		lsn, ok := segLSN(filepath.Base(path))
+		if !ok {
+			lsn = retireAll // the live log
+		}
+		if lsn > upTo {
 			continue
 		}
-		if lsn, ok := segLSN(name); ok && lsn <= snap.LSN {
-			if err := os.Remove(filepath.Join(db.durDir, name)); err != nil {
-				return fmt.Errorf("engine: checkpoint: %w", err)
-			}
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("engine: retiring %s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-// writeSnapshotFile writes a snapshot durably and atomically: temp file in
-// the same directory, fsync, rename over the target, fsync the directory.
-func writeSnapshotFile(path string, snap savedDB) error {
+// writeFileDurable writes a file crash-safely: write fills a temp file in
+// the same directory, which is fsynced, closed and atomically renamed over
+// path, and then the directory is fsynced. Every step rides the point.*
+// failpoints (point.write, .fsync, .close, .rename, .dirsync), and until
+// the rename lands path keeps its old content.
+func writeFileDurable(path, point string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	raw, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
+		return fmt.Errorf("engine: writing %s: %w", filepath.Base(path), err)
 	}
-	tmp := fault.NewFile(raw, "snapshot")
-	tmpName := raw.Name()
-	fail := func(err error) error {
-		_ = tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("engine: snapshot: %w", err)
+	tmp := fault.NewFile(raw, point)
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := encodeSnapshot(tmp, snap); err != nil {
-		return fail(err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = fault.Rename(point+".rename", raw.Name(), path)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := fault.Rename("snapshot.rename", tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("engine: snapshot: %w", err)
+	if err != nil {
+		_ = os.Remove(raw.Name())
+		return fmt.Errorf("engine: writing %s: %w", filepath.Base(path), err)
 	}
 	// Make the rename itself durable; best-effort where the platform does
-	// not support directory fsync, and a chaos schedule can fail it via
-	// the snapshot.dirsync point.
-	_ = fault.SyncDir("snapshot.dirsync", dir)
+	// not support directory fsync.
+	_ = fault.SyncDir(point+".dirsync", dir)
 	return nil
 }
 

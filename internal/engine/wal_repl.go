@@ -2,17 +2,13 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fault"
 )
 
 // Replication hooks over the write-ahead log. The WAL is already a
@@ -204,32 +200,39 @@ func (db *DB) ReadWALSince(fromLSN int64, maxBytes int, fn func(lsn int64, paylo
 		if lsn, ok := segLSN(filepath.Base(path)); ok && lsn <= fromLSN {
 			continue // the whole segment predates the request
 		}
-		stop, rerr := readWALFileRange(path, func(recLSN int64, payload []byte) error {
-			if recLSN <= fromLSN {
+		f, err := os.Open(path)
+		if err != nil {
+			return last, durable, err
+		}
+		// A torn tail ends the file silently: frames past the durable
+		// watermark may legitimately be mid-append.
+		_, err = readWAL(f, func(rec *WALRecord, payload []byte) error {
+			if rec.LSN <= fromLSN {
 				return nil
 			}
-			if recLSN > durable {
+			if rec.LSN > durable {
 				return errStopRead
 			}
-			if recLSN != expect {
-				return fmt.Errorf("engine: wal gap in %s: frame %d after %d", path, recLSN, expect-1)
+			if rec.LSN != expect {
+				return fmt.Errorf("engine: wal gap: frame %d after %d", rec.LSN, expect-1)
 			}
 			if sentBytes > 0 && sentBytes+len(payload) > maxBytes {
 				return errStopRead
 			}
-			if err := fn(recLSN, payload); err != nil {
+			if err := fn(rec.LSN, payload); err != nil {
 				return err
 			}
-			last = recLSN
+			last = rec.LSN
 			expect++
 			sentBytes += len(payload)
 			return nil
 		})
-		if rerr != nil {
-			return last, durable, rerr
-		}
-		if stop {
+		_ = f.Close()
+		if errors.Is(err, errStopRead) {
 			return last, durable, nil
+		}
+		if err != nil {
+			return last, durable, fmt.Errorf("engine: reading %s: %w", path, err)
 		}
 	}
 	if last < durable {
@@ -238,39 +241,6 @@ func (db *DB) ReadWALSince(fromLSN int64, maxBytes int, fn func(lsn int64, paylo
 		return last, durable, fmt.Errorf("engine: wal ends at %d but the durable watermark is %d (missing frames)", last, durable)
 	}
 	return last, durable, nil
-}
-
-// readWALFileRange streams one WAL file's frames (decoding each record just
-// far enough to learn its LSN) to fn. A torn tail ends the scan silently —
-// frames past the durable watermark may legitimately be mid-append — and
-// an errStopRead from fn reports stop=true.
-func readWALFileRange(path string, fn func(lsn int64, payload []byte) error) (stop bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer func() { _ = f.Close() }()
-	hdr := make([]byte, len(walHeader))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, err
-	}
-	if string(hdr) != walHeader {
-		return false, fmt.Errorf("engine: %s is not a WAL file", path)
-	}
-	_, err = ReadFrames(f, func(payload []byte) error {
-		var rec WALRecord
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
-			return fmt.Errorf("engine: wal decode in %s: %w", path, derr)
-		}
-		return fn(rec.LSN, payload)
-	})
-	if errors.Is(err, errStopRead) {
-		return true, nil
-	}
-	return false, err
 }
 
 // SnapshotForShip returns the on-disk snapshot (the follower bootstrap
@@ -313,9 +283,9 @@ func (db *DB) ApplyReplicated(payload []byte) (lsn int64, err error) {
 	if !db.IsReplica() {
 		return 0, ErrNotReplica
 	}
-	var rec WALRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return 0, fmt.Errorf("engine: replicated frame decode: %w", err)
+	rec, err := decodeWALRecord(payload)
+	if err != nil {
+		return 0, fmt.Errorf("engine: replicated frame: %w", err)
 	}
 	// The epoch gate runs before any LSN comparison: an epoch-transition
 	// record from a superseded generation must never enter the local log,
@@ -357,9 +327,10 @@ func (db *DB) ApplyReplicated(payload []byte) (lsn int64, err error) {
 
 // BootstrapReplica resets a replica from a leader snapshot stream (the
 // recovery path when the leader's checkpoint horizon has passed the
-// replica's position): validate and decode the snapshot, persist it as the
-// local snapshot file, discard the local WAL and segments — their frames
-// are all covered — and start a fresh WAL at the snapshot's LSN. In-flight
+// replica's position): validate and decode the snapshot into a scratch
+// database, then rebase the data directory onto it (rebaseLocked): persist
+// it as the local snapshot file, adopt the scratch state, retire the local
+// WAL and segments, and start a fresh WAL at the snapshot's LSN. In-flight
 // local reads keep serving the pre-bootstrap table versions they hold;
 // new lookups see the rebased state.
 func (db *DB) BootstrapReplica(snapshot []byte) error {
@@ -383,83 +354,32 @@ func (db *DB) BootstrapReplica(snapshot []byte) error {
 		return fmt.Errorf("engine: bootstrap: %w", err)
 	}
 
-	// Persist the image durably before adopting it: a crash mid-bootstrap
-	// must recover either the old state or the new, never a mix.
-	if err := writeRawFileDurable(filepath.Join(db.durDir, snapshotFile), snapshot); err != nil {
-		return fmt.Errorf("engine: bootstrap: %w", err)
+	// Persist the image durably before adopting it, riding the bootstrap.*
+	// failpoints: a crash mid-bootstrap must recover either the old state or
+	// the new, never a mix. Every local log file goes, including a divergent
+	// tail past the snapshot.
+	write := func(w io.Writer) error {
+		_, err := w.Write(snapshot)
+		return err
 	}
-	if db.wal != nil {
-		db.wal.discard()
-	}
-	if entries, err := os.ReadDir(db.durDir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if name == walFile || (strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, walSegSuffix)) {
-				_ = os.Remove(filepath.Join(db.durDir, name))
-			}
+	adopt := func() {
+		db.mu.Lock()
+		db.tables = scratch.tables
+		db.log = scratch.log
+		db.logSeq = scratch.logSeq
+		db.mu.Unlock()
+		// Adopt the snapshot's leadership generation: a bootstrap from a
+		// post-promotion leader is exactly how a deposed node (its divergent
+		// tail now discarded) rejoins the new lineage, so any fence clears.
+		if e := scratch.epoch.Load(); e > 0 {
+			db.epoch.Store(e)
+			db.epochStart.Store(scratch.epochStart.Load())
 		}
+		db.fenced.Store(nil)
 	}
-
-	db.mu.Lock()
-	db.tables = scratch.tables
-	db.log = scratch.log
-	db.logSeq = scratch.logSeq
-	db.mu.Unlock()
-	db.replayLSN = scratch.replayLSN
-	db.walHorizon = scratch.replayLSN
-	// Adopt the snapshot's leadership generation: a bootstrap from a
-	// post-promotion leader is exactly how a deposed node (its divergent
-	// tail now discarded) rejoins the new lineage, so any fence clears.
-	if e := scratch.epoch.Load(); e > 0 {
-		db.epoch.Store(e)
-		db.epochStart.Store(scratch.epochStart.Load())
-	}
-	db.fenced.Store(nil)
-
-	w, err := createWAL(filepath.Join(db.durDir, walFile), db.walSync, scratch.replayLSN)
-	if err != nil {
-		db.noteWALErr(fmt.Errorf("%w: bootstrap could not create a fresh log: %w", ErrWALPoisoned, err))
+	if err := db.rebaseLocked(scratch.replayLSN, "bootstrap", write, adopt); err != nil {
 		return fmt.Errorf("engine: bootstrap: %w", err)
 	}
-	db.wal = w
-	db.retiredWAL = nil
-	db.degraded.Store(nil)
-	return nil
-}
-
-// writeRawFileDurable writes pre-encoded bytes crash-safely: temp file,
-// fsync, atomic rename, directory fsync (the raw-bytes sibling of
-// writeSnapshotFile, used when the content arrives already encoded).
-// All I/O rides the "bootstrap.*" failpoints so replica-bootstrap chaos
-// schedules can tear any stage of the install.
-func writeRawFileDurable(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	raw, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := fault.NewFile(raw, "bootstrap")
-	tmpName := raw.Name()
-	fail := func(err error) error {
-		_ = tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := fault.Rename("bootstrap.rename", tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	_ = fault.SyncDir("bootstrap.dirsync", dir)
 	return nil
 }
 

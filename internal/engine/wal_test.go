@@ -296,7 +296,7 @@ func TestLoadSnapshotAllOrNothing(t *testing.T) {
 	}}
 	encode := func(s savedDB) []byte {
 		var buf bytes.Buffer
-		if err := encodeSnapshot(&buf, s); err != nil {
+		if err := s.encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
