@@ -416,127 +416,6 @@ func BenchmarkSnapshotPersistence(b *testing.B) {
 
 func bytesReader(b []byte) *bytes.Reader { return bytes.NewReader(b) }
 
-// Engine hot-path microbenchmarks: filter, group-by, and hash join over a
-// synthetic events/dims schema. These isolate the expression kernels and the
-// typed hash table from model scoring; run with -benchmem to see allocs/op.
-
-const benchRows = 200_000
-
-// benchDB builds an "events" fact table (200K rows, 1000 groups) and a
-// "dims" dimension table (10K rows) with a deterministic LCG so before/after
-// runs see identical data.
-func benchDB(b *testing.B) *engine.DB {
-	b.Helper()
-	db := engine.NewDB()
-	seed := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return seed >> 11
-	}
-	ids := make([]int64, benchRows)
-	grps := make([]int64, benchRows)
-	vals := make([]float64, benchRows)
-	cats := make([]string, benchRows)
-	catNames := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	for i := 0; i < benchRows; i++ {
-		ids[i] = int64(i)
-		grps[i] = int64(next() % 1000)
-		vals[i] = float64(next()%1_000_000) / 1000.0 // uniform [0, 1000)
-		cats[i] = catNames[next()%8]
-	}
-	if _, err := db.CreateTableFromColumns("events",
-		[]string{"id", "grp", "val", "cat"},
-		[]engine.Column{
-			engine.IntColumn(ids), engine.IntColumn(grps),
-			engine.FloatColumn(vals), engine.StringColumn(cats),
-		}); err != nil {
-		b.Fatal(err)
-	}
-	const dimRows = 10_000
-	ks := make([]int64, dimRows)
-	names := make([]string, dimRows)
-	for i := 0; i < dimRows; i++ {
-		ks[i] = int64(i)
-		names[i] = fmt.Sprintf("dim-%d", i)
-	}
-	if _, err := db.CreateTableFromColumns("dims",
-		[]string{"k", "name"},
-		[]engine.Column{engine.IntColumn(ks), engine.StringColumn(names)}); err != nil {
-		b.Fatal(err)
-	}
-	return db
-}
-
-// benchExec runs q single-threaded so the numbers measure kernel work, not
-// scheduling. The statement is parsed once up front: the loop measures
-// planning + execution, so allocs/op reflects the engine hot path rather
-// than the SQL lexer.
-func benchExec(b *testing.B, db *engine.DB, q string, wantRows int) {
-	b.Helper()
-	stmt, err := sqlpkg.ParseOne(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel, ok := stmt.(*sqlpkg.SelectStmt)
-	if !ok {
-		b.Fatalf("query %q is not a SELECT", q)
-	}
-	opts := engine.ExecOptions{Level: opt.LevelParallel, Parallelism: 1}
-	rs, _, err := db.ExecSelect(sel, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rs.N != wantRows {
-		b.Fatalf("query %q: %d rows, want %d", q, rs.N, wantRows)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, _, err := db.ExecSelect(sel, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rs.N != wantRows {
-			b.Fatalf("row count drifted: %d, want %d", rs.N, wantRows)
-		}
-	}
-}
-
-// BenchmarkFilter measures predicate evaluation + selection over 200K rows
-// (~1% selectivity, reduced by a global count so result conversion is not
-// part of the measurement).
-func BenchmarkFilter(b *testing.B) {
-	db := benchDB(b)
-	benchExec(b, db,
-		`SELECT count(*) AS n FROM events WHERE val > 985.0 AND grp <> 500 AND cat <> 'zeta'`,
-		1)
-}
-
-// BenchmarkGroupBy measures hash aggregation: 200K rows into 1000 groups
-// with count/sum/min/max.
-func BenchmarkGroupBy(b *testing.B) {
-	db := benchDB(b)
-	benchExec(b, db,
-		`SELECT grp, count(*) AS n, sum(val) AS s, min(val) AS lo, max(val) AS hi
-			FROM events GROUP BY grp`,
-		1000)
-}
-
-// BenchmarkHashJoin measures the build+probe path: 200K-row fact against a
-// 10K-row dimension on an int key, reduced by a global count.
-func BenchmarkHashJoin(b *testing.B) {
-	db := benchDB(b)
-	benchExec(b, db,
-		`SELECT count(*) AS n FROM events e JOIN dims d ON e.grp = d.k`,
-		1)
-}
-
-// BenchmarkDistinct measures duplicate elimination over the 8-value cat
-// column plus grp (8000 distinct pairs).
-func BenchmarkDistinct(b *testing.B) {
-	db := benchDB(b)
-	benchExec(b, db, `SELECT DISTINCT cat, grp FROM events`, 8000)
-}
-
 // ---- morsel-parallel operator benchmarks ----
 //
 // 1M-row inputs at workers=1 vs 8: the morsel queue's speedup target is
@@ -550,8 +429,9 @@ var (
 	parallelBenchDB *engine.DB
 )
 
-// benchParallelDB builds (once) a 1M-row events table and a 100K-row dims
-// table with the same deterministic LCG shape as benchDB.
+// benchParallelDBGet builds (once) a 1M-row events table and a 100K-row
+// dims table from a deterministic LCG, so before/after runs see identical
+// data.
 func benchParallelDBGet(b *testing.B) *engine.DB {
 	b.Helper()
 	parallelBenchMu.Lock()

@@ -3,22 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
 
 	"repro/internal/ml"
 	"repro/internal/onnx"
 	"repro/internal/sql"
 )
-
-// evalFunc evaluates a compiled expression for one row of a rowset. This
-// row-at-a-time interpreter is the engine's reference semantics: the batch
-// kernels in vector.go must agree with it (see
-// TestKernelInterpreterEquivalence), relational operators call the kernels,
-// and this path remains for row-mode PREDICT (the Figure-4 UDF baseline,
-// whose per-call cost must not be vectorized away), INSERT row evaluation,
-// and as the kernels' fallback tier.
-type evalFunc func(rs *RowSet, row int) (Value, error)
 
 // compileEnv supplies out-of-schema context to the compiler: model
 // resolution for row-mode PREDICT (the UDF path). UDF-mode predictions go
@@ -27,7 +16,7 @@ type evalFunc func(rs *RowSet, row int) (Value, error)
 type compileEnv struct {
 	// ctx is the query's cancellation context; row-mode PREDICT polls it
 	// before every scorer call so a hung scoring service cannot wedge the
-	// interpreter loop. nil means no cancellation.
+	// per-row loop. nil means no cancellation.
 	ctx        context.Context
 	sessionFor func(model string) (*onnx.Session, error)
 	remoteFor  func(model string) (onnx.Scorer, error)
@@ -37,576 +26,12 @@ type compileEnv struct {
 	plane PredictPlane
 }
 
-// compileExpr compiles e against the schema into an evaluator. All column
-// references are resolved at compile time.
-func compileExpr(e sql.Expr, schema Schema, env *compileEnv) (evalFunc, error) {
-	switch x := e.(type) {
-	case *sql.ColRef:
-		idx, err := schema.Resolve(x.Table, x.Name)
-		if err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			return rs.Cols[idx].Value(row), nil
-		}, nil
-
-	case *sql.Lit:
-		var v Value
-		switch x.Kind {
-		case sql.LitInt:
-			v = IntValue(x.I)
-		case sql.LitFloat:
-			v = FloatValue(x.F)
-		case sql.LitString:
-			v = StringValue(x.S)
-		case sql.LitBool:
-			v = BoolValue(x.B)
-		case sql.LitNull:
-			v = NullValue()
-		}
-		return func(rs *RowSet, row int) (Value, error) { return v, nil }, nil
-
-	case *sql.Unary:
-		inner, err := compileExpr(x.X, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			return func(rs *RowSet, row int) (Value, error) {
-				v, err := inner(rs, row)
-				if err != nil {
-					return Value{}, err
-				}
-				return BoolValue(!v.Truthy()), nil
-			}, nil
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			switch v.Kind {
-			case TypeInt:
-				return IntValue(-v.I), nil
-			case TypeFloat:
-				return FloatValue(-v.F), nil
-			}
-			return Value{}, fmt.Errorf("engine: cannot negate %s", v.Kind)
-		}, nil
-
-	case *sql.Binary:
-		return compileBinary(x, schema, env)
-
-	case *sql.Between:
-		inner, err := compileExpr(x.X, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExpr(x.Lo, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileExpr(x.Hi, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			lv, err := lo(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			hv, err := hi(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			c1, err := Compare(v, lv)
-			if err != nil {
-				return Value{}, err
-			}
-			c2, err := Compare(v, hv)
-			if err != nil {
-				return Value{}, err
-			}
-			in := c1 >= 0 && c2 <= 0
-			if x.Not {
-				in = !in
-			}
-			return BoolValue(in), nil
-		}, nil
-
-	case *sql.InList:
-		if x.Sub != nil {
-			return nil, fmt.Errorf("engine: IN subqueries are not executable")
-		}
-		inner, err := compileExpr(x.X, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		elems := make([]evalFunc, len(x.List))
-		for i, v := range x.List {
-			ev, err := compileExpr(v, schema, env)
-			if err != nil {
-				return nil, err
-			}
-			elems[i] = ev
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			for _, el := range elems {
-				ev, err := el(rs, row)
-				if err != nil {
-					return Value{}, err
-				}
-				if c, err := Compare(v, ev); err == nil && c == 0 {
-					return BoolValue(!x.Not), nil
-				}
-			}
-			return BoolValue(x.Not), nil
-		}, nil
-
-	case *sql.Like:
-		inner, err := compileExpr(x.X, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := compileExpr(x.Pattern, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			pv, err := pat(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if v.Kind != TypeString || pv.Kind != TypeString {
-				return Value{}, fmt.Errorf("engine: LIKE requires strings")
-			}
-			m := likeMatch(v.S, pv.S)
-			if x.Not {
-				m = !m
-			}
-			return BoolValue(m), nil
-		}, nil
-
-	case *sql.IsNull:
-		inner, err := compileExpr(x.X, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			isNull := v.Null
-			if x.Not {
-				isNull = !isNull
-			}
-			return BoolValue(isNull), nil
-		}, nil
-
-	case *sql.Case:
-		return compileCase(x, schema, env)
-
-	case *sql.FuncCall:
-		return compileFunc(x, schema, env)
-
-	case *sql.Predict:
-		return compilePredictUDF(x, schema, env)
-
-	case *sql.Interval:
-		return nil, fmt.Errorf("engine: INTERVAL is only valid in date arithmetic")
-
-	case *sql.Exists, *sql.Subquery:
-		return nil, fmt.Errorf("engine: subqueries are not executable")
-	}
-	return nil, fmt.Errorf("engine: unsupported expression %T", e)
-}
-
-func compileBinary(x *sql.Binary, schema Schema, env *compileEnv) (evalFunc, error) {
-	// Date +/- INTERVAL folds to a constant-shift evaluator.
-	if iv, ok := x.R.(*sql.Interval); ok && (x.Op == "+" || x.Op == "-") {
-		inner, err := compileExpr(x.L, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		if _, err := fmt.Sscanf(iv.Value, "%d", &n); err != nil {
-			return nil, fmt.Errorf("engine: bad interval value %q", iv.Value)
-		}
-		if x.Op == "-" {
-			n = -n
-		}
-		unit := iv.Unit
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := inner(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if v.Kind != TypeString {
-				return Value{}, fmt.Errorf("engine: interval arithmetic requires a date string")
-			}
-			d, err := AddInterval(v.S, n, unit)
-			if err != nil {
-				return Value{}, err
-			}
-			return StringValue(d), nil
-		}, nil
-	}
-
-	l, err := compileExpr(x.L, schema, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileExpr(x.R, schema, env)
-	if err != nil {
-		return nil, err
-	}
-	op := x.Op
-	switch op {
-	case "AND":
-		return func(rs *RowSet, row int) (Value, error) {
-			lv, err := l(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if !lv.Truthy() {
-				return BoolValue(false), nil
-			}
-			rv, err := r(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			return BoolValue(rv.Truthy()), nil
-		}, nil
-	case "OR":
-		return func(rs *RowSet, row int) (Value, error) {
-			lv, err := l(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if lv.Truthy() {
-				return BoolValue(true), nil
-			}
-			rv, err := r(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			return BoolValue(rv.Truthy()), nil
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return func(rs *RowSet, row int) (Value, error) {
-			lv, err := l(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			rv, err := r(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if lv.Null || rv.Null {
-				return BoolValue(false), nil
-			}
-			c, err := Compare(lv, rv)
-			if err != nil {
-				return Value{}, err
-			}
-			var b bool
-			switch op {
-			case "=":
-				b = c == 0
-			case "<>":
-				b = c != 0
-			case "<":
-				b = c < 0
-			case "<=":
-				b = c <= 0
-			case ">":
-				b = c > 0
-			case ">=":
-				b = c >= 0
-			}
-			return BoolValue(b), nil
-		}, nil
-	case "+", "-", "*", "/", "%":
-		return func(rs *RowSet, row int) (Value, error) {
-			lv, err := l(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			rv, err := r(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			return arith(op, lv, rv)
-		}, nil
-	case "||":
-		return func(rs *RowSet, row int) (Value, error) {
-			lv, err := l(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			rv, err := r(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			return StringValue(lv.String() + rv.String()), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("engine: unsupported operator %q", op)
-}
-
-func arith(op string, a, b Value) (Value, error) {
-	if a.Null || b.Null {
-		return NullValue(), nil
-	}
-	if a.Kind == TypeInt && b.Kind == TypeInt && op != "/" {
-		switch op {
-		case "+":
-			return IntValue(a.I + b.I), nil
-		case "-":
-			return IntValue(a.I - b.I), nil
-		case "*":
-			return IntValue(a.I * b.I), nil
-		case "%":
-			if b.I == 0 {
-				return Value{}, fmt.Errorf("engine: modulo by zero")
-			}
-			return IntValue(a.I % b.I), nil
-		}
-	}
-	af, err := a.AsFloat()
-	if err != nil {
-		return Value{}, fmt.Errorf("engine: arithmetic on %s", a.Kind)
-	}
-	bf, err := b.AsFloat()
-	if err != nil {
-		return Value{}, fmt.Errorf("engine: arithmetic on %s", b.Kind)
-	}
-	switch op {
-	case "+":
-		return FloatValue(af + bf), nil
-	case "-":
-		return FloatValue(af - bf), nil
-	case "*":
-		return FloatValue(af * bf), nil
-	case "/":
-		if bf == 0 {
-			return Value{}, fmt.Errorf("engine: division by zero")
-		}
-		return FloatValue(af / bf), nil
-	case "%":
-		return FloatValue(math.Mod(af, bf)), nil
-	}
-	return Value{}, fmt.Errorf("engine: unsupported arithmetic %q", op)
-}
-
-func compileCase(x *sql.Case, schema Schema, env *compileEnv) (evalFunc, error) {
-	var operand evalFunc
-	var err error
-	if x.Operand != nil {
-		operand, err = compileExpr(x.Operand, schema, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	conds := make([]evalFunc, len(x.Whens))
-	thens := make([]evalFunc, len(x.Whens))
-	for i, w := range x.Whens {
-		conds[i], err = compileExpr(w.Cond, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		thens[i], err = compileExpr(w.Then, schema, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var elseFn evalFunc
-	if x.Else != nil {
-		elseFn, err = compileExpr(x.Else, schema, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return func(rs *RowSet, row int) (Value, error) {
-		var opv Value
-		var err error
-		if operand != nil {
-			opv, err = operand(rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-		}
-		for i := range conds {
-			cv, err := conds[i](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			hit := false
-			if operand != nil {
-				c, err := Compare(opv, cv)
-				if err != nil {
-					return Value{}, err
-				}
-				hit = c == 0
-			} else {
-				hit = cv.Truthy()
-			}
-			if hit {
-				return thens[i](rs, row)
-			}
-		}
-		if elseFn != nil {
-			return elseFn(rs, row)
-		}
-		return NullValue(), nil
-	}, nil
-}
-
-func compileFunc(x *sql.FuncCall, schema Schema, env *compileEnv) (evalFunc, error) {
-	switch x.Name {
-	case "count", "sum", "avg", "min", "max":
-		return nil, fmt.Errorf("engine: aggregate %s in scalar context", x.Name)
-	}
-	args := make([]evalFunc, len(x.Args))
-	for i, a := range x.Args {
-		ev, err := compileExpr(a, schema, env)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ev
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("engine: %s expects %d arguments, got %d", x.Name, n, len(args))
-		}
-		return nil
-	}
-	switch x.Name {
-	case "substring":
-		if len(args) != 2 && len(args) != 3 {
-			return nil, fmt.Errorf("engine: substring expects 2 or 3 arguments")
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			sv, err := args[0](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			fromV, err := args[1](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			start := int(fromV.I) - 1 // SQL is 1-based
-			if fromV.Kind == TypeFloat {
-				start = int(fromV.F) - 1
-			}
-			s := sv.S
-			if start < 0 {
-				start = 0
-			}
-			if start > len(s) {
-				start = len(s)
-			}
-			end := len(s)
-			if len(args) == 3 {
-				lv, err := args[2](rs, row)
-				if err != nil {
-					return Value{}, err
-				}
-				l := int(lv.I)
-				if lv.Kind == TypeFloat {
-					l = int(lv.F)
-				}
-				if start+l < end {
-					end = start + l
-				}
-				if end < start {
-					end = start // negative length yields the empty string
-				}
-			}
-			return StringValue(s[start:end]), nil
-		}, nil
-	case "length":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := args[0](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			return IntValue(int64(len(v.S))), nil
-		}, nil
-	case "upper", "lower":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		up := x.Name == "upper"
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := args[0](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			if up {
-				return StringValue(strings.ToUpper(v.S)), nil
-			}
-			return StringValue(strings.ToLower(v.S)), nil
-		}, nil
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := args[0](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			switch v.Kind {
-			case TypeInt:
-				if v.I < 0 {
-					return IntValue(-v.I), nil
-				}
-				return v, nil
-			case TypeFloat:
-				return FloatValue(math.Abs(v.F)), nil
-			}
-			return Value{}, fmt.Errorf("engine: abs of %s", v.Kind)
-		}, nil
-	case "round":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rs *RowSet, row int) (Value, error) {
-			v, err := args[0](rs, row)
-			if err != nil {
-				return Value{}, err
-			}
-			f, err := v.AsFloat()
-			if err != nil {
-				return Value{}, err
-			}
-			return FloatValue(math.Round(f)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("engine: unknown function %q", x.Name)
-}
-
-// compilePredictUDF compiles a row-at-a-time PREDICT evaluation — the
-// unoptimized "external UDF call" path of Figure 4: per row, it gathers the
-// argument values, builds a one-row batch, and invokes the scoring session.
-func compilePredictUDF(x *sql.Predict, schema Schema, env *compileEnv) (evalFunc, error) {
+// compileVecPredict compiles PREDICT in scalar position — the unoptimized
+// "external UDF call" path of Figure 4. Its arguments are batch kernels
+// evaluated once per batch; then, per row, it builds a one-row batch and
+// makes one scorer call, so the per-call cost profile of the baseline is
+// preserved. A row whose arguments carry an error aborts the batch.
+func compileVecPredict(x *sql.Predict, schema Schema, env *compileEnv) (vecFunc, error) {
 	if env == nil || env.sessionFor == nil || env.remoteFor == nil {
 		return nil, fmt.Errorf("engine: PREDICT is not available in this context")
 	}
@@ -623,59 +48,68 @@ func compilePredictUDF(x *sql.Predict, schema Schema, env *compileEnv) (evalFunc
 		return nil, fmt.Errorf("engine: PREDICT(%s, ...) takes %d arguments, got %d",
 			x.Model, len(g.Inputs), len(x.Args))
 	}
-	args := make([]evalFunc, len(x.Args))
+	args := make([]vecFunc, len(x.Args))
 	for i, a := range x.Args {
-		ev, err := compileExpr(a, schema, env)
-		if err != nil {
+		if args[i], err = compileVec(a, schema, env); err != nil {
 			return nil, err
 		}
-		args[i] = ev
 	}
 	kinds := make([]ml.ColKind, len(g.Inputs))
 	for i, in := range g.Inputs {
 		kinds[i] = in.Kind
 	}
-	return func(rs *RowSet, row int) (Value, error) {
-		// env.ctx is read per call, not captured at compile time: a stream
-		// cursor re-anchors the environment on each Next's context, and the
-		// compiled closure must observe that (the cursor outlives the
-		// request whose context it was compiled under).
-		ctx := env.ctx
-		if err := ctxCheck(ctx); err != nil {
-			return Value{}, err
-		}
-		// One-row batch per invocation: deliberately allocation-heavy,
-		// mirroring per-call UDF marshalling overheads.
-		b := &onnx.Batch{N: 1, Cols: make([]onnx.Column, len(args))}
+	return func(rs *RowSet) (*Vec, error) {
+		vals := make([]*Vec, len(args))
 		for i, a := range args {
-			v, err := a(rs, row)
+			v, err := a(rs)
 			if err != nil {
-				return Value{}, err
+				return nil, err
 			}
-			if kinds[i] == ml.KindNumeric {
-				f, err := v.AsFloat()
-				if err != nil {
-					return Value{}, fmt.Errorf("engine: PREDICT argument %d: %w", i+1, err)
+			vals[i] = v
+		}
+		out := newVec(TypeFloat, rs.N)
+		for r := 0; r < rs.N; r++ {
+			// env.ctx is read per row, not captured at compile time: a
+			// stream cursor re-anchors the environment on each Next's
+			// context, and the compiled op must observe that (the cursor
+			// outlives the request whose context it was compiled under).
+			ctx := env.ctx
+			if err := ctxCheck(ctx); err != nil {
+				return nil, err
+			}
+			// One-row batch per invocation: deliberately allocation-heavy,
+			// mirroring per-call UDF marshalling overheads.
+			b := &onnx.Batch{N: 1, Cols: make([]onnx.Column, len(vals))}
+			for i, vec := range vals {
+				if vec.hasErr(r) {
+					return nil, vec.Err
 				}
-				b.Cols[i] = onnx.Column{Nums: []float64{f}}
+				v := vec.valueAt(r)
+				if kinds[i] == ml.KindNumeric {
+					f, err := v.AsFloat()
+					if err != nil {
+						return nil, fmt.Errorf("engine: PREDICT argument %d: %w", i+1, err)
+					}
+					b.Cols[i] = onnx.Column{Nums: []float64{f}}
+				} else {
+					if v.Kind != TypeString {
+						return nil, fmt.Errorf("engine: PREDICT argument %d must be text", i+1)
+					}
+					b.Cols[i] = onnx.Column{Strs: []string{v.S}}
+				}
+			}
+			score := make([]float64, 1)
+			var err error
+			if env.plane != nil {
+				err = env.plane.Score(ctx, x.Model, g, b, score)
 			} else {
-				if v.Kind != TypeString {
-					return Value{}, fmt.Errorf("engine: PREDICT argument %d must be text", i+1)
-				}
-				b.Cols[i] = onnx.Column{Strs: []string{v.S}}
+				score, err = onnx.ScoreWithContext(ctx, remote, b)
 			}
-		}
-		if env.plane != nil {
-			out := make([]float64, 1)
-			if err := env.plane.Score(ctx, x.Model, g, b, out); err != nil {
-				return Value{}, err
+			if err != nil {
+				return nil, err
 			}
-			return FloatValue(out[0]), nil
+			out.Floats[r] = score[0]
 		}
-		out, err := onnx.ScoreWithContext(ctx, remote, b)
-		if err != nil {
-			return Value{}, err
-		}
-		return FloatValue(out[0]), nil
+		return out, nil
 	}, nil
 }

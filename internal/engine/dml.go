@@ -11,12 +11,16 @@ import (
 // concurrent readers holding a snapshot never observe partial updates, and
 // every write bumps the table version (feeding provenance's temporal model).
 
-// whereMask evaluates an optional WHERE clause as a batch kernel and
-// returns its truth mask over rs (nil when there is no clause, meaning
-// every row matches).
-func whereMask(where sql.Expr, rs *RowSet, env *compileEnv) ([]bool, error) {
+// whereHits evaluates an optional WHERE clause as a batch kernel and
+// returns the ids of the rows of rs it selects, ascending (every row when
+// there is no clause).
+func whereHits(where sql.Expr, rs *RowSet, env *compileEnv) ([]int32, error) {
 	if where == nil {
-		return nil, nil
+		hits := make([]int32, rs.N)
+		for i := range hits {
+			hits[i] = int32(i)
+		}
+		return hits, nil
 	}
 	fn, err := compileVec(where, rs.Schema, env)
 	if err != nil {
@@ -29,17 +33,7 @@ func whereMask(where sql.Expr, rs *RowSet, env *compileEnv) ([]bool, error) {
 	if err := v.pendingErr(rs.N); err != nil {
 		return nil, err
 	}
-	m := v.truthyMask()
-	if v.Const {
-		hits := make([]bool, rs.N)
-		if m[0] {
-			for i := range hits {
-				hits[i] = true
-			}
-		}
-		return hits, nil
-	}
-	return m, nil
+	return appendTrue(nil, v, rs.N, 0), nil
 }
 
 func (db *DB) execCreate(s *sql.CreateTableStmt) (*Result, error) {
@@ -141,15 +135,18 @@ func (db *DB) execInsertLevel(ctx context.Context, s *sql.InsertStmt, o ExecOpti
 			vals := make([]Value, len(schema))
 			assigned := make([]bool, len(schema))
 			for i, e := range row {
-				fn, err := compileExpr(e, nil, env)
+				fn, err := compileVec(e, nil, env)
 				if err != nil {
 					return nil, err
 				}
-				v, err := fn(oneRow, 0)
+				v, err := fn(oneRow)
 				if err != nil {
 					return nil, err
 				}
-				vals[target[i]] = v
+				if err := v.pendingErr(1); err != nil {
+					return nil, err
+				}
+				vals[target[i]] = v.valueAt(0)
 				assigned[target[i]] = true
 			}
 			for i := range vals {
@@ -212,65 +209,53 @@ func (db *DB) execUpdateLocked(ctx context.Context, t *Table, s *sql.UpdateStmt)
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
 	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
 
-	hits, err := whereMask(s.Where, rs, env)
+	hits, err := whereHits(s.Where, rs, env)
 	if err != nil {
 		return 0, 0, err
 	}
-	type setOp struct {
-		idx int
-		fn  evalFunc
-	}
-	sets := make([]setOp, len(s.Sets))
+	targets := make([]int, len(s.Sets))
+	fns := make([]vecFunc, len(s.Sets))
 	for i, sc := range s.Sets {
-		idx, err := schema.Resolve("", sc.Column)
-		if err != nil {
+		if targets[i], err = schema.Resolve("", sc.Column); err != nil {
 			return 0, 0, err
 		}
-		fn, err := compileExpr(sc.Value, schema, env)
-		if err != nil {
+		if fns[i], err = compileVec(sc.Value, schema, env); err != nil {
 			return 0, 0, err
 		}
-		sets[i] = setOp{idx: idx, fn: fn}
 	}
 
-	// Copy-on-write rebuild of the affected columns.
-	newCols := make([]Column, len(cols))
-	for i := range cols {
-		newCols[i] = NewColumn(cols[i].Type)
+	// Copy-on-write: each SET is evaluated over the gathered hit rows of the
+	// snapshot (so every SET reads pre-update values, and PREDICT or a row
+	// error only ever sees a hit row) and scattered into a copy of its
+	// column. Columns no SET names carry over as they are. With no hit,
+	// nothing is evaluated.
+	newCols := append([]Column(nil), cols...)
+	if len(hits) > 0 {
+		in := rs
+		if len(hits) < n {
+			in = rs.Gather(hits)
+		}
+		for i, fn := range fns {
+			v, err := fn(in)
+			if err != nil {
+				return 0, 0, err
+			}
+			c := targets[i]
+			vals, err := v.toColumn(schema[c].Type, in.N)
+			if err != nil {
+				return 0, 0, err
+			}
+			newCols[c] = newCols[c].scatter(hits, vals)
+		}
 	}
-	var affected int64
-	for r := 0; r < n; r++ {
-		if r%cancelBatchRows == 0 {
-			if err := ctxCheck(ctx); err != nil {
-				return 0, 0, err
-			}
-		}
-		hit := hits == nil || hits[r]
-		rowVals := make([]Value, len(cols))
-		for c := range cols {
-			rowVals[c] = cols[c].Value(r)
-		}
-		if hit {
-			for _, op := range sets {
-				v, err := op.fn(rs, r)
-				if err != nil {
-					return 0, 0, err
-				}
-				rowVals[op.idx] = v
-			}
-			affected++
-		}
-		for c := range newCols {
-			if err := newCols[c].Append(rowVals[c]); err != nil {
-				return 0, 0, err
-			}
-		}
+	if err := ctxCheck(ctx); err != nil {
+		return 0, 0, err
 	}
 	lsn, err := db.commitReplace(t, newCols)
 	if err != nil {
 		return 0, 0, err
 	}
-	return lsn, affected, nil
+	return lsn, int64(len(hits)), nil
 }
 
 func (db *DB) execDelete(ctx context.Context, s *sql.DeleteStmt, o ExecOptions) (*Result, error) {
@@ -296,29 +281,25 @@ func (db *DB) execDeleteLocked(ctx context.Context, t *Table, s *sql.DeleteStmt)
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
 	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
 
-	hits, err := whereMask(s.Where, rs, env)
+	hits, err := whereHits(s.Where, rs, env)
 	if err != nil {
 		return 0, 0, err
 	}
-	var keep []int32
-	var affected int64
-	for r := 0; r < n; r++ {
-		if r%cancelBatchRows == 0 {
-			if err := ctxCheck(ctx); err != nil {
-				return 0, 0, err
-			}
+	keep := make([]int32, 0, n-len(hits))
+	for r, h := 0, 0; r < n; r++ {
+		if h < len(hits) && int(hits[h]) == r {
+			h++
+			continue
 		}
-		hit := hits == nil || hits[r]
-		if hit {
-			affected++
-		} else {
-			keep = append(keep, int32(r))
-		}
+		keep = append(keep, int32(r))
+	}
+	if err := ctxCheck(ctx); err != nil {
+		return 0, 0, err
 	}
 	kept := rs.Gather(keep)
 	lsn, err := db.commitReplace(t, kept.Cols)
 	if err != nil {
 		return 0, 0, err
 	}
-	return lsn, affected, nil
+	return lsn, int64(len(hits)), nil
 }

@@ -814,8 +814,8 @@ func accumulateRange(a *aggAcc, spec opt.AggSpec, av *Vec, rg []int32, lo, hi in
 			}
 		}
 	default:
-		// Unknown functions surface the same error at output time as the
-		// interpreter did; just count.
+		// Unknown functions surface their error at output time; just
+		// count.
 		for r := lo; r < hi; r++ {
 			if skip(r) {
 				continue

@@ -54,7 +54,7 @@ const (
 	modeStr
 	modeBool
 	// modeNone marks an incomparable pair (e.g. text vs int): no row can
-	// match, mirroring the interpreter where Compare errors mean no match.
+	// match, as a Compare error means no match in an equality.
 	modeNone
 )
 

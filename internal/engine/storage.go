@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/onnx"
@@ -65,8 +66,10 @@ func (c *Column) Value(i int) Value {
 // Append adds a value, coercing numerically when needed.
 func (c *Column) Append(v Value) error {
 	if v.Null {
-		// NULL storage: zero value (the engine has no null bitmap; DML
-		// paths reject NULLs for simplicity, matching the workloads).
+		// NULL is stored as the type's zero value: the engine has no null
+		// bitmap, and INSERT and UPDATE accept NULL, so a stored NULL reads
+		// back as 0, 0.0, '' or false (ROADMAP item 8 decides whether to
+		// store NULLs or reject them).
 		switch c.Type {
 		case TypeInt:
 			c.Ints = append(c.Ints, 0)
@@ -132,6 +135,36 @@ func (c *Column) Gather(sel []int32) Column {
 		out.Bools = make([]bool, len(sel))
 		for i, s := range sel {
 			out.Bools[i] = c.Bools[s]
+		}
+	}
+	return out
+}
+
+// scatter returns a copy of c whose row sel[i] holds src's row i (src has
+// c's type). c itself is untouched, so earlier table versions sharing its
+// backing array keep their values.
+func (c *Column) scatter(sel []int32, src Column) Column {
+	out := Column{Type: c.Type}
+	switch c.Type {
+	case TypeInt:
+		out.Ints = slices.Clone(c.Ints)
+		for i, r := range sel {
+			out.Ints[r] = src.Ints[i]
+		}
+	case TypeFloat:
+		out.Floats = slices.Clone(c.Floats)
+		for i, r := range sel {
+			out.Floats[r] = src.Floats[i]
+		}
+	case TypeString:
+		out.Strs = slices.Clone(c.Strs)
+		for i, r := range sel {
+			out.Strs[r] = src.Strs[i]
+		}
+	case TypeBool:
+		out.Bools = slices.Clone(c.Bools)
+		for i, r := range sel {
+			out.Bools[r] = src.Bools[i]
 		}
 	}
 	return out

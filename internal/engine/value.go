@@ -5,14 +5,15 @@
 // multi-column hash tables for aggregation/distinct/joins (hash.go),
 // volcano-style physical operators (including the vectorized, parallel
 // PREDICT operator of §4.1), table statistics, versioning, and a query log
-// for lazy provenance capture. A row-at-a-time reference interpreter
-// (compile.go) backs the LevelUDF PREDICT path and DML, and pins kernel
-// semantics through an equivalence property test; docs/engine.md describes
-// the batch-kernel ABI.
+// for lazy provenance capture. The batch kernels are the one expression
+// evaluator: SELECT, DML and the LevelUDF PREDICT path (compile.go) all run
+// on them, and TestKernelInterpreterEquivalence pins their semantics against
+// plain Go; docs/engine.md describes the batch-kernel ABI.
 package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -187,6 +188,61 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("engine: cannot compare %s with %s", a.Kind, b.Kind)
+}
+
+// Data-dependent arithmetic errors; the kernels defer them per row.
+var (
+	errDivZero    = fmt.Errorf("engine: division by zero")
+	errModuloZero = fmt.Errorf("engine: modulo by zero")
+)
+
+// arith applies a binary arithmetic operator to two values: NULL on either
+// side yields NULL, int op int stays int (except "/"), everything else
+// numeric runs in float64, and a zero divisor errors. The kernels' slow
+// tier calls it, so it is the one definition of scalar arithmetic.
+func arith(op string, a, b Value) (Value, error) {
+	if a.Null || b.Null {
+		return NullValue(), nil
+	}
+	if a.Kind == TypeInt && b.Kind == TypeInt && op != "/" {
+		switch op {
+		case "+":
+			return IntValue(a.I + b.I), nil
+		case "-":
+			return IntValue(a.I - b.I), nil
+		case "*":
+			return IntValue(a.I * b.I), nil
+		case "%":
+			if b.I == 0 {
+				return Value{}, errModuloZero
+			}
+			return IntValue(a.I % b.I), nil
+		}
+	}
+	af, err := a.AsFloat()
+	if err != nil {
+		return Value{}, fmt.Errorf("engine: arithmetic on %s", a.Kind)
+	}
+	bf, err := b.AsFloat()
+	if err != nil {
+		return Value{}, fmt.Errorf("engine: arithmetic on %s", b.Kind)
+	}
+	switch op {
+	case "+":
+		return FloatValue(af + bf), nil
+	case "-":
+		return FloatValue(af - bf), nil
+	case "*":
+		return FloatValue(af * bf), nil
+	case "/":
+		if bf == 0 {
+			return Value{}, errDivZero
+		}
+		return FloatValue(af / bf), nil
+	case "%":
+		return FloatValue(math.Mod(af, bf)), nil
+	}
+	return Value{}, fmt.Errorf("engine: unsupported arithmetic %q", op)
 }
 
 func isNumeric(t ColType) bool { return t == TypeInt || t == TypeFloat }

@@ -1,10 +1,10 @@
 package engine
 
-// Vectorized expression compilation. Where compile.go interprets one row at
-// a time through boxed Values, this file compiles an expression into a
-// kernel that evaluates a whole batch per call: one typed inner loop per
-// operator, a shared null mask, and no per-row allocation or error check in
-// the steady state.
+// Vectorized expression compilation: the engine's one expression
+// evaluator. Every expression — in SELECT, in DML and in row-mode PREDICT —
+// compiles here into a kernel that evaluates a whole batch per call: one
+// typed inner loop per operator, a shared null mask, and no per-row
+// allocation or error check in the steady state.
 //
 // The batch ABI:
 //
@@ -21,10 +21,10 @@ package engine
 //
 // Kernels use fast typed loops when both operands are non-null and of a
 // directly comparable class; otherwise they fall back to a per-row loop
-// over the same scalar helpers the row interpreter uses (arith, Compare),
-// so semantics — null propagation, error messages, NaN ordering — are
-// identical by construction. compile.go remains as that reference
-// interpreter and as the row-mode path for LevelUDF PREDICT and DML.
+// over the shared scalar helpers in value.go (arith, Compare), so null
+// propagation, error messages and NaN ordering are one definition.
+// TestKernelInterpreterEquivalence checks both tiers against plain Go.
+// compile.go holds the row-mode PREDICT op (the LevelUDF path).
 
 import (
 	"fmt"
@@ -39,11 +39,10 @@ import (
 // Err/ErrMask carry deferred row-level errors: a data-dependent failure
 // (division by zero on row r) does not abort the kernel, it flags row r.
 // Elementwise kernels union their operands' flags; AND/OR and CASE discard
-// flags exactly on the rows the row interpreter's short circuit would have
-// skipped; consumers (filter, project, sort keys, aggregates) surface any
-// surviving flag via pendingErr. This reproduces the interpreter's
-// guard-then-compute semantics (`b <> 0 AND a/b > 1`) under batch
-// evaluation.
+// flags exactly on the rows SQL's short-circuit order never evaluates;
+// consumers (filter, project, sort keys, aggregates, DML) surface any
+// surviving flag via pendingErr. This gives guard-then-compute semantics
+// (`b <> 0 AND a/b > 1`) under batch evaluation.
 type Vec struct {
 	Type    ColType
 	Const   bool   // one physical element broadcast to the batch length
@@ -143,8 +142,8 @@ func (v *Vec) deferErr(i int, err error) {
 func (v *Vec) hasErr(i int) bool { return v.Err != nil && v.ErrMask[v.idx(i)] }
 
 // addErrsFrom unions src's deferred-error rows into dst, broadcasting a
-// flagged Const operand to every row. Used by elementwise kernels, which —
-// like the interpreter — evaluate all their operands for every row.
+// flagged Const operand to every row. Used by elementwise kernels, whose
+// operands SQL evaluates on every row.
 func (dst *Vec) addErrsFrom(src *Vec) {
 	if src == nil || src.Err == nil {
 		return
@@ -185,8 +184,8 @@ func (dst *Vec) addErrsFrom(src *Vec) {
 }
 
 // pendingErr surfaces a deferred row error if any of the n logical rows
-// still carries one (a Const flag counts only when n > 0, since zero rows
-// means the interpreter would never have evaluated the expression).
+// still carries one (a Const flag counts only when n > 0, since over zero
+// rows the expression is never evaluated).
 func (v *Vec) pendingErr(n int) error {
 	if v == nil || v.Err == nil || n == 0 {
 		return nil
@@ -277,49 +276,24 @@ func (v *Vec) materialize(n int) *Vec {
 }
 
 // toColumn converts the vector into a Column of type t over n logical rows,
-// applying the same coercions (and rejections) as Column.Append. Same-typed
-// vectors alias their backing storage; null slots already hold zero values.
+// applying the same coercions (and rejections) as Column.Append: a NULL of
+// any type stores the zero value. Same-typed vectors alias their backing
+// storage; null slots already hold zero values.
 func (v *Vec) toColumn(t ColType, n int) (Column, error) {
 	if err := v.pendingErr(n); err != nil {
 		return Column{}, err
 	}
 	m := v.materialize(n)
-	if m.Type == t {
-		return Column{Type: t, Ints: m.Ints, Floats: m.Floats, Strs: m.Strs, Bools: m.Bools}, nil
-	}
-	out := NewColumn(t)
-	switch t {
-	case TypeInt:
-		if m.Type != TypeFloat {
-			return Column{}, fmt.Errorf("engine: cannot store %s into int column", m.Type)
-		}
-		out.Ints = make([]int64, n)
-		for i, f := range m.Floats {
-			out.Ints[i] = int64(f)
-		}
-	case TypeFloat:
-		switch m.Type {
-		case TypeInt:
-			out.Floats = make([]float64, n)
-			for i, x := range m.Ints {
-				out.Floats[i] = float64(x)
+	if m.Type != t {
+		out := newVec(t, n)
+		for i := 0; i < n; i++ {
+			if err := out.setFrom(i, m, i); err != nil {
+				return Column{}, err
 			}
-		case TypeBool:
-			out.Floats = make([]float64, n)
-			for i, b := range m.Bools {
-				if b && !m.isNull(i) {
-					out.Floats[i] = 1
-				}
-			}
-		default:
-			return Column{}, fmt.Errorf("engine: cannot store %s into float column", m.Type)
 		}
-	case TypeString:
-		return Column{}, fmt.Errorf("engine: cannot store %s into text column", m.Type)
-	case TypeBool:
-		return Column{}, fmt.Errorf("engine: cannot store %s into bool column", m.Type)
+		m = out
 	}
-	return out, nil
+	return Column{Type: t, Ints: m.Ints, Floats: m.Floats, Strs: m.Strs, Bools: m.Bools}, nil
 }
 
 // setFrom assigns dst[i] = src[j] with the Append coercion matrix; nulls
@@ -552,9 +526,7 @@ func litValue(x *sql.Lit) Value {
 }
 
 // compileVec compiles e against the schema into a batch kernel. Column
-// references are resolved at compile time; expressions the vectorizer does
-// not specialize (PREDICT in row mode, unknown nodes) fall back to a
-// batched loop over the row interpreter.
+// references are resolved at compile time.
 func compileVec(e sql.Expr, schema Schema, env *compileEnv) (vecFunc, error) {
 	switch x := e.(type) {
 	case *sql.ColRef:
@@ -616,41 +588,16 @@ func compileVec(e sql.Expr, schema Schema, env *compileEnv) (vecFunc, error) {
 	case *sql.FuncCall:
 		return compileVecFunc(x, schema, env)
 
+	case *sql.Predict:
+		return compileVecPredict(x, schema, env)
+
 	case *sql.Interval:
 		return nil, fmt.Errorf("engine: INTERVAL is only valid in date arithmetic")
 
 	case *sql.Exists, *sql.Subquery:
 		return nil, fmt.Errorf("engine: subqueries are not executable")
 	}
-	// PREDICT (row-mode UDF path) and anything else: batched row loop.
-	return fallbackVec(e, schema, env)
-}
-
-// fallbackVec wraps the row interpreter in a batch loop. PREDICT in scalar
-// position deliberately stays on this path: its per-row one-batch scoring is
-// the Figure-4 UDF baseline whose cost profile must be preserved.
-func fallbackVec(e sql.Expr, schema Schema, env *compileEnv) (vecFunc, error) {
-	fn, err := compileExpr(e, schema, env)
-	if err != nil {
-		return nil, err
-	}
-	t, err := inferType(e, schema)
-	if err != nil {
-		return nil, err
-	}
-	return func(rs *RowSet) (*Vec, error) {
-		out := newVec(t, rs.N)
-		for r := 0; r < rs.N; r++ {
-			v, err := fn(rs, r)
-			if err != nil {
-				return nil, err
-			}
-			if err := out.setFromValue(r, v); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}, nil
+	return nil, fmt.Errorf("engine: unsupported expression %T", e)
 }
 
 // setFromValue assigns one boxed value into slot i with Append coercions.
@@ -725,8 +672,8 @@ func compileVecUnary(x *sql.Unary, schema Schema, env *compileEnv) (vecFunc, err
 			for i := 0; i < n; i++ {
 				out.Ints[i] = -v.Ints[i]
 			}
-			// Negating NULL yields a non-null zero in the row interpreter
-			// (NullValue has int kind); mirror that.
+			// Negating NULL yields a non-null zero, not NULL: the slot
+			// is zeroed and the null mask is not carried over.
 			if v.Nulls != nil {
 				for i := 0; i < n; i++ {
 					if v.Nulls[i] {
@@ -823,13 +770,13 @@ func compileVecBinary(x *sql.Binary, schema Schema, env *compileEnv) (vecFunc, e
 			lm := lv.truthyMask()
 			if lv.Const {
 				if lv.hasErr(0) {
-					// Left errors on every row; the interpreter never
-					// reaches the right side.
+					// Left errors on every row; the right side is never
+					// reached.
 					out := boolVec([]bool{false}, true)
 					out.addErrsFrom(lv)
 					return out, nil
 				}
-				// Mirror the row interpreter's short circuit.
+				// SQL short circuit: a constant left side decides.
 				if isAnd && !lm[0] {
 					return boolVec([]bool{false}, true), nil
 				}
@@ -850,9 +797,9 @@ func compileVecBinary(x *sql.Binary, schema Schema, env *compileEnv) (vecFunc, e
 			}
 			rm := rv.truthyMask()
 			// Right-side deferred errors count only on rows where the
-			// interpreter's short circuit would evaluate the right side
-			// (left truthy for AND, left non-truthy for OR). Gate before
-			// the value combine overwrites lm.
+			// short circuit evaluates the right side (left truthy for AND,
+			// left non-truthy for OR). Gate before the value combine
+			// overwrites lm.
 			var gatedErrs []bool
 			if rv.Err != nil {
 				gatedErrs = make([]bool, len(lm))
@@ -957,15 +904,9 @@ func compileVecBinary(x *sql.Binary, schema Schema, env *compileEnv) (vecFunc, e
 // number covers the element types of numeric vectors.
 type number interface{ ~int64 | ~float64 }
 
-// Deferred data-dependent errors (identical text to the interpreter's).
-var (
-	errDivZero    = fmt.Errorf("engine: division by zero")
-	errModuloZero = fmt.Errorf("engine: modulo by zero")
-)
-
-// cmpVec compares two vectors with the row interpreter's semantics: NULL on
-// either side yields false; numeric kinds compare as float64 (so NaN is
-// "equal" to everything, as in Compare); mismatched classes error.
+// cmpVec compares two vectors with Compare's semantics: NULL on either side
+// yields false; numeric kinds compare as float64 (so NaN is "equal" to
+// everything); mismatched classes error.
 func cmpVec(op string, lv, rv *Vec, n int) (*Vec, error) {
 	konst := lv.Const && rv.Const
 	ln := isNumeric(lv.Type)
@@ -1104,7 +1045,7 @@ func cmpStr(op string, lc, rc bool, a, b []string, dst []bool) {
 }
 
 // cmpVecFallback handles null-bearing or mixed-class operands one row at a
-// time via the scalar Compare, mirroring the interpreter exactly.
+// time via the scalar Compare.
 func cmpVecFallback(op string, lv, rv *Vec, n int, konst bool) (*Vec, error) {
 	if konst {
 		n = 1
@@ -1458,7 +1399,7 @@ func compileVecInList(x *sql.InList, schema Schema, env *compileEnv) (vecFunc, e
 			a := v.valueAt(i)
 			hit := false
 			for _, ev := range evs {
-				// Mirror the interpreter: comparison errors mean "no match".
+				// Comparison errors mean "no match".
 				if c, err := Compare(a, ev.valueAt(i)); err == nil && c == 0 {
 					hit = true
 					break
@@ -1605,12 +1546,11 @@ func compileVecCase(x *sql.Case, schema Schema, env *compileEnv) (vecFunc, error
 			}
 			elseVec = ev
 		}
-		// Per-row branch selection in the interpreter's evaluation order:
-		// a deferred error counts only on the inputs the interpreter would
-		// actually touch for that row (operand, conditions up to the first
-		// match, the selected branch). Everything else is discarded —
-		// preserving the guard-then-compute idiom
-		// (CASE WHEN b = 0 THEN 0 ELSE a / b END).
+		// Per-row branch selection in SQL evaluation order: a deferred
+		// error counts only on the inputs that order touches for that row
+		// (operand, conditions up to the first match, the selected
+		// branch). Everything else is discarded — preserving the
+		// guard-then-compute idiom (CASE WHEN b = 0 THEN 0 ELSE a / b END).
 		out := newVec(outType, n)
 	rows:
 		for r := 0; r < n; r++ {

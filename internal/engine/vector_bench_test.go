@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Kernel-level benchmarks pitting the vector kernels against the retained
-// row-at-a-time reference interpreter on identical inputs, so the speedup
-// stays measurable with benchstat without checking out old revisions:
+// Kernel-level benchmarks: a predicate reduced to a selection vector and an
+// arithmetic projection, each over 128K rows:
 //
 //	go test ./internal/engine -bench 'Expression|PredicateMask' -benchmem
 
@@ -34,29 +33,6 @@ func benchRowSet(n int) *RowSet {
 
 const benchPred = "v > 985.0 AND a <> 500 AND s <> 'beta'"
 
-func BenchmarkPredicateMaskInterpreter(b *testing.B) {
-	rs := benchRowSet(1 << 17)
-	e := parseTestExpr(b, benchPred)
-	fn, err := compileExpr(e, rs.Schema, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		for r := 0; r < rs.N; r++ {
-			v, err := fn(rs, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if v.Truthy() {
-				count++
-			}
-		}
-		_ = count
-	}
-}
-
 func BenchmarkPredicateMaskKernel(b *testing.B) {
 	rs := benchRowSet(1 << 17)
 	e := parseTestExpr(b, benchPred)
@@ -76,27 +52,6 @@ func BenchmarkPredicateMaskKernel(b *testing.B) {
 }
 
 const benchProj = "(v * 1.07 + 2.0) / (a + 1)"
-
-func BenchmarkExpressionInterpreter(b *testing.B) {
-	rs := benchRowSet(1 << 17)
-	e := parseTestExpr(b, benchProj)
-	fn, err := compileExpr(e, rs.Schema, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for r := 0; r < rs.N; r++ {
-			v, err := fn(rs, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sum += v.F
-		}
-		_ = sum
-	}
-}
 
 func BenchmarkExpressionKernel(b *testing.B) {
 	rs := benchRowSet(1 << 17)

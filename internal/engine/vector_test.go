@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/opt"
 	"repro/internal/sql"
 )
 
-// --- kernel / interpreter equivalence ------------------------------------
+// --- kernel semantics against a plain-Go reference ------------------------
 
 // equivRowSet builds a randomized rowset exercising every column type,
 // including NaN, ±0.0, negatives, empty strings, and repeated values.
@@ -58,10 +61,10 @@ func equivRowSet(r *rand.Rand, n int) *RowSet {
 	return rs
 }
 
-// valuesEquivalent compares interpreter and kernel outputs semantically:
+// valuesEquivalent compares reference and kernel outputs semantically:
 // NULL matches NULL, numerics compare numerically with NaN==NaN and
-// -0.0==0.0 (the interpreter can surface int 0 where the typed kernel
-// surfaces float 0).
+// -0.0==0.0 (a reference may state int 0 where the typed kernel surfaces
+// float 0).
 func valuesEquivalent(a, b Value) bool {
 	if a.Null || b.Null {
 		return a.Null == b.Null
@@ -82,96 +85,284 @@ func valuesEquivalent(a, b Value) bool {
 	return a.Kind == b.Kind
 }
 
-// TestKernelInterpreterEquivalence runs a grid of expressions through both
-// the row-at-a-time reference interpreter (compileExpr) and the vector
-// kernels (compileVec) over randomized columns and requires identical
-// results — including whether each errors.
-func TestKernelInterpreterEquivalence(t *testing.T) {
-	exprs := []string{
-		// Arithmetic, including int/float mixing and safe division.
-		"i1 + i2", "i1 - 3", "i1 * f1", "f1 / f2", "i1 % i2", "f1 % f2",
-		"-i1", "-f1", "i1 + f2 * 2",
-		// Comparisons across types, NaN and -0.0 included.
-		"i1 = i2", "i1 <> i2", "f1 < f2", "f1 >= 0.0", "i1 <= f1",
-		"s1 = s2", "s1 < s2", "s1 >= 'ab'", "f1 = 0.0", "i1 > 5",
-		// Boolean logic and NOT.
-		"i1 > 0 AND f1 < 0.0", "s1 = 'a' OR i1 = 1", "NOT b1",
-		"b1 AND i1 > 0", "b1 OR f1 > 0.0",
-		// BETWEEN / IN / LIKE / IS NULL.
-		"i1 BETWEEN 0 AND 5", "f1 BETWEEN -1.0 AND 1.0",
-		"i1 NOT BETWEEN i2 AND 10",
-		"s1 IN ('a', 'ab', 'zz')", "i1 IN (1, 2, 3)", "f1 IN (0.0, 1.0)",
-		"s1 NOT IN ('a')",
-		"s1 LIKE 'a%'", "s1 LIKE '_b'", "s1 NOT LIKE '%c'",
-		"s1 IS NULL", "i1 IS NOT NULL",
-		// CASE, both forms, with and without ELSE (NULL fallthrough).
-		"CASE WHEN i1 > 0 THEN 'pos' WHEN i1 < 0 THEN 'neg' ELSE 'zero' END",
-		"CASE WHEN f1 > 0.0 THEN f1 ELSE f2 END",
-		"CASE WHEN i1 > 100 THEN 1 END",
-		"CASE i2 WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END",
-		// Functions.
-		"length(s1)", "upper(s1)", "lower(s2)", "abs(i1)", "abs(f1)",
-		"round(f1)", "substring(s1, 1, 2)", "substring(s2, 2)",
-		// Concatenation (exercises Value.String formatting).
-		"s1 || s2", "s1 || '-' || i1",
-		// NULL literals flowing through kernels.
-		"i1 + NULL", "NULL = i1", "CASE WHEN b1 THEN NULL ELSE i1 END",
-		// Nested compositions.
-		"(i1 + i2) * 2 > f1 AND s1 <> ''",
-		"abs(i1 - i2) BETWEEN 0 AND 3 OR s1 LIKE 'z%'",
-		"CASE WHEN i1 % 2 = 0 THEN 'even' ELSE 'odd' END = 'even'",
-		// Guard-then-compute: short circuits and CASE branches must shield
-		// data-dependent errors exactly as the interpreter does (i1 has
-		// zeros, f1 has zeros and NaN).
-		"i1 <> 0 AND 100 / i1 > 5",
-		"i1 = 0 OR 100 / i1 > 5",
-		"CASE WHEN i1 = 0 THEN 0.0 ELSE 100.0 / i1 END",
-		"CASE WHEN f1 = 0.0 THEN 0.0 ELSE f2 / f1 END",
-		"i1 <> 0 AND i2 % i1 = 0",
-		"NOT (i1 = 0) AND 1 / i1 < 2",
-		// Unguarded: both sides must error.
-		"100 / i1", "i2 % i1",
+// equivRow is one row of equivRowSet as plain Go fields.
+type equivRow struct {
+	i1, i2 int64
+	f1, f2 float64
+	s1, s2 string
+	b1     bool
+}
+
+func equivRowAt(rs *RowSet, i int) equivRow {
+	c := rs.Cols
+	return equivRow{c[0].Ints[i], c[1].Ints[i], c[2].Floats[i], c[3].Floats[i], c[4].Strs[i], c[5].Strs[i], c[6].Bools[i]}
+}
+
+// exprCase is one expression and its reference answer, written in plain Go
+// over the row's fields — Go operators, strings and math, never the
+// engine's arith, Compare or kernels. fails, when set, says on which rows
+// SQL evaluation must raise an error (division by zero the expression does
+// not guard); filter marks the predicates also checked through filterGather.
+type exprCase struct {
+	src    string
+	want   func(r equivRow) Value
+	fails  func(r equivRow) bool
+	filter bool
+}
+
+// The references spell out the engine's scalar semantics:
+//   - numbers compare as float64, and NaN is neither less nor greater than
+//     anything, so `=`, `<=`, `>=`, BETWEEN and IN hold for NaN (feq, fle);
+//   - int op int stays int64 except `/`, which runs in float64;
+//   - a comparison with NULL is false, arithmetic with NULL is NULL;
+//   - AND, OR and CASE evaluate in SQL short-circuit order, so a guarded
+//     division never fails.
+func feq(x, y float64) bool { return !(x < y) && !(x > y) }
+func fle(x, y float64) bool { return !(x > y) }
+
+var (
+	iv = IntValue
+	fv = FloatValue
+	sv = StringValue
+	bv = BoolValue
+)
+
+func absInt(x int64) int64 {
+	if x < 0 {
+		return -x
 	}
+	return x
+}
+
+// exprCases is the expression grid: every operator and function form over
+// every column type, NaN and -0.0 included, plus guard-then-compute and
+// unguarded-error rows.
+var exprCases = []exprCase{
+	// Arithmetic, including int/float mixing and safe division.
+	{src: "i1 + i2", want: func(r equivRow) Value { return iv(r.i1 + r.i2) }},
+	{src: "i1 - 3", want: func(r equivRow) Value { return iv(r.i1 - 3) }},
+	{src: "i1 * f1", want: func(r equivRow) Value { return fv(float64(r.i1) * r.f1) }},
+	{src: "f1 / f2", want: func(r equivRow) Value { return fv(r.f1 / r.f2) }},
+	{src: "i1 % i2", want: func(r equivRow) Value { return iv(r.i1 % r.i2) }},
+	{src: "f1 % f2", want: func(r equivRow) Value { return fv(math.Mod(r.f1, r.f2)) }},
+	{src: "-i1", want: func(r equivRow) Value { return iv(-r.i1) }},
+	{src: "-f1", want: func(r equivRow) Value { return fv(-r.f1) }},
+	{src: "i1 + f2 * 2", want: func(r equivRow) Value { return fv(float64(r.i1) + r.f2*2) }},
+	// Comparisons across types, NaN and -0.0 included.
+	{src: "i1 = i2", want: func(r equivRow) Value { return bv(r.i1 == r.i2) }},
+	{src: "i1 <> i2", want: func(r equivRow) Value { return bv(r.i1 != r.i2) }},
+	{src: "f1 < f2", want: func(r equivRow) Value { return bv(r.f1 < r.f2) }},
+	{src: "f1 >= 0.0", want: func(r equivRow) Value { return bv(fle(0, r.f1)) }},
+	{src: "i1 <= f1", want: func(r equivRow) Value { return bv(fle(float64(r.i1), r.f1)) }},
+	{src: "s1 = s2", want: func(r equivRow) Value { return bv(r.s1 == r.s2) }},
+	{src: "s1 < s2", want: func(r equivRow) Value { return bv(r.s1 < r.s2) }},
+	{src: "s1 >= 'ab'", want: func(r equivRow) Value { return bv(r.s1 >= "ab") }},
+	{src: "f1 = 0.0", filter: true, // matches +0.0, -0.0 and NaN
+		want: func(r equivRow) Value { return bv(feq(r.f1, 0)) }},
+	{src: "i1 > 5", want: func(r equivRow) Value { return bv(r.i1 > 5) }},
+	// Boolean logic and NOT.
+	{src: "i1 > 0 AND f1 < 0.0", want: func(r equivRow) Value { return bv(r.i1 > 0 && r.f1 < 0) }},
+	{src: "s1 = 'a' OR i1 = 1", want: func(r equivRow) Value { return bv(r.s1 == "a" || r.i1 == 1) }},
+	{src: "NOT b1", want: func(r equivRow) Value { return bv(!r.b1) }},
+	{src: "b1 AND i1 > 0", want: func(r equivRow) Value { return bv(r.b1 && r.i1 > 0) }},
+	{src: "b1 OR f1 > 0.0", want: func(r equivRow) Value { return bv(r.b1 || r.f1 > 0) }},
+	// BETWEEN / IN / LIKE / IS NULL.
+	{src: "i1 BETWEEN 0 AND 5", want: func(r equivRow) Value { return bv(r.i1 >= 0 && r.i1 <= 5) }},
+	{src: "f1 BETWEEN -1.0 AND 1.0", want: func(r equivRow) Value { return bv(fle(-1, r.f1) && fle(r.f1, 1)) }},
+	{src: "i1 NOT BETWEEN i2 AND 10", want: func(r equivRow) Value { return bv(!(r.i1 >= r.i2 && r.i1 <= 10)) }},
+	{src: "s1 IN ('a', 'ab', 'zz')", want: func(r equivRow) Value { return bv(r.s1 == "a" || r.s1 == "ab" || r.s1 == "zz") }},
+	{src: "i1 IN (1, 2, 3)", want: func(r equivRow) Value { return bv(r.i1 >= 1 && r.i1 <= 3) }},
+	{src: "f1 IN (0.0, 1.0)", want: func(r equivRow) Value { return bv(feq(r.f1, 0) || feq(r.f1, 1)) }},
+	{src: "s1 NOT IN ('a')", want: func(r equivRow) Value { return bv(r.s1 != "a") }},
+	{src: "s1 LIKE 'a%'", want: func(r equivRow) Value { return bv(strings.HasPrefix(r.s1, "a")) }},
+	{src: "s1 LIKE '_b'", want: func(r equivRow) Value { return bv(len(r.s1) == 2 && r.s1[1] == 'b') }},
+	{src: "s1 NOT LIKE '%c'", want: func(r equivRow) Value { return bv(!strings.HasSuffix(r.s1, "c")) }},
+	{src: "s1 IS NULL", want: func(r equivRow) Value { return bv(false) }},
+	{src: "i1 IS NOT NULL", want: func(r equivRow) Value { return bv(true) }},
+	// CASE, both forms, with and without ELSE (NULL fallthrough).
+	{src: "CASE WHEN i1 > 0 THEN 'pos' WHEN i1 < 0 THEN 'neg' ELSE 'zero' END",
+		want: func(r equivRow) Value {
+			switch {
+			case r.i1 > 0:
+				return sv("pos")
+			case r.i1 < 0:
+				return sv("neg")
+			}
+			return sv("zero")
+		}},
+	{src: "CASE WHEN f1 > 0.0 THEN f1 ELSE f2 END",
+		want: func(r equivRow) Value {
+			if r.f1 > 0 {
+				return fv(r.f1)
+			}
+			return fv(r.f2)
+		}},
+	{src: "CASE WHEN i1 > 100 THEN 1 END", want: func(r equivRow) Value { return NullValue() }},
+	{src: "CASE i2 WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END",
+		want: func(r equivRow) Value {
+			switch r.i2 {
+			case 1:
+				return sv("one")
+			case 2:
+				return sv("two")
+			}
+			return sv("many")
+		}},
+	// Functions.
+	{src: "length(s1)", want: func(r equivRow) Value { return iv(int64(len(r.s1))) }},
+	{src: "upper(s1)", want: func(r equivRow) Value { return sv(strings.ToUpper(r.s1)) }},
+	{src: "lower(s2)", want: func(r equivRow) Value { return sv(strings.ToLower(r.s2)) }},
+	{src: "abs(i1)", want: func(r equivRow) Value { return iv(absInt(r.i1)) }},
+	{src: "abs(f1)", want: func(r equivRow) Value { return fv(math.Abs(r.f1)) }},
+	{src: "round(f1)", want: func(r equivRow) Value { return fv(math.Round(r.f1)) }},
+	{src: "substring(s1, 1, 2)", want: func(r equivRow) Value { return sv(r.s1[:min(2, len(r.s1))]) }},
+	{src: "substring(s2, 2)", want: func(r equivRow) Value { return sv(r.s2[min(1, len(r.s2)):]) }},
+	// Concatenation renders numbers in their shortest form.
+	{src: "s1 || s2", want: func(r equivRow) Value { return sv(r.s1 + r.s2) }},
+	{src: "s1 || '-' || i1", want: func(r equivRow) Value { return sv(r.s1 + "-" + strconv.FormatInt(r.i1, 10)) }},
+	// NULL literals flowing through kernels.
+	{src: "i1 + NULL", want: func(r equivRow) Value { return NullValue() }},
+	{src: "NULL = i1", want: func(r equivRow) Value { return bv(false) }},
+	{src: "CASE WHEN b1 THEN NULL ELSE i1 END",
+		want: func(r equivRow) Value {
+			if r.b1 {
+				return NullValue()
+			}
+			return iv(r.i1)
+		}},
+	// Nested compositions.
+	{src: "(i1 + i2) * 2 > f1 AND s1 <> ''",
+		want: func(r equivRow) Value { return bv(float64((r.i1+r.i2)*2) > r.f1 && r.s1 != "") }},
+	{src: "abs(i1 - i2) BETWEEN 0 AND 3 OR s1 LIKE 'z%'",
+		want: func(r equivRow) Value { return bv(absInt(r.i1-r.i2) <= 3 || strings.HasPrefix(r.s1, "z")) }},
+	{src: "CASE WHEN i1 % 2 = 0 THEN 'even' ELSE 'odd' END = 'even'",
+		want: func(r equivRow) Value { return bv(r.i1%2 == 0) }},
+	// Guard-then-compute: short circuits and CASE branches shield
+	// data-dependent errors (i1 has zeros, f1 has zeros and NaN).
+	{src: "i1 <> 0 AND 100 / i1 > 5",
+		want: func(r equivRow) Value { return bv(r.i1 != 0 && 100/float64(r.i1) > 5) }},
+	{src: "i1 = 0 OR 100 / i1 > 5",
+		want: func(r equivRow) Value { return bv(r.i1 == 0 || 100/float64(r.i1) > 5) }},
+	{src: "CASE WHEN i1 = 0 THEN 0.0 ELSE 100.0 / i1 END",
+		want: func(r equivRow) Value {
+			if r.i1 == 0 {
+				return fv(0)
+			}
+			return fv(100 / float64(r.i1))
+		}},
+	{src: "CASE WHEN f1 = 0.0 THEN 0.0 ELSE f2 / f1 END",
+		want: func(r equivRow) Value {
+			if feq(r.f1, 0) {
+				return fv(0)
+			}
+			return fv(r.f2 / r.f1)
+		}},
+	{src: "i1 <> 0 AND i2 % i1 = 0",
+		want: func(r equivRow) Value { return bv(r.i1 != 0 && r.i2%r.i1 == 0) }},
+	{src: "NOT (i1 = 0) AND 1 / i1 < 2",
+		want: func(r equivRow) Value { return bv(r.i1 != 0 && 1/float64(r.i1) < 2) }},
+	// Unguarded: a zero divisor on any row fails the expression.
+	{src: "100 / i1", fails: func(r equivRow) bool { return r.i1 == 0 },
+		want: func(r equivRow) Value { return fv(100 / float64(r.i1)) }},
+	{src: "i2 % i1", fails: func(r equivRow) bool { return r.i1 == 0 },
+		want: func(r equivRow) Value { return iv(r.i2 % r.i1) }},
+	// Filter shapes (also checked through filterGather).
+	{src: "i1 > 0 AND f1 < 10.0", filter: true,
+		want: func(r equivRow) Value { return bv(r.i1 > 0 && r.f1 < 10) }},
+	{src: "s1 LIKE 'a%' OR i1 BETWEEN 2 AND 6", filter: true,
+		want: func(r equivRow) Value { return bv(strings.HasPrefix(r.s1, "a") || (r.i1 >= 2 && r.i1 <= 6)) }},
+	{src: "NOT b1 AND i1 % 2 = 0", filter: true,
+		want: func(r equivRow) Value { return bv(!r.b1 && r.i1%2 == 0) }},
+}
+
+// exprTrials returns the randomized rowsets both reference tests run over
+// (5 trials of 257 rows each), with each row also as plain Go fields.
+func exprTrials() ([]*RowSet, [][]equivRow) {
 	r := rand.New(rand.NewSource(7))
+	var sets []*RowSet
+	var rows [][]equivRow
 	for trial := 0; trial < 5; trial++ {
 		rs := equivRowSet(r, 257)
-		for _, src := range exprs {
-			e := parseTestExpr(t, src)
-			rowFn, rowCompileErr := compileExpr(e, rs.Schema, nil)
-			vecFn, vecCompileErr := compileVec(e, rs.Schema, nil)
-			if (rowCompileErr == nil) != (vecCompileErr == nil) {
-				t.Fatalf("%q: compile disagreement: row=%v vec=%v", src, rowCompileErr, vecCompileErr)
+		rr := make([]equivRow, rs.N)
+		for i := range rr {
+			rr[i] = equivRowAt(rs, i)
+		}
+		sets = append(sets, rs)
+		rows = append(rows, rr)
+	}
+	return sets, rows
+}
+
+// TestKernelInterpreterEquivalence runs every expression of exprCases
+// through the batch kernels (compileVec) over randomized columns and
+// requires the answer of the case's plain-Go reference interpreter (its
+// want function) on every row — including whether the expression errors.
+func TestKernelInterpreterEquivalence(t *testing.T) {
+	sets, rows := exprTrials()
+	for trial, rs := range sets {
+		for _, c := range exprCases {
+			fn, err := compileVec(parseTestExpr(t, c.src), rs.Schema, nil)
+			if err != nil {
+				t.Fatalf("%q: compile: %v", c.src, err)
 			}
-			if rowCompileErr != nil {
+			vec, err := fn(rs)
+			if err == nil {
+				// A deferred row error that survives all guards surfaces.
+				err = vec.pendingErr(rs.N)
+			}
+			wantErr := false
+			for _, row := range rows[trial] {
+				if c.fails != nil && c.fails(row) {
+					wantErr = true
+				}
+			}
+			if (err != nil) != wantErr {
+				t.Fatalf("%q trial %d: error = %v, reference fails = %v", c.src, trial, err, wantErr)
+			}
+			if wantErr {
 				continue
 			}
-			vec, vecErr := vecFn(rs)
-			if vecErr == nil {
-				// A deferred row error that survives all guards must
-				// surface, exactly like the interpreter's eager error.
-				vecErr = vec.pendingErr(rs.N)
-			}
-			var rowErr error
-			rowVals := make([]Value, rs.N)
-			for i := 0; i < rs.N; i++ {
-				v, err := rowFn(rs, i)
-				if err != nil {
-					rowErr = err
-					break
+			for i, row := range rows[trial] {
+				if want, got := c.want(row), vec.valueAt(i); !valuesEquivalent(want, got) {
+					t.Fatalf("%q row %d %+v: kernel %+v, reference %+v", c.src, i, row, got, want)
 				}
-				rowVals[i] = v
 			}
-			if (rowErr == nil) != (vecErr == nil) {
-				t.Fatalf("%q: eval disagreement: row=%v vec=%v", src, rowErr, vecErr)
-			}
-			if rowErr != nil {
+		}
+	}
+}
+
+// TestFilterMatchesInterpreter runs the filter predicates of exprCases
+// through filterGather on row ids and requires exactly the row ids the
+// plain-Go reference interpreter selects.
+func TestFilterMatchesInterpreter(t *testing.T) {
+	ex := &executor{}
+	sets, rows := exprTrials()
+	for trial, rs := range sets {
+		ids := make([]int64, rs.N)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		idOnly := &RowSet{Schema: Schema{{Name: "id", Type: TypeInt}}, Cols: []Column{IntColumn(ids)}, N: rs.N}
+		for _, c := range exprCases {
+			if !c.filter {
 				continue
 			}
-			for i := 0; i < rs.N; i++ {
-				got := vec.valueAt(i)
-				if !valuesEquivalent(rowVals[i], got) {
-					t.Fatalf("%q row %d: interpreter=%+v kernel=%+v", src, i, rowVals[i], got)
+			fn, err := compileVec(parseTestExpr(t, c.src), rs.Schema, nil)
+			if err != nil {
+				t.Fatalf("%q: compile: %v", c.src, err)
+			}
+			var wantIDs []int64
+			for i, row := range rows[trial] {
+				if c.want(row).Truthy() {
+					wantIDs = append(wantIDs, int64(i))
 				}
+			}
+			got, err := ex.filterGather(rs, idOnly, fn)
+			if err != nil {
+				t.Fatalf("%q: filter: %v", c.src, err)
+			}
+			if !slices.Equal(got.Cols[0].Ints, wantIDs) {
+				t.Fatalf("%q trial %d: filter selects %v, reference %v", c.src, trial, got.Cols[0].Ints, wantIDs)
 			}
 		}
 	}
@@ -474,48 +665,6 @@ func TestStarAggregates(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		if res.Rows[0][i] != 0.0 {
 			t.Errorf("star aggregate %d = %v, want 0", i, res.Rows[0][i])
-		}
-	}
-}
-
-// TestFilterMatchesInterpreter cross-checks the full filter path (mask +
-// selection) against a row-at-a-time evaluation for several predicates.
-func TestFilterMatchesInterpreter(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	rs := equivRowSet(r, 1024)
-	ex := &executor{o: ExecOptions{}, env: nil}
-	preds := []string{
-		"i1 > 0 AND f1 < 10.0",
-		"s1 LIKE 'a%' OR i1 BETWEEN 2 AND 6",
-		"NOT b1 AND i1 % 2 = 0",
-		"f1 = 0.0", // matches both +0.0 and -0.0
-	}
-	for _, src := range preds {
-		e := parseTestExpr(t, src)
-		vec, err := compileVec(e, rs.Schema, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ex.filterGather(rs, rs, vec)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		fn, err := compileExpr(e, rs.Schema, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []int32
-		for i := 0; i < rs.N; i++ {
-			v, err := fn(rs, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Truthy() {
-				want = append(want, int32(i))
-			}
-		}
-		if got.N != len(want) {
-			t.Fatalf("%q: %d rows, interpreter says %d", src, got.N, len(want))
 		}
 	}
 }
