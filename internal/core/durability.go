@@ -43,6 +43,7 @@ type Durability struct {
 
 	auditMu  sync.Mutex
 	auditF   *fault.File
+	auditEnc *auditEncoder
 	auditErr error // first audit-persistence failure (surfaced on Close)
 
 	mu             sync.Mutex
@@ -121,6 +122,12 @@ func openDir(dir string, opts DurabilityOptions, replicaOf string) (*Flock, *Dur
 		db.CloseDurability()
 		return nil, nil, fmt.Errorf("core: opening audit log: %w", err)
 	}
+	d.auditEnc, err = newAuditEncoder()
+	if err != nil {
+		_ = af.Close()
+		db.CloseDurability()
+		return nil, nil, fmt.Errorf("core: audit encoder: %w", err)
+	}
 	// Audit I/O rides the "audit.*" failpoints: a new durability file
 	// must never be invisible to the chaos plane.
 	d.auditF = fault.NewFile(af, "audit")
@@ -129,22 +136,63 @@ func openDir(dir string, opts DurabilityOptions, replicaOf string) (*Flock, *Dur
 }
 
 // appendAudit persists one audit entry (called under the audit log's lock,
-// in chain order). Failures are remembered rather than propagated — the
-// audit API has no error channel — and surfaced by Close.
+// in chain order) as one synchronous frame, so the record reaches the file
+// before the statement's result reaches the client. Failures are
+// remembered rather than propagated — the audit API has no error channel —
+// and surfaced by Close.
 func (d *Durability) appendAudit(e governance.AuditEntry) {
 	d.auditMu.Lock()
 	defer d.auditMu.Unlock()
 	if d.auditF == nil || d.auditErr != nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		d.auditErr = err
-		return
+	payload, err := d.auditEnc.encode(&e)
+	if err == nil {
+		err = engine.AppendFrame(d.auditF, payload)
 	}
-	if err := engine.AppendFrame(d.auditF, buf.Bytes()); err != nil {
+	if err != nil {
 		d.auditErr = err
 	}
+}
+
+// auditEncoder produces each audit frame's payload — exactly the bytes a
+// fresh gob.Encoder writes for one AuditEntry: the type header, then the
+// value — without paying to build the type header again per entry. It
+// keeps one encoder, which sends the header once, and the header's bytes,
+// which it writes in front of every value. Frames stay self-contained, so
+// readAuditEntries decodes each with a fresh decoder, as it always has.
+type auditEncoder struct {
+	buf    bytes.Buffer
+	enc    *gob.Encoder
+	header []byte
+}
+
+// newAuditEncoder primes the encoder: it encodes a zero entry twice, and
+// since the second value is the first one's bytes without the header, the
+// header is the first 2*first - second bytes.
+func newAuditEncoder() (*auditEncoder, error) {
+	a := &auditEncoder{}
+	a.enc = gob.NewEncoder(&a.buf)
+	var zero governance.AuditEntry
+	if err := a.enc.Encode(&zero); err != nil {
+		return nil, err
+	}
+	first := a.buf.Len()
+	if err := a.enc.Encode(&zero); err != nil {
+		return nil, err
+	}
+	a.header = append([]byte(nil), a.buf.Bytes()[:2*first-a.buf.Len()]...)
+	return a, nil
+}
+
+// encode returns e's frame payload, valid until the next call.
+func (a *auditEncoder) encode(e *governance.AuditEntry) ([]byte, error) {
+	a.buf.Reset()
+	a.buf.Write(a.header)
+	if err := a.enc.Encode(e); err != nil {
+		return nil, err
+	}
+	return a.buf.Bytes(), nil
 }
 
 // readAuditEntries loads the persisted audit chain; a missing file is an

@@ -258,3 +258,99 @@ func TestDurabilityCheckpointUnderLoad(t *testing.T) {
 		t.Fatalf("distinct ids = %d, want 200 (WAL replay duplicated rows)", len(res.Rows))
 	}
 }
+
+// freshAuditFrame is an audit frame's payload as a fresh gob encoder writes
+// it: the type header, then the value.
+func freshAuditFrame(t *testing.T, e governance.AuditEntry) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(e); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// auditPayloads returns the raw frame payloads of dir's audit.log.
+func auditPayloads(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, auditFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out [][]byte
+	torn, err := engine.ReadFrames(f, func(p []byte) error {
+		out = append(out, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil || torn {
+		t.Fatalf("reading audit.log: torn=%t err=%v", torn, err)
+	}
+	return out
+}
+
+// TestAuditFramesUnchanged pins the audit file format across the reused
+// encoder: every frame appendAudit writes is byte for byte what a fresh
+// gob.Encoder writes for the entry, and an audit.log whose first frames
+// were written one fresh encoder per entry, followed by frames from the
+// reused encoder, restores and verifies.
+func TestAuditFramesUnchanged(t *testing.T) {
+	dir := t.TempDir()
+
+	// The older frames: a chain built and framed one fresh encoder each.
+	old := governance.NewAuditLog()
+	var file bytes.Buffer
+	for i := 0; i < 5; i++ {
+		e := old.Record("root", "select", "table:t", fmt.Sprintf("SELECT %d | ü", i), i%2 == 0)
+		if err := engine.AppendFrame(&file, freshAuditFrame(t, e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, auditFile), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f1, d1 := openDurable(t, dir)
+	if f1.Audit.Len() != 5 {
+		t.Fatalf("restored %d audit entries, want 5", f1.Audit.Len())
+	}
+	mustExecD := func(f *Flock, q string) {
+		t.Helper()
+		if _, err := f.Exec("root", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExecD(f1, "CREATE TABLE t (id int, name text)")
+	mustExecD(f1, "INSERT INTO t VALUES (1, 'a|b'), (2, '日本')")
+	for i := 0; i < 200; i++ {
+		mustExecD(f1, fmt.Sprintf("SELECT name FROM t WHERE id = %d", i%3))
+	}
+	f1.Audit.Record("", "", "", "", false) // empty fields
+	if _, err := f1.Exec("nobody", "SELECT id FROM t"); err == nil {
+		t.Fatal("unauthorized read succeeded")
+	}
+	f1.Audit.Record("root", "note", "", string(make([]byte, 300)), true)
+	want := f1.Audit.Entries()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	payloads := auditPayloads(t, dir)
+	if len(payloads) != len(want) {
+		t.Fatalf("audit.log holds %d frames, want %d", len(payloads), len(want))
+	}
+	for i, p := range payloads {
+		if fresh := freshAuditFrame(t, want[i]); !bytes.Equal(p, fresh) {
+			t.Fatalf("frame %d (%+v) differs from a fresh encoder's:\n got %x\nwant %x", i, want[i], p, fresh)
+		}
+	}
+
+	f2, d2 := openDurable(t, dir)
+	defer d2.Close()
+	if got := f2.Audit.Len(); got != len(want) {
+		t.Fatalf("reopened audit chain has %d entries, want %d", got, len(want))
+	}
+	if bad := f2.Audit.Verify(); bad != -1 {
+		t.Fatalf("reopened audit chain broken at %d", bad)
+	}
+}

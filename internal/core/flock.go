@@ -164,12 +164,12 @@ func (f *Flock) execOne(ctx context.Context, user string, stmt sql.Statement, le
 		return nil, err
 	}
 
-	// Eager provenance capture.
-	if _, err := f.Prov.CaptureQuery(text, user); err != nil {
-		return nil, err
-	}
+	// Eager provenance capture and the query log, on the statement already
+	// parsed: the same entry points the prepared path uses.
+	f.Prov.CaptureStmt(stmt, text, user)
+	f.DB.LogStatement(text, user)
 
-	res, err := f.DB.ExecAsContext(ctx, text, user, engine.ExecOptions{Level: level})
+	res, err := f.DB.ExecStmtContext(ctx, stmt, engine.ExecOptions{Level: level})
 	f.Audit.Record(user, stmtAction(stmt), firstObject(acc), truncate(text), err == nil)
 	return res, err
 }

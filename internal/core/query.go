@@ -48,9 +48,7 @@ func (f *Flock) QueryLevel(ctx context.Context, user, query string, level opt.Le
 		f.Audit.Record(user, "denied", firstObject(acc), truncate(text), false)
 		return nil, err
 	}
-	if _, err := f.Prov.CaptureQuery(text, user); err != nil {
-		return nil, err
-	}
+	f.Prov.CaptureStmt(sel, text, user)
 	f.DB.LogStatement(text, user)
 
 	cur, _, err := f.DB.OpenCursor(ctx, sel, engine.ExecOptions{Level: level})

@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/governance"
+	"repro/internal/provenance"
+	"repro/internal/sql"
 )
 
 func queryTestFlock(t *testing.T) *Flock {
@@ -100,6 +102,63 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 		t.Fatalf("audit grew %d entries at open, want 1", got-auditBefore)
 	}
 	cur.Close()
+}
+
+// TestLoggedTextIsFormatted pins what the ad hoc paths record, now that
+// each parses its statement once: the query-log entry and the provenance
+// entity carry sql.FormatStatement of the parsed statement, not the text as
+// sent, for Exec (one and several statements) and Query alike.
+func TestLoggedTextIsFormatted(t *testing.T) {
+	f := queryTestFlock(t)
+	const multi = `select   id from readings where v>40.0 ;  SELECT count(*)  FROM readings`
+	stmts, err := sql.Parse(multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, s := range stmts {
+		want = append(want, sql.FormatStatement(s))
+	}
+	before := len(f.DB.QueryLog())
+	mustExecQ(t, f, multi)
+	cur, err := f.Query(context.Background(), "root", `select id   from readings where id<3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.Close()
+	want = append(want, sql.FormatStatement(mustParseQ(t, `select id   from readings where id<3`)))
+
+	log := f.DB.QueryLog()[before:]
+	if len(log) != len(want) {
+		t.Fatalf("query log grew %d entries, want %d", len(log), len(want))
+	}
+	for i, e := range log {
+		if e.Text != want[i] || e.User != "root" {
+			t.Errorf("log entry %d = %q by %q, want %q by root", i, e.Text, e.User, want[i])
+		}
+		if len(queryEntitiesWithText(f, want[i])) != 1 {
+			t.Errorf("no single provenance entity for %q", want[i])
+		}
+	}
+}
+
+func mustParseQ(t *testing.T, q string) sql.Statement {
+	t.Helper()
+	stmt, err := sql.ParseOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
+func queryEntitiesWithText(f *Flock, text string) []*provenance.Entity {
+	var out []*provenance.Entity
+	for _, q := range f.Catalog.EntitiesOfType(provenance.TypeQuery) {
+		if q.Attrs["text"] == text {
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 func TestQueryRejectsNonSelect(t *testing.T) {

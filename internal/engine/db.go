@@ -26,8 +26,16 @@ type LogEntry struct {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	log    []LogEntry
-	logSeq int64
+
+	// logMu guards the query log: log, logSeq and logFramed. It ranks
+	// below t.writeMu and db.mu and above the WAL's own mutex. logFramed is
+	// the index of the first entry that is neither in a WAL frame nor
+	// covered by a published snapshot: log[logFramed:] is the unframed
+	// tail frameLogLocked writes as one WALLog frame.
+	logMu     sync.Mutex
+	log       []LogEntry
+	logSeq    int64
+	logFramed int
 
 	// commitMu is the statement-level commit barrier: every committing
 	// statement (DML apply + WAL append, DDL, query-log append) holds it in
@@ -128,7 +136,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, fmt.Errorf("engine: table %q already exists", name)
 	}
 	t := NewTable(name, schema)
-	if err := db.walAppend(&WALRecord{Kind: WALCreate, Table: name, Schema: t.schema}, true); err != nil {
+	if err := db.walAppend(&WALRecord{Kind: WALCreate, Table: name, Schema: t.schema}); err != nil {
 		return nil, err
 	}
 	db.tables[name] = t
@@ -172,7 +180,7 @@ func (db *DB) DropTable(name string) error {
 	if _, ok := db.tables[name]; !ok {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
-	if err := db.walAppend(&WALRecord{Kind: WALDrop, Table: name}, true); err != nil {
+	if err := db.walAppend(&WALRecord{Kind: WALDrop, Table: name}); err != nil {
 		return err
 	}
 	delete(db.tables, name)
@@ -221,30 +229,62 @@ func (db *DB) TableStats(table string) onnx.Stats {
 
 // QueryLog returns a copy of the query log (for lazy provenance capture).
 func (db *DB) QueryLog() []LogEntry {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
 	return append([]LogEntry(nil), db.log...)
 }
 
-// appendLog records an executed statement. The entry is WAL-logged but
-// never forces an fsync of its own: the query log is provenance metadata,
-// so its tail riding on the next committed DML record's sync (or being
-// lost with an unacknowledged crash window) is an acceptable trade against
-// paying one fsync per SELECT. On a replica the entry stays in memory
-// only: the replica's WAL is a byte-for-byte copy of the leader's frame
-// sequence, and interleaving local frames would desynchronize its LSNs.
+// logFrameBatch bounds the unframed query-log tail: once this many entries
+// are pending, appendLog frames them without waiting for a commit.
+const logFrameBatch = 256
+
+// appendLog records an executed statement in the query log. It holds the
+// commit barrier in read mode, so a snapshot falls between statements, but
+// takes no catalog lock and writes no WAL frame of its own: the unframed
+// tail goes to the WAL as one WALLog frame just before the next durable
+// record (whose fsync then covers it), once logFrameBatch entries are
+// pending, at a checkpoint, and at CloseDurability. The read-only tail
+// since the last frame is therefore lost by a crash — an accepted trade
+// for provenance metadata against one frame per SELECT. On a replica the
+// entries stay in memory only: the replica's WAL is a byte-for-byte copy of
+// the leader's frame sequence, and interleaving local frames would
+// desynchronize its LSNs.
 func (db *DB) appendLog(text, user string) {
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
 	db.logSeq++
-	e := LogEntry{Seq: db.logSeq, Text: text, User: user, At: time.Now()}
-	db.log = append(db.log, e)
-	if db.IsReplica() {
-		return
+	db.log = append(db.log, LogEntry{Seq: db.logSeq, Text: text, User: user, At: time.Now()})
+	if len(db.log)-db.logFramed >= logFrameBatch {
+		_ = db.frameLogLocked()
 	}
-	_ = db.walAppend(&WALRecord{Kind: WALLog, Entry: &e}, false)
+}
+
+// frameLogLocked writes the unframed query-log tail as one WALLog frame
+// that asks for no durability of its own. The caller holds commitMu (either
+// mode) and logMu. It is a no-op without an attached WAL and on a replica.
+// A failed append leaves the tail unframed for the next attempt and marks
+// a poisoned WAL degraded; only Checkpoint fails on the error, since its
+// snapshot must cover every framed entry.
+func (db *DB) frameLogLocked() error {
+	if db.wal == nil || db.logFramed == len(db.log) || db.IsReplica() {
+		return nil
+	}
+	rec := &WALRecord{Kind: WALLog, Entries: db.log[db.logFramed:]}
+	if _, err := db.wal.appendFrame(rec, false); err != nil {
+		db.noteWALErr(err)
+		return err
+	}
+	db.logFramed = len(db.log)
+	return nil
+}
+
+// frameLog is frameLogLocked for callers that do not hold logMu.
+func (db *DB) frameLog() error {
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
+	return db.frameLogLocked()
 }
 
 // installCreate registers a replayed or replicated CREATE TABLE without

@@ -64,7 +64,7 @@ func (db *DB) buildSnapshot() savedDB {
 // and data disagree — or whose tables are from different moments — cannot
 // be produced).
 func (db *DB) buildSnapshotLocked() savedDB {
-	db.mu.RLock()
+	db.logMu.Lock()
 	snap := savedDB{
 		FormatVersion: 2,
 		Log:           append([]LogEntry(nil), db.log...),
@@ -73,6 +73,8 @@ func (db *DB) buildSnapshotLocked() savedDB {
 		Epoch:         db.epoch.Load(),
 		EpochStart:    db.epochStart.Load(),
 	}
+	db.logMu.Unlock()
+	db.mu.RLock()
 	if db.wal != nil {
 		snap.LSN = db.wal.lsn // quiesced: appenders hold commitMu in read mode
 	}
@@ -223,8 +225,11 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 	for n, t := range tables {
 		db.tables[n] = t
 	}
+	db.logMu.Lock()
 	db.log = snap.Log
 	db.logSeq = snap.LogSeq
+	db.logFramed = len(db.log)
+	db.logMu.Unlock()
 	db.replayLSN = snap.LSN
 	if snap.Epoch > 0 {
 		db.epoch.Store(snap.Epoch)

@@ -48,7 +48,7 @@ const (
 	WALDrop                     // DROP TABLE: Table
 	WALInsert                   // committed INSERT batch: Table + Rows
 	WALReplace                  // committed UPDATE/DELETE/bulk-load rebuild: Table + Cols
-	WALLog                      // query-log append: Entry
+	WALLog                      // query-log batch: Entries (Entry in frames written before batching)
 	WALEpoch                    // leadership epoch transition: Epoch (replication failover)
 )
 
@@ -61,7 +61,12 @@ type WALRecord struct {
 	Schema Schema
 	Rows   [][]Value
 	Cols   []Column
-	Entry  *LogEntry
+	// Entries is a WALLog record's batch of query-log entries. Entry is the
+	// single entry a WALLog record carried before entries were batched; it
+	// stays so those frames still replay (gob drops fields the type no
+	// longer has without an error).
+	Entries []LogEntry
+	Entry   *LogEntry
 	// Epoch is set only on WALEpoch records: the leadership generation that
 	// begins at this LSN. Shipping the record in-band teaches every follower
 	// the new epoch through the ordinary apply path.
@@ -211,9 +216,10 @@ func createWAL(path string, syncPolicy bool, startLSN int64) (*WAL, error) {
 // log WITHOUT making it durable; the caller decides whether to wait on
 // waitDurable. durable marks records a commit will wait on (group-commit
 // accounting). Callers hold the DB commit barrier in read mode plus the
-// statement write lock of the state involved, so per-table records arrive
-// in commit order; w.mu interleaves records from concurrent statements on
-// different tables (which commute on replay) without tearing frames.
+// lock that orders the state involved (t.writeMu for a table, db.mu for DDL,
+// logMu for the query log), so each record stream arrives in commit order;
+// w.mu interleaves records from concurrent statements on different tables
+// (which commute on replay) without tearing frames.
 func (w *WAL) appendFrame(rec *WALRecord, durable bool) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -348,21 +354,6 @@ func (w *WAL) waitDurable(lsn int64) error {
 			w.notifyLocked()
 		}
 		w.cond.Broadcast()
-	}
-	return nil
-}
-
-// append is the frame-then-wait composition for callers that can block with
-// their locks held (DDL, which is rare and already serialized on db.mu).
-// DML commits instead append under their statement lock and wait after
-// releasing it, so concurrent writers on one table still share fsyncs.
-func (w *WAL) append(rec *WALRecord, durable bool) error {
-	lsn, err := w.appendFrame(rec, durable)
-	if err != nil {
-		return err
-	}
-	if durable {
-		return w.waitDurable(lsn)
 	}
 	return nil
 }
@@ -674,15 +665,20 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 			return err
 		}
 	case WALLog:
-		if rec.Entry == nil {
-			return fmt.Errorf("engine: wal log record without entry (lsn %d)", rec.LSN)
+		entries := rec.Entries
+		if rec.Entry != nil {
+			entries = []LogEntry{*rec.Entry}
 		}
-		db.mu.Lock()
-		db.log = append(db.log, *rec.Entry)
-		if rec.Entry.Seq > db.logSeq {
-			db.logSeq = rec.Entry.Seq
+		if len(entries) == 0 {
+			return fmt.Errorf("engine: wal log record without entries (lsn %d)", rec.LSN)
 		}
-		db.mu.Unlock()
+		db.logMu.Lock()
+		db.log = append(db.log, entries...)
+		for _, e := range entries {
+			db.logSeq = max(db.logSeq, e.Seq)
+		}
+		db.logFramed = len(db.log)
+		db.logMu.Unlock()
 	case WALEpoch:
 		// The epoch check precedes the LSN bookkeeping: a transition record
 		// from a stale generation must never move this node's epoch backward.
@@ -703,10 +699,11 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 }
 
 // Checkpoint folds the write-ahead log into the snapshot: under the commit
-// barrier it deep-copies the database state and rotates the live log, then
-// (outside the barrier) writes the snapshot durably — temp file, fsync,
-// atomic rename, directory fsync — and retires every folded segment. A
-// crash at any point leaves a recoverable directory: until the rename
+// barrier it frames the query-log tail (so the snapshot's LSN covers every
+// framed entry and replay never duplicates one), deep-copies the database
+// state and rotates the live log, then (outside the barrier) writes the
+// snapshot durably — temp file, fsync, atomic rename, directory fsync — and
+// retires every folded segment. A crash at any point leaves a recoverable directory: until the rename
 // lands, the old snapshot plus the rotated segments reconstruct the same
 // state; after it, replay skips the folded records by LSN.
 func (db *DB) Checkpoint() error {
@@ -716,6 +713,10 @@ func (db *DB) Checkpoint() error {
 	if db.wal == nil || db.durDir == "" {
 		db.commitMu.Unlock()
 		return fmt.Errorf("engine: Checkpoint requires a database opened with OpenDirDB")
+	}
+	if err := db.frameLog(); err != nil {
+		db.commitMu.Unlock()
+		return err
 	}
 	snap := db.buildSnapshotLocked()
 	_, err := db.wal.rotate()
@@ -765,6 +766,9 @@ func (db *DB) rebaseLocked(lsn int64, point string, write func(io.Writer) error,
 	if install != nil {
 		install()
 	}
+	db.logMu.Lock()
+	db.logFramed = len(db.log) // the published snapshot holds the whole log
+	db.logMu.Unlock()
 	err := retireWAL(db.durDir, retireAll)
 	var w *WAL
 	if err == nil {
@@ -866,34 +870,39 @@ func (db *DB) LastLSN() int64 {
 	return db.wal.lsn
 }
 
-// CloseDurability flushes and closes the write-ahead log (final shutdown;
-// typically preceded by a Checkpoint). The database remains usable but
-// subsequent commits are no longer logged.
+// CloseDurability frames the query-log tail, then flushes and closes the
+// write-ahead log (final shutdown; typically preceded by a Checkpoint). The
+// database remains usable but subsequent commits are no longer logged.
 func (db *DB) CloseDurability() error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	if db.wal == nil {
 		return nil
 	}
+	_ = db.frameLog()
 	err := db.wal.close()
 	db.retiredWAL = db.wal
 	db.wal = nil
 	return err
 }
 
-// walAppend logs one committed record, blocking for durability inline when
-// durable is set (the DDL path; rare, already serialized on db.mu). Callers
-// hold commitMu (read side) plus the lock that serializes writes to the
-// touched state (t.writeMu for table data, db.mu for DDL and the query
-// log), which also serializes the underlying file appends. No-op without an
-// attached WAL.
-func (db *DB) walAppend(rec *WALRecord, durable bool) error {
+// walAppend logs one committed DDL record and blocks for its durability
+// inline (rare, and already serialized on db.mu). The query-log tail is
+// framed first, so the record's fsync covers every entry appended before
+// it. Lock order: the caller's db.mu (or, on the DML path, t.writeMu) ranks
+// above logMu, which ranks above the WAL's w.mu; commitMu (read side) is
+// held throughout. No-op without an attached WAL.
+func (db *DB) walAppend(rec *WALRecord) error {
 	if db.wal == nil {
 		return nil
 	}
-	err := db.wal.append(rec, durable)
+	_ = db.frameLog()
+	lsn, err := db.wal.appendFrame(rec, true)
+	if err == nil {
+		err = db.wal.waitDurable(lsn)
+	}
 	db.noteWALErr(err)
-	if err == nil && durable {
+	if err == nil {
 		// Quorum acks ride the DDL path inline (rare, already serialized):
 		// the record is locally durable, now wait for follower acks.
 		err = db.waitCommitGate(rec.LSN)
@@ -903,11 +912,13 @@ func (db *DB) walAppend(rec *WALRecord, durable bool) error {
 
 // walAppendFrame frames one committed record without waiting for
 // durability (the DML commit path: frame under the statement lock, wait
-// after releasing it). No-op without an attached WAL.
+// after releasing it), after framing the query-log tail so the commit's
+// fsync covers it too. No-op without an attached WAL.
 func (db *DB) walAppendFrame(rec *WALRecord) error {
 	if db.wal == nil {
 		return nil
 	}
+	_ = db.frameLog()
 	_, err := db.wal.appendFrame(rec, true)
 	db.noteWALErr(err)
 	return err

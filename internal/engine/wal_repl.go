@@ -365,9 +365,12 @@ func (db *DB) BootstrapReplica(snapshot []byte) error {
 	adopt := func() {
 		db.mu.Lock()
 		db.tables = scratch.tables
+		db.mu.Unlock()
+		db.logMu.Lock()
 		db.log = scratch.log
 		db.logSeq = scratch.logSeq
-		db.mu.Unlock()
+		db.logFramed = len(db.log)
+		db.logMu.Unlock()
 		// Adopt the snapshot's leadership generation: a bootstrap from a
 		// post-promotion leader is exactly how a deposed node (its divergent
 		// tail now discarded) rejoins the new lineage, so any fence clears.

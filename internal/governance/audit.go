@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -33,11 +34,24 @@ type AuditLog struct {
 // NewAuditLog returns an empty log.
 func NewAuditLog() *AuditLog { return &AuditLog{} }
 
+// hashEntry is the chain hash: SHA-256 over the bytes
+// fmt.Sprintf("%d|%d|%s|%s|%s|%s|%t|%s", Seq, At.UnixNano(), User, Action,
+// Object, Detail, Allowed, PrevHash) would produce, assembled without fmt.
 func hashEntry(e *AuditEntry) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%d|%d|%s|%s|%s|%s|%t|%s",
-		e.Seq, e.At.UnixNano(), e.User, e.Action, e.Object, e.Detail, e.Allowed, e.PrevHash)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	b := strconv.AppendInt(buf[:0], e.Seq, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, e.At.UnixNano(), 10)
+	for _, s := range [...]string{e.User, e.Action, e.Object, e.Detail} {
+		b = append(b, '|')
+		b = append(b, s...)
+	}
+	b = append(b, '|')
+	b = strconv.AppendBool(b, e.Allowed)
+	b = append(b, '|')
+	b = append(b, e.PrevHash...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Record appends an entry and returns it.

@@ -1,8 +1,14 @@
 package governance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAccessDenyByDefault(t *testing.T) {
@@ -175,5 +181,66 @@ func TestAuditChainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fmtHash is the chain hash as the audit log first computed it, through
+// fmt; hashEntry must produce the same digest without fmt.
+func fmtHash(e *AuditEntry) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%d|%s|%s|%s|%s|%t|%s",
+		e.Seq, e.At.UnixNano(), e.User, e.Action, e.Object, e.Detail, e.Allowed, e.PrevHash)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHashEntryMatchesFmt pins hashEntry to the fmt formula on random
+// entries — separators inside fields, empty fields, non-ASCII text, long
+// details, negative times — and shows that a chain hashed by the formula
+// still restores and verifies.
+func TestHashEntryMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pieces := []string{"", "|", "a|b", "ünïcødé", "日本語", "select * from t", "%d%s", "\x00", strings.Repeat("x", 700)}
+	field := func() string {
+		var b strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	var chain []AuditEntry
+	prev := ""
+	for i := 0; i < 500; i++ {
+		e := AuditEntry{
+			Seq:     int64(i + 1),
+			At:      time.Unix(rng.Int63n(1<<33)-1<<32, rng.Int63n(1e9)),
+			User:    field(),
+			Action:  field(),
+			Object:  field(),
+			Detail:  field(),
+			Allowed: rng.Intn(2) == 0,
+		}
+		if i%7 == 0 {
+			e.PrevHash = field() // hashEntry takes any PrevHash, not only hex
+			if got, want := hashEntry(&e), fmtHash(&e); got != want {
+				t.Fatalf("entry %+v: hashEntry %s, fmt formula %s", e, got, want)
+			}
+		}
+		e.PrevHash = prev
+		e.Hash = fmtHash(&e)
+		if got := hashEntry(&e); got != e.Hash {
+			t.Fatalf("entry %+v: hashEntry %s, fmt formula %s", e, got, e.Hash)
+		}
+		chain = append(chain, e)
+		prev = e.Hash
+	}
+	l := NewAuditLog()
+	if err := l.Restore(chain); err != nil {
+		t.Fatalf("a chain hashed by the fmt formula does not restore: %v", err)
+	}
+	if bad := l.Verify(); bad != -1 {
+		t.Fatalf("restored chain broken at %d", bad)
+	}
+	if next := l.Record("u", "select", "table:t", "after restore", true); next.PrevHash != prev || next.Hash != fmtHash(&next) {
+		t.Fatalf("entry appended after restore does not extend the chain: %+v", next)
 	}
 }

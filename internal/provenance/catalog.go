@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -76,6 +77,14 @@ type Catalog struct {
 	out      map[string][]int
 	in       map[string][]int
 	seq      int64
+	execs    map[string]*execStat // query entity ID -> repeated executions
+}
+
+// execStat counts the executions one query entity stands for once
+// SQLTracker.CaptureStmt has folded a repeat into it.
+type execStat struct {
+	count int64
+	last  int64 // catalog sequence of the latest execution
 }
 
 // NewCatalog returns an empty catalog.
@@ -86,6 +95,7 @@ func NewCatalog() *Catalog {
 		edgeSet:  map[string]bool{},
 		out:      map[string][]int{},
 		in:       map[string][]int{},
+		execs:    map[string]*execStat{},
 	}
 }
 
@@ -182,6 +192,48 @@ func (c *Catalog) SetAttr(id, key, value string) {
 		e.Attrs = map[string]string{}
 	}
 	e.Attrs[key] = value
+}
+
+// Executions reports how many executions query entity id stands for and
+// the catalog sequence of the latest one. SQLTracker.CaptureStmt folds
+// repeats of one read into one entity; any other entity stands for a single
+// execution at its creation sequence. An unknown id reports 0, 0.
+func (c *Catalog) Executions(id string) (count, lastSeq int64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if s := c.execs[id]; s != nil {
+		return s.count, s.last
+	}
+	if e := c.entities[id]; e != nil {
+		return 1, e.Seq
+	}
+	return 0, 0
+}
+
+// repeat records one more execution of query entity id, provided every
+// entity id's edges point to is still the latest version of its name, and
+// reports whether it did. A write since id was captured made a new version
+// of something it reads, so the caller must capture afresh.
+func (c *Catalog) repeat(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ei := range c.out[id] {
+		e := c.entities[c.edges[ei].To]
+		// An ID is "<type>:<name>@v<version>", so its prefix up to the last
+		// '@' is the entity's latest-version key.
+		if e == nil || c.latest[e.ID[:strings.LastIndexByte(e.ID, '@')]] != e.Version {
+			return false
+		}
+	}
+	c.seq++
+	s := c.execs[id]
+	if s == nil {
+		s = &execStat{count: 1}
+		c.execs[id] = s
+	}
+	s.count++
+	s.last = c.seq
+	return true
 }
 
 // AddEdge inserts a deduplicated, labeled edge.

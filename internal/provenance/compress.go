@@ -8,7 +8,8 @@ import (
 // Compression and summarization (the paper's answer to the provenance
 // graph "becoming substantially large in size"): structurally identical
 // queries — same template after literal normalization — are collapsed into
-// a single template entity that carries an occurrence count, and their
+// a single template entity that carries an execution count (a query entity
+// counts every execution SQLTracker.CaptureStmt folded into it), and their
 // per-query read edges are replaced by template-level edges.
 
 // CompressionResult reports the effect of a Compress run.
@@ -126,7 +127,8 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 		} else {
 			res.QueriesCollapsed++
 		}
-		bump(tpl)
+		execs, _ := c.Executions(q.ID)
+		bump(tpl, execs)
 		queryToTemplate[q.ID] = tpl.ID
 	}
 
@@ -184,14 +186,15 @@ func Compress(c *Catalog) (*Catalog, CompressionResult) {
 	return out, res
 }
 
-func bump(e *Entity) {
+// bump adds execs executions to a template's count.
+func bump(e *Entity, execs int64) {
 	n := 0
 	if e.Attrs != nil {
 		n = atoi(e.Attrs["count"])
 	} else {
 		e.Attrs = map[string]string{}
 	}
-	e.Attrs["count"] = itoa(n + 1)
+	e.Attrs["count"] = itoa(n + int(execs))
 }
 
 // collapseID maps "type:name@vN" to "type:name@v1" (all versions collapse).

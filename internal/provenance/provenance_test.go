@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +268,169 @@ func TestCompress(t *testing.T) {
 	if counts != 50 {
 		t.Errorf("template counts sum = %d, want 50", counts)
 	}
+
+	// A read captured N times through CaptureStmt is one query entity that
+	// stands for N executions; its template counts all N.
+	const n = 10
+	stmt := mustParse(t, "SELECT a FROM t WHERE b = 99")
+	for i := 0; i < n; i++ {
+		tr.CaptureStmt(stmt, sql.FormatStatement(stmt), "u")
+	}
+	if got := len(c.EntitiesOfType(TypeQuery)); got != 51 {
+		t.Fatalf("query entities = %d, want 51 (the repeats fold into one)", got)
+	}
+	compressed, _ = Compress(c)
+	for _, tpl := range compressed.EntitiesOfType(TypeTemplate) {
+		want := 25
+		if tpl.Attrs["kind"] == "select" {
+			want += n
+		}
+		if got := atoi(tpl.Attrs["count"]); got != want {
+			t.Errorf("template %q count = %d, want %d", tpl.Name, got, want)
+		}
+	}
+}
+
+// queryEntities returns the query entities whose text is text.
+func queryEntities(c *Catalog, text string) []*Entity {
+	var out []*Entity
+	for _, q := range c.EntitiesOfType(TypeQuery) {
+		if q.Attrs["text"] == text {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestCaptureStmtAggregatesRepeats pins CaptureStmt's aggregation: repeats
+// of one read by one user are one entity with an execution count, until a
+// write makes a new version of something the read links to.
+func TestCaptureStmtAggregatesRepeats(t *testing.T) {
+	capture := func(tr *SQLTracker, text, user string) *Entity {
+		stmt := mustParse(t, text)
+		return tr.CaptureStmt(stmt, sql.FormatStatement(stmt), user)
+	}
+	const read = "SELECT a, b FROM t WHERE a > 1"
+	text := sql.FormatStatement(mustParse(t, read))
+
+	t.Run("repeats fold", func(t *testing.T) {
+		c := NewCatalog()
+		tr := NewSQLTracker(c)
+		const n = 20
+		first := capture(tr, read, "u")
+		nodes, edges := c.Size()
+		for i := 1; i < n; i++ {
+			if q := capture(tr, read, "u"); q != first {
+				t.Fatalf("execution %d captured %s, want %s", i, q.ID, first.ID)
+			}
+		}
+		if n2, e2 := c.Size(); n2 != nodes || e2 != edges {
+			t.Errorf("repeats grew the graph: %d/%d -> %d/%d", nodes, edges, n2, e2)
+		}
+		count, last := c.Executions(first.ID)
+		if count != n || last <= first.Seq {
+			t.Errorf("Executions = %d at seq %d, want %d after seq %d", count, last, n, first.Seq)
+		}
+	})
+
+	for _, write := range []string{"INSERT INTO t (a, b) VALUES (1, 2)", "UPDATE t SET b = 3 WHERE a = 1"} {
+		t.Run("after "+strings.Fields(write)[0], func(t *testing.T) {
+			c := NewCatalog()
+			tr := NewSQLTracker(c)
+			before := capture(tr, read, "u")
+			capture(tr, read, "u")
+			capture(tr, write, "u")
+			after := capture(tr, read, "u")
+			if after == before {
+				t.Fatal("a read after a write reused the pre-write entity")
+			}
+			for _, tc := range []struct {
+				typ  EntityType
+				name string
+			}{{TypeTable, "t"}, {TypeColumn, "t.b"}} {
+				latest := c.Latest(tc.typ, tc.name)
+				linked := false
+				for _, e := range c.EdgesFrom(after.ID) {
+					linked = linked || e.To == latest.ID
+				}
+				if !linked {
+					t.Errorf("post-write read does not link %s (edges %v)", latest.ID, c.EdgesFrom(after.ID))
+				}
+			}
+			if q := capture(tr, read, "u"); q != after {
+				t.Errorf("the post-write entity is not reused: got %s, want %s", q.ID, after.ID)
+			}
+			if n, _ := c.Executions(before.ID); n != 2 {
+				t.Errorf("pre-write entity count = %d, want 2", n)
+			}
+			if n, _ := c.Executions(after.ID); n != 2 {
+				t.Errorf("post-write entity count = %d, want 2", n)
+			}
+		})
+	}
+
+	t.Run("users are separate", func(t *testing.T) {
+		c := NewCatalog()
+		tr := NewSQLTracker(c)
+		a := capture(tr, read, "alice")
+		b := capture(tr, read, "bob")
+		capture(tr, read, "alice")
+		if a == b {
+			t.Fatal("two users share one query entity")
+		}
+		if n, _ := c.Executions(a.ID); n != 2 {
+			t.Errorf("alice count = %d, want 2", n)
+		}
+		if n, _ := c.Executions(b.ID); n != 1 {
+			t.Errorf("bob count = %d, want 1", n)
+		}
+	})
+
+	t.Run("writes never fold", func(t *testing.T) {
+		c := NewCatalog()
+		tr := NewSQLTracker(c)
+		const write = "INSERT INTO t (a, b) VALUES (1, 2)"
+		seen := map[string]bool{}
+		for i := 0; i < 3; i++ {
+			q := capture(tr, write, "u")
+			if seen[q.ID] {
+				t.Fatalf("write %d reused %s", i, q.ID)
+			}
+			seen[q.ID] = true
+			if n, _ := c.Executions(q.ID); n != 1 {
+				t.Errorf("write entity count = %d, want 1", n)
+			}
+		}
+		if got := len(c.Versions(TypeTable, "t")); got != 4 {
+			t.Errorf("table versions = %d, want 4", got)
+		}
+	})
+
+	t.Run("concurrent counts sum", func(t *testing.T) {
+		c := NewCatalog()
+		tr := NewSQLTracker(c)
+		stmt := mustParse(t, read)
+		const workers, per = 8, 50
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tr.CaptureStmt(stmt, text, "u")
+				}
+			}()
+		}
+		wg.Wait()
+		var total int64
+		for _, q := range queryEntities(c, text) {
+			n, _ := c.Executions(q.ID)
+			total += n
+		}
+		if total != workers*per {
+			t.Errorf("execution counts sum to %d, want %d", total, workers*per)
+		}
+	})
 }
 
 // Property: versions are strictly increasing and contiguous regardless of

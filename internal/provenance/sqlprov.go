@@ -20,10 +20,17 @@ type SQLTracker struct {
 	catalog  *Catalog
 	mu       sync.Mutex
 	querySeq int
+	// reads remembers, per (statement text, user), the query entity
+	// CaptureStmt last created for a read, so a repeat can reuse it.
+	reads map[readKey]*Entity
 }
 
+type readKey struct{ text, user string }
+
 // NewSQLTracker binds a tracker to a catalog.
-func NewSQLTracker(c *Catalog) *SQLTracker { return &SQLTracker{catalog: c} }
+func NewSQLTracker(c *Catalog) *SQLTracker {
+	return &SQLTracker{catalog: c, reads: map[readKey]*Entity{}}
+}
 
 // Catalog returns the underlying catalog.
 func (tr *SQLTracker) Catalog() *Catalog { return tr.catalog }
@@ -35,13 +42,34 @@ func (tr *SQLTracker) CaptureQuery(query, user string) (*Entity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("provenance: %w", err)
 	}
-	return tr.captureStmt(stmt, query, user), nil
+	return tr.captureStmt(stmt, sql.Analyze(stmt), query, user), nil
 }
 
 // CaptureStmt eagerly captures provenance for an already-parsed statement —
-// the prepared-statement path, which must not pay a reparse per execution.
+// the serving path, which must not pay a reparse per execution. Repeats of
+// a read aggregate: when user issued the same text before and every entity
+// the remembered query entity's edges point to is still the latest version
+// of its name, that entity is returned with its execution count bumped
+// (Catalog.Executions) and nothing else is added to the graph. Otherwise —
+// a first execution, or a write since made a new table or column version —
+// the statement is captured afresh and the new entity is remembered. A
+// statement that writes never aggregates: each makes a new table version.
 func (tr *SQLTracker) CaptureStmt(stmt sql.Statement, text, user string) *Entity {
-	return tr.captureStmt(stmt, text, user)
+	key := readKey{text, user}
+	tr.mu.Lock()
+	q := tr.reads[key]
+	tr.mu.Unlock()
+	if q != nil && tr.catalog.repeat(q.ID) {
+		return q
+	}
+	acc := sql.Analyze(stmt)
+	q = tr.captureStmt(stmt, acc, text, user)
+	if len(acc.WriteTables) == 0 {
+		tr.mu.Lock()
+		tr.reads[key] = q
+		tr.mu.Unlock()
+	}
+	return q
 }
 
 // CaptureLog lazily captures provenance from a query log, reconstructing
@@ -55,14 +83,15 @@ func (tr *SQLTracker) CaptureLog(log []engine.LogEntry) (captured, skipped int) 
 			skipped++
 			continue
 		}
-		tr.captureStmt(stmt, entry.Text, entry.User)
+		tr.captureStmt(stmt, sql.Analyze(stmt), entry.Text, entry.User)
 		captured++
 	}
 	return captured, skipped
 }
 
-func (tr *SQLTracker) captureStmt(stmt sql.Statement, text, user string) *Entity {
-	acc := sql.Analyze(stmt)
+// captureStmt adds one query entity for stmt and links it to what it reads,
+// writes and scores.
+func (tr *SQLTracker) captureStmt(stmt sql.Statement, acc sql.Access, text, user string) *Entity {
 	tr.mu.Lock()
 	tr.querySeq++
 	seq := tr.querySeq
