@@ -19,8 +19,9 @@ import (
 // Flock is the reference architecture facade (Figure 1): a database engine
 // with in-DBMS inference, a versioned model registry, RBAC + audit
 // governance, a provenance catalog with eager SQL capture, and a policy
-// engine bridging predictions to decisions. Every statement that flows
-// through Exec is access-checked, captured, and audited.
+// engine bridging predictions to decisions. Every statement, run through
+// Exec* or opened through Query*, ad hoc or prepared, is a Prepared that
+// passes one gate: access-checked, captured, logged and audited.
 type Flock struct {
 	DB       *engine.DB
 	Models   *ModelRegistry
@@ -118,10 +119,9 @@ func (f *Flock) Exec(user, query string) (*engine.Result, error) {
 }
 
 // ExecContext is Exec with a cancellation context: once ctx is done,
-// execution aborts at the engine's next batch boundary. This is the serving
-// layer's entry point — every session query flows through here so a
-// disconnecting client, an expired deadline, or a server shutdown unwinds
-// the whole statement.
+// execution aborts at the engine's next batch boundary, so a disconnecting
+// client, an expired deadline, or a server shutdown unwinds the whole
+// statement.
 func (f *Flock) ExecContext(ctx context.Context, user, query string) (*engine.Result, error) {
 	return f.ExecLevelContext(ctx, user, query, f.DB.DefaultLevel)
 }
@@ -131,98 +131,56 @@ func (f *Flock) ExecLevel(user, query string, level opt.Level) (*engine.Result, 
 	return f.ExecLevelContext(context.Background(), user, query, level)
 }
 
-// ExecLevelContext is ExecContext with an explicit optimization level.
+// ExecLevelContext is ExecContext with an explicit optimization level: it
+// parses query and runs each statement in turn through ExecPrepared,
+// returning the last result.
 func (f *Flock) ExecLevelContext(ctx context.Context, user, query string, level opt.Level) (*engine.Result, error) {
-	stmts, err := sql.Parse(query)
+	stmts, err := f.Parse(user, query, level)
 	if err != nil {
-		f.Audit.Record(user, "parse", "", truncate(query), false)
 		return nil, err
 	}
-	if len(stmts) == 0 {
-		f.Audit.Record(user, "parse", "", truncate(query), false)
-		return nil, fmt.Errorf("core: empty statement")
-	}
 	var last *engine.Result
-	for _, stmt := range stmts {
-		res, err := f.execOne(ctx, user, stmt, level)
-		if err != nil {
+	for _, p := range stmts {
+		if last, err = f.ExecPrepared(ctx, user, p); err != nil {
 			return nil, err
 		}
-		last = res
 	}
 	return last, nil
 }
 
-func (f *Flock) execOne(ctx context.Context, user string, stmt sql.Statement, level opt.Level) (*engine.Result, error) {
-	text := sql.FormatStatement(stmt)
-	acc := sql.Analyze(stmt)
-
-	// Access control: reads, writes and model scoring are all checked
-	// before anything executes.
-	if err := f.checkAccess(user, stmt, acc); err != nil {
-		f.Audit.Record(user, "denied", firstObject(acc), truncate(text), false)
-		return nil, err
-	}
-
-	// Eager provenance capture and the query log, on the statement already
-	// parsed: the same entry points the prepared path uses.
-	f.Prov.CaptureStmt(stmt, text, user)
-	f.DB.LogStatement(text, user)
-
-	res, err := f.DB.ExecStmtContext(ctx, stmt, engine.ExecOptions{Level: level})
-	f.Audit.Record(user, stmtAction(stmt), firstObject(acc), truncate(text), err == nil)
-	return res, err
-}
-
-func (f *Flock) checkAccess(user string, stmt sql.Statement, acc sql.Access) error {
+// checkAccess decides whether user may run p: scoring every model it
+// references, then reading (SELECT) or writing (under its Kind) its tables.
+func (f *Flock) checkAccess(user string, p *Prepared) error {
+	acc := p.acc
 	for _, m := range acc.Models {
 		if err := f.Access.Check(user, governance.ActScore, governance.ModelObject(m)); err != nil {
 			return err
 		}
 	}
-	switch stmt.(type) {
-	case *sql.SelectStmt:
-		for _, t := range acc.ReadTables {
-			err := f.Access.Check(user, governance.ActSelect, governance.TableObject(t))
-			if err == nil {
-				continue
-			}
-			// Fine-grained fallback: the read is allowed when every column
-			// the statement references on this table is individually
-			// granted (column-level access control). A table read with no
-			// resolvable column references still requires the table grant.
-			cols := columnsForTable(acc, t)
-			if len(cols) == 0 {
-				return err
-			}
-			for _, c := range cols {
-				if cerr := f.Access.Check(user, governance.ActSelect, governance.ColumnObject(t, c)); cerr != nil {
-					return err // report the table-level denial
-				}
-			}
-		}
-	case *sql.InsertStmt:
+	if p.Kind() != "select" {
 		for _, t := range acc.WriteTables {
-			if err := f.Access.Check(user, governance.ActInsert, governance.TableObject(t)); err != nil {
+			if err := f.Access.Check(user, governance.Action(p.Kind()), governance.TableObject(t)); err != nil {
 				return err
 			}
 		}
-	case *sql.UpdateStmt:
-		for _, t := range acc.WriteTables {
-			if err := f.Access.Check(user, governance.ActUpdate, governance.TableObject(t)); err != nil {
-				return err
-			}
+		return nil
+	}
+	for _, t := range acc.ReadTables {
+		err := f.Access.Check(user, governance.ActSelect, governance.TableObject(t))
+		if err == nil {
+			continue
 		}
-	case *sql.DeleteStmt:
-		for _, t := range acc.WriteTables {
-			if err := f.Access.Check(user, governance.ActDelete, governance.TableObject(t)); err != nil {
-				return err
-			}
+		// Fine-grained fallback: the read is allowed when every column
+		// the statement references on this table is individually
+		// granted (column-level access control). A table read with no
+		// resolvable column references still requires the table grant.
+		cols := columnsForTable(acc, t)
+		if len(cols) == 0 {
+			return err
 		}
-	case *sql.CreateTableStmt:
-		for _, t := range acc.WriteTables {
-			if err := f.Access.Check(user, governance.ActCreate, governance.TableObject(t)); err != nil {
-				return err
+		for _, c := range cols {
+			if cerr := f.Access.Check(user, governance.ActSelect, governance.ColumnObject(t, c)); cerr != nil {
+				return err // report the table-level denial
 			}
 		}
 	}
@@ -311,22 +269,6 @@ func columnsForTable(acc sql.Access, table string) []string {
 		out = append(out, acc.Columns[""]...)
 	}
 	return out
-}
-
-func stmtAction(s sql.Statement) string {
-	switch s.(type) {
-	case *sql.SelectStmt:
-		return "select"
-	case *sql.InsertStmt:
-		return "insert"
-	case *sql.UpdateStmt:
-		return "update"
-	case *sql.DeleteStmt:
-		return "delete"
-	case *sql.CreateTableStmt:
-		return "create"
-	}
-	return "exec"
 }
 
 func firstObject(acc sql.Access) string {

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/wire"
 )
@@ -553,21 +554,21 @@ func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request) {
 
 // openCursor runs the open half of the cursor protocol for "cursor": true
 // and a single-SELECT "stream": true alike: admission, the governed open
-// (planning plus any blocking materialization, deadline-bound, under a
-// worker slot), and registration in the store — so a stream counts
-// against the session's cursor cap, shows in flock_cursors_open, and is
-// released by session close, shutdown and the TTL sweep like any cursor.
-// A cursor answers with its id; a stream is drained on the spot. open must
-// return a governed cursor (core.Flock.Query*).
+// (core.Flock.QueryPrepared: planning plus any blocking materialization,
+// deadline-bound, under a worker slot), and registration in the store — so
+// a stream counts against the session's cursor cap, shows in
+// flock_cursors_open, and is released by session close, shutdown and the
+// TTL sweep like any cursor. A cursor answers with its id; a stream is
+// drained on the spot.
 func (s *Server) openCursor(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, stream bool, open func(ctx context.Context) (engine.Cursor, error)) {
+	timeoutMS int64, stream bool, p *core.Prepared) {
 
 	q, ok := s.admit(w, r, sess, nil, s.timeout(timeoutMS), "select")
 	defer q.exit()
 	if !ok {
 		return
 	}
-	cur, err := open(q.ctx)
+	cur, err := s.flock.QueryPrepared(q.ctx, sess.user, p)
 	q.release() // open work (planning, blocking materialization) is done
 	if err != nil {
 		q.fail(err)

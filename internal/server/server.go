@@ -11,7 +11,7 @@
 //
 //	POST   /v1/sessions        {user, token}            -> {session, user}
 //	DELETE /v1/sessions/{id}                            -> 204
-//	POST   /v1/query           {session, sql, timeout_ms, level, stream, cursor, batch_rows}
+//	POST   /v1/query           {session, sql, timeout_ms, level, stream, cursor}
 //	POST   /v1/prepare         {session, sql, level}    -> {stmt, kind, cached}
 //	POST   /v1/exec            {session, stmt, timeout_ms, stream, cursor}
 //	POST   /v1/cursor/fetch    {session, cursor, max_rows, timeout_ms} -> {columns, rows, done}
@@ -64,7 +64,6 @@ import (
 	"repro/internal/onnx"
 	"repro/internal/opt"
 	"repro/internal/repl"
-	sqlpkg "repro/internal/sql"
 )
 
 // Config tunes the serving layer. The zero value gets sane defaults from
@@ -589,28 +588,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Cursor || req.Stream && isSingleSelect(req.SQL) {
-		s.openCursor(w, r, sess, req.TimeoutMS, req.Stream && !req.Cursor, func(ctx context.Context) (engine.Cursor, error) {
-			return s.flock.QueryLevel(ctx, sess.user, req.SQL, level)
-		})
+	// Parsed before admission: a parse failure is a bad request (audited
+	// by core as "parse"), counted under the "other" latency family.
+	start := time.Now()
+	stmts, err := s.flock.Parse(sess.user, req.SQL, level)
+	if err != nil {
+		s.met.observeQuery("other", "error", time.Since(start))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.run(w, r, sess, req.TimeoutMS, kindOfSQL(req.SQL), req.Stream,
-		func(ctx context.Context) (*engine.Result, error) {
-			return s.flock.ExecLevelContext(ctx, sess.user, req.SQL, level)
-		})
-}
-
-// isSingleSelect reports whether sql parses as exactly one SELECT — the
-// shapes the cursor/stream paths accept; everything else (DML,
-// multi-statement strings) takes the materialized path.
-func isSingleSelect(query string) bool {
-	stmt, err := sqlpkg.ParseOne(query)
-	if err != nil {
-		return false
-	}
-	_, ok := stmt.(*sqlpkg.SelectStmt)
-	return ok
+	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, stmts...)
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -685,24 +672,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown prepared statement (evicted or never prepared); re-prepare"))
 		return
 	}
-	kind := p.Kind()
-	if kind != "select" {
-		kind = "dml"
-	}
-	if req.Cursor && kind != "select" {
-		writeError(w, http.StatusBadRequest, errors.New("cursor requires a prepared SELECT"))
-		return
-	}
-	if req.Cursor || req.Stream && kind == "select" {
-		s.openCursor(w, r, sess, req.TimeoutMS, req.Stream && !req.Cursor, func(ctx context.Context) (engine.Cursor, error) {
-			return s.flock.QueryPrepared(ctx, sess.user, p)
-		})
-		return
-	}
-	s.run(w, r, sess, req.TimeoutMS, kind, req.Stream,
-		func(ctx context.Context) (*engine.Result, error) {
-			return s.flock.ExecPrepared(ctx, sess.user, p)
-		})
+	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, p)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -769,18 +739,43 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.writeProm(w, gauges)
 }
 
-// run pushes one query through admission control, deadline management, the
-// engine, and result encoding, recording metrics for every outcome.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, kind string, stream bool,
-	do func(ctx context.Context) (*engine.Result, error)) {
+// dispatch is where /v1/query and /v1/exec meet: it runs parsed statements
+// through admission control, deadline management, the governed engine path
+// and result encoding, recording metrics for every outcome. A cursor — or a
+// stream of one SELECT — opens a server-side cursor; anything else runs
+// each statement to completion and answers with the last result. The
+// latency family is "select" when every statement is a SELECT, else "dml".
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
+	timeoutMS int64, stream, cursor bool, stmts ...*core.Prepared) {
+
+	kind := "select"
+	for _, p := range stmts {
+		if p.Kind() != "select" {
+			kind = "dml"
+		}
+	}
+	single := len(stmts) == 1 && kind == "select"
+	if cursor && !single {
+		writeError(w, http.StatusBadRequest, errors.New("cursor requires a single SELECT statement"))
+		return
+	}
+	if cursor || stream && single {
+		s.openCursor(w, r, sess, timeoutMS, !cursor, stmts[0])
+		return
+	}
 
 	q, ok := s.admit(w, r, sess, nil, s.timeout(timeoutMS), kind)
 	defer q.exit()
 	if !ok {
 		return
 	}
-	res, err := do(q.ctx)
+	var res *engine.Result
+	var err error
+	for _, p := range stmts {
+		if res, err = s.flock.ExecPrepared(q.ctx, sess.user, p); err != nil {
+			break
+		}
+	}
 	// The result is fully materialized: release the worker slot BEFORE
 	// encoding, so a slow-reading client stalls only its own connection,
 	// never the worker pool.
@@ -980,29 +975,6 @@ func (s *Server) levelOf(name string) (opt.Level, error) {
 		return opt.LevelFull, nil
 	}
 	return 0, fmt.Errorf("unknown optimization level %q", name)
-}
-
-// kindOfSQL classifies a statement string for the latency histogram.
-func kindOfSQL(sql string) string {
-	f := strings.ToLower(firstWord(sql))
-	switch f {
-	case "select":
-		return "select"
-	case "insert", "update", "delete", "create":
-		return "dml"
-	}
-	return "other"
-}
-
-func firstWord(s string) string {
-	s = strings.TrimSpace(s)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
-			return s[:i]
-		}
-	}
-	return s
 }
 
 // StaticTokenAuth builds an Authenticate func over a fixed user->token

@@ -571,6 +571,100 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPrepareAuditsParseFailure: unparseable SQL leaves the same "parse"
+// audit record for its user on /v1/prepare as on /v1/query.
+func TestPrepareAuditsParseFailure(t *testing.T) {
+	s, ts := newTestServer(t, 50, Config{})
+	sid := openSession(t, ts.URL, "alice")
+	for _, route := range []string{"/v1/prepare", "/v1/query"} {
+		before := s.Flock().Audit.Len()
+		resp, body := postJSON(t, ts.URL+route, map[string]any{"session": sid, "sql": "SELEC id FROM customers"})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: want 400 for bad SQL, got %d %v", route, resp.StatusCode, body)
+		}
+		entries := s.Flock().Audit.Entries()[before:]
+		if len(entries) != 1 || entries[0].User != "alice" || entries[0].Action != "parse" || entries[0].Allowed {
+			t.Fatalf("%s: audit grew by %+v, want one failed parse record for alice", route, entries)
+		}
+	}
+}
+
+// queryFamilies reads the flock_query_seconds_count series by kind.
+func queryFamilies(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(metricsBody(t, base), "\n") {
+		rest, ok := strings.CutPrefix(line, `flock_query_seconds_count{kind="`)
+		if !ok {
+			continue
+		}
+		kind, v, _ := strings.Cut(rest, `"} `)
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[kind] = f
+	}
+	return out
+}
+
+// TestLatencyFamilies pins which flock_query_seconds family a request
+// lands in: "select" when every statement is a SELECT (whatever precedes
+// it), "dml" otherwise, "other" for a parse failure, and nothing for a
+// cursor over a non-SELECT, which both endpoints refuse alike.
+func TestLatencyFamilies(t *testing.T) {
+	_, ts := newTestServer(t, 50, Config{})
+	sid := openSession(t, ts.URL, "alice")
+	prepare := func(sql string) string {
+		resp, body := postJSON(t, ts.URL+"/v1/prepare", map[string]any{"session": sid, "sql": sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prepare %q: %d %v", sql, resp.StatusCode, body)
+		}
+		return body["stmt"].(string)
+	}
+	sel := prepare("SELECT count(*) FROM customers")
+	ins := prepare("INSERT INTO customers VALUES (9001, 30.0, 50000.0, 2.0, 'us-east')")
+
+	const refused = "cursor requires a single SELECT statement"
+	cases := []struct {
+		name, route, key, val string
+		cursor                bool
+		status                int
+		family                string // "" = no family grows
+	}{
+		{"comment before SELECT", "/v1/query", "sql", "-- note\nSELECT count(*) FROM customers", false, http.StatusOK, "select"},
+		{"SELECT then INSERT", "/v1/query", "sql",
+			"SELECT count(*) FROM customers; INSERT INTO customers VALUES (9002, 30.0, 50000.0, 2.0, 'us-east')",
+			false, http.StatusOK, "dml"},
+		{"parse failure", "/v1/query", "sql", "SELEC count(*) FROM customers", false, http.StatusBadRequest, "other"},
+		{"prepared SELECT", "/v1/exec", "stmt", sel, false, http.StatusOK, "select"},
+		{"prepared INSERT", "/v1/exec", "stmt", ins, false, http.StatusOK, "dml"},
+		{"cursor on INSERT", "/v1/query", "sql",
+			"INSERT INTO customers VALUES (9003, 30.0, 50000.0, 2.0, 'us-east')", true, http.StatusBadRequest, ""},
+		{"cursor on prepared INSERT", "/v1/exec", "stmt", ins, true, http.StatusBadRequest, ""},
+	}
+	for _, c := range cases {
+		before := queryFamilies(t, ts.URL)
+		resp, body := postJSON(t, ts.URL+c.route, map[string]any{"session": sid, c.key: c.val, "cursor": c.cursor})
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d %v, want %d", c.name, resp.StatusCode, body, c.status)
+		}
+		if c.cursor && body["error"] != refused {
+			t.Errorf("%s: error %q, want %q", c.name, body["error"], refused)
+		}
+		after := queryFamilies(t, ts.URL)
+		for _, kind := range queryKinds {
+			want := 0.0
+			if kind == c.family {
+				want = 1
+			}
+			if got := after[kind] - before[kind]; got != want {
+				t.Errorf("%s: family %q grew by %v, want %v", c.name, kind, got, want)
+			}
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	flock := newTestFlock(t, 100)
 	s := New(flock, Config{OnSession: func(user string) { flock.Access.AssignRole(user, "admin") }})
