@@ -373,12 +373,7 @@ func baselineMonitor(flock *core.Flock) *monitor.ScoreMonitor {
 		log.Printf("flock-serve: monitor baseline skipped: %v", err)
 		return nil
 	}
-	scores := make([]float64, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		if f, ok := row[0].(float64); ok {
-			scores = append(scores, f)
-		}
-	}
+	scores := res.Cols[0].Floats
 	split := len(scores) * 2 / 3
 	if split < monitor.DefaultBins {
 		log.Printf("flock-serve: monitor baseline skipped: only %d scores", len(scores))

@@ -122,22 +122,19 @@ func run(flock *core.Flock, query string) {
 		fmt.Println("error:", err)
 		return
 	}
-	if len(res.Columns) > 0 {
-		fmt.Println(strings.Join(res.Columns, " | "))
+	if len(res.Cols) > 0 {
+		fmt.Println(strings.Join(res.Schema.Names(), " | "))
 	}
-	limit := len(res.Rows)
-	if limit > 40 {
-		limit = 40
-	}
-	for _, row := range res.Rows[:limit] {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = fmt.Sprint(v)
+	limit := min(res.N, 40)
+	for i := range limit {
+		parts := make([]string, len(res.Cols))
+		for c, v := range res.Row(i) {
+			parts[c] = fmt.Sprint(v.Any())
 		}
 		fmt.Println(strings.Join(parts, " | "))
 	}
-	if len(res.Rows) > limit {
-		fmt.Printf("... (%d rows total)\n", len(res.Rows))
+	if res.N > limit {
+		fmt.Printf("... (%d rows total)\n", res.N)
 	}
 	if res.Affected > 0 {
 		fmt.Printf("%d rows affected\n", res.Affected)

@@ -82,8 +82,8 @@ auc = roc_auc_score(y, model.predict(X))
 		log.Fatal(err)
 	}
 	fmt.Println("\nhighest readmission risks (scored in-DB, never exported):")
-	for _, row := range res.Rows {
-		fmt.Printf("  patient %v: %.3f\n", row[0], row[1])
+	for i := range res.N {
+		fmt.Printf("  patient %v: %.3f\n", res.Cols[0].Ints[i], res.Cols[1].Floats[i])
 	}
 
 	// GDPR-style question: where did the model behind these predictions

@@ -70,11 +70,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nloan decisions:")
-	for _, row := range apps.Rows {
-		id := row[0].(int64)
-		income := row[1].(float64)
-		debt := row[2].(float64)
-		sanctioned := float64(row[3].(int64))
+	c := apps.Cols
+	for i := range apps.N {
+		id, income, debt := c[0].Ints[i], c[1].Floats[i], c[2].Floats[i]
+		sanctioned := float64(c[3].Ints[i])
 		q := fmt.Sprintf(`SELECT PREDICT(loan_approval, income, debt, years_employed, region) AS s
 			FROM applications WHERE id = %d`, id)
 		outcome, err := flock.Decide("olivia", "loan_approval", q,

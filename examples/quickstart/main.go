@@ -81,8 +81,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("high-risk customers (scored in-DB):")
-	for _, row := range res.Rows {
-		fmt.Printf("  id=%v region=%-9v risk=%.3f\n", row[0], row[1], row[2])
+	for i := range res.N {
+		fmt.Printf("  id=%v region=%-9v risk=%.3f\n", res.Cols[0].Ints[i], res.Cols[1].Strs[i], res.Cols[2].Floats[i])
 	}
 
 	// 5. Everything was audited and captured.

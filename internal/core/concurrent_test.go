@@ -139,8 +139,8 @@ func TestConcurrentPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(res.Rows[0][0]) != fmt.Sprint(want.Rows[0][0]) {
-		t.Fatalf("prepared result %v != fresh result %v (stale plan served)", res.Rows[0][0], want.Rows[0][0])
+	if fmt.Sprint(boxed(res)[0][0]) != fmt.Sprint(boxed(want)[0][0]) {
+		t.Fatalf("prepared result %v != fresh result %v (stale plan served)", boxed(res)[0][0], boxed(want)[0][0])
 	}
 }
 
@@ -218,8 +218,8 @@ func TestConcurrentPreparedSharesAnnotatedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Rows) != 50 {
-		t.Fatalf("%d rows, want 50", len(want.Rows))
+	if want.N != 50 {
+		t.Fatalf("%d rows, want 50", want.N)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
@@ -232,7 +232,7 @@ func TestConcurrentPreparedSharesAnnotatedPlan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				if fmt.Sprint(boxed(got)) != fmt.Sprint(boxed(want)) {
 					t.Errorf("concurrent execution returned different rows")
 					return
 				}

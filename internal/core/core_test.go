@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"repro/internal/engine"
 	"strings"
 	"testing"
 
@@ -11,6 +12,18 @@ import (
 	"repro/internal/policy"
 	"repro/internal/provenance"
 )
+
+// boxed is res's rows with every cell boxed, for comparing answers.
+func boxed(res *engine.Result) [][]any {
+	rows := make([][]any, res.N)
+	for i := range rows {
+		rows[i] = make([]any, len(res.Cols))
+		for c, v := range res.Row(i) {
+			rows[i][c] = v.Any()
+		}
+	}
+	return rows
+}
 
 // trainPipe fits a small churn pipeline for tests.
 func trainPipe(t testing.TB) *ml.Pipeline {
@@ -201,10 +214,10 @@ func TestFlockEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 4 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		s := row[1].(float64)
 		if s < 0 || s > 1 {
 			t.Errorf("score %v out of range", s)
@@ -392,9 +405,10 @@ func TestFlockRestartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Rows {
-		if got.Rows[i][1] != want.Rows[i][1] {
-			t.Fatalf("restored score differs at row %d: %v vs %v", i, got.Rows[i][1], want.Rows[i][1])
+	gotRows, wantRows := boxed(got), boxed(want)
+	for i := range wantRows {
+		if gotRows[i][1] != wantRows[i][1] {
+			t.Fatalf("restored score differs at row %d: %v vs %v", i, gotRows[i][1], wantRows[i][1])
 		}
 	}
 	// The restored query log supports lazy provenance reconstruction.

@@ -164,7 +164,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[int]int{}
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		id := int(row[0].(int64))
 		if _, dup := got[id]; dup {
 			t.Fatalf("duplicate id %d after recovery (WAL replay not idempotent)", id)

@@ -77,9 +77,10 @@ func TestOpenDirFullLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Rows {
-		if got.Rows[i][1] != want.Rows[i][1] {
-			t.Fatalf("restored score differs at row %d: %v vs %v", i, got.Rows[i][1], want.Rows[i][1])
+	gotRows, wantRows := boxed(got), boxed(want)
+	for i := range wantRows {
+		if gotRows[i][1] != wantRows[i][1] {
+			t.Fatalf("restored score differs at row %d: %v vs %v", i, gotRows[i][1], wantRows[i][1])
 		}
 	}
 
@@ -95,8 +96,8 @@ func TestOpenDirFullLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 50.0 {
-		t.Errorf("pre-update age via time travel = %v, want 50", res.Rows[0][0])
+	if boxed(res)[0][0] != 50.0 {
+		t.Errorf("pre-update age via time travel = %v, want 50", boxed(res)[0][0])
 	}
 
 	// Audit chain restored intact and still appending.
@@ -150,8 +151,8 @@ func TestOpenDirCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 4 {
-		t.Fatalf("rows = %v, want 4", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 4 {
+		t.Fatalf("rows = %v, want 4", boxed(res)[0][0])
 	}
 	// Reopening again (after the consolidating recovery checkpoint) is
 	// idempotent: same state, this time from the snapshot.
@@ -168,8 +169,8 @@ func TestOpenDirCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 4 {
-		t.Fatalf("rows after second recovery = %v, want 4", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 4 {
+		t.Fatalf("rows after second recovery = %v, want 4", boxed(res)[0][0])
 	}
 }
 
@@ -247,15 +248,15 @@ func TestDurabilityCheckpointUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 200 {
-		t.Fatalf("rows = %v, want 200 (lost or duplicated commits across checkpoints)", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 200 {
+		t.Fatalf("rows = %v, want 200 (lost or duplicated commits across checkpoints)", boxed(res)[0][0])
 	}
 	res, err = f2.Exec("root", "SELECT DISTINCT id FROM kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 200 {
-		t.Fatalf("distinct ids = %d, want 200 (WAL replay duplicated rows)", len(res.Rows))
+	if res.N != 200 {
+		t.Fatalf("distinct ids = %d, want 200 (WAL replay duplicated rows)", res.N)
 	}
 }
 

@@ -244,14 +244,14 @@ func (f *Flock) Decide(user, model, query, entity string, attrs map[string]float
 	if err != nil {
 		return policy.Outcome{}, err
 	}
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+	if res.N != 1 || len(res.Cols) != 1 {
 		return policy.Outcome{}, fmt.Errorf("core: Decide query must return exactly one value, got %dx%d",
-			len(res.Rows), len(res.Columns))
+			res.N, len(res.Cols))
 	}
-	score, ok := res.Rows[0][0].(float64)
-	if !ok {
-		return policy.Outcome{}, fmt.Errorf("core: Decide query must return a float score, got %T", res.Rows[0][0])
+	if res.Cols[0].Type != engine.TypeFloat {
+		return policy.Outcome{}, fmt.Errorf("core: Decide query must return a float score, got %T", res.Cols[0].Value(0).Any())
 	}
+	score := res.Cols[0].Floats[0]
 	out := f.Policies.Apply(policy.Decision{Model: model, Entity: entity, Score: score, Attrs: attrs})
 	f.Audit.Record(user, "decide", string(governance.ModelObject(model)),
 		fmt.Sprintf("entity=%s score=%.4f final=%.4f overridden=%t", entity, score, out.Final, out.Overridden), true)

@@ -48,8 +48,8 @@ func scoresOf(t *testing.T, f *Flock, query string) []float64 {
 	if err != nil {
 		t.Fatalf("%s: %v", query, err)
 	}
-	out := make([]float64, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	out := make([]float64, 0, res.N)
+	for _, row := range boxed(res) {
 		v, ok := row[len(row)-1].(float64)
 		if !ok {
 			t.Fatalf("score column is %T, want float64", row[len(row)-1])
@@ -129,7 +129,7 @@ func TestInferBatchChaosZeroFailedQueries(t *testing.T) {
 					errs <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
 				}
-				for r, row := range res.Rows {
+				for r, row := range boxed(res) {
 					if got := row[len(row)-1].(float64); math.Abs(got-baseline[r]) > 1e-12 {
 						errs <- fmt.Errorf("worker %d iter %d row %d: %v != %v", w, i, r, got, baseline[r])
 						return
@@ -202,7 +202,7 @@ func TestRetrainMidFlightGenerationSafety(t *testing.T) {
 					}
 					return
 				}
-				for _, row := range res.Rows {
+				for _, row := range boxed(res) {
 					s := row[len(row)-1].(float64)
 					if s != consts[0] && s != consts[1] {
 						select {

@@ -177,7 +177,7 @@ func (f *Flock) run(ctx context.Context, p *Prepared) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.ResultFromRowSet(rs), nil
+	return &engine.Result{RowSet: *rs}, nil
 }
 
 // freshPlan returns the cached plan when still valid, replanning otherwise.

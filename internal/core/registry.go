@@ -335,10 +335,10 @@ func (r *ModelRegistry) LoadPersisted() error {
 	defer r.mu.Unlock()
 	r.graphs = map[string]*onnx.Graph{}
 	r.metas = map[string][]ModelMeta{}
-	for _, row := range res.Rows {
-		name := row[0].(string)
-		version := int(row[1].(int64))
-		blob, err := base64.StdEncoding.DecodeString(row[6].(string))
+	c := res.Cols
+	for i := range res.N {
+		name, version := c[0].Strs[i], int(c[1].Ints[i])
+		blob, err := base64.StdEncoding.DecodeString(c[6].Strs[i])
 		if err != nil {
 			return fmt.Errorf("core: corrupt blob for %s@%d: %w", name, version, err)
 		}
@@ -346,11 +346,11 @@ func (r *ModelRegistry) LoadPersisted() error {
 		if err != nil {
 			return fmt.Errorf("core: corrupt model %s@%d: %w", name, version, err)
 		}
-		created, _ := time.Parse(time.RFC3339, row[4].(string))
+		created, _ := time.Parse(time.RFC3339, c[4].Strs[i])
 		meta := ModelMeta{
-			Name: name, Version: version, Stage: Stage(row[2].(string)),
-			Creator: row[3].(string), CreatedAt: created,
-			Inputs:   strings.Split(row[5].(string), ","),
+			Name: name, Version: version, Stage: Stage(c[2].Strs[i]),
+			Creator: c[3].Strs[i], CreatedAt: created,
+			Inputs:   strings.Split(c[5].Strs[i], ","),
 			NumNodes: g.NumNodes(), BlobSize: len(blob),
 		}
 		r.metas[name] = append(r.metas[name], meta)

@@ -72,7 +72,7 @@ func TestDurabilityReopenRecoversDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Rows[0][0].(int64); n != 3 {
+	if n := boxed(res)[0][0].(int64); n != 3 {
 		t.Fatalf("recovered %d rows, want 3", n)
 	}
 }

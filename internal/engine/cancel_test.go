@@ -40,7 +40,7 @@ func TestDMLContextPreCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != 1000 {
+	if got := boxed(res)[0][0].(int64); got != 1000 {
 		t.Fatalf("canceled DML changed the table: %d rows", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestConcurrentDMLNoLostWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(seed + inserters*perInserter)
-	if got := res.Rows[0][0].(int64); got != want {
+	if got := boxed(res)[0][0].(int64); got != want {
 		t.Fatalf("lost writes under concurrent DML: %d rows, want %d", got, want)
 	}
 }
@@ -161,7 +161,7 @@ func TestInsertTypeErrorIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != 0 {
+	if got := boxed(res)[0][0].(int64); got != 0 {
 		t.Fatalf("failed INSERT committed %d partial rows", got)
 	}
 	if tab.Version() != v0 {
@@ -189,7 +189,7 @@ func TestInsertSelectCancelLeavesNoPartialWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != 0 {
+	if got := boxed(res)[0][0].(int64); got != 0 {
 		t.Fatalf("canceled INSERT...SELECT left %d partial rows", got)
 	}
 }

@@ -132,7 +132,7 @@ func runChaos(t *testing.T, point string, spec fault.Spec) {
 		t.Fatal(err)
 	}
 	present := map[int64]bool{}
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		present[row[0].(int64)] = true
 	}
 	lost := 0

@@ -512,7 +512,7 @@ func (db *DB) ExecStmtContext(ctx context.Context, stmt sql.Statement, o ExecOpt
 		if err != nil {
 			return nil, err
 		}
-		return resultFromRowSet(rs), nil
+		return &Result{RowSet: *rs}, nil
 	case *sql.CreateTableStmt:
 		return db.execCreate(s)
 	case *sql.InsertStmt:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/opt"
@@ -21,6 +22,7 @@ func TestDMLSemantics(t *testing.T) {
 		// must fail instead.
 		affected int64
 		wantErr  bool
+		errNames string // when set, the error must contain it
 		query    string
 		want     [][]any
 	}{
@@ -68,6 +70,46 @@ func TestDMLSemantics(t *testing.T) {
 			},
 		},
 		{
+			name: "a CASE with int and float branches inserts a float",
+			stmts: []string{
+				"INSERT INTO t VALUES (1, 10, CASE WHEN 1 = 2 THEN 1 ELSE 2.5 END, 'x', true)",
+			},
+			affected: 1,
+			query:    "SELECT f FROM t",
+			want:     [][]any{{2.5}},
+		},
+		{
+			name: "a CASE with int and float branches sets a float",
+			stmts: []string{
+				"INSERT INTO t VALUES (1, 10, 1.5, 'x', true), (2, 20, 2.5, 'y', false)",
+				"UPDATE t SET f = CASE WHEN a = 2 THEN 1 ELSE 0.5 END",
+			},
+			affected: 2,
+			query:    "SELECT f FROM t ORDER BY a",
+			want:     [][]any{{0.5}, {1.0}},
+		},
+		{
+			name: "a CASE mixing text and a number does not compile",
+			stmts: []string{
+				"INSERT INTO t VALUES (1, 10, 1.5, CASE WHEN 1 = 1 THEN 'y' ELSE 1 END, true)",
+			},
+			wantErr:  true,
+			errNames: "CASE branches mix text and int",
+			query:    "SELECT count(*) AS n FROM t",
+			want:     [][]any{{int64(0)}},
+		},
+		{
+			name: "a CASE mixing bool and a number does not compile",
+			stmts: []string{
+				"INSERT INTO t VALUES (1, 10, 1.5, 'x', true)",
+				"UPDATE t SET ok = CASE WHEN a = 1 THEN true ELSE 0.5 END",
+			},
+			wantErr:  true,
+			errNames: "CASE branches mix bool and float",
+			query:    "SELECT ok FROM t",
+			want:     [][]any{{true}},
+		},
+		{
 			name: "insert with a failing row writes nothing",
 			stmts: []string{
 				"INSERT INTO t VALUES (1, 10, 1.5, 'x', true)",
@@ -104,6 +146,8 @@ func TestDMLSemantics(t *testing.T) {
 			switch {
 			case c.wantErr && err == nil:
 				t.Fatalf("%s: want an error", c.stmts[last])
+			case c.wantErr && !strings.Contains(err.Error(), c.errNames):
+				t.Fatalf("%s: error %v, want one naming %q", c.stmts[last], err, c.errNames)
 			case !c.wantErr && err != nil:
 				t.Fatalf("%s: %v", c.stmts[last], err)
 			case !c.wantErr && res.Affected != c.affected:
@@ -113,13 +157,14 @@ func TestDMLSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Rows) != len(c.want) {
-				t.Fatalf("%s: rows %v, want %v", c.query, got.Rows, c.want)
+			rows := boxed(got)
+			if len(rows) != len(c.want) {
+				t.Fatalf("%s: rows %v, want %v", c.query, rows, c.want)
 			}
 			for i := range c.want {
 				for j := range c.want[i] {
-					if got.Rows[i][j] != c.want[i][j] {
-						t.Fatalf("%s: rows %v, want %v", c.query, got.Rows, c.want)
+					if rows[i][j] != c.want[i][j] {
+						t.Fatalf("%s: rows %v, want %v", c.query, rows, c.want)
 					}
 				}
 			}
@@ -143,7 +188,7 @@ func checkDMLPredictMatchesSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Half the rows are scored by INSERT VALUES, half by UPDATE.
-	for _, row := range ref.Rows {
+	for _, row := range boxed(ref) {
 		id := row[0].(int64)
 		feats := fmt.Sprintf("%s, %s, '%s'", strconv.FormatFloat(row[1].(float64), 'g', -1, 64),
 			strconv.FormatFloat(row[2].(float64), 'g', -1, 64), row[3])
@@ -160,18 +205,19 @@ func checkDMLPredictMatchesSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Affected != int64(len(ref.Rows)/2) {
-		t.Fatalf("UPDATE affected %d, want %d", res.Affected, len(ref.Rows)/2)
+	if res.Affected != int64(ref.N/2) {
+		t.Fatalf("UPDATE affected %d, want %d", res.Affected, ref.N/2)
 	}
 	got, err := db.Exec("SELECT id, p FROM scored ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(ref.Rows) {
-		t.Fatalf("scored %d rows, want %d", len(got.Rows), len(ref.Rows))
+	if got.N != ref.N {
+		t.Fatalf("scored %d rows, want %d", got.N, ref.N)
 	}
-	for i, row := range got.Rows {
-		want := ref.Rows[i][4].(float64)
+	refRows := boxed(ref)
+	for i, row := range boxed(got) {
+		want := refRows[i][4].(float64)
 		if g := row[1].(float64); math.Float64bits(g) != math.Float64bits(want) {
 			t.Fatalf("id %v: stored %v, SELECT at LevelFull %v", row[0], g, want)
 		}

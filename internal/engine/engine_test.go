@@ -12,6 +12,18 @@ import (
 	sqlpkg "repro/internal/sql"
 )
 
+// boxed is res's rows with every cell boxed, for comparing answers.
+func boxed(res *Result) [][]any {
+	rows := make([][]any, res.N)
+	for i := range rows {
+		rows[i] = make([]any, len(res.Cols))
+		for c, v := range res.Row(i) {
+			rows[i][c] = v.Any()
+		}
+	}
+	return rows
+}
+
 // fakeModels is a trivial model provider for tests.
 type fakeModels map[string]*onnx.Graph
 
@@ -57,8 +69,8 @@ func TestCreateInsertSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][1] != "y" || res.Rows[0][2] != 2.5 {
-		t.Errorf("rows = %v", res.Rows)
+	if res.N != 1 || boxed(res)[0][1] != "y" || boxed(res)[0][2] != 2.5 {
+		t.Errorf("rows = %v", boxed(res))
 	}
 }
 
@@ -68,14 +80,14 @@ func TestSelectFilterProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 2 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
-	if res.Columns[1] != "dbl" {
-		t.Errorf("columns = %v", res.Columns)
+	if res.Schema.Names()[1] != "dbl" {
+		t.Errorf("columns = %v", res.Schema.Names())
 	}
-	if res.Rows[0][1] != 60.0 || res.Rows[1][1] != 120.0 {
-		t.Errorf("rows = %v", res.Rows)
+	if boxed(res)[0][1] != 60.0 || boxed(res)[1][1] != 120.0 {
+		t.Errorf("rows = %v", boxed(res))
 	}
 }
 
@@ -85,8 +97,8 @@ func TestSelectStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || len(res.Columns) != 4 {
-		t.Errorf("star select: %v %v", res.Columns, res.Rows)
+	if res.N != 2 || len(res.Cols) != 4 {
+		t.Errorf("star select: %v %v", res.Schema.Names(), boxed(res))
 	}
 }
 
@@ -98,18 +110,18 @@ func TestAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 3 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
 	// apac, eu, us
-	if res.Rows[0][0] != "apac" || res.Rows[0][1] != int64(1) || res.Rows[0][2] != 40.0 {
-		t.Errorf("apac row = %v", res.Rows[0])
+	if boxed(res)[0][0] != "apac" || boxed(res)[0][1] != int64(1) || boxed(res)[0][2] != 40.0 {
+		t.Errorf("apac row = %v", boxed(res)[0])
 	}
-	if res.Rows[2][0] != "us" || res.Rows[2][1] != int64(3) || res.Rows[2][2] != 100.0 {
-		t.Errorf("us row = %v", res.Rows[2])
+	if boxed(res)[2][0] != "us" || boxed(res)[2][1] != int64(3) || boxed(res)[2][2] != 100.0 {
+		t.Errorf("us row = %v", boxed(res)[2])
 	}
-	if res.Rows[1][3] != 35.0 || res.Rows[1][4] != 20.0 || res.Rows[1][5] != 50.0 {
-		t.Errorf("eu stats = %v", res.Rows[1])
+	if boxed(res)[1][3] != 35.0 || boxed(res)[1][4] != 20.0 || boxed(res)[1][5] != 50.0 {
+		t.Errorf("eu stats = %v", boxed(res)[1])
 	}
 }
 
@@ -120,11 +132,11 @@ func TestHavingAndOrderByAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 2 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
-	if res.Rows[0][0] != "us" || res.Rows[1][0] != "eu" {
-		t.Errorf("order = %v", res.Rows)
+	if boxed(res)[0][0] != "us" || boxed(res)[1][0] != "eu" {
+		t.Errorf("order = %v", boxed(res))
 	}
 }
 
@@ -134,8 +146,8 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != int64(0) {
-		t.Errorf("empty aggregate = %v", res.Rows)
+	if res.N != 1 || boxed(res)[0][0] != int64(0) {
+		t.Errorf("empty aggregate = %v", boxed(res))
 	}
 }
 
@@ -145,8 +157,8 @@ func TestCountDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(3) {
-		t.Errorf("distinct regions = %v", res.Rows)
+	if boxed(res)[0][0] != int64(3) {
+		t.Errorf("distinct regions = %v", boxed(res))
 	}
 }
 
@@ -156,8 +168,8 @@ func TestDistinctAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0] != "apac" || res.Rows[1][0] != "eu" {
-		t.Errorf("distinct+limit = %v", res.Rows)
+	if res.N != 2 || boxed(res)[0][0] != "apac" || boxed(res)[1][0] != "eu" {
+		t.Errorf("distinct+limit = %v", boxed(res))
 	}
 }
 
@@ -175,11 +187,11 @@ func TestJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// orders with amount >= 30: ids 3 (us), 4 (apac, no match), 5 (eu), 6 (us)
-	if len(res.Rows) != 3 {
-		t.Fatalf("join rows = %v", res.Rows)
+	if res.N != 3 {
+		t.Fatalf("join rows = %v", boxed(res))
 	}
-	if res.Rows[0][0] != int64(3) || res.Rows[0][1] != "United States" {
-		t.Errorf("join row 0 = %v", res.Rows[0])
+	if boxed(res)[0][0] != int64(3) || boxed(res)[0][1] != "United States" {
+		t.Errorf("join row 0 = %v", boxed(res)[0])
 	}
 }
 
@@ -195,8 +207,8 @@ func TestLeftJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("left join rows = %d", len(res.Rows))
+	if res.N != 6 {
+		t.Fatalf("left join rows = %d", res.N)
 	}
 }
 
@@ -213,8 +225,8 @@ func TestUpdateDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 410.0 {
-		t.Errorf("sum after update = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != 410.0 {
+		t.Errorf("sum after update = %v", boxed(res)[0][0])
 	}
 	res, err = db.Exec("DELETE FROM orders WHERE priority = 1")
 	if err != nil {
@@ -224,8 +236,8 @@ func TestUpdateDelete(t *testing.T) {
 		t.Errorf("delete affected = %d", res.Affected)
 	}
 	res, _ = db.Exec("SELECT count(*) AS n FROM orders")
-	if res.Rows[0][0] != int64(3) {
-		t.Errorf("rows after delete = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(3) {
+		t.Errorf("rows after delete = %v", boxed(res)[0][0])
 	}
 }
 
@@ -304,8 +316,8 @@ func TestDateAndLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
-		t.Errorf("date+like rows = %v", res.Rows)
+	if res.N != 1 || boxed(res)[0][0] != int64(1) {
+		t.Errorf("date+like rows = %v", boxed(res))
 	}
 }
 
@@ -316,8 +328,8 @@ func TestCaseExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][1] != "small" || res.Rows[5][1] != "big" {
-		t.Errorf("case rows = %v", res.Rows)
+	if boxed(res)[0][1] != "small" || boxed(res)[5][1] != "big" {
+		t.Errorf("case rows = %v", boxed(res))
 	}
 }
 
@@ -328,11 +340,11 @@ func TestBetweenInSubstring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 3 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
-	if res.Rows[0][1] != "e" {
-		t.Errorf("substring = %v", res.Rows[0][1])
+	if boxed(res)[0][1] != "e" {
+		t.Errorf("substring = %v", boxed(res)[0][1])
 	}
 }
 
@@ -342,8 +354,8 @@ func TestFromLessSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != int64(3) || res.Rows[0][1] != "x" {
-		t.Errorf("from-less = %v", res.Rows)
+	if res.N != 1 || boxed(res)[0][0] != int64(3) || boxed(res)[0][1] != "x" {
+		t.Errorf("from-less = %v", boxed(res))
 	}
 }
 
@@ -426,20 +438,21 @@ func TestPredictAllLevelsAgree(t *testing.T) {
 		}
 		if ref == nil {
 			ref = res
-			if len(res.Rows) == 0 {
+			if res.N == 0 {
 				t.Fatal("query returned no rows; test is vacuous")
 			}
 			continue
 		}
-		if len(res.Rows) != len(ref.Rows) {
-			t.Fatalf("level %v: %d rows, want %d", level, len(res.Rows), len(ref.Rows))
+		if res.N != ref.N {
+			t.Fatalf("level %v: %d rows, want %d", level, res.N, ref.N)
 		}
-		for i := range res.Rows {
-			if res.Rows[i][0] != ref.Rows[i][0] {
+		gotRows, refRows := boxed(res), boxed(ref)
+		for i := range gotRows {
+			if gotRows[i][0] != refRows[i][0] {
 				t.Fatalf("level %v row %d id mismatch", level, i)
 			}
-			a := res.Rows[i][1].(float64)
-			b := ref.Rows[i][1].(float64)
+			a := gotRows[i][1].(float64)
+			b := refRows[i][1].(float64)
 			if math.Abs(a-b) > 1e-9 {
 				t.Fatalf("level %v row %d score %v vs %v", level, i, a, b)
 			}
@@ -471,11 +484,12 @@ func TestPredictPushUpChangesPlanNotResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resFull.Rows) != len(resBase.Rows) {
-		t.Fatalf("push-up changed results: %d vs %d rows", len(resFull.Rows), len(resBase.Rows))
+	if resFull.N != resBase.N {
+		t.Fatalf("push-up changed results: %d vs %d rows", resFull.N, resBase.N)
 	}
-	for i := range resFull.Rows {
-		if resFull.Rows[i][0] != resBase.Rows[i][0] {
+	fullRows, baseRows := boxed(resFull), boxed(resBase)
+	for i := range fullRows {
+		if fullRows[i][0] != baseRows[i][0] {
 			t.Fatalf("push-up changed row %d", i)
 		}
 	}
@@ -489,11 +503,11 @@ func TestPredictAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 4 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
 	var total int64
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		total += row[2].(int64)
 		score := row[1].(float64)
 		if score < 0 || score > 1 {
@@ -628,10 +642,10 @@ func TestInsertSelectBatchWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if check.Rows[0][0].(int64) != res.Affected {
-		t.Errorf("stored %v rows, affected %d", check.Rows[0][0], res.Affected)
+	if boxed(check)[0][0].(int64) != res.Affected {
+		t.Errorf("stored %v rows, affected %d", boxed(check)[0][0], res.Affected)
 	}
-	if lo := check.Rows[0][1].(float64); lo < 0 || lo > 1 {
+	if lo := boxed(check)[0][1].(float64); lo < 0 || lo > 1 {
 		t.Errorf("score out of range: %v", lo)
 	}
 	// Mismatched column count errors cleanly.

@@ -1100,10 +1100,7 @@ func inferType(e sql.Expr, schema Schema) (ColType, error) {
 	case *sql.Between, *sql.InList, *sql.Like, *sql.IsNull, *sql.Exists:
 		return TypeBool, nil
 	case *sql.Case:
-		if len(x.Whens) > 0 {
-			return inferType(x.Whens[0].Then, schema)
-		}
-		return TypeFloat, nil
+		return caseType(x, schema)
 	case *sql.FuncCall:
 		switch x.Name {
 		case "substring", "upper", "lower":
@@ -1117,4 +1114,33 @@ func inferType(e sql.Expr, schema Schema) (ColType, error) {
 		return TypeFloat, nil
 	}
 	return TypeFloat, nil
+}
+
+// caseType unifies a CASE's THEN and ELSE branches, leaving out NULL
+// literals: int and float branches make a float, and any other mix of
+// classes is an error when the statement compiles.
+func caseType(x *sql.Case, schema Schema) (ColType, error) {
+	branches := make([]sql.Expr, 0, len(x.Whens)+1)
+	for _, w := range x.Whens {
+		branches = append(branches, w.Then)
+	}
+	branches = append(branches, x.Else)
+	out, seen := TypeFloat, false
+	for _, b := range branches {
+		if lit, ok := b.(*sql.Lit); b == nil || ok && lit.Kind == sql.LitNull {
+			continue
+		}
+		t, err := inferType(b, schema)
+		switch {
+		case err != nil:
+			return 0, err
+		case !seen || t == out:
+			out, seen = t, true
+		case (t == TypeInt || t == TypeFloat) && (out == TypeInt || out == TypeFloat):
+			out = TypeFloat
+		default:
+			return 0, fmt.Errorf("engine: CASE branches mix %s and %s", out, t)
+		}
+	}
+	return out, nil
 }

@@ -731,7 +731,7 @@ func TestParallelAggregateEmptyGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != 0 {
+	if got := boxed(res)[0][0].(int64); got != 0 {
 		t.Fatalf("count over empty table = %d", got)
 	}
 }

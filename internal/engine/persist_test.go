@@ -32,13 +32,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("rows = %d, want %d", len(got.Rows), len(want.Rows))
+	if got.N != want.N {
+		t.Fatalf("rows = %d, want %d", got.N, want.N)
 	}
-	for i := range want.Rows {
-		for c := range want.Rows[i] {
-			if got.Rows[i][c] != want.Rows[i][c] {
-				t.Fatalf("row %d col %d: %v vs %v", i, c, got.Rows[i][c], want.Rows[i][c])
+	gotRows, wantRows := boxed(got), boxed(want)
+	for i := range wantRows {
+		for c := range wantRows[i] {
+			if gotRows[i][c] != wantRows[i][c] {
+				t.Fatalf("row %d col %d: %v vs %v", i, c, gotRows[i][c], wantRows[i][c])
 			}
 		}
 	}

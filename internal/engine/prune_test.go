@@ -119,7 +119,7 @@ func TestScanGathersOnlyReadColumns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", query, err)
 		}
-		return res.Rows[0][0].(int64)
+		return boxed(res)[0][0].(int64)
 	}
 	cells := func(query string, level opt.Level) (int64, *opt.Plan) {
 		plan := mustPlan(t, db, query, level)

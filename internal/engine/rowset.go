@@ -87,27 +87,10 @@ func (rs *RowSet) Row(i int) []Value {
 	return out
 }
 
-// Result is the query result surfaced to callers.
+// Result is a statement's answer: a SELECT's rows, or, for DML and DDL, a
+// set with no columns and no rows beside the affected-row count. Column
+// names come from Schema.
 type Result struct {
-	Columns  []string
-	Rows     [][]any
+	RowSet
 	Affected int64
-}
-
-// ResultFromRowSet converts a rowset into a client Result (the
-// prepared-statement path materializes results through here).
-func ResultFromRowSet(rs *RowSet) *Result { return resultFromRowSet(rs) }
-
-// resultFromRowSet converts a rowset into a Result.
-func resultFromRowSet(rs *RowSet) *Result {
-	res := &Result{Columns: rs.Schema.Names()}
-	res.Rows = make([][]any, rs.N)
-	for i := 0; i < rs.N; i++ {
-		row := make([]any, len(rs.Cols))
-		for c := range rs.Cols {
-			row[c] = rs.Cols[c].Value(i).Any()
-		}
-		res.Rows[i] = row
-	}
-	return res
 }

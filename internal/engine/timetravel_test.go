@@ -25,8 +25,8 @@ func TestTimeTravelSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(3) {
-		t.Fatalf("current rows = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(3) {
+		t.Fatalf("current rows = %v", boxed(res)[0][0])
 	}
 	// Time travel to each retained version.
 	for v, want := range map[string]int64{"0": 0, "1": 1, "2": 2, "3": 3} {
@@ -34,8 +34,8 @@ func TestTimeTravelSelect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("version %s: %v", v, err)
 		}
-		if res.Rows[0][0] != want {
-			t.Errorf("version %s rows = %v, want %d", v, res.Rows[0][0], want)
+		if boxed(res)[0][0] != want {
+			t.Errorf("version %s rows = %v, want %d", v, boxed(res)[0][0], want)
 		}
 	}
 }
@@ -55,16 +55,16 @@ func TestTimeTravelSeesPreUpdateValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 99.0 {
-		t.Fatalf("current b = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != 99.0 {
+		t.Fatalf("current b = %v", boxed(res)[0][0])
 	}
 	// Version 1 (after insert, before update) still shows the old value.
 	res, err = db.Exec("SELECT b FROM t VERSION 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 10.0 {
-		t.Errorf("historical b = %v, want 10", res.Rows[0][0])
+	if boxed(res)[0][0] != 10.0 {
+		t.Errorf("historical b = %v, want 10", boxed(res)[0][0])
 	}
 }
 
@@ -106,16 +106,16 @@ func TestTimeTravelDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(3) {
-		t.Fatalf("after delete = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(3) {
+		t.Fatalf("after delete = %v", boxed(res)[0][0])
 	}
 	// The pre-delete snapshot still shows all six rows.
 	res, err = db.Exec("SELECT count(*) AS n FROM orders VERSION " + itoa64(v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(6) {
-		t.Errorf("historical count = %v, want 6", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(6) {
+		t.Errorf("historical count = %v, want 6", boxed(res)[0][0])
 	}
 }
 

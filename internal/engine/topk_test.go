@@ -110,7 +110,7 @@ func TestOrderByPlacesNaNLast(t *testing.T) {
 			t.Fatalf("%s: %v", query, err)
 		}
 		var got []int64
-		for _, row := range res.Rows {
+		for _, row := range boxed(res) {
 			got = append(got, row[0].(int64))
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -134,7 +134,7 @@ func TestOrderByColumnOutsideSelectList(t *testing.T) {
 			t.Errorf("%s: %v", query, err)
 			continue
 		}
-		if got := fmt.Sprint(res.Rows); got != want {
+		if got := fmt.Sprint(boxed(res)); got != want {
 			t.Errorf("%s: rows %s, want %s", query, got, want)
 		}
 	}

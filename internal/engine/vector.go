@@ -299,49 +299,7 @@ func (v *Vec) toColumn(t ColType, n int) (Column, error) {
 // setFrom assigns dst[i] = src[j] with the Append coercion matrix; nulls
 // transfer to the mask and zero the slot.
 func (dst *Vec) setFrom(i int, src *Vec, j int) error {
-	if src.isNull(j) {
-		if dst.Nulls == nil {
-			dst.Nulls = make([]bool, dst.phys())
-		}
-		dst.Nulls[i] = true
-		return nil
-	}
-	j = src.idx(j)
-	switch dst.Type {
-	case TypeInt:
-		switch src.Type {
-		case TypeInt:
-			dst.Ints[i] = src.Ints[j]
-		case TypeFloat:
-			dst.Ints[i] = int64(src.Floats[j])
-		default:
-			return fmt.Errorf("engine: cannot store %s into int column", src.Type)
-		}
-	case TypeFloat:
-		switch src.Type {
-		case TypeInt:
-			dst.Floats[i] = float64(src.Ints[j])
-		case TypeFloat:
-			dst.Floats[i] = src.Floats[j]
-		case TypeBool:
-			if src.Bools[j] {
-				dst.Floats[i] = 1
-			}
-		default:
-			return fmt.Errorf("engine: cannot store %s into float column", src.Type)
-		}
-	case TypeString:
-		if src.Type != TypeString {
-			return fmt.Errorf("engine: cannot store %s into text column", src.Type)
-		}
-		dst.Strs[i] = src.Strs[j]
-	case TypeBool:
-		if src.Type != TypeBool {
-			return fmt.Errorf("engine: cannot store %s into bool column", src.Type)
-		}
-		dst.Bools[i] = src.Bools[j]
-	}
-	return nil
+	return dst.setFromValue(i, src.valueAt(j))
 }
 
 // truthyMask reduces the vector to a physical-length truth mask (NULL is

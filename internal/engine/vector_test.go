@@ -198,6 +198,25 @@ var exprCases = []exprCase{
 			return fv(r.f2)
 		}},
 	{src: "CASE WHEN i1 > 100 THEN 1 END", want: func(r equivRow) Value { return NullValue() }},
+	// A CASE takes its type from all its non-NULL branches: an int branch
+	// beside a float one reads as a float (caseTypes pins the types).
+	{src: "CASE WHEN i1 = 2 THEN 1 ELSE 2.5 END",
+		want: func(r equivRow) Value {
+			if r.i1 == 2 {
+				return fv(1)
+			}
+			return fv(2.5)
+		}},
+	{src: "CASE i2 WHEN 1 THEN f2 WHEN 2 THEN i1 ELSE NULL END",
+		want: func(r equivRow) Value {
+			switch r.i2 {
+			case 1:
+				return fv(r.f2)
+			case 2:
+				return fv(float64(r.i1))
+			}
+			return NullValue()
+		}},
 	{src: "CASE i2 WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END",
 		want: func(r equivRow) Value {
 			switch r.i2 {
@@ -329,6 +348,34 @@ func TestKernelInterpreterEquivalence(t *testing.T) {
 			}
 		}
 	}
+	for src, want := range caseTypes {
+		got := ""
+		fn, err := compileVec(parseTestExpr(t, src), sets[0].Schema, nil)
+		if err != nil {
+			got = err.Error()
+		} else if vec, err := fn(sets[0]); err != nil {
+			got = err.Error()
+		} else {
+			got = vec.Type.String()
+		}
+		if got != want {
+			t.Errorf("%q: %s, want %s", src, got, want)
+		}
+	}
+}
+
+// caseTypes maps a CASE to the type its kernel produces, or to the error
+// it fails to compile with: numeric branches unify to float, a NULL branch
+// takes no part, and any other mix of classes is refused.
+var caseTypes = map[string]string{
+	"CASE WHEN b1 THEN 1 ELSE 2.5 END":             "float",
+	"CASE WHEN b1 THEN i1 WHEN i2 > 2 THEN f1 END": "float",
+	"CASE WHEN b1 THEN 1 ELSE NULL END":            "int",
+	"CASE WHEN b1 THEN NULL ELSE 's' END":          "text",
+	"CASE WHEN b1 THEN NULL END":                   "float",
+	"CASE WHEN b1 THEN 'a' ELSE 1 END":             "engine: CASE branches mix text and int",
+	"CASE WHEN b1 THEN true ELSE 1.5 END":          "engine: CASE branches mix bool and float",
+	"CASE i2 WHEN 1 THEN 2 WHEN 2 THEN 'x' END":    "engine: CASE branches mix int and text",
 }
 
 // TestFilterMatchesInterpreter runs the filter predicates of exprCases
@@ -404,11 +451,11 @@ func TestGroupKeyFloatSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("0.0 and -0.0 must share a group: %v", res.Rows)
+	if res.N != 2 {
+		t.Fatalf("0.0 and -0.0 must share a group: %v", boxed(res))
 	}
-	if res.Rows[0][1] != int64(3) {
-		t.Errorf("zero group count = %v, want 3", res.Rows[0][1])
+	if boxed(res)[0][1] != int64(3) {
+		t.Errorf("zero group count = %v, want 3", boxed(res)[0][1])
 	}
 
 	// count(DISTINCT k) agrees.
@@ -416,8 +463,8 @@ func TestGroupKeyFloatSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(2) {
-		t.Errorf("distinct float keys = %v, want 2", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(2) {
+		t.Errorf("distinct float keys = %v, want 2", boxed(res)[0][0])
 	}
 
 	// NaN groups with NaN at the hash-table level.
@@ -466,12 +513,12 @@ func TestGroupKeyNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 2 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
 	// 'big' group has 2 rows, NULL group has 3.
-	if res.Rows[0][1] != int64(2) || res.Rows[1][1] != int64(3) {
-		t.Errorf("group counts = %v", res.Rows)
+	if boxed(res)[0][1] != int64(2) || boxed(res)[1][1] != int64(3) {
+		t.Errorf("group counts = %v", boxed(res))
 	}
 }
 
@@ -495,8 +542,8 @@ func TestJoinCrossTypeNumericKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][1] != "one" || res.Rows[1][1] != "three" {
-		t.Errorf("cross-type join rows = %v", res.Rows)
+	if res.N != 2 || boxed(res)[0][1] != "one" || boxed(res)[1][1] != "three" {
+		t.Errorf("cross-type join rows = %v", boxed(res))
 	}
 }
 
@@ -618,15 +665,15 @@ func TestGuardedDivision(t *testing.T) {
 	if err != nil {
 		t.Fatalf("guarded AND division must not error: %v", err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0] != 9.0 || res.Rows[1][0] != 10.0 {
-		t.Errorf("guarded filter rows = %v", res.Rows)
+	if res.N != 2 || boxed(res)[0][0] != 9.0 || boxed(res)[1][0] != 10.0 {
+		t.Errorf("guarded filter rows = %v", boxed(res))
 	}
 	res, err = db.Exec("SELECT CASE WHEN b = 0.0 THEN 0.0 ELSE a / b END AS r FROM q ORDER BY r")
 	if err != nil {
 		t.Fatalf("guarded CASE division must not error: %v", err)
 	}
-	if len(res.Rows) != 3 || res.Rows[0][0] != 0.0 {
-		t.Errorf("guarded case rows = %v", res.Rows)
+	if res.N != 3 || boxed(res)[0][0] != 0.0 {
+		t.Errorf("guarded case rows = %v", boxed(res))
 	}
 	if _, err := db.Exec("SELECT a / b FROM q"); err == nil {
 		t.Error("unguarded division by zero must error")
@@ -642,8 +689,8 @@ func TestGuardedDivision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 26.0 { // rows 10 (updated: 11) + 5 (updated: 6) + 9
-		t.Errorf("sum after guarded update = %v, want 26", res.Rows[0][0])
+	if boxed(res)[0][0] != 26.0 { // rows 10 (updated: 11) + 5 (updated: 6) + 9
+		t.Errorf("sum after guarded update = %v, want 26", boxed(res)[0][0])
 	}
 }
 
@@ -655,16 +702,16 @@ func TestStarAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.N != 1 {
+		t.Fatalf("rows = %v", boxed(res))
 	}
-	if res.Rows[0][0] != int64(6) {
-		t.Errorf("count(*) = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != int64(6) {
+		t.Errorf("count(*) = %v", boxed(res)[0][0])
 	}
 	// sum/avg fold nothing: 0. min/max are NULL, stored as zero floats.
 	for i := 1; i < 5; i++ {
-		if res.Rows[0][i] != 0.0 {
-			t.Errorf("star aggregate %d = %v, want 0", i, res.Rows[0][i])
+		if boxed(res)[0][i] != 0.0 {
+			t.Errorf("star aggregate %d = %v, want 0", i, boxed(res)[0][i])
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != writers*perWriter {
+	if got := boxed(res)[0][0].(int64); got != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d (recovery: %+v)", got, writers*perWriter, info)
 	}
 	// Exactly once: no duplicated (w, i) pairs.
@@ -78,12 +78,12 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][0].(int64); got != 1 {
+		if got := boxed(res)[0][0].(int64); got != 1 {
 			t.Fatalf("a committed row was applied %d times", got)
 		}
 		return
 	}
-	if got := res.Rows[0][0].(int64); got != writers*perWriter {
+	if got := boxed(res)[0][0].(int64); got != writers*perWriter {
 		t.Fatalf("distinct pairs %d, want %d", got, writers*perWriter)
 	}
 }
@@ -144,7 +144,7 @@ func TestGroupCommitUnderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != writers*perWriter {
+	if got := boxed(res)[0][0].(int64); got != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d", got, writers*perWriter)
 	}
 }

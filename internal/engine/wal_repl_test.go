@@ -219,8 +219,8 @@ func TestReplicaApplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(lr.Rows) != fmt.Sprint(rr.Rows) {
-			t.Fatalf("%s diverged: leader %v, replica %v", q, lr.Rows, rr.Rows)
+		if fmt.Sprint(boxed(lr)) != fmt.Sprint(boxed(rr)) {
+			t.Fatalf("%s diverged: leader %v, replica %v", q, boxed(lr), boxed(rr))
 		}
 	}
 
@@ -296,8 +296,8 @@ func TestBootstrapReplicaFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 15 {
-		t.Fatalf("replica count %v, want 15", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 15 {
+		t.Fatalf("replica count %v, want 15", boxed(res)[0][0])
 	}
 
 	// The bootstrap must survive a restart: recovery from the replica's
@@ -318,8 +318,8 @@ func TestBootstrapReplicaFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Rows[0][0].(int64) != 15 {
-		t.Fatalf("recovered count %v, want 15", res2.Rows[0][0])
+	if boxed(res2)[0][0].(int64) != 15 {
+		t.Fatalf("recovered count %v, want 15", boxed(res2)[0][0])
 	}
 }
 
@@ -365,8 +365,8 @@ func TestCommitGateOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 3 {
-		t.Fatalf("count %v, want 3 (ambiguous commit must still install)", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 3 {
+		t.Fatalf("count %v, want 3 (ambiguous commit must still install)", boxed(res)[0][0])
 	}
 }
 
@@ -430,7 +430,7 @@ func TestReopenWALCheckpointExclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != writers*rounds {
+	if got := boxed(res)[0][0].(int64); got != writers*rounds {
 		t.Fatalf("recovered %d rows, want %d", got, writers*rounds)
 	}
 }

@@ -23,7 +23,7 @@ func countOf(t *testing.T, db *DB, q string) int64 {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	return res.Rows[0][0].(int64)
+	return boxed(res)[0][0].(int64)
 }
 
 // workloadDirDB opens dir and runs a small mixed DML workload through it.
@@ -95,8 +95,8 @@ func TestOpenDirRecoversWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 10 {
-		t.Errorf("historical count = %v, want 10", res.Rows[0][0])
+	if boxed(res)[0][0].(int64) != 10 {
+		t.Errorf("historical count = %v, want 10", boxed(res)[0][0])
 	}
 }
 
@@ -357,15 +357,15 @@ func TestSnapshotV2KeepsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(float64) != 6 {
-		t.Errorf("historical sum = %v, want 6", res.Rows[0][0])
+	if boxed(res)[0][0].(float64) != 6 {
+		t.Errorf("historical sum = %v, want 6", boxed(res)[0][0])
 	}
 	res, err = restored.Exec("SELECT sum(a) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(float64) != 24 {
-		t.Errorf("current sum = %v, want 24", res.Rows[0][0])
+	if boxed(res)[0][0].(float64) != 24 {
+		t.Errorf("current sum = %v, want 24", boxed(res)[0][0])
 	}
 }
 

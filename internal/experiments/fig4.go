@@ -137,7 +137,7 @@ func (e *Fig4Env) RunInDB(level opt.Level) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return res.Rows[0][0].(int64), nil
+	return res.Cols[0].Ints[0], nil
 }
 
 // Fig4Row is one line of the Figure-4 (left) series.

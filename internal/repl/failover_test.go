@@ -29,7 +29,7 @@ func newNodeServer(t *testing.T, n *Node) *httptest.Server {
 func countOfID(t *testing.T, db *engine.DB, id int) int64 {
 	t.Helper()
 	res := execOK(t, db, fmt.Sprintf("SELECT count(*) FROM kv WHERE id = %d", id))
-	return res.Rows[0][0].(int64)
+	return boxed(res)[0][0].(int64)
 }
 
 // TestFailoverKillLeaderPromote is the PR's core safety claim: kill the

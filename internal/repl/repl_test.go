@@ -15,6 +15,18 @@ import (
 	"repro/internal/fault"
 )
 
+// boxed is res's rows with every cell boxed, for comparing answers.
+func boxed(res *engine.Result) [][]any {
+	rows := make([][]any, res.N)
+	for i := range rows {
+		rows[i] = make([]any, len(res.Cols))
+		for c, v := range res.Row(i) {
+			rows[i][c] = v.Any()
+		}
+	}
+	return rows
+}
+
 func execOK(t *testing.T, db *engine.DB, q string) *engine.Result {
 	t.Helper()
 	res, err := db.Exec(q)
@@ -78,8 +90,8 @@ func assertSameContents(t *testing.T, leader, replica *engine.DB, queries ...str
 	for _, q := range queries {
 		lr := execOK(t, leader, q)
 		rr := execOK(t, replica, q)
-		if fmt.Sprint(lr.Rows) != fmt.Sprint(rr.Rows) {
-			t.Fatalf("%s diverged:\n leader  %v\n replica %v", q, lr.Rows, rr.Rows)
+		if fmt.Sprint(boxed(lr)) != fmt.Sprint(boxed(rr)) {
+			t.Fatalf("%s diverged:\n leader  %v\n replica %v", q, boxed(lr), boxed(rr))
 		}
 	}
 }
@@ -336,7 +348,7 @@ func TestFollowerCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered replica at LSN %d, want acked prefix %d", info.LSN, applied)
 	}
 	res := execOK(t, rdb, "SELECT count(*) FROM kv")
-	if got := res.Rows[0][0].(int64); got != 20 {
+	if got := boxed(res)[0][0].(int64); got != 20 {
 		t.Fatalf("recovered %d rows, want 20 (exactly once)", got)
 	}
 

@@ -375,9 +375,10 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 
 	// The page is built in the form the request asked for: the binary
 	// columnar page for an SDK that sent the page type in Accept (column
-	// slices go straight into a pooled buffer), row-JSON for everyone else.
+	// slices go straight into a pooled buffer), row-JSON from zero-copy
+	// batch slices for everyone else.
 	var (
-		rows   [][]any
+		runs   jsonRows
 		enc    *wire.Encoder
 		pulled int
 	)
@@ -385,14 +386,12 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 		enc = pageEncoders.Get().(*wire.Encoder)
 		defer putPageEncoder(enc)
 		enc.Begin(c.types)
-	} else {
-		rows = make([][]any, 0, min(maxRows, defaultFetchRows))
 	}
 	emit := func(b *engine.Batch, lo, hi int) {
 		if enc != nil {
 			appendChunk(enc, b, lo, hi)
 		} else {
-			rows = append(rows, engine.ResultFromRowSet(b.Slice(lo, hi)).Rows...)
+			runs = append(runs, b.Slice(lo, hi))
 		}
 		pulled += hi - lo
 	}
@@ -449,7 +448,7 @@ func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 		defer putJSONBuf(buf)
 		encErr = encodeJSON(buf, map[string]any{
 			"columns": c.cols,
-			"rows":    rows,
+			"rows":    runs,
 			"done":    done,
 		})
 		body = buf.Bytes()
@@ -575,9 +574,6 @@ func (s *Server) openCursor(w http.ResponseWriter, r *http.Request, sess *sessio
 		return
 	}
 	cols := cur.Schema().Names()
-	if cols == nil {
-		cols = []string{}
-	}
 	c, err := s.cursors.put(sess, cur, cols)
 	if err != nil {
 		_ = cur.Close()
@@ -609,17 +605,11 @@ func (q *request) drain(c *serverCursor) {
 	defer stop()
 	out := q.beginStream(c.cols)
 	var err error
-	for !out.broken {
+	for err == nil && !out.broken {
 		var b *engine.Batch
-		if b, err = q.pull(ctx, c); err != nil {
-			break
+		if b, err = q.pull(ctx, c); err == nil {
+			err = out.write(b)
 		}
-		for _, row := range engine.ResultFromRowSet(b).Rows {
-			if !out.row(row) {
-				break
-			}
-		}
-		out.flush()
 	}
 	if err == io.EOF {
 		err = nil

@@ -336,5 +336,26 @@ func TestNonFiniteFloatIsAnErrorOnJSONAndAValueOnPages(t *testing.T) {
 	if p.N != 1 || !p.Done || p.Cols[0].Ints[0] != 1 || !math.IsInf(p.Cols[1].Floats[0], 1) {
 		t.Fatalf("page: %d rows, done=%v, %+v", p.N, p.Done, p.Cols)
 	}
+
+	// A stream has sent its 200 before the bad row: the rows before it, then
+	// the error trailer — an execution error, not a client abort. Both
+	// streams: a one-SELECT stream (a drained cursor) and a
+	// multi-statement one (a materialized result).
+	const streamSQL = "SELECT id, (id - 1) * 1e308 * 1e308 AS v FROM customers WHERE id <= 2 ORDER BY id"
+	const lines = `{"columns":["id","v"]}` + "\n" + `[1,0]` + "\n" +
+		`{"error":"` + cause + `","rows":1}` + "\n"
+	errLabel := `flock_queries_total{status="error"}`
+	before := metricsBody(t, ts.URL)
+	for _, sql := range []string{streamSQL, "SELECT count(*) FROM customers; " + streamSQL} {
+		resp, got := postRaw(t, ts.URL+"/v1/query", map[string]any{"session": sid, "sql": sql, "stream": true})
+		wantBody(t, "stream "+sql, resp, got, lines)
+	}
+	after := metricsBody(t, ts.URL)
+	if got := gaugeValue(t, after, "flock_stream_aborts_total") - gaugeValue(t, before, "flock_stream_aborts_total"); got != 0 {
+		t.Errorf("the refused streams counted %v client aborts", got)
+	}
+	if got := gaugeValue(t, after, errLabel) - gaugeValue(t, before, errLabel); got != 2 {
+		t.Errorf("the refused streams counted %v errors, want 2", got)
+	}
 	waitForCursorsClosed(t)
 }

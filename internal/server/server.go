@@ -469,15 +469,10 @@ type execRequest struct {
 // an absent key for empty results), so clients can index unconditionally.
 type queryResponse struct {
 	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
+	Rows      jsonRows `json:"rows"`
 	Affected  int64    `json:"affected"`
 	ElapsedMS float64  `json:"elapsed_ms"`
 }
-
-// errNonFiniteJSON is the execution error for a result row-JSON cannot
-// express: encoding/json refuses ±Inf and NaN. The cursor's page form
-// carries them bit-exactly.
-var errNonFiniteJSON = errors.New("result holds a non-finite float; JSON cannot carry it")
 
 // jsonBufs recycles response buffers: a body is encoded in full before the
 // status line is written, so an encode failure can still answer with an
@@ -494,9 +489,8 @@ func putJSONBuf(buf *bytes.Buffer) {
 // encodeJSON appends to buf the bytes json.NewEncoder(w).Encode(v) writes.
 func encodeJSON(buf *bytes.Buffer, v any) error {
 	err := json.NewEncoder(buf).Encode(v)
-	var unsupported *json.UnsupportedValueError
-	if errors.As(err, &unsupported) {
-		return errNonFiniteJSON
+	if errors.Is(err, errNonFiniteJSON) {
+		return errNonFiniteJSON // unwrapped from json.MarshalerError
 	}
 	return err
 }
@@ -784,26 +778,14 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
 		q.fail(err)
 		return
 	}
-	if res == nil {
-		// Defense in depth: no execution path should hand back (nil, nil),
-		// but a nil here must not panic the handler.
-		res = &engine.Result{}
-	}
 	if stream {
 		q.streamResult(res)
 		return
 	}
-	cols, rows := res.Columns, res.Rows
-	if cols == nil {
-		cols = []string{}
-	}
-	if rows == nil {
-		rows = [][]any{}
-	}
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer putJSONBuf(buf)
 	if err := encodeJSON(buf, queryResponse{
-		Columns: cols, Rows: rows, Affected: res.Affected,
+		Columns: res.Schema.Names(), Rows: jsonRows{&res.RowSet}, Affected: res.Affected,
 		ElapsedMS: millis(q.elapsed()),
 	}); err != nil {
 		q.fail(err)
@@ -819,7 +801,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
 // failed write means the client went away: every later write is skipped,
 // and endStream records the stream as aborted.
 type ndjson struct {
-	enc     *json.Encoder
+	rowJSON // encodes over the response
 	flusher http.Flusher
 	rows    int
 	broken  bool
@@ -827,31 +809,36 @@ type ndjson struct {
 
 // beginStream answers 200 and writes the header line.
 func (q *request) beginStream(cols []string) *ndjson {
-	if cols == nil {
-		cols = []string{} // same always-arrays contract as the non-stream path
-	}
 	q.w.Header().Set("Content-Type", "application/x-ndjson")
 	q.w.WriteHeader(http.StatusOK)
-	out := &ndjson{enc: json.NewEncoder(q.w)}
+	out := &ndjson{rowJSON: rowJSON{enc: json.NewEncoder(q.w)}}
 	out.flusher, _ = q.w.(http.Flusher)
 	out.put(map[string]any{"columns": cols})
 	return out
 }
 
-// put writes one line unless an earlier write failed, and reports whether
-// the stream is still intact.
-func (out *ndjson) put(v any) bool {
+// put writes one line unless an earlier write failed.
+func (out *ndjson) put(v any) {
 	if !out.broken && out.enc.Encode(v) != nil {
 		out.broken = true
 	}
-	return !out.broken
 }
 
-func (out *ndjson) row(row []any) bool {
-	if out.put(row) {
-		out.rows++
+// write sends the rows of rs, one line each, and flushes them. A row JSON
+// cannot carry ends the run with its error, for the trailer.
+func (out *ndjson) write(rs *engine.RowSet) error {
+	for i := 0; i < rs.N && !out.broken; i++ {
+		switch err := out.row(rs, i); {
+		case errors.Is(err, errNonFiniteJSON):
+			return err
+		case err != nil:
+			out.broken = true
+		default:
+			out.rows++
+		}
 	}
-	return !out.broken
+	out.flush()
+	return nil
 }
 
 func (out *ndjson) flush() {
@@ -886,16 +873,9 @@ func (q *request) endStream(out *ndjson, affected int64, err error) {
 // DML and multi-statement strings; a single SELECT streams from a cursor
 // (drain).
 func (q *request) streamResult(res *engine.Result) {
-	out := q.beginStream(res.Columns)
-	for i, row := range res.Rows {
-		if !out.row(row) {
-			break
-		}
-		if i%256 == 255 {
-			out.flush()
-		}
-	}
-	q.endStream(out, res.Affected, nil)
+	out := q.beginStream(res.Schema.Names())
+	err := out.write(&res.RowSet)
+	q.endStream(out, res.Affected, err)
 }
 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

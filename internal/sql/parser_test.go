@@ -281,24 +281,27 @@ func TestAnalyze(t *testing.T) {
 
 // Round-trip property: format(parse(q)) reparses to the same AST and the
 // same formatted text (fixpoint).
+// roundTripQueries are statements whose formatted text parses back to the
+// same statement.
+var roundTripQueries = []string{
+	"SELECT a, b AS bee FROM t WHERE a > 5 ORDER BY b DESC LIMIT 10",
+	"SELECT DISTINCT region FROM orders",
+	"SELECT count(*) FROM t GROUP BY a HAVING count(*) > 2",
+	"SELECT CASE WHEN a > 1 THEN 'x' ELSE 'y' END FROM t",
+	"SELECT * FROM a JOIN b ON a.id = b.id WHERE a.v BETWEEN 1 AND 2",
+	"SELECT PREDICT(m, x, y) AS s FROM t WHERE PREDICT(m, x, y) >= 0.5",
+	"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2, NULL)",
+	"UPDATE t SET a = a + 1 WHERE b LIKE '%z%'",
+	"DELETE FROM t WHERE a IS NOT NULL",
+	"CREATE TABLE t (a int, b text)",
+	"SELECT x FROM t WHERE d >= DATE '1995-03-15' AND d < DATE '1995-03-15' + INTERVAL '90' day",
+	"SELECT a FROM t WHERE b IN (1, 2, 3) AND NOT EXISTS (SELECT 1 FROM u WHERE u.a = t.a)",
+	"SELECT -a, a % 2 FROM t WHERE NOT (a = 1) OR a <> 2",
+	"SELECT substring(name, 1, 3) FROM t",
+}
+
 func TestFormatRoundTrip(t *testing.T) {
-	queries := []string{
-		"SELECT a, b AS bee FROM t WHERE a > 5 ORDER BY b DESC LIMIT 10",
-		"SELECT DISTINCT region FROM orders",
-		"SELECT count(*) FROM t GROUP BY a HAVING count(*) > 2",
-		"SELECT CASE WHEN a > 1 THEN 'x' ELSE 'y' END FROM t",
-		"SELECT * FROM a JOIN b ON a.id = b.id WHERE a.v BETWEEN 1 AND 2",
-		"SELECT PREDICT(m, x, y) AS s FROM t WHERE PREDICT(m, x, y) >= 0.5",
-		"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2, NULL)",
-		"UPDATE t SET a = a + 1 WHERE b LIKE '%z%'",
-		"DELETE FROM t WHERE a IS NOT NULL",
-		"CREATE TABLE t (a int, b text)",
-		"SELECT x FROM t WHERE d >= DATE '1995-03-15' AND d < DATE '1995-03-15' + INTERVAL '90' day",
-		"SELECT a FROM t WHERE b IN (1, 2, 3) AND NOT EXISTS (SELECT 1 FROM u WHERE u.a = t.a)",
-		"SELECT -a, a % 2 FROM t WHERE NOT (a = 1) OR a <> 2",
-		"SELECT substring(name, 1, 3) FROM t",
-	}
-	for _, q := range queries {
+	for _, q := range roundTripQueries {
 		s1, err := ParseOne(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)

@@ -52,17 +52,17 @@ func TestExecutableTPCHQueries(t *testing.T) {
 		case 1:
 			// Aggregate over returnflag/linestatus: at most 6 groups, every
 			// sum positive.
-			if len(res.Rows) == 0 || len(res.Rows) > 6 {
-				t.Errorf("Q1 groups = %d", len(res.Rows))
+			if res.N == 0 || res.N > 6 {
+				t.Errorf("Q1 groups = %d", res.N)
 			}
-			for _, row := range res.Rows {
+			for _, row := range boxed(res) {
 				if row[2].(float64) <= 0 {
 					t.Errorf("Q1 sum_qty = %v", row[2])
 				}
 			}
 		case 6:
-			if len(res.Rows) != 1 {
-				t.Errorf("Q6 rows = %d", len(res.Rows))
+			if res.N != 1 {
+				t.Errorf("Q6 rows = %d", res.N)
 			}
 		case 3, 10:
 			// Revenue queries are ORDER BY revenue DESC; verify ordering.
@@ -70,8 +70,8 @@ func TestExecutableTPCHQueries(t *testing.T) {
 			if q == 3 {
 				revCol = 1
 			}
-			for i := 1; i < len(res.Rows); i++ {
-				if res.Rows[i][revCol].(float64) > res.Rows[i-1][revCol].(float64) {
+			for i := 1; i < res.N; i++ {
+				if boxed(res)[i][revCol].(float64) > boxed(res)[i-1][revCol].(float64) {
 					t.Errorf("Q%d not sorted by revenue", q)
 					break
 				}
@@ -98,7 +98,7 @@ func TestQ1ManualVerification(t *testing.T) {
 	type key struct{ f, s string }
 	sums := map[key]float64{}
 	counts := map[key]int64{}
-	for _, row := range raw.Rows {
+	for _, row := range boxed(raw) {
 		if row[3].(string) > cutoff {
 			continue
 		}
@@ -106,10 +106,10 @@ func TestQ1ManualVerification(t *testing.T) {
 		sums[k] += row[2].(float64)
 		counts[k]++
 	}
-	if len(res.Rows) != len(sums) {
-		t.Fatalf("groups = %d, want %d", len(res.Rows), len(sums))
+	if res.N != len(sums) {
+		t.Fatalf("groups = %d, want %d", res.N, len(sums))
 	}
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		k := key{row[0].(string), row[1].(string)}
 		if got := row[2].(float64); got != sums[k] {
 			t.Errorf("group %v sum = %v, want %v", k, got, sums[k])
@@ -134,11 +134,11 @@ func TestJoinConditionExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("segments = %d", len(res.Rows))
+	if res.N != 5 {
+		t.Fatalf("segments = %d", res.N)
 	}
 	var total int64
-	for _, row := range res.Rows {
+	for _, row := range boxed(res) {
 		total += row[1].(int64)
 	}
 	li, _ := db.Table("lineitem")
@@ -166,13 +166,14 @@ func TestOptimizedVsNaivePlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("full %q: %v", q, err)
 		}
-		if len(naive.Rows) != len(full.Rows) {
-			t.Fatalf("%q: %d vs %d rows", q, len(naive.Rows), len(full.Rows))
+		if naive.N != full.N {
+			t.Fatalf("%q: %d vs %d rows", q, naive.N, full.N)
 		}
-		for i := range naive.Rows {
-			for c := range naive.Rows[i] {
-				if naive.Rows[i][c] != full.Rows[i][c] {
-					t.Fatalf("%q row %d col %d: %v vs %v", q, i, c, naive.Rows[i][c], full.Rows[i][c])
+		naiveRows, fullRows := boxed(naive), boxed(full)
+		for i := range naiveRows {
+			for c := range naiveRows[i] {
+				if naiveRows[i][c] != fullRows[i][c] {
+					t.Fatalf("%q row %d col %d: %v vs %v", q, i, c, naiveRows[i][c], fullRows[i][c])
 				}
 			}
 		}

@@ -9,6 +9,18 @@ import (
 	"repro/internal/sql"
 )
 
+// boxed is res's rows with every cell boxed, for comparing answers.
+func boxed(res *engine.Result) [][]any {
+	rows := make([][]any, res.N)
+	for i := range rows {
+		rows[i] = make([]any, len(res.Cols))
+		for c, v := range res.Row(i) {
+			rows[i][c] = v.Any()
+		}
+	}
+	return rows
+}
+
 func TestTPCHAllTemplatesParse(t *testing.T) {
 	p := NewTPCHParams(1)
 	for q := 1; q <= 22; q++ {
@@ -125,8 +137,8 @@ func TestTPCCSchemaExecutesAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != 90.0 {
-		t.Errorf("balance = %v", res.Rows[0][0])
+	if boxed(res)[0][0] != 90.0 {
+		t.Errorf("balance = %v", boxed(res)[0][0])
 	}
 }
 
