@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -350,11 +349,4 @@ func (d *Durability) Gauges() map[string]float64 {
 		"flock_degraded_mode":           degraded,
 		"flock_wal_poisoned":            poisoned,
 	}
-}
-
-// SaveSnapshotTo writes a point-in-time snapshot to an arbitrary writer
-// (export path; the data directory's own snapshot is managed by
-// Checkpoint).
-func (d *Durability) SaveSnapshotTo(w io.Writer) error {
-	return d.db.SaveSnapshot(w)
 }

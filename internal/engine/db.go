@@ -156,13 +156,7 @@ func (db *DB) CreateTableFromColumns(name string, names []string, cols []Column)
 	if err != nil {
 		return nil, err
 	}
-	t.writeMu.Lock()
-	lsn, err := db.commitReplace(t, cols)
-	t.writeMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := db.walWaitDurable(lsn); err != nil {
+	if err := db.ReplaceColumns(name, cols); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -381,6 +375,23 @@ func (db *DB) AppendRows(table string, rows [][]Value) error {
 	return db.walWaitDurable(lsn)
 }
 
+// ReplaceColumns replaces the named table's rows with fully-built columns
+// as one committed, WAL-logged statement — the bulk-load path. Returns
+// after the record is durable.
+func (db *DB) ReplaceColumns(table string, cols []Column) error {
+	t, err := db.Table(table)
+	if err != nil {
+		return err
+	}
+	t.writeMu.Lock()
+	lsn, err := db.commitReplace(t, cols)
+	t.writeMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return db.walWaitDurable(lsn)
+}
+
 // sessionFor resolves a model name to a planned scoring session (row-mode
 // PREDICT path).
 func (db *DB) sessionFor(model string) (*onnx.Session, error) {
@@ -497,11 +508,6 @@ func (db *DB) ExecAsContext(ctx context.Context, query, user string, o ExecOptio
 // (the prepared-statement path logs through here, keeping lazy provenance
 // capture complete).
 func (db *DB) LogStatement(text, user string) { db.appendLog(text, user) }
-
-// ExecStmt executes a parsed statement (without logging).
-func (db *DB) ExecStmt(stmt sql.Statement, o ExecOptions) (*Result, error) {
-	return db.ExecStmtContext(context.Background(), stmt, o)
-}
 
 // ExecStmtContext executes a parsed statement (without logging) under a
 // cancellation context.

@@ -389,21 +389,16 @@ func truncateCol(c Column, n int) Column {
 	return c
 }
 
-// AppendRow appends one row of values atomically: on a type error nothing
-// is committed (no ragged columns, no version bump).
-func (t *Table) AppendRow(vals []Value) error {
-	return t.AppendRows([][]Value{vals})
-}
-
-// AppendRows appends a batch of rows as ONE write: either every row lands
-// or none does, the table version bumps once, and time travel sees a
-// single new version — the INSERT paths' statement-level atomicity.
+// appendRows installs a batch of rows as ONE unlogged write: either every
+// row lands or none does, the table version bumps once, and time travel
+// sees a single new version. Only WAL replay calls it; every other writer
+// goes through DB.AppendRows, which logs the rows first.
 //
 // Rows are appended to copies of the column headers and swapped in only on
 // success; a mid-batch error therefore cannot leave ragged columns or a
 // torn prefix. (Appends may land in shared backing arrays beyond the
 // committed length, which snapshots never observe.)
-func (t *Table) AppendRows(rows [][]Value) error {
+func (t *Table) appendRows(rows [][]Value) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	if len(rows) == 0 {
@@ -449,8 +444,9 @@ func (t *Table) install(cols []Column) {
 	t.version++
 }
 
-// ReplaceColumns swaps in fully-built columns (bulk load).
-func (t *Table) ReplaceColumns(cols []Column) error {
+// replaceColumns swaps in fully-built columns as one unlogged write. Only
+// WAL replay calls it; every other writer goes through DB.ReplaceColumns.
+func (t *Table) replaceColumns(cols []Column) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	if err := t.validateReplace(cols); err != nil {

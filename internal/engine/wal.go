@@ -653,7 +653,7 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 		if err != nil {
 			return err
 		}
-		if err := t.AppendRows(rec.Rows); err != nil {
+		if err := t.appendRows(rec.Rows); err != nil {
 			return err
 		}
 	case WALReplace:
@@ -661,7 +661,7 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 		if err != nil {
 			return err
 		}
-		if err := t.ReplaceColumns(rec.Cols); err != nil {
+		if err := t.replaceColumns(rec.Cols); err != nil {
 			return err
 		}
 	case WALLog:

@@ -136,18 +136,6 @@ func (a *AccessController) RolesOf(user string) []string {
 	return out
 }
 
-// Grants lists a role's grants as "action object" strings (sorted).
-func (a *AccessController) Grants(role string) []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	var out []string
-	for p := range a.roles[role] {
-		out = append(out, string(p.act)+" "+string(p.obj))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String summarizes the controller for debugging.
 func (a *AccessController) String() string {
 	a.mu.RLock()

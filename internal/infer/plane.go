@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/lru"
 	"repro/internal/onnx"
 )
 
@@ -79,6 +80,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxBackends bounds the per-graph batchers left behind by retrains.
+const maxBackends = 128
+
 // Plane is the inference plane. It is safe for concurrent use; one Plane
 // serves every session of a Flock instance.
 type Plane struct {
@@ -88,9 +92,11 @@ type Plane struct {
 	cache *scoreCache // nil when disabled
 	batch batchStats
 
+	// backends maps graph fingerprints to batchers; a request holding an
+	// evicted batcher finishes through it.
+	backends *lru.Cache[uint64, *batcher]
 	mu       sync.RWMutex
 	closed   bool
-	backends map[uint64]*batcher // keyed by graph fingerprint
 	deps     map[string]*deployment
 
 	direct      atomic.Int64 // requests scored without coalescing
@@ -107,7 +113,7 @@ func New(reg Registry, cfg Config) *Plane {
 	p := &Plane{
 		cfg:      cfg,
 		reg:      reg,
-		backends: map[uint64]*batcher{},
+		backends: lru.New[uint64, *batcher](maxBackends),
 		deps:     map[string]*deployment{},
 	}
 	if cfg.CacheSize > 0 {
@@ -146,9 +152,10 @@ func (p *Plane) Score(ctx context.Context, model string, g *onnx.Graph, b *onnx.
 	fp := g.Fingerprint()
 
 	p.mu.RLock()
-	ba, dep, closed := p.backends[fp], p.deps[model], p.closed
+	dep, closed := p.deps[model], p.closed
 	p.mu.RUnlock()
-	if ba == nil {
+	ba, ok := p.backends.Get(fp)
+	if !ok {
 		var err error
 		if ba, err = p.addBackend(g, fp); err != nil {
 			return err
@@ -237,9 +244,7 @@ func (p *Plane) scoreBackend(ctx context.Context, ba *batcher, coalesce bool, b 
 // scorer and the batcher every concurrent session and cursor scoring that
 // model version shares — which is what makes cross-query coalescing work.
 // Deployed graphs are immutable and content-identical clones score
-// identically, so fingerprint keying is sound; the map is reset when
-// retrains accumulate dead versions (requests still holding a dropped
-// batcher finish through it).
+// identically, so fingerprint keying is sound.
 func (p *Plane) addBackend(g *onnx.Graph, fp uint64) (*batcher, error) {
 	var fn scoreFn
 	if p.cfg.Remote != nil {
@@ -262,16 +267,15 @@ func (p *Plane) addBackend(g *onnx.Graph, fp uint64) (*batcher, error) {
 		}
 		fn = sess.RunInto
 	}
+	// p.mu makes check-then-put atomic, so concurrent first requests for
+	// one graph share a single batcher.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if have := p.backends[fp]; have != nil {
+	if have, ok := p.backends.Get(fp); ok {
 		return have, nil
 	}
-	if len(p.backends) > 128 {
-		p.backends = map[uint64]*batcher{}
-	}
 	ba := &batcher{maxRows: p.cfg.BatchRows, score: fn, stats: &p.batch}
-	p.backends[fp] = ba
+	p.backends.Put(fp, ba)
 	return ba, nil
 }
 

@@ -177,9 +177,7 @@ func gatedPlane(t *testing.T, g *onnx.Graph) (*Plane, *gatedBackend, <-chan erro
 // awaitParked yields until n requests are parked behind g's in-flight call.
 func awaitParked(t *testing.T, p *Plane, g *onnx.Graph, n int) {
 	t.Helper()
-	p.mu.RLock()
-	ba := p.backends[g.Fingerprint()]
-	p.mu.RUnlock()
+	ba, _ := p.backends.Get(g.Fingerprint())
 	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
 		ba.mu.Lock()
 		parked := len(ba.queue)
@@ -412,6 +410,41 @@ func TestPlaneDoesNotPinPlanGraphs(t *testing.T) {
 	runtime.GC()
 	if planned.Value() != nil {
 		t.Fatal("plane still references a planned graph clone after its plan is gone")
+	}
+}
+
+// TestPlaneBackendsEvictLeastRecentlyScored: retrains and redeploys leave
+// dead graph versions behind, so the plane bounds its per-graph batchers —
+// but a graph still being scored keeps its one batcher (and with it its
+// coalescing) however many other graphs come and go.
+func TestPlaneBackendsEvictLeastRecentlyScored(t *testing.T) {
+	reg := newFakeRegistry()
+	a := linGraph(1, 0)
+	reg.redeploy("m", a)
+	p := New(reg, Config{CacheSize: -1})
+	defer p.Close()
+
+	out := make([]float64, 1)
+	score := func(g *onnx.Graph) {
+		t.Helper()
+		if err := p.Score(context.Background(), "m", g, oneRow(1), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score(a)
+	first, ok := p.backends.Get(a.Fingerprint())
+	if !ok {
+		t.Fatal("no batcher for a scored graph")
+	}
+	for i := 0; i < maxBackends+1; i++ {
+		score(linGraph(2, float64(i)))
+		score(a)
+		if ba, _ := p.backends.Get(a.Fingerprint()); ba != first {
+			t.Fatalf("after %d other graphs, the hot graph's batcher was replaced", i+1)
+		}
+		if n := p.backends.Len(); n > maxBackends {
+			t.Fatalf("after %d other graphs, the plane holds %d batchers, want at most %d", i+1, n, maxBackends)
+		}
 	}
 }
 

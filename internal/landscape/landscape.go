@@ -203,9 +203,6 @@ func grades(spec string) map[string]Support {
 	return out
 }
 
-// Grade looks up a system's support for a feature.
-func (s *System) Grade(feature string) Support { return s.Grades[feature] }
-
 // AreaScore averages a system's grades over one area (Good=2, OK=1,
 // None/Unknown=0), normalized to [0, 1].
 func (s *System) AreaScore(area Area) float64 {

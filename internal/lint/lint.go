@@ -38,16 +38,6 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// ByName resolves one analyzer (nil when unknown).
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // knownNames is the set ignore directives may reference.
 func knownNames() map[string]bool {
 	m := map[string]bool{}

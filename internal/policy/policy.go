@@ -88,17 +88,6 @@ func (e *Engine) AddRule(r Rule) error {
 	return nil
 }
 
-// Rules lists the registered rule names in order.
-func (e *Engine) Rules() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, len(e.rules))
-	for i, r := range e.rules {
-		out[i] = r.Name
-	}
-	return out
-}
-
 // Apply runs the decision through all applicable rules and records the
 // outcome in the history.
 func (e *Engine) Apply(d Decision) Outcome {

@@ -345,17 +345,6 @@ func (c *Catalog) EdgesFrom(id string) []Edge {
 	return out
 }
 
-// EdgesTo returns the incoming edges of an entity.
-func (c *Catalog) EdgesTo(id string) []Edge {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Edge
-	for _, idx := range c.in[id] {
-		out = append(out, c.edges[idx])
-	}
-	return out
-}
-
 // String summarizes the catalog.
 func (c *Catalog) String() string {
 	n, e := c.Size()

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/wire"
 )
 
@@ -103,11 +104,10 @@ type cursorStore struct {
 	m  map[string]*serverCursor
 	// tomb maps recently dead cursor ids to the session that owned them:
 	// only the owner gets the 410 (anyone else sees the same 404 as a
-	// never-existed id, so ids don't leak liveness across sessions).
-	tomb map[string]string
-	// tombOrder bounds the tombstone set FIFO (dead ids are a courtesy for
+	// never-existed id, so ids don't leak liveness across sessions). It is
+	// bounded, least recently used first out (dead ids are a courtesy for
 	// clients, not a ledger).
-	tombOrder []string
+	tomb *lru.Cache[string, string]
 
 	ttl        time.Duration
 	perSession int
@@ -121,7 +121,7 @@ const cursorTombstones = 1024
 
 func newCursorStore(ttl time.Duration, perSession int, expired *atomic.Uint64) *cursorStore {
 	cs := &cursorStore{
-		m: map[string]*serverCursor{}, tomb: map[string]string{},
+		m: map[string]*serverCursor{}, tomb: lru.New[string, string](cursorTombstones),
 		ttl: ttl, perSession: perSession, expired: expired,
 		stop: make(chan struct{}),
 	}
@@ -166,7 +166,7 @@ func (cs *cursorStore) get(id, sessID string) (*serverCursor, cursorState) {
 	if c, ok := cs.m[id]; ok {
 		return c, cursorLive
 	}
-	if owner, ok := cs.tomb[id]; ok && owner == sessID {
+	if owner, ok := cs.tomb.Get(id); ok && owner == sessID {
 		return nil, cursorGone
 	}
 	return nil, cursorUnknown
@@ -209,12 +209,7 @@ func (cs *cursorStore) finishLocked(c *serverCursor) bool {
 func (cs *cursorStore) retire(c *serverCursor) {
 	cs.mu.Lock()
 	delete(cs.m, c.id)
-	cs.tomb[c.id] = c.sess.id
-	cs.tombOrder = append(cs.tombOrder, c.id)
-	for len(cs.tombOrder) > cursorTombstones {
-		delete(cs.tomb, cs.tombOrder[0])
-		cs.tombOrder = cs.tombOrder[1:]
-	}
+	cs.tomb.Put(c.id, c.sess.id)
 	cs.mu.Unlock()
 }
 

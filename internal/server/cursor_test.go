@@ -10,11 +10,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -611,4 +613,30 @@ func TestSessionMaxLifetimeCap(t *testing.T) {
 		t.Fatalf("fetch after max-lifetime expiry: want 410, got %d %v", resp.StatusCode, body)
 	}
 	waitForCursorsClosed(t)
+}
+
+// TestCursorTombstonesAreBounded: the store remembers at most
+// cursorTombstones dead ids. Past that, the oldest id answers its owner as
+// never-existed (404) while the newest still answers 410 — and a dead id
+// never answers 410 to another session.
+func TestCursorTombstonesAreBounded(t *testing.T) {
+	cs := newCursorStore(time.Hour, 1, new(atomic.Uint64))
+	t.Cleanup(cs.stopSweeper)
+	owner := &session{id: "owner"}
+	for i := 0; i <= cursorTombstones; i++ {
+		cs.retire(&serverCursor{id: fmt.Sprint("c", i), sess: owner})
+	}
+	last := fmt.Sprint("c", cursorTombstones)
+	for _, tc := range []struct {
+		id, sess string
+		want     cursorState
+	}{
+		{"c0", "owner", cursorUnknown},
+		{last, "owner", cursorGone},
+		{last, "other", cursorUnknown},
+	} {
+		if _, got := cs.get(tc.id, tc.sess); got != tc.want {
+			t.Errorf("get(%s, %s) = %v, want %v", tc.id, tc.sess, got, tc.want)
+		}
+	}
 }

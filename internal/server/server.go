@@ -44,6 +44,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/governance"
 	"repro/internal/infer"
+	"repro/internal/lru"
 	"repro/internal/monitor"
 	"repro/internal/onnx"
 	"repro/internal/opt"
@@ -175,7 +177,7 @@ type Server struct {
 	sessions *sessionStore
 	adm      *admission
 	met      *metrics
-	plans    *planCache
+	plans    *lru.Cache[string, planEntry] // keyed by statement handle
 	cursors  *cursorStore
 }
 
@@ -194,7 +196,7 @@ func New(flock *core.Flock, cfg Config) *Server {
 		met:        newMetrics(),
 	}
 	s.adm = newAdmission(cfg.MaxWorkers, cfg.MaxQueue, s.met)
-	s.plans = newPlanCache(cfg.PlanCacheSize, s.met)
+	s.plans = lru.New[string, planEntry](cfg.PlanCacheSize)
 	s.cursors = newCursorStore(cfg.CursorTTL, cfg.MaxCursorsPerSession, &s.met.cursorsExpired)
 	// A session hitting the hard lifetime cap retires its cursors, so a
 	// fetch on one answers 410 (gone) instead of 404 (never existed).
@@ -594,6 +596,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, stmts...)
 }
 
+// planEntry is one plan-cache entry. The plan cache (Server.plans) is an
+// LRU of prepared statements keyed by statement handle, the deterministic
+// "ps_<hash>" of (SQL, opt.Level), so /v1/prepare and /v1/exec resolve
+// through one map and prepared-statement state is bounded by the cache
+// capacity — a client preparing per request cannot grow server memory. An
+// evicted handle answers 404 and the client re-prepares. Staleness is NOT
+// the cache's problem: core.Prepared
+// revalidates its plan against table versions and the model-registry
+// generation on every execution, so the cache only ever amortizes work,
+// never serves stale results.
+type planEntry struct {
+	key string // planKey of the statement: a handle collision reads as a miss
+	p   *core.Prepared
+}
+
+func planKey(sql string, level opt.Level) string {
+	return strconv.Itoa(int(level)) + "\x00" + sql
+}
+
+// handleOf derives the stable statement handle for a cache key: the same
+// (SQL, level) always yields the same handle, so clients may cache it.
+func handleOf(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return "ps_" + hex.EncodeToString(sum[:12])
+}
+
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -623,14 +651,18 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := planKey(req.SQL, level)
-	p, handle, cached := s.plans.get(key)
+	handle := handleOf(key)
+	e, ok := s.plans.Get(handle)
+	p, cached := e.p, ok && e.key == key
 	if cached {
+		s.met.planHits.Add(1)
 		// Cache-shared plans still require this user to pass governance.
 		if err := s.flock.CheckPrepared(sess.user, p); err != nil {
 			writeError(w, http.StatusForbidden, err)
 			return
 		}
 	} else {
+		s.met.planMisses.Add(1)
 		// Access is checked before planning: an unauthorized user gets a
 		// 403 and an audit record, not planner output.
 		p, err = s.flock.PrepareAs(sess.user, req.SQL, level)
@@ -643,7 +675,9 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		handle = s.plans.put(key, p)
+		if s.plans.Put(handle, planEntry{key: key, p: p}) {
+			s.met.planEvictions.Add(1)
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"stmt": handle, "kind": p.Kind(), "cached": cached,
@@ -661,12 +695,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnauthorized, errors.New("unknown or expired session"))
 		return
 	}
-	p, ok := s.plans.getByHandle(req.Stmt)
+	e, ok := s.plans.Get(req.Stmt)
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown prepared statement (evicted or never prepared); re-prepare"))
 		return
 	}
-	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, p)
+	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, e.p)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -674,7 +708,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"flock_admission_inflight":    float64(s.adm.inflight.Load()),
 		"flock_admission_queue_depth": float64(s.adm.queued.Load()),
 		"flock_sessions_active":       float64(s.sessions.count()),
-		"flock_plan_cache_entries":    float64(s.plans.len()),
+		"flock_plan_cache_entries":    float64(s.plans.Len()),
 		// Engine operator workers running right now across every in-flight
 		// query: the live intra-query parallel degree.
 		"flock_exec_workers": float64(engine.ActiveWorkers()),

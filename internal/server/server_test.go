@@ -505,6 +505,52 @@ func TestPreparedExecReflectsWrites(t *testing.T) {
 	_ = s
 }
 
+// TestPlanCacheEviction: the plan cache holds PlanCacheSize statements;
+// preparing one more evicts the least recently used, whose handle then
+// answers 404 "re-prepare", and re-preparing its text restores the same
+// deterministic handle as a fresh (uncached) plan.
+func TestPlanCacheEviction(t *testing.T) {
+	_, ts := newTestServer(t, 100, Config{PlanCacheSize: 2})
+	sid := openSession(t, ts.URL, "alice")
+	prepare := func(sql string) map[string]any {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/prepare", map[string]any{"session": sid, "sql": sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prepare %q: %d %v", sql, resp.StatusCode, body)
+		}
+		return body
+	}
+	texts := []string{
+		"SELECT count(*) FROM customers",
+		"SELECT max(age) FROM customers",
+		"SELECT min(age) FROM customers",
+	}
+	first := prepare(texts[0])["stmt"].(string)
+	prepare(texts[1])
+	prepare(texts[2])
+
+	resp, body := postJSON(t, ts.URL+"/v1/exec", map[string]any{"session": sid, "stmt": first})
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(fmt.Sprint(body["error"]), "re-prepare") {
+		t.Fatalf("exec on an evicted handle: %d %v, want 404 re-prepare", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if n := gaugeValue(t, string(raw), `flock_plan_cache_events_total{event="eviction"}`); n != 1 {
+		t.Errorf("evictions = %v, want 1", n)
+	}
+	if n := gaugeValue(t, string(raw), "flock_plan_cache_entries"); n != 2 {
+		t.Errorf("entries = %v, want 2", n)
+	}
+	again := prepare(texts[0])
+	if again["stmt"] != first || again["cached"] != false {
+		t.Fatalf("re-prepare of an evicted text: %v, want stmt %s uncached", again, first)
+	}
+}
+
 // testMonitors builds score monitors for models with enough window to
 // compute PSI.
 func testMonitors(t testing.TB, models ...string) []*monitor.ScoreMonitor {

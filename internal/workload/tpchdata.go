@@ -50,14 +50,6 @@ func LoadTPCH(db *engine.DB, scale int) error {
 			return fmt.Errorf("workload: LoadTPCH: %w", err)
 		}
 	}
-	load := func(name string, names []string, cols []engine.Column) error {
-		t, err := db.Table(name)
-		if err != nil {
-			return err
-		}
-		_ = names
-		return t.ReplaceColumns(cols)
-	}
 
 	// region
 	rk := make([]int64, len(tpchRegions))
@@ -68,7 +60,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		rn[i] = name
 		rc[i] = "region comment"
 	}
-	if err := load("region", nil, []engine.Column{
+	if err := db.ReplaceColumns("region", []engine.Column{
 		engine.IntColumn(rk), engine.StringColumn(rn), engine.StringColumn(rc)}); err != nil {
 		return err
 	}
@@ -84,7 +76,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		nr[i] = int64(n.region)
 		nc[i] = "nation comment"
 	}
-	if err := load("nation", nil, []engine.Column{
+	if err := db.ReplaceColumns("nation", []engine.Column{
 		engine.IntColumn(nk), engine.StringColumn(nn), engine.IntColumn(nr), engine.StringColumn(nc)}); err != nil {
 		return err
 	}
@@ -110,7 +102,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 			scm[i] = "Customer unhappy Complaints filed"
 		}
 	}
-	if err := load("supplier", nil, []engine.Column{
+	if err := db.ReplaceColumns("supplier", []engine.Column{
 		engine.IntColumn(sk), engine.StringColumn(sn), engine.StringColumn(sa),
 		engine.IntColumn(snat), engine.StringColumn(sp), engine.FloatColumn(sb),
 		engine.StringColumn(scm)}); err != nil {
@@ -137,7 +129,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		cs[i] = tpchSegments[r.Intn(len(tpchSegments))]
 		cc[i] = "customer comment"
 	}
-	if err := load("customer", nil, []engine.Column{
+	if err := db.ReplaceColumns("customer", []engine.Column{
 		engine.IntColumn(ck), engine.StringColumn(cn), engine.StringColumn(ca),
 		engine.IntColumn(cnat), engine.StringColumn(cp), engine.FloatColumn(cb),
 		engine.StringColumn(cs), engine.StringColumn(cc)}); err != nil {
@@ -167,7 +159,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		pr[i] = 900 + r.Float64()*1100
 		pcm[i] = "part comment"
 	}
-	if err := load("part", nil, []engine.Column{
+	if err := db.ReplaceColumns("part", []engine.Column{
 		engine.IntColumn(pk), engine.StringColumn(pn), engine.StringColumn(pm),
 		engine.StringColumn(pb), engine.StringColumn(pt), engine.IntColumn(ps),
 		engine.StringColumn(pc), engine.FloatColumn(pr), engine.StringColumn(pcm)}); err != nil {
@@ -188,7 +180,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		psc[i] = 1 + r.Float64()*999
 		pscm[i] = "partsupp comment"
 	}
-	if err := load("partsupp", nil, []engine.Column{
+	if err := db.ReplaceColumns("partsupp", []engine.Column{
 		engine.IntColumn(pspk), engine.IntColumn(pssk), engine.IntColumn(psq),
 		engine.FloatColumn(psc), engine.StringColumn(pscm)}); err != nil {
 		return err
@@ -216,7 +208,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 		osp[i] = 0
 		ocm[i] = []string{"order comment", "special requests noted", "pending packages"}[r.Intn(3)]
 	}
-	if err := load("orders", nil, []engine.Column{
+	if err := db.ReplaceColumns("orders", []engine.Column{
 		engine.IntColumn(ok), engine.IntColumn(ocust), engine.StringColumn(ost),
 		engine.FloatColumn(otp), engine.StringColumn(od), engine.StringColumn(opr),
 		engine.StringColumn(ocl), engine.IntColumn(osp), engine.StringColumn(ocm)}); err != nil {
@@ -256,7 +248,7 @@ func LoadTPCH(db *engine.DB, scale int) error {
 	for i, q := range lqty {
 		qtyF[i] = float64(q)
 	}
-	return load("lineitem", nil, []engine.Column{
+	return db.ReplaceColumns("lineitem", []engine.Column{
 		engine.IntColumn(lok), engine.IntColumn(lpk), engine.IntColumn(lsk),
 		engine.IntColumn(lln), engine.FloatColumn(qtyF), engine.FloatColumn(lep),
 		engine.FloatColumn(ldisc), engine.FloatColumn(ltax), engine.StringColumn(lrf),

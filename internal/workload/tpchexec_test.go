@@ -37,6 +37,48 @@ func TestLoadTPCHShape(t *testing.T) {
 	}
 }
 
+// TestLoadTPCHSurvivesReopen bulk-loads TPC-H into a durable database,
+// closes it and reopens the directory: every table must come back with the
+// rows it had, so the bulk load went through the WAL like any other write.
+func TestLoadTPCHSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := engine.OpenDirDB(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadTPCH(db, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]int{}
+	for _, name := range db.TableNames() {
+		tab, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = tab.NumRows()
+	}
+	if err := db.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := engine.OpenDirDB(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseDurability()
+	if before["lineitem"] == 0 {
+		t.Fatal("lineitem loaded no rows")
+	}
+	for name, want := range before {
+		tab, err := re.Table(name)
+		if err != nil {
+			t.Fatalf("%s after reopen: %v", name, err)
+		}
+		if got := tab.NumRows(); got != want {
+			t.Errorf("%s rows after reopen = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestExecutableTPCHQueries runs the executable template subset end to end
 // over generated data and sanity-checks each result's shape.
 func TestExecutableTPCHQueries(t *testing.T) {
