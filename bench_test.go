@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,16 @@ var (
 )
 
 const fig4Trees = 100
+
+// execText parses one statement and runs it on db under o, unlogged, as an
+// ad hoc statement pays parse and plan on every call.
+func execText(db *engine.DB, q string, o engine.ExecOptions) (*engine.Result, error) {
+	stmt, err := sqlpkg.ParseOne(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecStmtContext(context.Background(), stmt, o)
+}
 
 func fig4Env(b *testing.B, rows int) *experiments.Fig4Env {
 	b.Helper()
@@ -256,9 +267,9 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := env.DB.ExecAs(
+				res, err := execText(env.DB,
 					`SELECT count(*) AS n FROM customers WHERE PREDICT(churn, age, income, tenure, region, notes) >= 0.5`,
-					"bench", engine.ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
+					engine.ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,7 +296,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := env.DB.ExecAs(q, "bench", engine.ExecOptions{Level: cfg.level}); err != nil {
+				if _, err := execText(env.DB, q, engine.ExecOptions{Level: cfg.level}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -496,16 +507,16 @@ func benchExecParallel(b *testing.B, q string, wantRows int) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := engine.ExecOptions{Level: opt.LevelParallel, Parallelism: workers}
-			rs, _, err := db.ExecSelect(sel, opts)
+			res, err := db.ExecStmtContext(context.Background(), sel, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rs.N != wantRows {
-				b.Fatalf("query %q: %d rows, want %d", q, rs.N, wantRows)
+			if res.N != wantRows {
+				b.Fatalf("query %q: %d rows, want %d", q, res.N, wantRows)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := db.ExecSelect(sel, opts); err != nil {
+				if _, err := db.ExecStmtContext(context.Background(), sel, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

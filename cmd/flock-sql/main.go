@@ -152,18 +152,16 @@ func explain(flock *core.Flock, query string) {
 		fmt.Println("\\explain takes a SELECT")
 		return
 	}
-	plan, err := opt.PlanSelect(sel, flock.Models, flock.DB, flock.DB.DefaultLevel)
+	o := engine.ExecOptions{Level: flock.DB.DefaultLevel}
+	plan, err := flock.DB.PlanSelect(sel, o.Level)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	// A fresh plan, owned here: stamping the worker cap on it is safe.
+	plan.Report.Parallelism = o.MaxWorkers()
 	fmt.Print(opt.FormatPlan(plan.Root))
-	_, report, err := flock.DB.ExecSelect(sel, engine.ExecOptions{Level: flock.DB.DefaultLevel})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("optimizer:", report)
+	fmt.Println("optimizer:", &plan.Report)
 }
 
 // runRemote is the SDK-backed shell: every statement goes over the wire,

@@ -140,7 +140,11 @@ func main() {
 	for _, level := range []opt.Level{opt.LevelUDF, opt.LevelVectorized, opt.LevelFull} {
 		start := time.Now()
 		for i := 0; i < 20; i++ {
-			if _, err := flock.ExecLevel("sre", q, level); err != nil {
+			stmts, err := flock.Parse("sre", q, level)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if _, err := flock.ExecPrepared(ctx, "sre", stmts[0]); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -54,8 +54,8 @@ func TestConcurrentExec(t *testing.T) {
 				case 3:
 					_, err = f.Exec(user, "SELECT id, PREDICT(churn, age, region) AS s FROM events WHERE age > 25")
 				case 4:
-					_, err = f.ExecLevelContext(context.Background(), user,
-						fmt.Sprintf("UPDATE events SET age = age + 1 WHERE id = %d", w*1000), opt.LevelFull)
+					_, err = f.ExecContext(context.Background(), user,
+						fmt.Sprintf("UPDATE events SET age = age + 1 WHERE id = %d", w*1000))
 				}
 				if err != nil {
 					errs <- fmt.Errorf("worker %d iter %d: %w", w, i, err)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
-	"repro/internal/engine"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/engine"
 
 	"repro/internal/governance"
 	"repro/internal/ml"
@@ -153,6 +155,103 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 	}
 	if meta.Stage != StageProduction || meta.Creator != "alice" {
 		t.Errorf("persisted meta = %+v", meta)
+	}
+}
+
+// TestRegistryRefreshReloadsOnlyOnChange: RefreshModels (a replica's
+// per-batch hook) reloads only when the system table changed. A refresh
+// with no change leaves the generation — and so every cached plan and
+// score — and the query log alone; a newly appended model row is picked up.
+func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
+	f := newFlock(t)
+	g, _ := onnx.Export(trainPipe(t))
+	if _, err := f.DeployGraph("root", "churn", g, TrainingInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RefreshModels(); err != nil {
+		t.Fatal(err)
+	}
+	gen, logged := f.Models.Generation(), len(f.DB.QueryLog())
+	for range 5 {
+		if err := f.RefreshModels(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.Models.Generation(); got != gen {
+		t.Fatalf("five refreshes with no model change moved the generation %d -> %d", gen, got)
+	}
+	if got := len(f.DB.QueryLog()); got != logged {
+		t.Fatalf("refreshes appended %d query-log entries", got-logged)
+	}
+
+	// A row written by another writer, as a shipped frame lands on a replica.
+	blob, err := onnx.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := ModelMeta{Name: "fraud", Version: 1, Stage: StageProduction, Creator: "leader",
+		CreatedAt: time.Now(), Inputs: g.InputNames()}
+	if err := f.Models.persist(meta, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RefreshModels(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Models.GraphFor("fraud"); err != nil {
+		t.Fatalf("appended model not picked up: %v", err)
+	}
+	if got := f.Models.Generation(); got != gen+1 {
+		t.Fatalf("generation after one real reload = %d, want %d", got, gen+1)
+	}
+	if got := len(f.DB.QueryLog()); got != logged {
+		t.Fatalf("reload appended %d query-log entries", got-logged)
+	}
+}
+
+// TestRegistryModelNamesAreData: a model name is stored as data, never
+// spliced into SQL text. A quoted name deploys and promotes, an
+// injection-shaped name rewrites no other model's persisted stage, and a
+// reopened instance reads back exactly the stages the registry holds.
+func TestRegistryModelNamesAreData(t *testing.T) {
+	f := newFlock(t)
+	g, _ := onnx.Export(trainPipe(t))
+	const inject = `x' OR name <> 'x`
+	for _, name := range []string{"alpha", "alpha", "o'brien", "o'brien", inject} {
+		if _, err := f.DeployGraph("root", name, g, TrainingInfo{}); err != nil {
+			t.Fatalf("deploy %q: %v", name, err)
+		}
+	}
+	want := f.Models.List()
+	if len(want) != 5 {
+		t.Fatalf("registry holds %d versions, want 5", len(want))
+	}
+	for _, m := range want {
+		stage := StageProduction
+		if m.Version == 1 && m.Name != inject {
+			stage = StageRetired
+		}
+		if m.Stage != stage {
+			t.Errorf("%s v%d is %s, want %s", m.Name, m.Version, m.Stage, stage)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := f.DB.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f2.Models.List()
+	if len(got) != len(want) {
+		t.Fatalf("reopened registry holds %d versions, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Version != want[i].Version || got[i].Stage != want[i].Stage {
+			t.Errorf("reopened %s v%d [%s], want %s v%d [%s]", got[i].Name, got[i].Version, got[i].Stage,
+				want[i].Name, want[i].Version, want[i].Stage)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/infer"
 	"repro/internal/ml"
 	"repro/internal/onnx"
-	"repro/internal/opt"
 	"repro/internal/policy"
 	"repro/internal/provenance"
 	"repro/internal/sql"
@@ -19,9 +18,10 @@ import (
 // Flock is the reference architecture facade (Figure 1): a database engine
 // with in-DBMS inference, a versioned model registry, RBAC + audit
 // governance, a provenance catalog with eager SQL capture, and a policy
-// engine bridging predictions to decisions. Every statement, run through
-// Exec* or opened through Query*, ad hoc or prepared, is a Prepared that
-// passes one gate: access-checked, captured, logged and audited.
+// engine bridging predictions to decisions. Every statement, ad hoc or
+// prepared, is a Prepared from Parse or Prepare, run by ExecPrepared or
+// opened by QueryPrepared, and passes one gate: access-checked, captured,
+// logged and audited.
 type Flock struct {
 	DB       *engine.DB
 	Models   *ModelRegistry
@@ -112,30 +112,18 @@ func newFromDB(db *engine.DB) (*Flock, error) {
 	return f, nil
 }
 
-// Exec runs a statement on behalf of user at the default optimization
-// level, enforcing access control, capturing provenance, and auditing.
+// Exec is ExecContext without a cancellation context.
 func (f *Flock) Exec(user, query string) (*engine.Result, error) {
-	return f.ExecLevel(user, query, f.DB.DefaultLevel)
+	return f.ExecContext(context.Background(), user, query)
 }
 
-// ExecContext is Exec with a cancellation context: once ctx is done,
-// execution aborts at the engine's next batch boundary, so a disconnecting
-// client, an expired deadline, or a server shutdown unwinds the whole
-// statement.
+// ExecContext runs query's statements in turn on behalf of user at the
+// default optimization level, each through Parse and ExecPrepared, and
+// returns the last result. Once ctx is done, execution aborts at the
+// engine's next batch boundary, so a disconnecting client, an expired
+// deadline, or a server shutdown unwinds the whole statement.
 func (f *Flock) ExecContext(ctx context.Context, user, query string) (*engine.Result, error) {
-	return f.ExecLevelContext(ctx, user, query, f.DB.DefaultLevel)
-}
-
-// ExecLevel is Exec with an explicit optimization level.
-func (f *Flock) ExecLevel(user, query string, level opt.Level) (*engine.Result, error) {
-	return f.ExecLevelContext(context.Background(), user, query, level)
-}
-
-// ExecLevelContext is ExecContext with an explicit optimization level: it
-// parses query and runs each statement in turn through ExecPrepared,
-// returning the last result.
-func (f *Flock) ExecLevelContext(ctx context.Context, user, query string, level opt.Level) (*engine.Result, error) {
-	stmts, err := f.Parse(user, query, level)
+	stmts, err := f.Parse(user, query, f.DB.DefaultLevel)
 	if err != nil {
 		return nil, err
 	}

@@ -42,8 +42,8 @@ var execRoutes = []route{
 }
 
 var queryRoutes = []route{
-	{"Query", func(ctx context.Context, f *Flock, user, query string) error {
-		cur, err := f.Query(ctx, user, query)
+	{"Parse+QueryPrepared", func(ctx context.Context, f *Flock, user, query string) error {
+		cur, err := queryText(ctx, f, user, query)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 package core
 
-// Cursor-path governance pinning: Query* performs the access check, audit,
-// provenance capture and query-log append BEFORE the first batch is
+// Cursor-path governance pinning: QueryPrepared performs the access check,
+// audit, provenance capture and query-log append BEFORE the first batch is
 // released, denied users get no cursor at all, and non-SELECT statements
 // are rejected.
 
@@ -46,9 +46,22 @@ func mustExecQ(t *testing.T, f *Flock, q string) {
 	}
 }
 
+// queryText opens a cursor over one ad hoc SELECT the way the server's
+// cursor route does: Parse, then QueryPrepared.
+func queryText(ctx context.Context, f *Flock, user, query string) (engine.Cursor, error) {
+	stmts, err := f.Parse(user, query, f.DB.DefaultLevel)
+	if err != nil {
+		return nil, err
+	}
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("queryText: %d statements, want 1", len(stmts))
+	}
+	return f.QueryPrepared(ctx, user, stmts[0])
+}
+
 func TestQueryCursorDrain(t *testing.T) {
 	f := queryTestFlock(t)
-	cur, err := f.Query(context.Background(), "root", `SELECT id, v FROM readings WHERE v > 10.0`)
+	cur, err := queryText(context.Background(), f, "root", `SELECT id, v FROM readings WHERE v > 10.0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func TestQueryCursorDrain(t *testing.T) {
 func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 	f := queryTestFlock(t)
 
-	if _, err := f.Query(context.Background(), "mallory", `SELECT id FROM readings`); err == nil {
+	if _, err := queryText(context.Background(), f, "mallory", `SELECT id FROM readings`); err == nil {
 		t.Fatal("denied user got a cursor")
 	}
 	entries := f.Audit.Entries()
@@ -90,7 +103,7 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 
 	logBefore := len(f.DB.QueryLog())
 	auditBefore := f.Audit.Len()
-	cur, err := f.Query(context.Background(), "root", `SELECT id FROM readings`)
+	cur, err := queryText(context.Background(), f, "root", `SELECT id FROM readings`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +120,7 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 // TestLoggedTextIsFormatted pins what the ad hoc paths record, now that
 // each parses its statement once: the query-log entry and the provenance
 // entity carry sql.FormatStatement of the parsed statement, not the text as
-// sent, for Exec (one and several statements) and Query alike.
+// sent, for Exec (one and several statements) and a cursor alike.
 func TestLoggedTextIsFormatted(t *testing.T) {
 	f := queryTestFlock(t)
 	const multi = `select   id from readings where v>40.0 ;  SELECT count(*)  FROM readings`
@@ -121,7 +134,7 @@ func TestLoggedTextIsFormatted(t *testing.T) {
 	}
 	before := len(f.DB.QueryLog())
 	mustExecQ(t, f, multi)
-	cur, err := f.Query(context.Background(), "root", `select id   from readings where id<3`)
+	cur, err := queryText(context.Background(), f, "root", `select id   from readings where id<3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +174,21 @@ func queryEntitiesWithText(f *Flock, text string) []*provenance.Entity {
 	return out
 }
 
+// TestQueryRejectsNonSelect: an ad hoc (unplanned) DML statement cannot be
+// cursored, and the refusal comes before the gate, so it leaves nothing in
+// the query log or the audit log.
 func TestQueryRejectsNonSelect(t *testing.T) {
 	f := queryTestFlock(t)
-	if _, err := f.Query(context.Background(), "root", `INSERT INTO readings VALUES (999, 1.0)`); err == nil {
-		t.Fatal("Query accepted DML")
+	stmts, err := f.Parse("root", `INSERT INTO readings VALUES (999, 1.0)`, f.DB.DefaultLevel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.Query(context.Background(), "root", `SELECT 1; SELECT 2`); err == nil {
-		t.Fatal("Query accepted a multi-statement string")
+	logBefore, auditBefore := len(f.DB.QueryLog()), f.Audit.Len()
+	if _, err := f.QueryPrepared(context.Background(), "root", stmts[0]); err == nil {
+		t.Fatal("QueryPrepared accepted ad hoc DML")
+	}
+	if len(f.DB.QueryLog()) != logBefore || f.Audit.Len() != auditBefore {
+		t.Fatal("a refused cursor was logged or audited")
 	}
 }
 

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"encoding/base64"
 	"fmt"
 	"sort"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/onnx"
+	"repro/internal/sql"
 )
 
 // Stage is a model lifecycle stage.
@@ -52,6 +54,11 @@ type ModelRegistry struct {
 	graphs map[string]*onnx.Graph // "name@version" -> decoded graph
 	metas  map[string][]ModelMeta // name -> versions ascending
 	gen    int64                  // bumped whenever GraphFor resolution can change
+
+	// loaded and loadedVer identify the system table state LoadPersisted
+	// last read: a rebase installs a new *Table, so both are compared.
+	loaded    *engine.Table
+	loadedVer int64
 }
 
 // Generation returns a counter that advances whenever model resolution can
@@ -180,13 +187,19 @@ func (r *ModelRegistry) promoteLocked(name string, version int, stage Stage) err
 	return nil
 }
 
-// syncStage mirrors a stage change into the system table.
+// syncStage mirrors a stage change into the system table. The UPDATE is
+// built from literal nodes, never from SQL text, so a model name is data
+// whatever quotes it holds.
 func (r *ModelRegistry) syncStage(m ModelMeta) {
-	q := fmt.Sprintf("UPDATE %s SET stage = '%s' WHERE name = '%s' AND version = %d",
-		modelsTable, m.Stage, m.Name, m.Version)
+	eq := func(col string, v *sql.Lit) sql.Expr { return &sql.Binary{Op: "=", L: &sql.ColRef{Name: col}, R: v} }
+	stmt := &sql.UpdateStmt{Table: modelsTable,
+		Sets: []sql.SetClause{{Column: "stage", Value: &sql.Lit{Kind: sql.LitString, S: string(m.Stage)}}},
+		Where: &sql.Binary{Op: "AND",
+			L: eq("name", &sql.Lit{Kind: sql.LitString, S: m.Name}),
+			R: eq("version", &sql.Lit{Kind: sql.LitInt, I: int64(m.Version)})}}
 	// The system table always exists and the statement is well formed;
 	// an error here would indicate registry corruption.
-	if _, err := r.db.Exec(q); err != nil {
+	if _, err := r.db.ExecStmtContext(context.Background(), stmt, engine.ExecOptions{Level: r.db.DefaultLevel}); err != nil {
 		panic(fmt.Sprintf("core: model system table out of sync: %v", err))
 	}
 }
@@ -324,19 +337,29 @@ func (r *ModelRegistry) List() []ModelMeta {
 }
 
 // LoadPersisted rebuilds the in-memory registry from the system table —
-// the recovery path proving models really are stored as data.
+// the recovery path proving models really are stored as data. It reads a
+// snapshot of the table, not SQL, and reloads (bumping the generation)
+// only when the table changed since the last load.
 func (r *ModelRegistry) LoadPersisted() error {
-	res, err := r.db.Exec(fmt.Sprintf(
-		"SELECT name, version, stage, creator, created_at, inputs, blob FROM %s ORDER BY name, version", modelsTable))
+	t, err := r.db.Table(modelsTable)
 	if err != nil {
 		return err
 	}
+	ver := t.Version()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.graphs = map[string]*onnx.Graph{}
-	r.metas = map[string][]ModelMeta{}
-	c := res.Cols
-	for i := range res.N {
+	if t == r.loaded && ver == r.loadedVer {
+		return nil
+	}
+	c, _, n, err := t.SnapshotAt(ver)
+	if err != nil {
+		return err
+	}
+	graphs := map[string]*onnx.Graph{}
+	metas := map[string][]ModelMeta{}
+	// Columns in schema order: name, version, stage, creator, created_at,
+	// inputs, blob. Rows are appended in version order per name.
+	for i := range n {
 		name, version := c[0].Strs[i], int(c[1].Ints[i])
 		blob, err := base64.StdEncoding.DecodeString(c[6].Strs[i])
 		if err != nil {
@@ -353,9 +376,11 @@ func (r *ModelRegistry) LoadPersisted() error {
 			Inputs:   strings.Split(c[5].Strs[i], ","),
 			NumNodes: g.NumNodes(), BlobSize: len(blob),
 		}
-		r.metas[name] = append(r.metas[name], meta)
-		r.graphs[key(name, version)] = g
+		metas[name] = append(metas[name], meta)
+		graphs[key(name, version)] = g
 	}
+	r.graphs, r.metas = graphs, metas
+	r.loaded, r.loadedVer = t, ver
 	r.gen++
 	return nil
 }

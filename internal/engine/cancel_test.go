@@ -18,7 +18,7 @@ func TestExecContextPreCanceled(t *testing.T) {
 	buildScoringSetup(t, db, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.ExecContext(ctx, "SELECT count(*) FROM customers WHERE age > 30")
+	_, err := execText(ctx, db, "SELECT count(*) FROM customers WHERE age > 30", ExecOptions{Level: db.DefaultLevel})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -29,10 +29,10 @@ func TestDMLContextPreCanceled(t *testing.T) {
 	buildScoringSetup(t, db, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.ExecContext(ctx, "UPDATE customers SET age = age + 1"); !errors.Is(err, context.Canceled) {
+	if _, err := execText(ctx, db, "UPDATE customers SET age = age + 1", ExecOptions{Level: db.DefaultLevel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("UPDATE: want context.Canceled, got %v", err)
 	}
-	if _, err := db.ExecContext(ctx, "DELETE FROM customers WHERE age > 100"); !errors.Is(err, context.Canceled) {
+	if _, err := execText(ctx, db, "DELETE FROM customers WHERE age > 100", ExecOptions{Level: db.DefaultLevel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DELETE: want context.Canceled, got %v", err)
 	}
 	// The canceled statements must not have mutated anything.
@@ -179,9 +179,9 @@ func TestInsertSelectCancelLeavesNoPartialWrite(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.ExecAsContext(ctx,
+	_, err := execText(ctx, db,
 		"INSERT INTO scores SELECT id, PREDICT(churn, age, income, region) FROM customers",
-		"test", ExecOptions{Level: opt.LevelFull})
+		ExecOptions{Level: opt.LevelFull})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -222,9 +222,9 @@ func TestCancelUnblocksHungScorer(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := db.ExecAsContext(ctx,
+		_, err := execText(ctx, db,
 			"SELECT PREDICT(churn, age, income, region) FROM customers",
-			"test", ExecOptions{Level: opt.LevelUDF})
+			ExecOptions{Level: opt.LevelUDF})
 		done <- err
 	}()
 
@@ -264,9 +264,9 @@ func TestCancelDuringScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := db.ExecAsContext(ctx,
+		_, err := execText(ctx, db,
 			"SELECT count(*) FROM big WHERE notes LIKE '%keeps on running%' AND notes LIKE '%nowhere%'",
-			"test", ExecOptions{Level: opt.LevelVectorized})
+			ExecOptions{Level: opt.LevelVectorized})
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)

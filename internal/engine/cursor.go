@@ -11,7 +11,7 @@ package engine
 // streamable chain is materialized once at open and then drained in
 // batches, so every plan shape speaks the same cursor protocol.
 //
-// Materializing is Collect over a cursor, everywhere: ExecSelect is
+// Materializing is Collect over a cursor, everywhere: ExecPlanContext is
 // Collect(OpenPlanCursor(...)), and a breaker's streamable input is opened
 // and collected the same way (executor.collect). Collect drains a limit-free
 // streamable cursor in one window covering the whole input, so each stream
@@ -83,22 +83,6 @@ type ExecCounters struct {
 	// (opt.Scan.Cols), so this is the number projection pruning moves while
 	// RowsScanned stays put.
 	CellsGathered atomic.Int64
-}
-
-// OpenCursor plans a SELECT and opens a cursor over it — the streaming
-// sibling of ExecSelectContext. The returned report carries the resolved
-// parallelism like the materialized path.
-func (db *DB) OpenCursor(ctx context.Context, s *sql.SelectStmt, o ExecOptions) (Cursor, *opt.Report, error) {
-	plan, err := db.PlanSelect(s, o.Level)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.Report.Parallelism = o.MaxWorkers()
-	cur, err := db.OpenPlanCursor(ctx, plan, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cur, &plan.Report, nil
 }
 
 // OpenPlanCursor opens a cursor over a previously planned SELECT. Blocking

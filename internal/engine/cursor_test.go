@@ -28,7 +28,11 @@ func openCursorOn(t testing.TB, db *DB, query string, o ExecOptions) Cursor {
 	if !ok {
 		t.Fatalf("%s: not a SELECT", query)
 	}
-	cur, _, err := db.OpenCursor(context.Background(), sel, o)
+	plan, err := db.PlanSelect(sel, o.Level)
+	if err != nil {
+		t.Fatalf("%s: plan: %v", query, err)
+	}
+	cur, err := db.OpenPlanCursor(context.Background(), plan, o)
 	if err != nil {
 		t.Fatalf("%s: open cursor: %v", query, err)
 	}
@@ -67,7 +71,7 @@ func drainBatches(t *testing.T, cur Cursor) (*RowSet, int) {
 // TestCursorLimitShortCircuitsScan pins LIMIT pushdown with a counting
 // scan: a capped streamable pipeline must stop reading the base table as
 // soon as enough rows are produced, on both the serial (1 worker) and
-// morsel (8 workers) paths, for cursor drains and materialized ExecSelect
+// morsel (8 workers) paths, for cursor drains and materialized execSelect
 // alike.
 func TestCursorLimitShortCircuitsScan(t *testing.T) {
 	const rows = 200_000
@@ -85,7 +89,7 @@ func TestCursorLimitShortCircuitsScan(t *testing.T) {
 			o := tc.o
 			o.Counters = &ExecCounters{}
 			stmt, _ := sql.ParseOne(query)
-			rs, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o)
+			rs, err := db.execSelect(context.Background(), stmt.(*sql.SelectStmt), o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +106,7 @@ func TestCursorLimitShortCircuitsScan(t *testing.T) {
 	// Without a LIMIT the same pipeline must still scan everything.
 	o := ExecOptions{Level: opt.LevelParallel, Parallelism: 8, Counters: &ExecCounters{}}
 	stmt, _ := sql.ParseOne(`SELECT id FROM facts WHERE val > -1000.0`)
-	if _, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o); err != nil {
+	if _, err := db.execSelect(context.Background(), stmt.(*sql.SelectStmt), o); err != nil {
 		t.Fatal(err)
 	}
 	if scanned := o.Counters.RowsScanned.Load(); scanned != rows {
@@ -123,7 +127,7 @@ func TestBreakerInputLimitShortCircuitsScan(t *testing.T) {
 	} {
 		o.Counters = &ExecCounters{}
 		stmt, _ := sql.ParseOne(query)
-		rs, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o)
+		rs, err := db.execSelect(context.Background(), stmt.(*sql.SelectStmt), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +143,7 @@ func TestBreakerInputLimitShortCircuitsScan(t *testing.T) {
 
 // TestCursorDrainMatchesExec pins cursor-vs-materialized equivalence over
 // streamable and blocking plan shapes at 1 and 8 workers: a windowed drain
-// must concatenate to exactly what ExecSelect materializes.
+// must concatenate to exactly what ExecPlanContext materializes.
 func TestCursorDrainMatchesExec(t *testing.T) {
 	db := parallelTestDB(t, 60_000)
 	queries := []string{
@@ -264,13 +268,13 @@ func TestCursorLeakCount(t *testing.T) {
 		t.Fatalf("after close: %d cursors, want %d", got, base)
 	}
 
-	// Collect closes the cursor it drains, and ExecSelect rides on Collect.
+	// Collect closes the cursor it drains, and ExecPlanContext rides on Collect.
 	stmt, _ := sql.ParseOne(`SELECT grp, count(*) AS n FROM facts GROUP BY grp`)
-	if _, _, err := db.ExecSelect(stmt.(*sql.SelectStmt), o); err != nil {
+	if _, err := db.execSelect(context.Background(), stmt.(*sql.SelectStmt), o); err != nil {
 		t.Fatal(err)
 	}
 	if got := CursorsOpen(); got != base {
-		t.Fatalf("after ExecSelect: %d cursors, want %d", got, base)
+		t.Fatalf("after execSelect: %d cursors, want %d", got, base)
 	}
 }
 
@@ -344,7 +348,7 @@ func TestCursorBoundedMemory(t *testing.T) {
 
 	// Materialized floor: the full result is ~16 MB of column data.
 	materialized := func() int {
-		rs, _, err := db.ExecSelect(mustSelect(t, query), o)
+		rs, err := db.execSelect(context.Background(), mustSelect(t, query), o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -461,30 +461,11 @@ func (db *DB) remoteFor(model string) (onnx.Scorer, error) {
 	return onnx.NewRemoteScorerJSON(g, 1)
 }
 
-// Exec parses and executes a statement string at the default level,
-// recording it in the query log.
+// Exec parses and executes a statement string at the default level on
+// behalf of "system", recording each statement in the query log — the
+// text convenience for tests, loaders and tools. Governed callers go
+// through core.Flock instead.
 func (db *DB) Exec(query string) (*Result, error) {
-	return db.ExecAs(query, "system", ExecOptions{Level: db.DefaultLevel})
-}
-
-// ExecContext is Exec with a cancellation context: execution aborts at the
-// next batch boundary once ctx is done.
-func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
-	return db.ExecAsContext(ctx, query, "system", ExecOptions{Level: db.DefaultLevel})
-}
-
-// ExecLevel executes with an explicit optimization level.
-func (db *DB) ExecLevel(query string, level opt.Level) (*Result, error) {
-	return db.ExecAs(query, "system", ExecOptions{Level: level})
-}
-
-// ExecAs executes a statement on behalf of a user with explicit options.
-func (db *DB) ExecAs(query, user string, o ExecOptions) (*Result, error) {
-	return db.ExecAsContext(context.Background(), query, user, o)
-}
-
-// ExecAsContext is ExecAs with a cancellation context.
-func (db *DB) ExecAsContext(ctx context.Context, query, user string, o ExecOptions) (*Result, error) {
 	stmts, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
@@ -494,27 +475,26 @@ func (db *DB) ExecAsContext(ctx context.Context, query, user string, o ExecOptio
 	}
 	var last *Result
 	for _, stmt := range stmts {
-		db.appendLog(sql.FormatStatement(stmt), user)
-		res, err := db.ExecStmtContext(ctx, stmt, o)
-		if err != nil {
+		db.appendLog(sql.FormatStatement(stmt), "system")
+		if last, err = db.ExecStmtContext(context.Background(), stmt, ExecOptions{Level: db.DefaultLevel}); err != nil {
 			return nil, err
 		}
-		last = res
 	}
 	return last, nil
 }
 
 // LogStatement records an externally-executed statement in the query log
-// (the prepared-statement path logs through here, keeping lazy provenance
-// capture complete).
+// (the governed path logs through here, keeping lazy provenance capture
+// complete).
 func (db *DB) LogStatement(text, user string) { db.appendLog(text, user) }
 
 // ExecStmtContext executes a parsed statement (without logging) under a
-// cancellation context.
+// cancellation context: execution aborts at the next batch boundary once
+// ctx is done.
 func (db *DB) ExecStmtContext(ctx context.Context, stmt sql.Statement, o ExecOptions) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:
-		rs, _, err := db.ExecSelectContext(ctx, s, o)
+		rs, err := db.execSelect(ctx, s, o)
 		if err != nil {
 			return nil, err
 		}
@@ -531,31 +511,18 @@ func (db *DB) ExecStmtContext(ctx context.Context, stmt sql.Statement, o ExecOpt
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
-// ExecSelect plans and executes a SELECT, returning the rowset and the
-// optimizer report (for EXPLAIN-style inspection and ablation benches).
-func (db *DB) ExecSelect(s *sql.SelectStmt, o ExecOptions) (*RowSet, *opt.Report, error) {
-	return db.ExecSelectContext(context.Background(), s, o)
-}
-
-// ExecSelectContext is ExecSelect with a cancellation context: the executor
-// polls ctx at operator and batch boundaries, so a canceled query returns
-// within one batch of work.
-func (db *DB) ExecSelectContext(ctx context.Context, s *sql.SelectStmt, o ExecOptions) (*RowSet, *opt.Report, error) {
+// execSelect plans a SELECT at o.Level and runs it to completion.
+func (db *DB) execSelect(ctx context.Context, s *sql.SelectStmt, o ExecOptions) (*RowSet, error) {
 	plan, err := db.PlanSelect(s, o.Level)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan.Report.Parallelism = o.MaxWorkers()
-	rs, err := db.ExecPlanContext(ctx, plan, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs, &plan.Report, nil
+	return db.ExecPlanContext(ctx, plan, o)
 }
 
-// PlanSelect lowers a SELECT into an optimized plan without executing it —
-// the planning half of ExecSelect, exposed for plan caching (prepared
-// statements reuse the plan across calls).
+// PlanSelect lowers a SELECT into an optimized plan without executing it,
+// for plan caching (prepared statements reuse the plan across calls) and
+// EXPLAIN.
 func (db *DB) PlanSelect(s *sql.SelectStmt, level opt.Level) (*opt.Plan, error) {
 	db.mu.RLock()
 	provider := db.models
@@ -571,8 +538,10 @@ func (db *DB) PlanSelect(s *sql.SelectStmt, level opt.Level) (*opt.Plan, error) 
 // ExecPlanContext executes a previously planned SELECT, materializing the
 // result — a thin Collect wrapper over the cursor path, so LIMIT-capped
 // streamable pipelines short-circuit the scan even for materialized
-// callers. Callers caching plans must revalidate them against table
-// versions and the model registry generation (see core.Prepared).
+// callers. The executor polls ctx at operator and batch boundaries, so a
+// canceled query returns within one batch of work. Callers caching plans
+// must revalidate them against table versions and the model registry
+// generation (see core.Prepared).
 func (db *DB) ExecPlanContext(ctx context.Context, plan *opt.Plan, o ExecOptions) (*RowSet, error) {
 	cur, err := db.OpenPlanCursor(ctx, plan, o)
 	if err != nil {

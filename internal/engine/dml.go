@@ -96,7 +96,7 @@ func (db *DB) execInsertLevel(ctx context.Context, s *sql.InsertStmt, o ExecOpti
 	if s.Query != nil {
 		// INSERT ... SELECT: run the query, then append its rows (the batch
 		// prediction write-back path: INSERT INTO scores SELECT id, PREDICT...).
-		rs, _, err := db.ExecSelectContext(ctx, s.Query, o)
+		rs, err := db.execSelect(ctx, s.Query, o)
 		if err != nil {
 			return nil, err
 		}

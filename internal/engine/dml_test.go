@@ -179,7 +179,7 @@ func TestDMLSemantics(t *testing.T) {
 func checkDMLPredictMatchesSelect(t *testing.T) {
 	db := NewDB()
 	buildScoringSetup(t, db, 200)
-	ref, err := db.ExecLevel(`SELECT id, age, income, region, PREDICT(churn, age, income, region) AS p
+	ref, err := execLevel(db, `SELECT id, age, income, region, PREDICT(churn, age, income, region) AS p
 		FROM customers WHERE id < 20 ORDER BY id`, opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
@@ -197,11 +197,11 @@ func checkDMLPredictMatchesSelect(t *testing.T) {
 			p = "PREDICT(churn, " + feats + ")"
 		}
 		q := fmt.Sprintf("INSERT INTO scored VALUES (%d, %s, %s)", id, feats, p)
-		if _, err := db.ExecLevel(q, opt.LevelUDF); err != nil {
+		if _, err := execLevel(db, q, opt.LevelUDF); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	res, err := db.ExecLevel("UPDATE scored SET p = PREDICT(churn, age, income, region) WHERE id % 2 = 1", opt.LevelUDF)
+	res, err := execLevel(db, "UPDATE scored SET p = PREDICT(churn, age, income, region) WHERE id % 2 = 1", opt.LevelUDF)
 	if err != nil {
 		t.Fatal(err)
 	}

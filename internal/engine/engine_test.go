@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -22,6 +23,21 @@ func boxed(res *Result) [][]any {
 		}
 	}
 	return rows
+}
+
+// execText parses one statement and runs it through ExecStmtContext under
+// ctx and o, without logging it: Exec at a chosen level or worker cap.
+func execText(ctx context.Context, db *DB, query string, o ExecOptions) (*Result, error) {
+	stmt, err := sqlpkg.ParseOne(query)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecStmtContext(ctx, stmt, o)
+}
+
+// execLevel is execText at level with no context.
+func execLevel(db *DB, query string, level opt.Level) (*Result, error) {
+	return execText(context.Background(), db, query, ExecOptions{Level: level})
 }
 
 // fakeModels is a trivial model provider for tests.
@@ -432,7 +448,7 @@ func TestPredictAllLevelsAgree(t *testing.T) {
 
 	var ref *Result
 	for _, level := range []opt.Level{opt.LevelUDF, opt.LevelVectorized, opt.LevelParallel, opt.LevelFull} {
-		res, err := db.ExecLevel(q, level)
+		res, err := execLevel(db, q, level)
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}
@@ -469,18 +485,18 @@ func TestPredictPushUpChangesPlanNotResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repFull, err := db.ExecSelect(stmt.(*sqlpkg.SelectStmt), ExecOptions{Level: opt.LevelFull})
+	planFull, err := db.PlanSelect(stmt.(*sqlpkg.SelectStmt), opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repFull.PushedUp {
+	if !planFull.Report.PushedUp {
 		t.Error("push-up should fire when score is only compared")
 	}
-	resFull, err := db.ExecLevel(q, opt.LevelFull)
+	resFull, err := execLevel(db, q, opt.LevelFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBase, err := db.ExecLevel(q, opt.LevelVectorized)
+	resBase, err := execLevel(db, q, opt.LevelVectorized)
 	if err != nil {
 		t.Fatal(err)
 	}

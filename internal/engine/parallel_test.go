@@ -9,6 +9,7 @@ package engine
 // the worker-count checks apply that tolerance to every float cell.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -82,8 +83,7 @@ func execAt(db *DB, query string, workers int) (*RowSet, error) {
 	if !ok {
 		return nil, fmt.Errorf("not a SELECT")
 	}
-	rs, _, err := db.ExecSelect(sel, ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
-	return rs, err
+	return db.execSelect(context.Background(), sel, ExecOptions{Level: opt.LevelParallel, Parallelism: workers})
 }
 
 // runAt executes a SELECT at the given worker cap, failing the test on error.
@@ -689,8 +689,9 @@ func TestDistinctAggregatesOneAnswer(t *testing.T) {
 	}
 }
 
-// TestReportParallelismDegree pins the EXPLAIN surface: the optimizer
-// report carries the resolved morsel worker cap.
+// TestReportParallelismDegree pins the EXPLAIN surface: a report stamped
+// with ExecOptions.MaxWorkers (as flock-sql's \explain stamps its own
+// fresh plan) carries the resolved morsel worker cap.
 func TestReportParallelismDegree(t *testing.T) {
 	db := parallelTestDB(t, parallelThreshold)
 	stmt, err := sql.ParseOne(`SELECT count(*) AS n FROM facts`)
@@ -698,21 +699,22 @@ func TestReportParallelismDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sql.SelectStmt)
-	_, rep, err := db.ExecSelect(sel, ExecOptions{Level: opt.LevelParallel, Parallelism: 6})
-	if err != nil {
-		t.Fatal(err)
+	explain := func(o ExecOptions) *opt.Report {
+		plan, err := db.PlanSelect(sel, o.Level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Report.Parallelism = o.MaxWorkers()
+		return &plan.Report
 	}
+	rep := explain(ExecOptions{Level: opt.LevelParallel, Parallelism: 6})
 	if rep.Parallelism != 6 {
 		t.Fatalf("report parallelism = %d, want 6", rep.Parallelism)
 	}
 	if !strings.Contains(rep.String(), "workers=6") {
 		t.Fatalf("report string %q missing workers=6", rep.String())
 	}
-	_, rep, err = db.ExecSelect(sel, ExecOptions{Level: opt.LevelVectorized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parallelism != 1 {
+	if rep = explain(ExecOptions{Level: opt.LevelVectorized}); rep.Parallelism != 1 {
 		t.Fatalf("sub-parallel level reports %d workers, want 1", rep.Parallelism)
 	}
 }
@@ -726,7 +728,7 @@ func TestParallelAggregateEmptyGroups(t *testing.T) {
 		[]Column{IntColumn(nil), FloatColumn(nil)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecAs(`SELECT count(*) AS n, sum(v) AS s FROM tiny`, "t",
+	res, err := execText(context.Background(), db, `SELECT count(*) AS n, sum(v) AS s FROM tiny`,
 		ExecOptions{Level: opt.LevelParallel, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)

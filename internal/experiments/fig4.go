@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/onnx"
 	"repro/internal/opt"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -131,9 +133,14 @@ func (e *Fig4Env) RunORT() (int64, error) {
 
 // RunInDB scores via the engine's PREDICT operator at the given level
 // (LevelParallel = "SONNX", LevelFull = "SONNX-ext", LevelUDF = external
-// UDF calls, LevelVectorized = UDF inlining only).
+// UDF calls, LevelVectorized = UDF inlining only). Each call parses and
+// plans the query afresh, as a client's ad hoc statement would be.
 func (e *Fig4Env) RunInDB(level opt.Level) (int64, error) {
-	res, err := e.DB.ExecAs(e.query, "bench", engine.ExecOptions{Level: level})
+	stmt, err := sql.ParseOne(e.query)
+	if err != nil {
+		return 0, err
+	}
+	res, err := e.DB.ExecStmtContext(context.Background(), stmt, engine.ExecOptions{Level: level})
 	if err != nil {
 		return 0, err
 	}

@@ -169,3 +169,4 @@ func TestRetryIdempotentFixture(t *testing.T) { runFixture(t, RetryIdempotent) }
 func TestIgnoreCheckFixture(t *testing.T)     { runFixture(t, IgnoreCheck) }
 func TestEpochGateFixture(t *testing.T)       { runFixture(t, EpochGate) }
 func TestCacheGenFixture(t *testing.T)        { runFixture(t, CacheGen) }
+func TestGovernGateFixture(t *testing.T)      { runFixture(t, GovernGate) }

@@ -32,6 +32,7 @@ func Analyzers() []*analysis.Analyzer {
 		CtxLoop,
 		EpochGate,
 		FaultPoint,
+		GovernGate,
 		IgnoreCheck,
 		LockOrder,
 		RetryIdempotent,

@@ -222,9 +222,10 @@ type Report struct {
 	TreeNodesBefore   int
 	TreeNodesAfter    int
 	CategoriesDropped int
-	// Parallelism is the morsel worker cap the executor resolved for this
-	// plan (1 below LevelParallel); filled in by the engine at execution
-	// time so EXPLAIN surfaces the effective degree.
+	// Parallelism is the morsel worker cap for this plan (1 below
+	// LevelParallel), 0 when unset. An EXPLAIN caller stamps it on a fresh
+	// plan it owns (engine.ExecOptions.MaxWorkers); a cached plan is shared
+	// across sessions and is never written.
 	Parallelism int
 }
 

@@ -1,11 +1,22 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/opt"
+	"repro/internal/sql"
 )
+
+// execLevel parses one statement and runs it on db at level, unlogged.
+func execLevel(db *engine.DB, q string, level opt.Level) (*engine.Result, error) {
+	stmt, err := sql.ParseOne(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecStmtContext(context.Background(), stmt, engine.ExecOptions{Level: level})
+}
 
 func loadedTPCH(t testing.TB) *engine.DB {
 	t.Helper()
@@ -200,11 +211,11 @@ func TestOptimizedVsNaivePlansAgree(t *testing.T) {
 		"SELECT c.c_name, o.o_totalprice FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE o.o_totalprice > 390000 ORDER BY o.o_totalprice DESC LIMIT 5",
 	}
 	for _, q := range queries {
-		naive, err := db.ExecAs(q, "t", engine.ExecOptions{Level: opt.LevelUDF})
+		naive, err := execLevel(db, q, opt.LevelUDF)
 		if err != nil {
 			t.Fatalf("naive %q: %v", q, err)
 		}
-		full, err := db.ExecAs(q, "t", engine.ExecOptions{Level: opt.LevelFull})
+		full, err := execLevel(db, q, opt.LevelFull)
 		if err != nil {
 			t.Fatalf("full %q: %v", q, err)
 		}
