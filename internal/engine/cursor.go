@@ -14,8 +14,9 @@ package engine
 // Materializing is Collect over a cursor, everywhere: ExecPlanContext is
 // Collect(OpenPlanCursor(...)), and a breaker's streamable input is opened
 // and collected the same way (executor.collect). Collect drains a limit-free
-// streamable cursor in one window covering the whole input, so each stream
-// op runs its kernels once over all of it and a pass-through stays zero-copy.
+// streamable cursor one run of morsels per window — the whole input when no
+// zone rules a morsel out — so each stream op runs its kernels once per run
+// and a pass-through stays zero-copy.
 
 import (
 	"context"
@@ -75,7 +76,8 @@ func CursorsOpen() int64 { return openCursors.Load() }
 type ExecCounters struct {
 	// RowsScanned counts base-table rows read by scans. With LIMIT pushdown
 	// a capped streamable pipeline stops scanning early, so this stays well
-	// below the table size (pinned by TestCursorLimitShortCircuitsScan).
+	// below the table size (pinned by TestCursorLimitShortCircuitsScan), and
+	// the morsels a zone rules out (zonemap.go) are not read at all.
 	RowsScanned atomic.Int64
 	// CellsGathered counts the cells (rows × columns) copied by filter
 	// gathers: scans with pushed-down conjuncts, Filter nodes and join
@@ -112,7 +114,8 @@ type streamOp interface {
 
 // streamCursor drains src — either a base-table scan snapshot or the
 // materialized output of a blocking subtree — through a chain of
-// precompiled streamable ops, one window of morsels per Next.
+// precompiled streamable ops, one window of morsels per Next. It reads the
+// morsels of runs in order; a window never spans two runs.
 type streamCursor struct {
 	ex  *executor
 	src *RowSet
@@ -126,15 +129,21 @@ type streamCursor struct {
 	// window is how many morsels one Next processes; the parallel worker
 	// cap, so a batch is exactly one round of the morsel pool.
 	window int
-	// drainAll makes the next Next process every remaining morsel in one
+	// drainAll makes each Next process the rest of the current run in one
 	// batch — Collect sets it on limit-free cursors so materialization runs
-	// the kernels over the whole input exactly like the pre-cursor executor.
+	// the kernels over each run (with nothing pruned, the whole input) in
+	// one pass.
 	drainAll bool
 	// hasLimit notes a LIMIT somewhere in the op chain; exhausted flips when
 	// a limit op has emitted its N rows, stopping the scan early.
 	hasLimit  bool
 	exhausted bool
 
+	// runs are the morsel ranges to read, in order: the ones no zone rules
+	// out (zonemap.go), or the one run [0, morselCount(src.N)). run indexes
+	// the current one and nextMorsel is the next morsel to read in it.
+	runs       []morselRun
+	run        int
 	nextMorsel int
 	closed     bool
 	err        error
@@ -173,9 +182,11 @@ peel:
 	}
 
 	sc := &streamCursor{ex: ex, ops: make([]streamOp, 0, len(chain)+1)}
-	var schema Schema // of the rows flowing into the next op
+	var schema Schema    // of the rows flowing into the next op
+	var tests []zoneTest // the scan's conjuncts its zones can rule out
+	var zones [][]zone
 	if scan, ok := node.(*opt.Scan); ok {
-		src, err := ex.scanSource(scan)
+		src, z, err := ex.scanSource(scan)
 		if err != nil {
 			return nil, err
 		}
@@ -185,13 +196,16 @@ peel:
 		schema = out.Schema
 		if pred := opt.AndAll(scan.Filters); pred != nil {
 			// Pushed-down scan conjuncts become the bottom-most filter op: it
-			// reads the whole snapshot (zero-copy batches) and copies only the
-			// columns read above the scan.
+			// reads the snapshot's kept morsels (zero-copy batches) and
+			// copies only the columns read above the scan.
 			fn, err := compileVec(pred, src.Schema, ex.env)
 			if err != nil {
 				return nil, err
 			}
 			sc.ops = append(sc.ops, &filterOp{fn: fn, cols: scan.Cols, sc: schema})
+			if z != nil {
+				tests, zones = zoneTests(scan.Filters, src.Schema), z
+			}
 		} else {
 			sc.src = out
 		}
@@ -231,6 +245,8 @@ peel:
 		schema = op.schema()
 	}
 	sc.out = schema
+	sc.runs = keptRuns(tests, zones, sc.src.N)
+	sc.nextMorsel = sc.runs[0].lo
 	sc.window = ex.o.MaxWorkers()
 	if sc.window < 1 {
 		sc.window = 1
@@ -239,28 +255,31 @@ peel:
 }
 
 // scanSource snapshots the scanned table with the alias-qualified schema
-// (pushed-down filters become a stream op).
-func (ex *executor) scanSource(n *opt.Scan) (*RowSet, error) {
+// (pushed-down filters become a stream op), and the snapshot's zones. A
+// time-travel scan — the current version named explicitly included — has
+// no zones and reads every morsel.
+func (ex *executor) scanSource(n *opt.Scan) (*RowSet, [][]zone, error) {
 	t, err := ex.db.Table(n.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var cols []Column
+	var zones [][]zone
 	var schema Schema
 	var rows int
 	if n.Version >= 0 {
 		cols, schema, rows, err = t.SnapshotAt(n.Version)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
-		cols, schema, rows = t.snapshot()
+		cols, zones, schema, rows = t.snapshot()
 	}
 	qualified := make(Schema, len(schema))
 	for i, m := range schema {
 		qualified[i] = ColMeta{Qual: n.Alias, Name: m.Name, Type: m.Type}
 	}
-	return &RowSet{Schema: qualified, Cols: cols, N: rows}, nil
+	return &RowSet{Schema: qualified, Cols: cols, N: rows}, zones, nil
 }
 
 func (sc *streamCursor) Schema() Schema { return sc.out }
@@ -276,9 +295,8 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 	// the executor (and the compiled row-mode PREDICT environment) on the
 	// caller's current context.
 	sc.ex.setCtx(ctx)
-	total := morselCount(sc.src.N)
 	for {
-		if sc.exhausted || sc.nextMorsel >= total {
+		if sc.exhausted || sc.run >= len(sc.runs) {
 			return nil, io.EOF
 		}
 		if err := sc.ex.checkCtx(); err != nil {
@@ -286,20 +304,28 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 			// context resumes cleanly.
 			return nil, err
 		}
-		mhi := sc.nextMorsel + sc.window
-		if sc.drainAll && !sc.hasLimit {
-			mhi = total
+		r := sc.runs[sc.run]
+		if sc.nextMorsel >= r.hi {
+			// The run is read: step to the next one, one step per
+			// iteration so the context is polled between runs too.
+			sc.run++
+			if sc.run < len(sc.runs) {
+				sc.nextMorsel = sc.runs[sc.run].lo
+			}
+			continue
 		}
-		if mhi > total {
-			mhi = total
+		mhi := min(sc.nextMorsel+sc.window, r.hi)
+		if sc.drainAll && !sc.hasLimit {
+			mhi = r.hi
 		}
 		lo, _ := morselBounds(sc.nextMorsel, sc.src.N)
 		_, hi := morselBounds(mhi-1, sc.src.N)
 
 		// Snapshot the window-consuming state so a context error mid-window
 		// can roll back and the next pull re-processes the same window —
-		// no rows are lost to a timed-out fetch.
-		savedMorsel := sc.nextMorsel
+		// no rows are lost to a timed-out fetch. The rollback restores the
+		// whole read position, run and morsel.
+		savedRun, savedMorsel := sc.run, sc.nextMorsel
 		savedLimits := sc.snapshotLimits()
 		sc.nextMorsel = mhi
 
@@ -313,7 +339,7 @@ func (sc *streamCursor) Next(ctx context.Context) (*Batch, error) {
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				sc.nextMorsel = savedMorsel
+				sc.run, sc.nextMorsel = savedRun, savedMorsel
 				sc.restoreLimits(savedLimits)
 				return nil, err
 			}
@@ -382,8 +408,8 @@ func (ex *executor) setCtx(ctx context.Context) {
 
 // Collect drains a cursor into a materialized RowSet and closes it: the one
 // way a result or a breaker's input is materialized. On a limit-free
-// streamable cursor it drains the whole input as one window, so each op runs
-// its kernels once over all of it (and a pass-through stays zero-copy);
+// streamable cursor it drains one run per window, so each op runs its
+// kernels once per run (and a pass-through stays zero-copy);
 // capped cursors keep their window-at-a-time pulls so LIMIT still
 // short-circuits the scan.
 func Collect(ctx context.Context, c Cursor) (*RowSet, error) {

@@ -325,7 +325,7 @@ func (db *DB) commitAppend(t *Table, rows [][]Value) (int64, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	newCols, err := t.appendBuild(rows)
+	newCols, zones, err := t.appendBuild(rows)
 	if err != nil {
 		return 0, err
 	}
@@ -333,7 +333,7 @@ func (db *DB) commitAppend(t *Table, rows [][]Value) (int64, error) {
 	if err := db.walAppendFrame(rec); err != nil {
 		return 0, err
 	}
-	t.install(newCols)
+	t.install(newCols, zones)
 	return rec.LSN, nil
 }
 
@@ -350,11 +350,12 @@ func (db *DB) commitReplace(t *Table, cols []Column) (int64, error) {
 	if err := t.validateReplace(cols); err != nil {
 		return 0, err
 	}
+	zones := extendZones(cols, nil) // a replace is O(table) already
 	rec := &WALRecord{Kind: WALReplace, Table: t.Name, Cols: cols}
 	if err := db.walAppendFrame(rec); err != nil {
 		return 0, err
 	}
-	t.install(cols)
+	t.install(cols, zones)
 	return rec.LSN, nil
 }
 

@@ -205,7 +205,7 @@ func (db *DB) execUpdateLocked(ctx context.Context, t *Table, s *sql.UpdateStmt)
 	// rows would be silently dropped by ReplaceColumns.
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	cols, schema, n := t.snapshot()
+	cols, _, schema, n := t.snapshot()
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
 	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
 
@@ -277,7 +277,7 @@ func (db *DB) execDelete(ctx context.Context, s *sql.DeleteStmt, o ExecOptions) 
 func (db *DB) execDeleteLocked(ctx context.Context, t *Table, s *sql.DeleteStmt) (int64, int64, error) {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	cols, schema, n := t.snapshot()
+	cols, _, schema, n := t.snapshot()
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
 	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
 

@@ -298,6 +298,80 @@ func TestTableStats(t *testing.T) {
 	}
 }
 
+// TestCompressionScoresNaNLikeTheScorer pins stats-driven model compression
+// on columns holding NaN. The scorer sends NaN right at every split (NaN < t
+// is false), so a float column's [min, max] must not let LevelFull resolve a
+// split the NaN row does not take: every row's LevelFull score is bit-equal
+// to the uncompressed native scorer's, with the NaN in rows 1-3 (past the
+// first value the range starts from) or in row 0.
+func TestCompressionScoresNaNLikeTheScorer(t *testing.T) {
+	src := pruneTestDB(t, 3000)
+	g, err := src.models.GraphFor("churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scorer, err := onnx.NewLocalScorer(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	for _, tc := range []struct {
+		name string
+		nan  [3]int // row holding the NaN in age, income and tenure
+	}{
+		{"rows 1-3", [3]int{1, 2, 3}},
+		{"row 0", [3]int{0, 0, 0}},
+	} {
+		r := ml.NewRand(11)
+		ids := make([]int64, n)
+		feats := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+		regions := make([]string, n)
+		for i := 0; i < n; i++ {
+			ids[i] = int64(i)
+			// Young and low-income: the table's ranges sit below most of the
+			// model's split thresholds, so compression resolves those splits
+			// as "every stored value goes left".
+			feats[0][i] = 20 + r.Float64()*5
+			feats[1][i] = 20000 + r.Float64()*5000
+			feats[2][i] = 3
+			regions[i] = []string{"us", "eu", "apac", "latam"}[r.Intn(4)]
+		}
+		for c, row := range tc.nan {
+			feats[c][row] = math.NaN()
+		}
+		db := NewDB()
+		db.SetModelProvider(fakeModels{"churn": g})
+		if _, err := db.CreateTableFromColumns("scored",
+			[]string{"id", "age", "income", "tenure", "region"},
+			[]Column{IntColumn(ids), FloatColumn(feats[0]), FloatColumn(feats[1]), FloatColumn(feats[2]),
+				StringColumn(regions)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := execLevel(db, `SELECT id, PREDICT(churn, age, income, tenure, region) AS s FROM scored ORDER BY id`, opt.LevelFull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := map[string]onnx.Column{"age": {Nums: feats[0]}, "income": {Nums: feats[1]},
+			"tenure": {Nums: feats[2]}, "region": {Strs: regions}}
+		b := onnx.Batch{N: n}
+		for _, in := range g.Inputs {
+			b.Cols = append(b.Cols, byName[in.Name])
+		}
+		want, err := scorer.Score(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.N != n {
+			t.Fatalf("%s: %d rows, want %d", tc.name, res.N, n)
+		}
+		for i, got := range res.Cols[1].Floats {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Errorf("%s: row %d scored %v at LevelFull, native scorer %v", tc.name, i, got, want[i])
+			}
+		}
+	}
+}
+
 func TestQueryLog(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Exec("SELECT id FROM orders WHERE id = 1"); err != nil {

@@ -421,7 +421,7 @@ func readRefData(t *testing.T, db *DB) *refData {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols, _, _ := tbl.snapshot()
+		cols, _, _, _ := tbl.snapshot()
 		return cols
 	}
 	d := &refData{}

@@ -171,6 +171,7 @@ func tableFromSaved(st savedTable, formatVersion int) (*Table, error) {
 		return nil, fmt.Errorf("table %s: %w", st.Name, err)
 	}
 	t.cols = st.Cols
+	t.zones = extendZones(st.Cols, nil)
 	t.version = st.Version
 	t.statsVersion = -1
 	if formatVersion >= 2 {

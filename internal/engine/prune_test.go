@@ -186,14 +186,21 @@ func requireIdenticalRowSets(t *testing.T, label string, want, got *RowSet) {
 			t.Fatalf("%s: column %d is %s %v, want %s %v", label, c,
 				got.Schema[c].Name, got.Cols[c].Type, want.Schema[c].Name, want.Cols[c].Type)
 		}
+		w, g := &want.Cols[c], &got.Cols[c]
 		for r := 0; r < want.N; r++ {
-			w, g := want.Cols[c].Value(r), got.Cols[c].Value(r)
-			same := w == g
-			if w.Kind == TypeFloat && !w.Null && !g.Null {
-				same = math.Float64bits(w.F) == math.Float64bits(g.F)
+			var same bool
+			switch w.Type {
+			case TypeInt:
+				same = w.Ints[r] == g.Ints[r]
+			case TypeFloat:
+				same = math.Float64bits(w.Floats[r]) == math.Float64bits(g.Floats[r])
+			case TypeString:
+				same = w.Strs[r] == g.Strs[r]
+			case TypeBool:
+				same = w.Bools[r] == g.Bools[r]
 			}
 			if !same {
-				t.Fatalf("%s: row %d column %s = %v, want %v", label, r, want.Schema[c].Name, g, w)
+				t.Fatalf("%s: row %d column %s = %v, want %v", label, r, want.Schema[c].Name, g.Value(r), w.Value(r))
 			}
 		}
 	}

@@ -234,6 +234,11 @@ type Table struct {
 	schema  Schema
 	cols    []Column
 	version int64
+	// zones holds, per column, the zone of every full morsel of cols
+	// (zonemap.go): nil for text and bool columns. Replaced together with
+	// cols under mu, so a snapshot's zones describe its columns; never
+	// persisted, logged or kept in history.
+	zones [][]zone
 
 	// writeMu serializes whole DML statements (not individual appends):
 	// UPDATE/DELETE are snapshot -> rebuild -> replace, so without
@@ -262,7 +267,8 @@ func NewTable(name string, schema Schema) *Table {
 	for i := range cols {
 		cols[i] = NewColumn(sc[i].Type)
 	}
-	return &Table{Name: name, schema: sc, cols: cols, statsVersion: -1, retain: DefaultRetention}
+	return &Table{Name: name, schema: sc, cols: cols, zones: extendZones(cols, nil),
+		statsVersion: -1, retain: DefaultRetention}
 }
 
 // SetRetention bounds the historical versions kept for time travel.
@@ -356,10 +362,11 @@ func (t *Table) Version() int64 {
 	return t.version
 }
 
-// snapshot returns the current columns for reading. Readers share the
-// backing arrays; writers always append or replace whole columns under the
-// write lock, and version-bump, so a snapshot stays internally consistent.
-func (t *Table) snapshot() ([]Column, Schema, int) {
+// snapshot returns the current columns, and their zones, for reading.
+// Readers share the backing arrays; writers always append or replace whole
+// columns under the write lock, and version-bump, so a snapshot stays
+// internally consistent.
+func (t *Table) snapshot() ([]Column, [][]zone, Schema, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
@@ -370,7 +377,7 @@ func (t *Table) snapshot() ([]Column, Schema, int) {
 	for i := range t.cols {
 		cols[i] = truncateCol(t.cols[i], n)
 	}
-	return cols, t.schema, n
+	return cols, t.zones, t.schema, n
 }
 
 // truncateCol fixes the column length to n so concurrent appends past the
@@ -404,43 +411,47 @@ func (t *Table) appendRows(rows [][]Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	newCols, err := t.appendBuild(rows)
+	newCols, zones, err := t.appendBuild(rows)
 	if err != nil {
 		return err
 	}
-	t.install(newCols)
+	t.install(newCols, zones)
 	return nil
 }
 
-// appendBuild validates rows and builds the appended column set without
-// installing it — the build/install split lets the durable write path put
-// the WAL append between validation and the install, so a statement that
-// fails either step mutates nothing. Caller holds t.writeMu.
-func (t *Table) appendBuild(rows [][]Value) ([]Column, error) {
+// appendBuild validates rows and builds the appended column set, and its
+// zones, without installing them — the build/install split lets the
+// durable write path put the WAL append between validation and the
+// install, so a statement that fails either step mutates nothing. The
+// zones keep the current entries and add only the morsels this append
+// completes. Caller holds t.writeMu.
+func (t *Table) appendBuild(rows [][]Value) ([]Column, [][]zone, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	newCols := make([]Column, len(t.cols))
 	copy(newCols, t.cols)
 	for _, vals := range rows {
 		if len(vals) != len(newCols) {
-			return nil, fmt.Errorf("engine: table %s has %d columns, got %d values", t.Name, len(newCols), len(vals))
+			return nil, nil, fmt.Errorf("engine: table %s has %d columns, got %d values", t.Name, len(newCols), len(vals))
 		}
 		for i := range vals {
 			if err := newCols[i].Append(vals[i]); err != nil {
-				return nil, fmt.Errorf("engine: table %s column %s: %w", t.Name, t.schema[i].Name, err)
+				return nil, nil, fmt.Errorf("engine: table %s column %s: %w", t.Name, t.schema[i].Name, err)
 			}
 		}
 	}
-	return newCols, nil
+	return newCols, extendZones(newCols, t.zones), nil
 }
 
-// install commits pre-built columns as one write: history records the
-// pre-write state and the version bumps once. Caller holds t.writeMu.
-func (t *Table) install(cols []Column) {
+// install commits pre-built columns and their zones as one write: history
+// records the pre-write state and the version bumps once. Caller holds
+// t.writeMu.
+func (t *Table) install(cols []Column, zones [][]zone) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.recordVersionLocked() // snapshots t.cols, still the pre-write state
 	t.cols = cols
+	t.zones = zones
 	t.version++
 }
 
@@ -452,7 +463,7 @@ func (t *Table) replaceColumns(cols []Column) error {
 	if err := t.validateReplace(cols); err != nil {
 		return err
 	}
-	t.install(cols)
+	t.install(cols, extendZones(cols, nil))
 	return nil
 }
 
@@ -519,8 +530,17 @@ func (t *Table) Stats() onnx.Stats {
 			if len(c.Floats) == 0 {
 				continue
 			}
+			// A column holding a NaN reports no range: the scorer sends NaN
+			// right at every split (NaN < t is false), which no [Min, Max]
+			// interval can express, so a range would let CompressWithStats
+			// resolve a split the NaN row does not take.
 			mn, mx := c.Floats[0], c.Floats[0]
+			nan := false
 			for _, v := range c.Floats {
+				if v != v {
+					nan = true
+					break
+				}
 				if v < mn {
 					mn = v
 				}
@@ -528,7 +548,9 @@ func (t *Table) Stats() onnx.Stats {
 					mx = v
 				}
 			}
-			stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: mn, Max: mx}
+			if !nan {
+				stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: mn, Max: mx}
+			}
 		case TypeString:
 			set := map[string]bool{}
 			tooMany := false

@@ -73,7 +73,6 @@ type Catalog struct {
 	entities map[string]*Entity
 	latest   map[string]int // "<type>:<name>" -> latest version
 	edges    []Edge
-	edgeSet  map[string]bool // dedup key From|Label|To
 	out      map[string][]int
 	in       map[string][]int
 	seq      int64
@@ -92,7 +91,6 @@ func NewCatalog() *Catalog {
 	return &Catalog{
 		entities: map[string]*Entity{},
 		latest:   map[string]int{},
-		edgeSet:  map[string]bool{},
 		out:      map[string][]int{},
 		in:       map[string][]int{},
 		execs:    map[string]*execStat{},
@@ -243,12 +241,17 @@ func (c *Catalog) AddEdge(from, to, label string) {
 	c.addEdgeLocked(from, to, label)
 }
 
+// addEdgeLocked dedups by scanning from's out-list rather than keeping a
+// key per edge: out-lists stay short (a query links to its user, tables,
+// columns and models; a table version to its columns; a model version to
+// its training inputs), and a key set would hold every edge's endpoints a
+// second time for the life of the catalog.
 func (c *Catalog) addEdgeLocked(from, to, label string) {
-	key := from + "|" + label + "|" + to
-	if c.edgeSet[key] {
-		return
+	for _, idx := range c.out[from] {
+		if e := &c.edges[idx]; e.To == to && e.Label == label {
+			return
+		}
 	}
-	c.edgeSet[key] = true
 	c.seq++
 	idx := len(c.edges)
 	c.edges = append(c.edges, Edge{From: from, To: to, Label: label, Seq: c.seq})

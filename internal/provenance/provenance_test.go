@@ -43,15 +43,27 @@ func TestCatalogVersioning(t *testing.T) {
 	}
 }
 
+// TestCatalogEdgeDedup pins what dedup keys on: an edge is its (from,
+// label, to) triple. A repeat is stored once; the same (label, to) from a
+// second entity, or the same endpoints under another label, is a new edge.
 func TestCatalogEdgeDedup(t *testing.T) {
 	c := NewCatalog()
 	a := c.Ensure(TypeQuery, "q1")
+	a2 := c.Ensure(TypeQuery, "q2")
 	b := c.Ensure(TypeTable, "t")
 	c.AddEdge(a.ID, b.ID, EdgeReads)
 	c.AddEdge(a.ID, b.ID, EdgeReads)
-	_, edges := c.Size()
-	if edges != 1 {
+	if _, edges := c.Size(); edges != 1 {
 		t.Errorf("edges = %d, want 1 (deduplicated)", edges)
+	}
+	c.AddEdge(a2.ID, b.ID, EdgeReads)
+	c.AddEdge(a2.ID, b.ID, EdgeReads)
+	c.AddEdge(a.ID, b.ID, EdgeWrites)
+	if _, edges := c.Size(); edges != 3 {
+		t.Errorf("edges = %d, want 3 (one per distinct from|label|to)", edges)
+	}
+	if got := c.EdgesFrom(a.ID); len(got) != 2 || got[0].Label != EdgeReads || got[1].Label != EdgeWrites {
+		t.Errorf("EdgesFrom(q1) = %v, want reads then writes", got)
 	}
 }
 
