@@ -2,10 +2,10 @@ package ml
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // ColumnEncoder turns one Frame column into Width() dense features. Encoders
@@ -135,20 +135,43 @@ func (h *HashingVectorizer) Fit(col *FrameCol) error {
 // Width returns the number of hash buckets.
 func (h *HashingVectorizer) Width() int { return h.buckets() }
 
-// HashToken returns the bucket for a token; exported so the onnx kernel can
-// reproduce the training-time featurization bit-for-bit (the paper's
-// "preserve the exact behavior crafted in the training environment").
-func HashToken(tok string, buckets int) int {
-	f := fnv.New32a()
-	f.Write([]byte(tok))
-	return int(f.Sum32() % uint32(buckets))
-}
-
-// Tokenize splits text into lower-cased alphabetic tokens.
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return r < 'a' || r > 'z'
-	})
+// CountTokens adds one to counts[b] for every token of text, where b is the
+// token's 32-bit FNV-1a hash modulo len(counts). A token is a maximal run
+// of the letters a-z after lower-casing. Training (EncodeInto) and the onnx
+// scoring kernel both featurize text through this one walk, which is what
+// keeps them bit-identical (the paper's "preserve the exact behavior
+// crafted in the training environment"). ASCII text is lower-cased byte by
+// byte and allocates nothing; any other text takes strings.ToLower first,
+// because some non-ASCII runes lower-case to ASCII letters (U+212A KELVIN
+// SIGN to 'k', U+0130 to 'i').
+func CountTokens(text string, counts []float64) {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			text = strings.ToLower(text)
+			break
+		}
+	}
+	const offset32, prime32 = 2166136261, 16777619
+	buckets := uint32(len(counts))
+	h, inToken := uint32(offset32), false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if 'a' <= c && c <= 'z' {
+			h = (h ^ uint32(c)) * prime32
+			inToken = true
+			continue
+		}
+		if inToken {
+			counts[h%buckets]++
+			h, inToken = offset32, false
+		}
+	}
+	if inToken {
+		counts[h%buckets]++
+	}
 }
 
 // EncodeInto writes bucketed token counts.
@@ -157,9 +180,7 @@ func (h *HashingVectorizer) EncodeInto(col *FrameCol, row int, out []float64) {
 	for i := range out[:b] {
 		out[i] = 0
 	}
-	for _, tok := range Tokenize(col.Strs[row]) {
-		out[HashToken(tok, b)]++
-	}
+	CountTokens(col.Strs[row], out[:b])
 }
 
 // FeatureSlot records where one source column lands in the feature matrix.

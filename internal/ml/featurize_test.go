@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,8 +104,8 @@ func TestHashingVectorizer(t *testing.T) {
 		t.Errorf("token count = %v, want 3", total)
 	}
 	// "hello" appears twice and must land in one bucket with count 2.
-	if out[HashToken("hello", 16)] != 2 {
-		t.Errorf("hello bucket = %v, want 2", out[HashToken("hello", 16)])
+	if out[hashTokenRef("hello", 16)] != 2 {
+		t.Errorf("hello bucket = %v, want 2", out[hashTokenRef("hello", 16)])
 	}
 	h.EncodeInto(col, 1, out)
 	for _, v := range out {
@@ -113,16 +115,96 @@ func TestHashingVectorizer(t *testing.T) {
 	}
 }
 
+// tokenizeRef and hashTokenRef are the text featurizer CountTokens
+// replaced: lower-case, split on every rune outside a-z, FNV-1a each token.
+// They stay here as the reference CountTokens must match bucket for bucket.
+func tokenizeRef(s string) []string {
+	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return r < 'a' || r > 'z'
+	})
+}
+
+func hashTokenRef(tok string, buckets int) int {
+	f := fnv.New32a()
+	f.Write([]byte(tok))
+	return int(f.Sum32() % uint32(buckets))
+}
+
+func countTokensRef(s string, buckets int) []float64 {
+	counts := make([]float64, buckets)
+	for _, tok := range tokenizeRef(s) {
+		counts[hashTokenRef(tok, buckets)]++
+	}
+	return counts
+}
+
 func TestTokenize(t *testing.T) {
-	got := Tokenize("The quick-brown fox, 42 times!")
+	got := tokenizeRef("The quick-brown fox, 42 times!")
 	want := []string{"the", "quick", "brown", "fox", "times"}
 	if len(got) != len(want) {
-		t.Fatalf("Tokenize = %v, want %v", got, want)
+		t.Fatalf("tokenizeRef = %v, want %v", got, want)
 	}
+	counts := make([]float64, 1024)
+	CountTokens("The quick-brown fox, 42 times!", counts)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("token[%d] = %q, want %q", i, got[i], want[i])
 		}
+		if counts[hashTokenRef(want[i], 1024)] == 0 {
+			t.Errorf("CountTokens missed token %q", want[i])
+		}
+	}
+}
+
+// TestCountTokensMatchesReference is the differential test of the one
+// token-hashing walk against the reference tokenizer and hash, including
+// non-ASCII runes that lower-case to ASCII letters, invalid UTF-8, and
+// bucket counts that are not powers of two.
+func TestCountTokensMatchesReference(t *testing.T) {
+	texts := []string{
+		"", " ", "a", "Z", "Hello hello WORLD", "The quick-brown fox, 42 times!",
+		"late_payment;disputed\tcharge\nLOYAL", "--a--b--", "abc123def",
+		"\u212Aelvin", "ma\u212A", "\u0130stanbul", "D\u0130YARBAKIR", "\u0131\u0130i",
+		"caf\u00e9 cr\u00e8me BR\u00dbL\u00c9E", "\u00c0\u00c1\u00c2", "\u03a3\u03b9\u03c3\u03c5\u03c6\u03bf\u03c2 word",
+		"\xff\xfeabc\x80def", "ab\xc3", "\xe2\x84", "x\u200by", "\ufb00ab",
+		"renewal call scheduled support ticket open", "MiXeD CaSe WoRdS",
+	}
+	for _, buckets := range []int{1, 7, 16, 32, 64, 1000} {
+		for _, text := range texts {
+			want := countTokensRef(text, buckets)
+			got := make([]float64, buckets)
+			CountTokens(text, got)
+			for b := range want {
+				if got[b] != want[b] {
+					t.Fatalf("CountTokens(%q, %d): bucket %d = %v, reference %v", text, buckets, b, got[b], want[b])
+				}
+			}
+		}
+	}
+	prop := func(text string, pick uint8) bool {
+		buckets := 1 + int(pick)
+		want := countTokensRef(text, buckets)
+		got := make([]float64, buckets)
+		CountTokens(text, got)
+		for b := range want {
+			if got[b] != want[b] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCountTokensAllocatesNothingOnASCII(t *testing.T) {
+	counts := make([]float64, 32)
+	allocs := testing.AllocsPerRun(100, func() {
+		CountTokens("Escalated billing dispute TWICE this quarter", counts)
+	})
+	if allocs != 0 {
+		t.Errorf("CountTokens on ASCII text allocates %v times per call", allocs)
 	}
 }
 

@@ -166,7 +166,8 @@ func (g *Graph) inputKind(name string) (ColumnKind, bool) {
 
 // Validate checks structural invariants: every featurizer input is declared,
 // kinds match operators, offsets are consistent, the model covers the full
-// width, and tree arrays are well formed.
+// width, and every tree is one the scorer can walk: at least one node,
+// both children of an internal node in range, and no node reached twice.
 func (g *Graph) Validate() error {
 	if g.Output == "" {
 		return errors.New("onnx: graph has no output name")
@@ -192,6 +193,9 @@ func (g *Graph) Validate() error {
 		if kind != want {
 			return fmt.Errorf("onnx: featurizer %d (%v) over %v column %q", i, n.Op, kind, n.Input)
 		}
+		if n.Op == OpHashText && n.Buckets < 1 {
+			return fmt.Errorf("onnx: featurizer %d hashes text into %d buckets", i, n.Buckets)
+		}
 		if n.Offset != off {
 			return fmt.Errorf("onnx: featurizer %d offset %d, want %d (run Relayout)", i, n.Offset, off)
 		}
@@ -203,19 +207,45 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("onnx: linear model has %d coefficients over width-%d features", len(g.Model.Coeff), off)
 		}
 	case OpTreeEnsemble:
+		maxNodes := 0
+		for _, tr := range g.Model.Trees {
+			maxNodes = max(maxNodes, len(tr.Feature))
+		}
+		// A walk that pops k nodes holds at most k+1 on its stack.
+		reached := make([]bool, maxNodes)
+		stack := make([]int32, 0, maxNodes+1)
 		for ti, tr := range g.Model.Trees {
 			n := len(tr.Feature)
 			if len(tr.Threshold) != n || len(tr.Left) != n || len(tr.Right) != n || len(tr.Value) != n {
 				return fmt.Errorf("onnx: tree %d has ragged arrays", ti)
 			}
+			if n == 0 {
+				return fmt.Errorf("onnx: tree %d has no nodes", ti)
+			}
 			for j := 0; j < n; j++ {
 				if tr.Left[j] >= 0 {
-					if int(tr.Left[j]) >= n || int(tr.Right[j]) >= n {
+					if int(tr.Left[j]) >= n || tr.Right[j] < 0 || int(tr.Right[j]) >= n {
 						return fmt.Errorf("onnx: tree %d node %d child out of range", ti, j)
 					}
 					if int(tr.Feature[j]) >= off || tr.Feature[j] < 0 {
 						return fmt.Errorf("onnx: tree %d node %d tests feature %d over width-%d features", ti, j, tr.Feature[j], off)
 					}
+				}
+			}
+			// The walk from the root must reach every node at most once:
+			// no cycle, no shared subtree. The scorer's packed layout
+			// (ensemble.go) gives each reached node exactly one slot.
+			clear(reached[:n])
+			stack = append(stack[:0], 0)
+			for len(stack) > 0 {
+				j := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if reached[j] {
+					return fmt.Errorf("onnx: tree %d node %d is reached twice", ti, j)
+				}
+				reached[j] = true
+				if tr.Left[j] >= 0 {
+					stack = append(stack, tr.Right[j], tr.Left[j])
 				}
 			}
 		}

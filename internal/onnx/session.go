@@ -30,6 +30,13 @@ type Session struct {
 	width  int
 	onehot []map[string]int // per featurizer node; nil for non-onehot
 	pool   sync.Pool        // scratch feature buffers
+
+	// packed is the tree ensemble in the scoring kernel's layout, built
+	// by the first tree-ensemble score rather than in NewSession: the
+	// engine opens a Session per query, and one the inference plane
+	// serves never scores.
+	packOnce sync.Once
+	packed   []node
 }
 
 // NewSession validates and plans the graph.
@@ -137,9 +144,7 @@ func (s *Session) featurize(b *Batch, feats []float64) error {
 			}
 			buckets := node.Buckets
 			for r := 0; r < b.N; r++ {
-				for _, tok := range ml.Tokenize(col.Strs[r]) {
-					feats[r*w+off+ml.HashToken(tok, buckets)]++
-				}
+				ml.CountTokens(col.Strs[r], feats[r*w+off:r*w+off+buckets])
 			}
 		}
 	}
@@ -163,25 +168,8 @@ func (s *Session) score(feats []float64, n int, out []float64) {
 			out[r] = acc + m.Intercept
 		}
 	case OpTreeEnsemble:
-		for r := 0; r < n; r++ {
-			out[r] = m.Base
-		}
-		rate := m.Rate
-		for ti := range m.Trees {
-			tr := &m.Trees[ti]
-			for r := 0; r < n; r++ {
-				row := feats[r*w : r*w+w]
-				node := int32(0)
-				for tr.Left[node] >= 0 {
-					if row[tr.Feature[node]] < tr.Threshold[node] {
-						node = tr.Left[node]
-					} else {
-						node = tr.Right[node]
-					}
-				}
-				out[r] += rate * tr.Value[node]
-			}
-		}
+		s.packOnce.Do(func() { s.packed = packTrees(m.Trees) })
+		scoreTrees(s.packed, len(m.Trees), m.Base, m.Rate, feats, w, n, out)
 	}
 	if m.PostSigmoid {
 		for r := 0; r < n; r++ {
