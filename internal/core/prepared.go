@@ -16,11 +16,14 @@ import (
 // planned on first use; Prepare plans it up front. The serving layer's plan
 // cache stores prepared ones keyed on (SQL, opt.Level).
 //
-// A cached plan can go stale: a DML write bumps a scanned table's version
-// (invalidating pushed-down stats and time-travel snapshots), and a model
-// deploy or promotion changes what PREDICT resolves to (the plan embeds a
-// possibly-rewritten model graph). Every run revalidates both and
-// transparently replans on mismatch, so a stale cache entry costs one
+// A plan depends only on the catalog (table names and schemas) and the
+// models: decisions that depend on data, such as stats-driven model
+// compression, are made by the engine over the snapshot it scans, and a
+// time-travel scan names its version in the plan. So a write leaves a
+// cached plan valid, while a CREATE or DROP TABLE (the catalog generation)
+// or a model deploy or promotion (the registry generation: the plan embeds
+// a possibly-rewritten model graph) makes it stale. Every run checks both
+// and transparently replans on a mismatch, so a stale cache entry costs one
 // replan, never a wrong answer.
 type Prepared struct {
 	SQL   string
@@ -30,10 +33,10 @@ type Prepared struct {
 	acc  sql.Access
 	text string // canonical formatted statement
 
-	mu       sync.Mutex
-	plan     *opt.Plan        // SELECT only; nil until first planned
-	tables   map[string]int64 // scanned table -> version at plan time
-	modelGen int64            // registry generation at plan time
+	mu         sync.Mutex
+	plan       *opt.Plan // SELECT only; nil until first planned
+	catalogGen int64     // catalog generation at plan time
+	modelGen   int64     // registry generation at plan time
 }
 
 // Kind reports the statement kind ("select", "insert", "update", "delete"
@@ -184,69 +187,24 @@ func (f *Flock) run(ctx context.Context, p *Prepared) (*engine.Result, error) {
 func (p *Prepared) freshPlan(f *Flock, sel *sql.SelectStmt) (*opt.Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.plan != nil && p.modelGen == f.Models.Generation() {
-		fresh := true
-		for name, ver := range p.tables {
-			t, err := f.DB.Table(name)
-			if err != nil || t.Version() != ver {
-				fresh = false
-				break
-			}
+	if p.plan == nil || p.catalogGen != f.DB.CatalogGeneration() || p.modelGen != f.Models.Generation() {
+		if err := p.replanLocked(f, sel); err != nil {
+			return nil, err
 		}
-		if fresh {
-			return p.plan, nil
-		}
-	}
-	if err := p.replanLocked(f, sel); err != nil {
-		return nil, err
 	}
 	return p.plan, nil
 }
 
-// replanLocked rebuilds the plan and records the table versions and model
-// generation it was built against. Caller holds p.mu.
-//
-// Versions are snapshotted BEFORE planning: the plan embeds decisions
-// derived from table state (stats-driven model compression, time-travel
-// snapshots), so a write racing with planning must leave the recorded
-// version behind the table's — forcing a replan on the next execution —
-// rather than validating a plan built against pre-write statistics.
+// replanLocked rebuilds the plan and records the generations it was built
+// against. Caller holds p.mu. The generations are read BEFORE planning, so
+// a DDL statement or deploy racing with planning leaves them behind and the
+// next run replans.
 func (p *Prepared) replanLocked(f *Flock, sel *sql.SelectStmt) error {
-	gen := f.Models.Generation()
-	pre := map[string]int64{}
-	for _, name := range p.acc.ReadTables {
-		if t, err := f.DB.Table(name); err == nil {
-			pre[name] = t.Version()
-		}
-	}
+	catalogGen, modelGen := f.DB.CatalogGeneration(), f.Models.Generation()
 	plan, err := f.DB.PlanSelect(sel, p.Level)
 	if err != nil {
 		return err
 	}
-	tables := map[string]int64{}
-	collectScanTables(plan.Root, tables)
-	for name := range tables {
-		v, ok := pre[name]
-		if !ok {
-			// Not visible to the pre-plan snapshot (cannot happen for
-			// tables the analyzer sees); -1 never matches a real version,
-			// so such a plan replans on every execution — safe, just slow.
-			v = -1
-		}
-		tables[name] = v
-	}
-	p.plan = plan
-	p.tables = tables
-	p.modelGen = gen
+	p.plan, p.catalogGen, p.modelGen = plan, catalogGen, modelGen
 	return nil
-}
-
-// collectScanTables gathers the base tables a plan scans.
-func collectScanTables(n opt.Node, out map[string]int64) {
-	if s, ok := n.(*opt.Scan); ok {
-		out[s.Table] = 0
-	}
-	for _, in := range opt.Inputs(n) {
-		collectScanTables(in, out)
-	}
 }

@@ -85,12 +85,17 @@ type ExecCounters struct {
 	// (opt.Scan.Cols), so this is the number projection pruning moves while
 	// RowsScanned stays put.
 	CellsGathered atomic.Int64
+	// TreeNodesBefore/After sum the tree nodes of every model a PREDICT
+	// opened with before and after compression against the scanned
+	// snapshot, CategoriesDropped the one-hot categories it does not hold.
+	TreeNodesBefore, TreeNodesAfter, CategoriesDropped atomic.Int64
 }
 
 // OpenPlanCursor opens a cursor over a previously planned SELECT. Blocking
 // plan shapes (sort, aggregate, distinct, join) execute fully during the
 // open call under ctx; streamable pipelines defer all scan work to Next.
-// Callers caching plans must revalidate them (see core.Prepared).
+// Decisions that depend on data are made here, over the snapshots scanned;
+// callers caching plans must revalidate them (see core.Prepared).
 func (db *DB) OpenPlanCursor(ctx context.Context, plan *opt.Plan, o ExecOptions) (Cursor, error) {
 	ex := &executor{ctx: ctx, db: db, o: o,
 		env: &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}}
@@ -184,9 +189,12 @@ peel:
 	sc := &streamCursor{ex: ex, ops: make([]streamOp, 0, len(chain)+1)}
 	var schema Schema    // of the rows flowing into the next op
 	var tests []zoneTest // the scan's conjuncts its zones can rule out
-	var zones [][]zone
+	var src *RowSet      // the scanned snapshot, nil above a breaker
+	var zones zoneMap
+	var stats onnx.Stats // of the snapshot, folded for the first PREDICT that compresses
 	if scan, ok := node.(*opt.Scan); ok {
-		src, z, err := ex.scanSource(scan)
+		var err error
+		src, zones, err = ex.scanSource(scan)
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +211,8 @@ peel:
 				return nil, err
 			}
 			sc.ops = append(sc.ops, &filterOp{fn: fn, cols: scan.Cols, sc: schema})
-			if z != nil {
-				tests, zones = zoneTests(scan.Filters, src.Schema), z
+			if zones.num != nil {
+				tests = zoneTests(scan.Filters, src.Schema)
 			}
 		} else {
 			sc.src = out
@@ -233,7 +241,10 @@ peel:
 		case *opt.Project:
 			op, err = newProjectOp(ex, n, schema)
 		case *opt.Predict:
-			op, err = newPredictOp(ex, n, schema)
+			if n.Compress && stats == nil && zones.num != nil {
+				stats = snapshotStats(src.Schema, src.Cols, zones)
+			}
+			op, err = newPredictOp(ex, n, schema, stats)
 		case *opt.Limit:
 			op = &limitOp{sc: sc, remaining: n.N, in: schema}
 			sc.hasLimit = true
@@ -245,7 +256,7 @@ peel:
 		schema = op.schema()
 	}
 	sc.out = schema
-	sc.runs = keptRuns(tests, zones, sc.src.N)
+	sc.runs = keptRuns(tests, zones.num, sc.src.N)
 	sc.nextMorsel = sc.runs[0].lo
 	sc.window = ex.o.MaxWorkers()
 	if sc.window < 1 {
@@ -255,25 +266,21 @@ peel:
 }
 
 // scanSource snapshots the scanned table with the alias-qualified schema
-// (pushed-down filters become a stream op), and the snapshot's zones. A
-// time-travel scan — the current version named explicitly included — has
-// no zones and reads every morsel.
-func (ex *executor) scanSource(n *opt.Scan) (*RowSet, [][]zone, error) {
+// (pushed-down filters become a stream op), and the snapshot's zone map,
+// which feeds both morsel pruning and model compression. A time-travel
+// scan — the current version named explicitly included — has no zones and
+// reads every morsel.
+func (ex *executor) scanSource(n *opt.Scan) (*RowSet, zoneMap, error) {
 	t, err := ex.db.Table(n.Table)
 	if err != nil {
-		return nil, nil, err
+		return nil, zoneMap{}, err
 	}
-	var cols []Column
-	var zones [][]zone
-	var schema Schema
-	var rows int
+	cols, zones, schema, rows := t.snapshot()
 	if n.Version >= 0 {
-		cols, schema, rows, err = t.SnapshotAt(n.Version)
-		if err != nil {
-			return nil, nil, err
+		zones = zoneMap{}
+		if cols, schema, rows, err = t.SnapshotAt(n.Version); err != nil {
+			return nil, zoneMap{}, err
 		}
-	} else {
-		cols, zones, schema, rows = t.snapshot()
 	}
 	qualified := make(Schema, len(schema))
 	for i, m := range schema {
@@ -575,23 +582,24 @@ type argBind struct {
 }
 
 // predictOp scores batches through a scoring session created once at open,
-// with the optional fused threshold compare.
+// with the optional fused threshold compare. g is the graph it scores with:
+// the plan's, or a copy compressed for the scanned snapshot.
 type predictOp struct {
 	n    *opt.Predict
+	g    *onnx.Graph
 	sess *onnx.Session
 	args []argBind
 	out  Schema
 }
 
-func newPredictOp(ex *executor, n *opt.Predict, in Schema) (*predictOp, error) {
+// newPredictOp compiles a Predict over input schema in. A node marked
+// Compress scores with a copy of its graph specialized to stats, those of
+// the snapshot its scan reads.
+func newPredictOp(ex *executor, n *opt.Predict, in Schema, stats onnx.Stats) (*predictOp, error) {
 	g := n.Graph
 	if len(n.Args) != len(g.Inputs) {
 		return nil, fmt.Errorf("engine: PREDICT(%s, ...) takes %d arguments, got %d",
 			n.Model, len(g.Inputs), len(n.Args))
-	}
-	sess, err := onnx.NewSession(g)
-	if err != nil {
-		return nil, err
 	}
 	args := make([]argBind, len(n.Args))
 	for i, a := range n.Args {
@@ -613,14 +621,50 @@ func newPredictOp(ex *executor, n *opt.Predict, in Schema) (*predictOp, error) {
 		}
 		args[i] = argBind{colIdx: -1, fn: fn, typ: t}
 	}
+	if n.Compress && stats != nil {
+		g, args = compressForSnapshot(ex, n, in, args, stats)
+	}
+	sess, err := onnx.NewSession(g)
+	if err != nil {
+		return nil, err
+	}
 	out := append(append(Schema(nil), in...), ColMeta{Name: n.OutName, Type: TypeFloat})
-	return &predictOp{n: n, sess: sess, args: args, out: out}, nil
+	return &predictOp{n: n, g: g, sess: sess, args: args, out: out}, nil
+}
+
+// compressForSnapshot returns a copy of n's graph compressed with stats and
+// the arguments its surviving inputs read (a dropped input's column is
+// never read). A graph input takes the statistics of the column its
+// argument names: the values the model is actually fed.
+func compressForSnapshot(ex *executor, n *opt.Predict, in Schema, args []argBind, stats onnx.Stats) (*onnx.Graph, []argBind) {
+	byInput := onnx.Stats{}
+	for i, ab := range args {
+		if ab.colIdx < 0 {
+			continue
+		}
+		if st, ok := stats[in[ab.colIdx].Name]; ok {
+			byInput[n.Graph.Inputs[i].Name] = st
+		}
+	}
+	g, res := onnx.Compressed(n.Graph, byInput)
+	if c := ex.o.Counters; c != nil {
+		c.TreeNodesBefore.Add(int64(res.NodesBefore))
+		c.TreeNodesAfter.Add(int64(res.NodesAfter))
+		c.CategoriesDropped.Add(int64(res.CategoriesDropped))
+	}
+	kept := args[:0] // compression keeps the inputs' order
+	for i, ab := range args {
+		if len(kept) < len(g.Inputs) && g.Inputs[len(kept)].Name == n.Graph.Inputs[i].Name {
+			kept = append(kept, ab)
+		}
+	}
+	return g, kept
 }
 
 func (p *predictOp) schema() Schema { return p.out }
 
 func (p *predictOp) apply(ex *executor, in *RowSet) (*RowSet, error) {
-	g := p.n.Graph
+	g := p.g
 	batchCols := make([]onnx.Column, len(p.args))
 	for i, ab := range p.args {
 		var col Column

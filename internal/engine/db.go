@@ -24,8 +24,9 @@ type LogEntry struct {
 // DB is the in-process database: named tables, a query log, and an optional
 // model provider enabling the PREDICT extension.
 type DB struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
+	mu         sync.RWMutex
+	tables     map[string]*Table
+	catalogGen atomic.Int64 // bumped under mu on every change to tables
 
 	// logMu guards the query log: log, logSeq and logFramed. It ranks
 	// below t.writeMu and db.mu and above the WAL's own mutex. logFramed is
@@ -140,6 +141,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, err
 	}
 	db.tables[name] = t
+	db.catalogGen.Add(1)
 	return t, nil
 }
 
@@ -178,6 +180,7 @@ func (db *DB) DropTable(name string) error {
 		return err
 	}
 	delete(db.tables, name)
+	db.catalogGen.Add(1)
 	return nil
 }
 
@@ -191,6 +194,11 @@ func (db *DB) Table(name string) (*Table, error) {
 	}
 	return t, nil
 }
+
+// CatalogGeneration advances whenever a table is created or dropped or the
+// catalog is loaded or replaced whole: a plan depends on the catalog only
+// through table names and schemas, which hold while this does.
+func (db *DB) CatalogGeneration() int64 { return db.catalogGen.Load() }
 
 // TableNames lists the tables.
 func (db *DB) TableNames() []string {
@@ -210,15 +218,6 @@ func (db *DB) TableColumns(table string) ([]string, error) {
 		return nil, err
 	}
 	return t.Schema().Names(), nil
-}
-
-// TableStats implements opt.CatalogInfo.
-func (db *DB) TableStats(table string) onnx.Stats {
-	t, err := db.Table(table)
-	if err != nil {
-		return nil
-	}
-	return t.Stats()
 }
 
 // QueryLog returns a copy of the query log (for lazy provenance capture).
@@ -290,6 +289,7 @@ func (db *DB) installCreate(name string, schema Schema) error {
 		return fmt.Errorf("engine: table %q already exists", name)
 	}
 	db.tables[name] = NewTable(name, schema)
+	db.catalogGen.Add(1)
 	return nil
 }
 
@@ -301,6 +301,7 @@ func (db *DB) installDrop(name string) error {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
 	delete(db.tables, name)
+	db.catalogGen.Add(1)
 	return nil
 }
 
@@ -350,7 +351,7 @@ func (db *DB) commitReplace(t *Table, cols []Column) (int64, error) {
 	if err := t.validateReplace(cols); err != nil {
 		return 0, err
 	}
-	zones := extendZones(cols, nil) // a replace is O(table) already
+	zones := extendZones(cols, zoneMap{}) // a replace is O(table) already
 	rec := &WALRecord{Kind: WALReplace, Table: t.Name, Cols: cols}
 	if err := db.walAppendFrame(rec); err != nil {
 		return 0, err
@@ -505,9 +506,9 @@ func (db *DB) ExecStmtContext(ctx context.Context, stmt sql.Statement, o ExecOpt
 	case *sql.InsertStmt:
 		return db.execInsertLevel(ctx, s, o)
 	case *sql.UpdateStmt:
-		return db.execUpdate(ctx, s, o)
+		return db.execRebuild(s.Table, func(t *Table) (int64, int64, error) { return db.execUpdateLocked(ctx, t, s) })
 	case *sql.DeleteStmt:
-		return db.execDelete(ctx, s, o)
+		return db.execRebuild(s.Table, func(t *Table) (int64, int64, error) { return db.execDeleteLocked(ctx, t, s) })
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
@@ -541,7 +542,7 @@ func (db *DB) PlanSelect(s *sql.SelectStmt, level opt.Level) (*opt.Plan, error) 
 // streamable pipelines short-circuit the scan even for materialized
 // callers. The executor polls ctx at operator and batch boundaries, so a
 // canceled query returns within one batch of work. Callers caching plans
-// must revalidate them against table versions and the model registry
+// must revalidate them against CatalogGeneration and the model registry
 // generation (see core.Prepared).
 func (db *DB) ExecPlanContext(ctx context.Context, plan *opt.Plan, o ExecOptions) (*RowSet, error) {
 	cur, err := db.OpenPlanCursor(ctx, plan, o)

@@ -182,17 +182,19 @@ func (db *DB) execInsertLevel(ctx context.Context, s *sql.InsertStmt, o ExecOpti
 	return &Result{Affected: int64(len(buffered))}, nil
 }
 
-func (db *DB) execUpdate(ctx context.Context, s *sql.UpdateStmt, o ExecOptions) (*Result, error) {
-	t, err := db.Table(s.Table)
+// execRebuild runs an UPDATE or DELETE of table: rebuild applies it under
+// the statement lock and returns its WAL frame's LSN and the rows it hit.
+// The ack waits for that frame's fsync (group commit) only after the lock
+// is released, so concurrent writers batch.
+func (db *DB) execRebuild(table string, rebuild func(*Table) (lsn, affected int64, err error)) (*Result, error) {
+	t, err := db.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	lsn, affected, err := db.execUpdateLocked(ctx, t, s)
+	lsn, affected, err := rebuild(t)
 	if err != nil {
 		return nil, err
 	}
-	// Ack only after the rebuild's WAL frame is fsynced (group commit); the
-	// statement lock is already released, so concurrent writers batch.
 	if err := db.walWaitDurable(lsn); err != nil {
 		return nil, err
 	}
@@ -256,22 +258,6 @@ func (db *DB) execUpdateLocked(ctx context.Context, t *Table, s *sql.UpdateStmt)
 		return 0, 0, err
 	}
 	return lsn, int64(len(hits)), nil
-}
-
-func (db *DB) execDelete(ctx context.Context, s *sql.DeleteStmt, o ExecOptions) (*Result, error) {
-	t, err := db.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	lsn, affected, err := db.execDeleteLocked(ctx, t, s)
-	if err != nil {
-		return nil, err
-	}
-	// Same ack-after-group-fsync discipline as UPDATE.
-	if err := db.walWaitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: affected}, nil
 }
 
 func (db *DB) execDeleteLocked(ctx context.Context, t *Table, s *sql.DeleteStmt) (int64, int64, error) {

@@ -86,14 +86,9 @@ func (db *DB) buildSnapshotLocked() savedDB {
 
 	for _, t := range tables {
 		t.mu.RLock()
-		rows := 0
-		if len(t.cols) > 0 {
-			rows = t.cols[0].Len()
-		}
-		st := savedTable{Name: t.Name, Schema: t.schema, Version: t.version, Retain: t.retain}
-		st.Cols = make([]Column, len(t.cols))
-		for i := range t.cols {
-			st.Cols[i] = copyColumn(truncateCol(t.cols[i], rows))
+		st := savedTable{Name: t.Name, Schema: t.schema, Version: t.version, Retain: t.retain, Cols: t.currentLocked()}
+		for i := range st.Cols {
+			st.Cols[i] = copyColumn(st.Cols[i])
 		}
 		for _, h := range t.history {
 			hv := savedVersion{Version: h.version, Rows: h.rows, Cols: make([]Column, len(h.cols))}
@@ -163,17 +158,12 @@ func checkSavedCols(schema Schema, cols []Column, wantRows int) error {
 // its decoded form, validating everything before the table is published.
 func tableFromSaved(st savedTable, formatVersion int) (*Table, error) {
 	t := NewTable(st.Name, st.Schema)
-	rows := 0
-	if len(st.Cols) > 0 {
-		rows = st.Cols[0].Len()
-	}
-	if err := checkSavedCols(t.schema, st.Cols, rows); err != nil {
+	t.zones = extendZones(st.Cols, zoneMap{})
+	if err := checkSavedCols(t.schema, st.Cols, t.zones.rows); err != nil {
 		return nil, fmt.Errorf("table %s: %w", st.Name, err)
 	}
 	t.cols = st.Cols
-	t.zones = extendZones(st.Cols, nil)
 	t.version = st.Version
-	t.statsVersion = -1
 	if formatVersion >= 2 {
 		t.retain = st.Retain
 	}
@@ -226,6 +216,7 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 	for n, t := range tables {
 		db.tables[n] = t
 	}
+	db.catalogGen.Add(1)
 	db.logMu.Lock()
 	db.log = snap.Log
 	db.logSeq = snap.LogSeq

@@ -234,11 +234,11 @@ type Table struct {
 	schema  Schema
 	cols    []Column
 	version int64
-	// zones holds, per column, the zone of every full morsel of cols
-	// (zonemap.go): nil for text and bool columns. Replaced together with
-	// cols under mu, so a snapshot's zones describe its columns; never
-	// persisted, logged or kept in history.
-	zones [][]zone
+	// zones holds the zone map of cols (zonemap.go): their row count,
+	// per-morsel ranges of numeric columns, distinct values of text
+	// columns. Replaced together with cols under mu, so a snapshot's zones
+	// describe its columns; never persisted, logged or kept in history.
+	zones zoneMap
 
 	// writeMu serializes whole DML statements (not individual appends):
 	// UPDATE/DELETE are snapshot -> rebuild -> replace, so without
@@ -248,9 +248,6 @@ type Table struct {
 
 	history []tableSnapshot
 	retain  int
-
-	statsVersion int64
-	stats        onnx.Stats
 }
 
 // DefaultRetention is how many historical versions a table keeps.
@@ -267,8 +264,8 @@ func NewTable(name string, schema Schema) *Table {
 	for i := range cols {
 		cols[i] = NewColumn(sc[i].Type)
 	}
-	return &Table{Name: name, schema: sc, cols: cols, zones: extendZones(cols, nil),
-		statsVersion: -1, retain: DefaultRetention}
+	return &Table{Name: name, schema: sc, cols: cols, zones: extendZones(cols, zoneMap{}),
+		retain: DefaultRetention}
 }
 
 // SetRetention bounds the historical versions kept for time travel.
@@ -282,16 +279,18 @@ func (t *Table) SetRetention(n int) {
 // recordVersionLocked snapshots the pre-write state (caller holds the
 // write lock and has not mutated yet).
 func (t *Table) recordVersionLocked() {
-	rows := 0
-	if len(t.cols) > 0 {
-		rows = t.cols[0].Len()
-	}
+	t.history = append(t.history, tableSnapshot{version: t.version, cols: t.currentLocked(), rows: t.zones.rows})
+	t.trimHistoryLocked()
+}
+
+// currentLocked returns the current column headers fixed at the current
+// row count, so appends past it stay invisible. Caller holds t.mu.
+func (t *Table) currentLocked() []Column {
 	cols := make([]Column, len(t.cols))
 	for i := range t.cols {
-		cols[i] = truncateCol(t.cols[i], rows)
+		cols[i] = truncateCol(t.cols[i], t.zones.rows)
 	}
-	t.history = append(t.history, tableSnapshot{version: t.version, cols: cols, rows: rows})
-	t.trimHistoryLocked()
+	return cols
 }
 
 func (t *Table) trimHistoryLocked() {
@@ -307,15 +306,7 @@ func (t *Table) SnapshotAt(version int64) ([]Column, Schema, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if version == t.version {
-		rows := 0
-		if len(t.cols) > 0 {
-			rows = t.cols[0].Len()
-		}
-		cols := make([]Column, len(t.cols))
-		for i := range t.cols {
-			cols[i] = truncateCol(t.cols[i], rows)
-		}
-		return cols, t.schema, rows, nil
+		return t.currentLocked(), t.schema, t.zones.rows, nil
 	}
 	for i := len(t.history) - 1; i >= 0; i-- {
 		if t.history[i].version == version {
@@ -349,10 +340,7 @@ func (t *Table) Schema() Schema {
 func (t *Table) NumRows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.cols) == 0 {
-		return 0
-	}
-	return t.cols[0].Len()
+	return t.zones.rows
 }
 
 // Version returns the table version (bumped on every write).
@@ -366,18 +354,10 @@ func (t *Table) Version() int64 {
 // Readers share the backing arrays; writers always append or replace whole
 // columns under the write lock, and version-bump, so a snapshot stays
 // internally consistent.
-func (t *Table) snapshot() ([]Column, [][]zone, Schema, int) {
+func (t *Table) snapshot() ([]Column, zoneMap, Schema, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
-	if len(t.cols) > 0 {
-		n = t.cols[0].Len()
-	}
-	cols := make([]Column, len(t.cols))
-	for i := range t.cols {
-		cols[i] = truncateCol(t.cols[i], n)
-	}
-	return cols, t.zones, t.schema, n
+	return t.currentLocked(), t.zones, t.schema, t.zones.rows
 }
 
 // truncateCol fixes the column length to n so concurrent appends past the
@@ -425,18 +405,18 @@ func (t *Table) appendRows(rows [][]Value) error {
 // install, so a statement that fails either step mutates nothing. The
 // zones keep the current entries and add only the morsels this append
 // completes. Caller holds t.writeMu.
-func (t *Table) appendBuild(rows [][]Value) ([]Column, [][]zone, error) {
+func (t *Table) appendBuild(rows [][]Value) ([]Column, zoneMap, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	newCols := make([]Column, len(t.cols))
 	copy(newCols, t.cols)
 	for _, vals := range rows {
 		if len(vals) != len(newCols) {
-			return nil, nil, fmt.Errorf("engine: table %s has %d columns, got %d values", t.Name, len(newCols), len(vals))
+			return nil, zoneMap{}, fmt.Errorf("engine: table %s has %d columns, got %d values", t.Name, len(newCols), len(vals))
 		}
 		for i := range vals {
 			if err := newCols[i].Append(vals[i]); err != nil {
-				return nil, nil, fmt.Errorf("engine: table %s column %s: %w", t.Name, t.schema[i].Name, err)
+				return nil, zoneMap{}, fmt.Errorf("engine: table %s column %s: %w", t.Name, t.schema[i].Name, err)
 			}
 		}
 	}
@@ -446,7 +426,7 @@ func (t *Table) appendBuild(rows [][]Value) ([]Column, [][]zone, error) {
 // install commits pre-built columns and their zones as one write: history
 // records the pre-write state and the version bumps once. Caller holds
 // t.writeMu.
-func (t *Table) install(cols []Column, zones [][]zone) {
+func (t *Table) install(cols []Column, zones zoneMap) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.recordVersionLocked() // snapshots t.cols, still the pre-write state
@@ -463,7 +443,7 @@ func (t *Table) replaceColumns(cols []Column) error {
 	if err := t.validateReplace(cols); err != nil {
 		return err
 	}
-	t.install(cols, extendZones(cols, nil))
+	t.install(cols, extendZones(cols, zoneMap{}))
 	return nil
 }
 
@@ -488,87 +468,9 @@ func (t *Table) validateReplace(cols []Column) error {
 	return nil
 }
 
-// maxTrackedCategories caps the distinct-set size tracked in statistics.
-const maxTrackedCategories = 256
-
-// Stats returns per-column statistics, recomputing them when the table
-// version changed since the last computation. These feed the
-// cross-optimizer's model-compression pass.
+// Stats folds the current version's statistics from its zone map
+// (snapshotStats), the ones a PREDICT over a scan of it is compressed with.
 func (t *Table) Stats() onnx.Stats {
-	t.mu.RLock()
-	if t.statsVersion == t.version {
-		s := t.stats
-		t.mu.RUnlock()
-		return s
-	}
-	t.mu.RUnlock()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.statsVersion == t.version {
-		return t.stats
-	}
-	stats := onnx.Stats{}
-	for i, m := range t.schema {
-		c := &t.cols[i]
-		switch m.Type {
-		case TypeInt:
-			if len(c.Ints) == 0 {
-				continue
-			}
-			mn, mx := c.Ints[0], c.Ints[0]
-			for _, v := range c.Ints {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: float64(mn), Max: float64(mx)}
-		case TypeFloat:
-			if len(c.Floats) == 0 {
-				continue
-			}
-			// A column holding a NaN reports no range: the scorer sends NaN
-			// right at every split (NaN < t is false), which no [Min, Max]
-			// interval can express, so a range would let CompressWithStats
-			// resolve a split the NaN row does not take.
-			mn, mx := c.Floats[0], c.Floats[0]
-			nan := false
-			for _, v := range c.Floats {
-				if v != v {
-					nan = true
-					break
-				}
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			if !nan {
-				stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: mn, Max: mx}
-			}
-		case TypeString:
-			set := map[string]bool{}
-			tooMany := false
-			for _, v := range c.Strs {
-				if !set[v] {
-					set[v] = true
-					if len(set) > maxTrackedCategories {
-						tooMany = true
-						break
-					}
-				}
-			}
-			if !tooMany {
-				stats[m.Name] = onnx.ColumnStats{Categories: set}
-			}
-		}
-	}
-	t.stats = stats
-	t.statsVersion = t.version
-	return stats
+	cols, zones, schema, _ := t.snapshot()
+	return snapshotStats(schema, cols, zones)
 }

@@ -365,6 +365,7 @@ func (db *DB) BootstrapReplica(snapshot []byte) error {
 	adopt := func() {
 		db.mu.Lock()
 		db.tables = scratch.tables
+		db.catalogGen.Add(1)
 		db.mu.Unlock()
 		db.logMu.Lock()
 		db.log = scratch.log

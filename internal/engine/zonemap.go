@@ -10,11 +10,15 @@ package engine
 // float column has one, the partial last morsel and text/bool columns have
 // none, and time-travel scans read every morsel. A zone may be wider than
 // its data, never narrower — skipping is only sound while every stored
-// value lies inside its morsel's zone.
+// value lies inside its morsel's zone, and so is folding them into the
+// ranges model compression specializes to (snapshotStats), which also
+// reads the distinct values kept per text column.
 
 import (
+	"maps"
 	"math"
 
+	"repro/internal/onnx"
 	"repro/internal/sql"
 )
 
@@ -27,43 +31,84 @@ type zone struct {
 	nan      bool
 }
 
-// extendZones returns the zones of every full morsel of cols. old holds
-// the zones of a prefix of the same rows (the table before an append): its
-// entries are kept and only the morsels past them are computed, so an
-// append costs O(rows appended). A nil old computes every zone afresh. An
-// entry may be appended in place past old's length: a reader only reads
-// the entries of its own snapshot.
-func extendZones(cols []Column, old [][]zone) [][]zone {
-	out := make([][]zone, len(cols))
+// zoneMap is what a table keeps beside its current columns: their row
+// count and, per column, the zones of an int or float column and the
+// distinct values of a text column — nil past maxTrackedCategories. A
+// published category set is never written: versions share it.
+type zoneMap struct {
+	rows int
+	num  [][]zone
+	cats []map[string]bool
+}
+
+// maxTrackedCategories caps the distinct-value set kept per text column.
+const maxTrackedCategories = 256
+
+// extendZones returns the zone map of cols. old is the map of a prefix of
+// the same rows (the table before an append): its zones and category sets
+// are kept and only the rows past old.rows are read, so an append costs
+// O(rows appended). The zero zoneMap computes everything afresh. A zone
+// may be appended in place past old's length: a reader only reads the
+// entries of its own snapshot.
+func extendZones(cols []Column, old zoneMap) zoneMap {
+	out := zoneMap{num: make([][]zone, len(cols)), cats: make([]map[string]bool, len(cols))}
+	if len(cols) > 0 {
+		out.rows = cols[0].Len()
+	}
 	for i := range cols {
 		c := &cols[i]
-		if c.Type != TypeInt && c.Type != TypeFloat {
-			continue
+		switch c.Type {
+		case TypeInt, TypeFloat:
+			var z []zone
+			if old.num != nil {
+				z = old.num[i]
+			}
+			for m := len(z); m < c.Len()/morselRows; m++ {
+				z = append(z, spanZone(c, m*morselRows, (m+1)*morselRows))
+			}
+			out.num[i] = z
+		case TypeString:
+			set := map[string]bool{}
+			if old.cats != nil {
+				set = old.cats[i]
+			}
+			out.cats[i] = addCategories(set, c.Strs[old.rows:])
 		}
-		var z []zone
-		if old != nil {
-			z = old[i]
-		}
-		for m := len(z); m < c.Len()/morselRows; m++ {
-			z = append(z, morselZone(c, m))
-		}
-		out[i] = z
 	}
 	return out
 }
 
-// morselZone computes the zone of full morsel m of a numeric column.
-func morselZone(c *Column, m int) zone {
-	lo, hi := m*morselRows, (m+1)*morselRows
-	if c.Type == TypeInt {
-		mn, mx := c.Ints[lo], c.Ints[lo]
-		for _, v := range c.Ints[lo:hi] {
-			mn = min(mn, v)
-			mx = max(mx, v)
+// addCategories returns set with vals added, or nil once that holds more
+// than maxTrackedCategories values (a nil set stays nil). set itself is
+// never written: the first new value copies it.
+func addCategories(set map[string]bool, vals []string) map[string]bool {
+	copied := false
+	for _, v := range vals {
+		if set == nil || set[v] {
+			continue
 		}
-		return zone{min: float64(mn), max: float64(mx)}
+		if len(set) == maxTrackedCategories {
+			return nil
+		}
+		if !copied {
+			set, copied = maps.Clone(set), true
+		}
+		set[v] = true
 	}
+	return set
+}
+
+// spanZone computes the zone of rows [lo, hi) of a numeric column; no rows
+// make the empty zone, +Inf to -Inf.
+func spanZone(c *Column, lo, hi int) zone {
 	z := zone{min: math.Inf(1), max: math.Inf(-1)}
+	if c.Type == TypeInt {
+		for _, v := range c.Ints[lo:hi] {
+			z.min = min(z.min, float64(v))
+			z.max = max(z.max, float64(v))
+		}
+		return z
+	}
 	for _, v := range c.Floats[lo:hi] {
 		if v < z.min {
 			z.min = v
@@ -76,6 +121,34 @@ func morselZone(c *Column, m int) zone {
 		}
 	}
 	return z
+}
+
+// snapshotStats folds a current-version snapshot's zone map into the
+// statistics stats-driven compression specializes a model to: a numeric
+// column's range is the union of its zones and of the rows past them (the
+// partial last morsel), and none when any of them holds a NaN — the scorer
+// sends NaN right at every split, which no range can express; a text
+// column's categories are its tracked set. An empty column has no range.
+func snapshotStats(schema Schema, cols []Column, zm zoneMap) onnx.Stats {
+	stats := onnx.Stats{}
+	for i, m := range schema {
+		c := &cols[i]
+		switch m.Type {
+		case TypeInt, TypeFloat:
+			z := spanZone(c, len(zm.num[i])*morselRows, c.Len())
+			for _, p := range zm.num[i] {
+				z = zone{min(z.min, p.min), max(z.max, p.max), z.nan || p.nan}
+			}
+			if c.Len() > 0 && !z.nan {
+				stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: z.min, Max: z.max}
+			}
+		case TypeString:
+			if set := zm.cats[i]; set != nil {
+				stats[m.Name] = onnx.ColumnStats{Categories: set}
+			}
+		}
+	}
+	return stats
 }
 
 // zoneTest is one pushed-down conjunct a zone can rule out: column col

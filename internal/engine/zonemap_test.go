@@ -7,11 +7,15 @@ package engine
 // says how much of the table a scan read.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +23,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/onnx"
 	"repro/internal/opt"
 	"repro/internal/sql"
 )
@@ -264,8 +269,9 @@ func TestZonePruneCursorWindows(t *testing.T) {
 	}
 }
 
-// requireFreshZones checks every table's zones against zones computed
-// afresh from its current columns.
+// requireFreshZones checks every table's zone map against one computed
+// afresh from its current columns, and the statistics folded from it
+// against a rescan.
 func requireFreshZones(t *testing.T, db *DB, tables []string) {
 	t.Helper()
 	for _, name := range tables {
@@ -273,17 +279,23 @@ func requireFreshZones(t *testing.T, db *DB, tables []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols, zones, _, _ := tab.snapshot()
-		want := extendZones(cols, nil)
-		for c := range want {
-			if len(zones[c]) != len(want[c]) {
-				t.Fatalf("%s column %d: %d zones, want %d", name, c, len(zones[c]), len(want[c]))
+		cols, zones, schema, _ := tab.snapshot()
+		want := extendZones(cols, zoneMap{})
+		for c := range want.num {
+			if len(zones.num[c]) != len(want.num[c]) {
+				t.Fatalf("%s column %d: %d zones, want %d", name, c, len(zones.num[c]), len(want.num[c]))
 			}
-			for m := range want[c] {
-				if zones[c][m] != want[c][m] {
-					t.Fatalf("%s column %d morsel %d: zone %+v, want %+v", name, c, m, zones[c][m], want[c][m])
+			for m := range want.num[c] {
+				if zones.num[c][m] != want.num[c][m] {
+					t.Fatalf("%s column %d morsel %d: zone %+v, want %+v", name, c, m, zones.num[c][m], want.num[c][m])
 				}
 			}
+		}
+		if zones.rows != want.rows || !reflect.DeepEqual(zones.cats, want.cats) {
+			t.Fatalf("%s: %d rows and categories %v, want %d and %v", name, zones.rows, zones.cats, want.rows, want.cats)
+		}
+		if got, want := snapshotStats(schema, cols, zones), rescanStats(schema, cols); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: folded stats %v, rescan %v", name, got, want)
 		}
 	}
 }
@@ -624,7 +636,7 @@ func FuzzZonePrune(f *testing.F) {
 
 		schema := Schema{{Name: "c", Type: col.Type}}
 		cols := []Column{col}
-		runs := keptRuns(zoneTests([]sql.Expr{pred}, schema), extendZones(cols, nil), n)
+		runs := keptRuns(zoneTests([]sql.Expr{pred}, schema), extendZones(cols, zoneMap{}).num, n)
 		fn, err := compileVec(pred, schema, &compileEnv{ctx: context.Background()})
 		if err != nil {
 			t.Fatal(err)
@@ -652,4 +664,195 @@ func FuzzZonePrune(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rescanStats is what a full rescan of a version's columns says about them,
+// the reference for snapshotStats: an int or float column's [min, max], none
+// when it is empty or holds a NaN, and a text column's distinct values, none
+// past maxTrackedCategories.
+func rescanStats(schema Schema, cols []Column) onnx.Stats {
+	stats := onnx.Stats{}
+	for i, m := range schema {
+		c := &cols[i]
+		switch m.Type {
+		case TypeInt:
+			if len(c.Ints) > 0 {
+				stats[m.Name] = onnx.ColumnStats{HasRange: true,
+					Min: float64(slices.Min(c.Ints)), Max: float64(slices.Max(c.Ints))}
+			}
+		case TypeFloat:
+			if len(c.Floats) > 0 && !slices.ContainsFunc(c.Floats, math.IsNaN) {
+				stats[m.Name] = onnx.ColumnStats{HasRange: true, Min: slices.Min(c.Floats), Max: slices.Max(c.Floats)}
+			}
+		case TypeString:
+			set := map[string]bool{}
+			for _, v := range c.Strs {
+				set[v] = true
+			}
+			if len(set) <= maxTrackedCategories {
+				stats[m.Name] = onnx.ColumnStats{Categories: set}
+			}
+		}
+	}
+	return stats
+}
+
+// foldCheck is one table version's folded statistics and the rescan of
+// its columns they must equal.
+type foldCheck struct {
+	name        string
+	got, want   onnx.Stats
+	schema      Schema
+	cols        []Column
+	describedAs string
+}
+
+// requireFoldedStats checks each table's folded statistics against a rescan
+// of its current version, and returns what it checked so a later call of
+// recheckFolds can prove a write did not change an older version's
+// statistics (category sets are shared between versions, never written).
+func requireFoldedStats(t *testing.T, db *DB, stage string, tables ...string) []foldCheck {
+	t.Helper()
+	var checks []foldCheck
+	for _, name := range tables {
+		tab, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, zones, schema, _ := tab.snapshot()
+		c := foldCheck{name: name, got: snapshotStats(schema, cols, zones), want: rescanStats(schema, cols),
+			schema: schema, cols: cols, describedAs: stage}
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s, table %s: folded stats %v, rescan %v", stage, name, c.got, c.want)
+		}
+		checks = append(checks, c)
+	}
+	return checks
+}
+
+// recheckFolds fails if a checked version's statistics changed since.
+func recheckFolds(t *testing.T, checks []foldCheck) {
+	t.Helper()
+	for _, c := range checks {
+		if !reflect.DeepEqual(c.got, rescanStats(c.schema, c.cols)) {
+			t.Fatalf("table %s: a later write changed the statistics folded %s to %v", c.name, c.describedAs, c.got)
+		}
+	}
+}
+
+// foldTableCols builds n random rows of (k int, f float, s text, w text): s
+// draws from cats values, w is distinct per row (past the category cap
+// from row 257 on), and f holds a NaN at row nanAt when that is in range.
+func foldTableCols(r *rand.Rand, n, cats, nanAt int) []Column {
+	k, f := make([]int64, n), make([]float64, n)
+	s, w := make([]string, n), make([]string, n)
+	for i := range k {
+		k[i] = r.Int64N(1<<40) - 1<<39
+		f[i] = r.NormFloat64() * 1e3
+		s[i] = fmt.Sprintf("c%d", r.IntN(cats))
+		w[i] = fmt.Sprintf("w%d", i)
+	}
+	if nanAt < n {
+		f[nanAt] = math.NaN()
+	}
+	return []Column{IntColumn(k), FloatColumn(f), StringColumn(s), StringColumn(w)}
+}
+
+// TestFoldedStatsEqualRescan is the property behind compressing against a
+// snapshot: for random tables, the statistics folded from a version's zone
+// map (snapshotStats) equal a full rescan of its rows exactly, after every
+// way the map is maintained — bulk load, single-row and batch appends (one
+// completing a morsel), an UPDATE widening a range, a DELETE removing the
+// last row of a category, WAL replay and LoadSnapshot — and no write
+// changes an older version's statistics.
+func TestFoldedStatsEqualRescan(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenDirDB(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(37, 1))
+	tables := []struct {
+		n, cats, nanAt int
+	}{
+		{0, 1, 0},                   // empty
+		{2*morselRows + 100, 5, 17}, // NaN in a full morsel
+		{2*morselRows + 100, 5, 2*morselRows + 40}, // NaN in the tail
+		{morselRows - 1, 300, -1},                  // > 256 categories, tail only
+		{3 * morselRows, 256, -1},                  // exactly the cap, no tail
+		{2*morselRows - 1, 3, -1},                  // one append completes a morsel
+	}
+	var names []string
+	for i, tc := range tables {
+		name := fmt.Sprintf("f%d", i)
+		nanAt := tc.nanAt
+		if nanAt < 0 {
+			nanAt = tc.n
+		}
+		if _, err := db.CreateTableFromColumns(name, []string{"k", "f", "s", "w"},
+			foldTableCols(r, tc.n, tc.cats, nanAt)); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("rnd%d", i)
+		n := r.IntN(3*morselRows + 50)
+		if _, err := db.CreateTableFromColumns(name, []string{"k", "f", "s", "w"},
+			foldTableCols(r, n, 1+r.IntN(300), r.IntN(3*n+1))); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	for _, name := range names {
+		tab, _ := db.Table(name)
+		tab.SetRetention(0) // history is not what is checked; it only slows the snapshots
+	}
+	checks := requireFoldedStats(t, db, "after bulk load", names...)
+
+	each := func(stage, format string) {
+		t.Helper()
+		for _, name := range names {
+			mustExec(t, db, fmt.Sprintf(format, name))
+		}
+		recheckFolds(t, checks)
+		checks = requireFoldedStats(t, db, stage, names...)
+	}
+	each("after a one-row append", "INSERT INTO %s VALUES (-1099511627777, 5e5, 'new', 'new')")
+	each("after a NaN appended", "INSERT INTO %s VALUES (3, 1.0 %% 0.0, 'c1', 'x')")
+	each("after a batch append", "INSERT INTO %s SELECT k + 1, f * 3.0, s, w FROM %[1]s LIMIT 5000")
+	for _, name := range names {
+		rows := make([][]Value, r.IntN(300))
+		for i := range rows {
+			rows[i] = []Value{IntValue(r.Int64N(100)), FloatValue(r.Float64()), StringValue(fmt.Sprintf("c%d", r.IntN(400))),
+				StringValue("y")}
+		}
+		if err := db.AppendRows(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recheckFolds(t, checks)
+	checks = requireFoldedStats(t, db, "after random appends", names...)
+	each("after an UPDATE widening a range", "UPDATE %s SET k = k * 4, f = f * 10.0 WHERE s = 'c1'")
+	each("after a DELETE of a category's last row", "DELETE FROM %s WHERE s = 'new'")
+	each("after a DELETE of NaN", "DELETE FROM %s WHERE NOT (f = f)")
+
+	if err := db.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := OpenDirDB(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.CloseDurability()
+	requireFoldedStats(t, reopened, "after WAL replay", names...)
+	var snap bytes.Buffer
+	if err := reopened.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewDB()
+	if err := loaded.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	requireFoldedStats(t, loaded, "after LoadSnapshot", names...)
 }

@@ -268,17 +268,17 @@ func (g *Graph) UsedFeatures() []int {
 		}
 		return used
 	case OpTreeEnsemble:
-		seen := map[int]bool{}
+		seen := make([]bool, g.Width())
 		for _, tr := range g.Model.Trees {
 			for j := range tr.Feature {
 				if tr.Left[j] >= 0 {
-					seen[int(tr.Feature[j])] = true
+					seen[tr.Feature[j]] = true
 				}
 			}
 		}
-		used := make([]int, 0, len(seen))
-		for f := 0; len(used) < len(seen); f++ {
-			if seen[f] {
+		var used []int
+		for f, ok := range seen {
+			if ok {
 				used = append(used, f)
 			}
 		}

@@ -280,6 +280,42 @@ func TestCompressWithStats(t *testing.T) {
 	}
 }
 
+// TestCompressedLeavesOriginal pins Compressed: its copy compresses exactly
+// like CompressWithStats on a deep Clone, also after a PruneUnusedFeatures
+// pass (the planner prunes, the executor compresses the pruned graph), and
+// the graph it copied keeps its content.
+func TestCompressedLeavesOriginal(t *testing.T) {
+	stats := Stats{
+		"age":    {HasRange: true, Min: 20, Max: 30},
+		"income": {HasRange: true, Min: 20000, Max: 40000},
+		"region": {Categories: map[string]bool{"us": true, "eu": true}},
+	}
+	for _, pred := range []ml.Predictor{&ml.GradientBoosting{NTrees: 20, MaxDepth: 4}, &ml.LogisticRegression{Epochs: 20}} {
+		p, _, _ := trainedPipeline(t, pred, 400)
+		g, err := Export(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := g.Clone().Fingerprint()
+		want := g.Clone()
+		CompressWithStats(want, stats)
+
+		got, _ := Compressed(g, stats)
+		pruned := g.Clone()
+		PruneUnusedFeatures(pruned)
+		gotPruned, _ := Compressed(pruned, stats)
+		if got.Fingerprint() != want.Fingerprint() || gotPruned.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%T: Compressed differs from CompressWithStats on a clone", pred)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%T: %v", pred, err)
+		}
+		if g.Clone().Fingerprint() != before {
+			t.Errorf("%T: Compressed wrote to the graph it copied", pred)
+		}
+	}
+}
+
 func TestCompressDropsAbsentCategories(t *testing.T) {
 	p, f, _ := trainedPipeline(t, &ml.GradientBoosting{NTrees: 20, MaxDepth: 3}, 500)
 	g, _ := Export(p)

@@ -2,6 +2,7 @@ package onnx
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/ml"
 )
@@ -9,7 +10,8 @@ import (
 // This file implements the model-side rewrites used by the cross-optimizer
 // (internal/opt): input pruning from model sparsity, stats-driven model
 // compression, and predicate push-up into the model. All transforms operate
-// on a Clone of the deployed graph; deployed models are immutable.
+// on a copy of the deployed graph (Clone, or Compressed's lighter one);
+// deployed models are immutable.
 
 // PruneResult describes the effect of PruneUnusedFeatures.
 type PruneResult struct {
@@ -208,10 +210,24 @@ func CompressWithStats(g *Graph, stats Stats) CompressResult {
 	return res
 }
 
+// Compressed is CompressWithStats applied to a copy of g; g is untouched.
+// The copy shares g's featurizers, inputs and tree arrays: CompressWithStats
+// and its closing PruneUnusedFeatures assign fresh slices for all of them
+// (every tree is rebuilt before a feature index is remapped), so nothing
+// shared is ever written and no tree is copied only to be thrown away.
+func Compressed(g *Graph, stats Stats) (*Graph, CompressResult) {
+	c := &Graph{Name: g.Name, Inputs: g.Inputs, Feats: g.Feats, Model: g.Model, Output: g.Output}
+	c.Model.Trees = slices.Clone(g.Model.Trees)
+	return c, CompressWithStats(c, stats)
+}
+
 // simplifyTree rebuilds a tree, resolving splits that are decided by the
 // feature intervals and tightening intervals down each branch.
 func simplifyTree(tr *Tree, lo, hi []float64) Tree {
-	var out Tree
+	// The rebuilt tree is at most as large as tr: size its arrays once.
+	n := len(tr.Feature)
+	out := Tree{Feature: make([]int32, 0, n), Threshold: make([]float64, 0, n),
+		Left: make([]int32, 0, n), Right: make([]int32, 0, n), Value: make([]float64, 0, n)}
 	// local copies so sibling branches don't interfere
 	var build func(node int32, lo, hi []float64) int32
 	build = func(node int32, lo, hi []float64) int32 {

@@ -4,9 +4,12 @@
 // columns the plan above it reads, see pruneScans) and the paper's
 // cross-optimizations between SQL and ML (§4.1): UDF inlining of PREDICT
 // into a vectorized operator, predicate push-down below inference, predicate
-// push-up into the model, model-sparsity input pruning, and stats-driven
-// model compression. The prune pass runs last, so a model input the
-// cross-optimizer dropped is a column the scan never copies.
+// push-up into the model, and model-sparsity input pruning. The prune pass
+// runs last, so a model input the cross-optimizer dropped is a column the
+// scan never copies. Stats-driven model compression depends on data, so the
+// planner only marks where it applies (Predict.Compress) and the executor
+// runs it over the snapshot it scans: a plan depends only on the schema and
+// the models.
 //
 // The optimizer manipulates the sql AST and onnx graphs only; physical
 // execution lives in internal/engine, which interprets the plan.
@@ -69,9 +72,6 @@ type CatalogInfo interface {
 	// TableColumns returns the column names of a table, or an error if the
 	// table does not exist.
 	TableColumns(table string) ([]string, error)
-	// TableStats returns per-column statistics for compression; may return
-	// nil when statistics are unavailable.
-	TableStats(table string) onnx.Stats
 }
 
 // Node is a logical plan operator.
@@ -119,6 +119,12 @@ type Predict struct {
 	OutName string
 	// Compare, when non-nil, fuses a threshold filter into the operator.
 	Compare *CompareSpec
+	// Compress marks a model the executor specializes, when it opens the
+	// cursor, to the statistics of the snapshot its scan reads
+	// (onnx.CompressWithStats): set at LevelFull when the Predict sits on a
+	// current-version scan through Predict and Filter nodes only. The plan
+	// holds no statistics, so it stays valid across writes.
+	Compress bool
 }
 
 // Join is an equi-join with an ON condition.
@@ -219,9 +225,6 @@ type Report struct {
 	PushedDown        int // conjuncts pushed below inference
 	PushedUp          bool
 	PrunedInputs      []string // input columns dropped from the model
-	TreeNodesBefore   int
-	TreeNodesAfter    int
-	CategoriesDropped int
 	// Parallelism is the morsel worker cap for this plan (1 below
 	// LevelParallel), 0 when unset. An EXPLAIN caller stamps it on a fresh
 	// plan it owns (engine.ExecOptions.MaxWorkers); a cached plan is shared
@@ -241,9 +244,6 @@ func (r *Report) String() string {
 	}
 	if len(r.PrunedInputs) > 0 {
 		fmt.Fprintf(&b, " pruned=%v", r.PrunedInputs)
-	}
-	if r.TreeNodesBefore > 0 {
-		fmt.Fprintf(&b, " treenodes=%d->%d", r.TreeNodesBefore, r.TreeNodesAfter)
 	}
 	return b.String()
 }

@@ -180,7 +180,7 @@ func (p *planner) plan(s *sql.SelectStmt) (Node, error) {
 	// 5. Cross-optimizations on the model itself.
 	if p.level >= LevelFull {
 		residual = p.fuseCompares(calls, residual, items, having, orderBy)
-		p.compressModels(calls, scans)
+		p.compressModels(calls)
 	}
 
 	if len(residual) > 0 {
@@ -611,9 +611,13 @@ func mirrorOp(op string) string {
 	return op
 }
 
-// compressModels applies sparsity pruning and stats-driven compression to
-// every extracted model whose input is a base-table scan.
-func (p *planner) compressModels(calls []*predictCall, scans []*Scan) {
+// compressModels applies the data-independent model rewrites to every
+// extracted model: sparsity pruning, and narrowing the arguments to the
+// inputs that survive it. A model fed by a current-version base-table scan
+// is marked for stats-driven compression, which the executor applies at
+// cursor open against the snapshot it scores (time travel is not marked:
+// its rows are those of a retained version).
+func (p *planner) compressModels(calls []*predictCall) {
 	for _, pc := range calls {
 		// Arguments are positional against the graph's declared inputs;
 		// without that correspondence we cannot safely narrow them.
@@ -621,25 +625,10 @@ func (p *planner) compressModels(calls []*predictCall, scans []*Scan) {
 		if len(pc.node.Args) != len(origInputs) {
 			continue
 		}
-		// Walk down to the scan feeding this predict (through other
-		// predicts and filters only) for its statistics. Time-travel scans
-		// skip stats-driven compression: current statistics need not hold
-		// for historical snapshots.
 		sc := baseScan(pc.node.Input)
-		var stats onnx.Stats
-		if sc != nil && p.catalog != nil && sc.Version < 0 {
-			stats = p.catalog.TableStats(sc.Table)
-		}
-		var res onnx.CompressResult
-		if stats != nil {
-			res = onnx.CompressWithStats(pc.node.Graph, stats)
-		} else {
-			res.Prune = onnx.PruneUnusedFeatures(pc.node.Graph)
-		}
-		p.report.TreeNodesBefore += res.NodesBefore
-		p.report.TreeNodesAfter += res.NodesAfter
-		p.report.CategoriesDropped += res.CategoriesDropped
-		p.report.PrunedInputs = append(p.report.PrunedInputs, res.Prune.DroppedInputs...)
+		pc.node.Compress = sc != nil && sc.Version < 0
+		res := onnx.PruneUnusedFeatures(pc.node.Graph)
+		p.report.PrunedInputs = append(p.report.PrunedInputs, res.DroppedInputs...)
 
 		// Narrow the operator's argument list to the surviving inputs
 		// (projection pruning of feature columns).

@@ -22,8 +22,7 @@ func (f fakeModels) GraphFor(name string) (*onnx.Graph, error) {
 }
 
 type fakeCatalog struct {
-	cols  map[string][]string
-	stats map[string]onnx.Stats
+	cols map[string][]string
 }
 
 func (c *fakeCatalog) TableColumns(table string) ([]string, error) {
@@ -33,8 +32,6 @@ func (c *fakeCatalog) TableColumns(table string) ([]string, error) {
 	}
 	return cols, nil
 }
-
-func (c *fakeCatalog) TableStats(table string) onnx.Stats { return c.stats[table] }
 
 func testGraph(t *testing.T) *onnx.Graph {
 	t.Helper()
@@ -152,46 +149,6 @@ func TestPlanPushUpOnlyWhenScoreUnused(t *testing.T) {
 	}
 	if pn.Compare == nil {
 		t.Error("compare not fused")
-	}
-}
-
-func TestPlanCompressionUsesStats(t *testing.T) {
-	g := testGraph(t)
-	models := fakeModels{"m": g}
-	cat := defaultCatalog()
-	cat.stats = map[string]onnx.Stats{
-		"customers": {
-			"age":    {HasRange: true, Min: 20, Max: 70},
-			"region": {Categories: map[string]bool{"us": true}},
-		},
-	}
-	q := "SELECT PREDICT(m, age, region) AS s FROM customers"
-	pl := plan(t, q, models, cat, LevelFull)
-	_ = pl
-	// The "eu" category is absent from stats; with a linear model it may
-	// only disappear if its coefficient became prunable. What must always
-	// hold: the plan is valid and the graph validates.
-	var pn *Predict
-	var walk func(n Node)
-	walk = func(n Node) {
-		switch x := n.(type) {
-		case *Predict:
-			pn = x
-		case *Project:
-			walk(x.Input)
-		case *Filter:
-			walk(x.Input)
-		}
-	}
-	walk(pl.Root)
-	if pn == nil {
-		t.Fatal("no predict node")
-	}
-	if err := pn.Graph.Validate(); err != nil {
-		t.Fatalf("compressed graph invalid: %v", err)
-	}
-	if len(pn.Args) != len(pn.Graph.Inputs) {
-		t.Errorf("args (%d) out of sync with graph inputs (%d)", len(pn.Args), len(pn.Graph.Inputs))
 	}
 }
 

@@ -603,8 +603,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // capacity — a client preparing per request cannot grow server memory. An
 // evicted handle answers 404 and the client re-prepares. Staleness is NOT
 // the cache's problem: core.Prepared
-// revalidates its plan against table versions and the model-registry
-// generation on every execution, so the cache only ever amortizes work,
+// revalidates its plan against the catalog and model-registry generations
+// on every execution, so the cache only ever amortizes work,
 // never serves stale results.
 type planEntry struct {
 	key string // planKey of the statement: a handle collision reads as a miss
