@@ -17,9 +17,9 @@ type compileEnv struct {
 	// ctx is the query's cancellation context; row-mode PREDICT polls it
 	// before every scorer call so a hung scoring service cannot wedge the
 	// per-row loop. nil means no cancellation.
-	ctx        context.Context
-	sessionFor func(model string) (*onnx.Session, error)
-	remoteFor  func(model string) (onnx.Scorer, error)
+	ctx       context.Context
+	graphFor  func(model string) (*onnx.Graph, error)
+	remoteFor func(g *onnx.Graph) (onnx.Scorer, error)
 	// plane, when set, routes row-mode PREDICT through the inference
 	// plane — the path where cross-session micro-batching pays off most,
 	// since every call here is a one-row batch.
@@ -32,18 +32,21 @@ type compileEnv struct {
 // makes one scorer call, so the per-call cost profile of the baseline is
 // preserved. A row whose arguments carry an error aborts the batch.
 func compileVecPredict(x *sql.Predict, schema Schema, env *compileEnv) (vecFunc, error) {
-	if env == nil || env.sessionFor == nil || env.remoteFor == nil {
+	if env == nil || env.graphFor == nil || env.remoteFor == nil {
 		return nil, fmt.Errorf("engine: PREDICT is not available in this context")
 	}
-	sess, err := env.sessionFor(x.Model)
+	g, err := env.graphFor(x.Model)
 	if err != nil {
 		return nil, err
 	}
-	remote, err := env.remoteFor(x.Model)
-	if err != nil {
-		return nil, err
+	// The plane's backend validates and scores g; without a plane the
+	// remote scorer built for it does.
+	var remote onnx.Scorer
+	if env.plane == nil {
+		if remote, err = env.remoteFor(g); err != nil {
+			return nil, err
+		}
 	}
-	g := sess.Graph()
 	if len(x.Args) != len(g.Inputs) {
 		return nil, fmt.Errorf("engine: PREDICT(%s, ...) takes %d arguments, got %d",
 			x.Model, len(g.Inputs), len(x.Args))

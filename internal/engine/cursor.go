@@ -98,7 +98,7 @@ type ExecCounters struct {
 // callers caching plans must revalidate them (see core.Prepared).
 func (db *DB) OpenPlanCursor(ctx context.Context, plan *opt.Plan, o ExecOptions) (Cursor, error) {
 	ex := &executor{ctx: ctx, db: db, o: o,
-		env: &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}}
+		env: db.compileEnv(ctx)}
 	sc, err := ex.openCursor(plan.Root)
 	if err != nil {
 		return nil, err
@@ -581,9 +581,10 @@ type argBind struct {
 	typ    ColType
 }
 
-// predictOp scores batches through a scoring session created once at open,
-// with the optional fused threshold compare. g is the graph it scores with:
-// the plan's, or a copy compressed for the scanned snapshot.
+// predictOp scores batches through the inference plane or, with none
+// installed, a scoring session created once at open, with the optional
+// fused threshold compare. g is the graph it scores with: the plan's, or a
+// copy compressed for the scanned snapshot.
 type predictOp struct {
 	n    *opt.Predict
 	g    *onnx.Graph
@@ -624,9 +625,14 @@ func newPredictOp(ex *executor, n *opt.Predict, in Schema, stats onnx.Stats) (*p
 	if n.Compress && stats != nil {
 		g, args = compressForSnapshot(ex, n, in, args, stats)
 	}
-	sess, err := onnx.NewSession(g)
-	if err != nil {
-		return nil, err
+	// The plane scores with its own backend, validated once per graph
+	// fingerprint; only the direct path needs a session of its own.
+	var sess *onnx.Session
+	if ex.env.plane == nil {
+		var err error
+		if sess, err = onnx.NewSession(g); err != nil {
+			return nil, err
+		}
 	}
 	out := append(append(Schema(nil), in...), ColMeta{Name: n.OutName, Type: TypeFloat})
 	return &predictOp{n: n, g: g, sess: sess, args: args, out: out}, nil

@@ -394,20 +394,23 @@ func (db *DB) ReplaceColumns(table string, cols []Column) error {
 	return db.walWaitDurable(lsn)
 }
 
-// sessionFor resolves a model name to a planned scoring session (row-mode
-// PREDICT path).
-func (db *DB) sessionFor(model string) (*onnx.Session, error) {
+// compileEnv is the expression compiler's environment for one statement
+// under ctx: models resolve through the provider, row-mode PREDICT scores
+// through the installed plane or, with none, the UDF-mode scorer.
+func (db *DB) compileEnv(ctx context.Context) *compileEnv {
+	return &compileEnv{ctx: ctx, graphFor: db.graphFor, remoteFor: db.remoteFor, plane: db.plane()}
+}
+
+// graphFor resolves a model name to its deployed graph (row-mode PREDICT
+// path).
+func (db *DB) graphFor(model string) (*onnx.Graph, error) {
 	db.mu.RLock()
 	provider := db.models
 	db.mu.RUnlock()
 	if provider == nil {
 		return nil, fmt.Errorf("engine: no model provider configured")
 	}
-	g, err := provider.GraphFor(model)
-	if err != nil {
-		return nil, err
-	}
-	return onnx.NewSession(g)
+	return provider.GraphFor(model)
 }
 
 // SetUDFScorerFactory replaces the scorer used by UDF-mode PREDICT (e.g.
@@ -442,21 +445,13 @@ func (db *DB) plane() PredictPlane {
 	return db.predictPlane
 }
 
-// remoteFor resolves a model name to the UDF-mode scorer: by default a
-// one-row-per-call JSON remote scorer (each call pays REST-style
-// marshalling), or whatever SetUDFScorerFactory installed.
-func (db *DB) remoteFor(model string) (onnx.Scorer, error) {
+// remoteFor builds the UDF-mode scorer for g: by default a one-row-per-call
+// JSON remote scorer (each call pays REST-style marshalling), or whatever
+// SetUDFScorerFactory installed.
+func (db *DB) remoteFor(g *onnx.Graph) (onnx.Scorer, error) {
 	db.mu.RLock()
-	provider := db.models
 	factory := db.udfScorer
 	db.mu.RUnlock()
-	if provider == nil {
-		return nil, fmt.Errorf("engine: no model provider configured")
-	}
-	g, err := provider.GraphFor(model)
-	if err != nil {
-		return nil, err
-	}
 	if factory != nil {
 		return factory(g)
 	}

@@ -125,7 +125,7 @@ func (db *DB) execInsertLevel(ctx context.Context, s *sql.InsertStmt, o ExecOpti
 			buffered = append(buffered, vals)
 		}
 	} else {
-		env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
+		env := db.compileEnv(ctx)
 		oneRow := &RowSet{N: 1}
 		buffered = make([][]Value, 0, len(s.Rows))
 		for _, row := range s.Rows {
@@ -209,7 +209,7 @@ func (db *DB) execUpdateLocked(ctx context.Context, t *Table, s *sql.UpdateStmt)
 	defer t.writeMu.Unlock()
 	cols, _, schema, n := t.snapshot()
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
-	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
+	env := db.compileEnv(ctx)
 
 	hits, err := whereHits(s.Where, rs, env)
 	if err != nil {
@@ -265,7 +265,7 @@ func (db *DB) execDeleteLocked(ctx context.Context, t *Table, s *sql.DeleteStmt)
 	defer t.writeMu.Unlock()
 	cols, _, schema, n := t.snapshot()
 	rs := &RowSet{Schema: schema, Cols: cols, N: n}
-	env := &compileEnv{ctx: ctx, sessionFor: db.sessionFor, remoteFor: db.remoteFor, plane: db.plane()}
+	env := db.compileEnv(ctx)
 
 	hits, err := whereHits(s.Where, rs, env)
 	if err != nil {

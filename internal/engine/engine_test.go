@@ -228,6 +228,46 @@ func TestLeftJoin(t *testing.T) {
 	}
 }
 
+// TestLeftJoinPadsAfterTheResidual is the outer-join probe: a left row
+// keeps every pair the whole ON accepts and is padded (right cells at their
+// zero value) only when none survives, and a WHERE conjunct over the padded
+// side filters the joined rows, padded ones included.
+func TestLeftJoinPadsAfterTheResidual(t *testing.T) {
+	db := NewDB()
+	for _, q := range []string{
+		"CREATE TABLE a (k int, v int)", "INSERT INTO a VALUES (1, 10), (2, 20)",
+		"CREATE TABLE b (k int, w int)", "INSERT INTO b VALUES (1, 99)",
+		"CREATE TABLE c (k text, w int)", "INSERT INTO c VALUES ('1', 99)",
+		"CREATE TABLE d (k int, w int)", "INSERT INTO d VALUES (1, 99), (2, 7)",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for _, c := range []struct{ query, want string }{
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k", "[[1 99] [2 0]]"},
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k WHERE b.w = 99", "[[1 99]]"},
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k WHERE a.k = b.k", "[[1 99]]"},
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k AND b.w < 5", "[[1 0] [2 0]]"},
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k AND a.v > 10", "[[1 0] [2 0]]"},
+		{"SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k AND b.w > 5 WHERE a.v < 15", "[[1 99]]"},
+		{"SELECT a.k, b.w FROM a JOIN b ON a.k = b.k AND b.w < 5", "[]"},
+		// As many pairs fail the residual as rows are padded; the kept
+		// pairs come first.
+		{"SELECT a.k, d.w FROM a LEFT JOIN d ON a.k = d.k AND d.w < 50", "[[2 7] [1 0]]"},
+		{"SELECT a.k, c.w FROM a LEFT JOIN c ON a.k = c.k", "[[1 0] [2 0]]"},
+		{"SELECT a.k, c.w FROM a JOIN c ON a.k = c.k", "[]"},
+	} {
+		res, err := db.Exec(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if got := fmt.Sprint(boxed(res)); got != c.want {
+			t.Errorf("%s = %s, want %s", c.query, got, c.want)
+		}
+	}
+}
+
 func TestUpdateDelete(t *testing.T) {
 	db := newTestDB(t)
 	res, err := db.Exec("UPDATE orders SET amount = amount + 100 WHERE region = 'eu'")

@@ -226,12 +226,22 @@ func (ex *executor) execJoin(n *opt.Join) (*RowSet, error) {
 	if len(leftKeys) == 0 && n.On != nil {
 		return nil, fmt.Errorf("engine: join requires at least one equality condition")
 	}
-	if n.On == nil {
+
+	// Find the candidate pairs; finishJoin decides what they become.
+	leftVecs := make([]*Vec, len(leftKeys))
+	rightVecs := make([]*Vec, len(rightKeys))
+	for i := range leftKeys {
+		leftVecs[i] = colVec(&left.Cols[leftKeys[i]])
+		rightVecs[i] = colVec(&right.Cols[rightKeys[i]])
+	}
+	modes, comparable := pairKeyModes(leftVecs, rightVecs)
+	var lsel, rsel []int32
+	switch {
+	case n.On == nil:
 		// Cross join: guard against blow-up.
 		if left.N*right.N > 4_000_000 {
 			return nil, fmt.Errorf("engine: refusing cross join of %d x %d rows", left.N, right.N)
 		}
-		var lsel, rsel []int32
 		for l := 0; l < left.N; l++ {
 			if l%cancelBatchRows == 0 {
 				if err := ex.checkCtx(); err != nil {
@@ -243,54 +253,34 @@ func (ex *executor) execJoin(n *opt.Join) (*RowSet, error) {
 				rsel = append(rsel, int32(r))
 			}
 		}
-		return ex.materializeJoin(left, right, combined, lsel, rsel, residual, nil)
-	}
-
-	// Hash the right side with the typed multi-column table: keys are
-	// compared column-wise (int/float keys numerically), no string encoding.
-	leftVecs := make([]*Vec, len(leftKeys))
-	rightVecs := make([]*Vec, len(rightKeys))
-	for i := range leftKeys {
-		leftVecs[i] = colVec(&left.Cols[leftKeys[i]])
-		rightVecs[i] = colVec(&right.Cols[rightKeys[i]])
-	}
-	modes, comparable := pairKeyModes(leftVecs, rightVecs)
-	var lsel, rsel []int32
-	var leftUnmatched []int32
-	if !comparable {
-		// Some key pair can never be equal (e.g. text vs int), so no row
-		// matches; LEFT JOIN still emits every left row.
-		if n.Type == sql.JoinLeft {
-			for l := 0; l < left.N; l++ {
-				leftUnmatched = append(leftUnmatched, int32(l))
-			}
+	case comparable:
+		// Hash the right side with the typed multi-column table (keys
+		// compared column-wise, int/float numerically) and probe it with
+		// every left row. Otherwise some key pair can never be equal (e.g.
+		// text vs int), so there are no pairs.
+		if lsel, rsel, err = ex.probeJoin(leftVecs, rightVecs, left.N, right.N, modes); err != nil {
+			return nil, err
 		}
-		return ex.materializeJoin(left, right, combined, lsel, rsel, residual, leftUnmatched)
 	}
-	jt, err := ex.buildJoinIndex(rightVecs, right.N, modes)
+	return ex.finishJoin(n.Type == sql.JoinLeft, left, right, combined, lsel, rsel, residual)
+}
+
+// probeJoin returns the key-matched pairs in probe-row order at any worker
+// count: workers pull probe-side morsels and buffer their pairs per morsel,
+// and the buffers concatenate in morsel order.
+func (ex *executor) probeJoin(leftVecs, rightVecs []*Vec, leftN, rightN int, modes []keyMode) (lsel, rsel []int32, err error) {
+	jt, err := ex.buildJoinIndex(rightVecs, rightN, modes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Morsel probe: workers pull probe-side morsels and buffer their matched
-	// pairs (and unmatched left rows) per morsel; the buffers concatenate in
-	// morsel order, so the output is in probe-row order at any worker count.
-	type probeOut struct {
-		lsel, rsel, unmatched []int32
-	}
-	w := ex.workers(left.N)
-	outs := make([]probeOut, morselCount(left.N))
-	err = ex.runMorsels(left.N, w, func(wid, m, lo, hi int) error {
+	type probeOut struct{ lsel, rsel []int32 }
+	outs := make([]probeOut, morselCount(leftN))
+	err = ex.runMorsels(leftN, ex.workers(leftN), func(wid, m, lo, hi int) error {
 		var out probeOut
 		mp := getSel()
 		matches := *mp
 		for l := lo; l < hi; l++ {
 			matches = jt.probe(leftVecs, l, matches[:0])
-			if len(matches) == 0 {
-				if n.Type == sql.JoinLeft {
-					out.unmatched = append(out.unmatched, int32(l))
-				}
-				continue
-			}
 			for _, r := range matches {
 				out.lsel = append(out.lsel, int32(l))
 				out.rsel = append(out.rsel, r)
@@ -302,82 +292,84 @@ func (ex *executor) execJoin(n *opt.Join) (*RowSet, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pairs := 0
-	unmatched := 0
 	for i := range outs {
 		pairs += len(outs[i].lsel)
-		unmatched += len(outs[i].unmatched)
 	}
 	lsel = make([]int32, 0, pairs)
 	rsel = make([]int32, 0, pairs)
-	if unmatched > 0 {
-		leftUnmatched = make([]int32, 0, unmatched)
-	}
 	for i := range outs {
 		lsel = append(lsel, outs[i].lsel...)
 		rsel = append(rsel, outs[i].rsel...)
-		leftUnmatched = append(leftUnmatched, outs[i].unmatched...)
 	}
-	return ex.materializeJoin(left, right, combined, lsel, rsel, residual, leftUnmatched)
+	return lsel, rsel, nil
 }
 
-// materializeJoin gathers the matched pairs, applies residual predicates,
-// and appends zero-padded unmatched left rows for LEFT JOIN.
-func (ex *executor) materializeJoin(left, right *RowSet, schema Schema,
-	lsel, rsel []int32, residual []sql.Expr, leftUnmatched []int32) (*RowSet, error) {
+// finishJoin is every join's one finish. Of the candidate pairs (lsel[i],
+// rsel[i]) it keeps those the ON residual accepts; a LEFT join then emits
+// every left row that kept no pair, in left-row order, its right columns at
+// their type's zero value (the engine stores no NULL yet). Whether a left
+// row is padded is settled only after the residual, so a row whose key
+// matches all fail it is padded, not dropped.
+func (ex *executor) finishJoin(leftJoin bool, left, right *RowSet, schema Schema,
+	lsel, rsel []int32, residual []sql.Expr) (*RowSet, error) {
 
-	lpart := left.Gather(lsel)
-	rpart := right.Gather(rsel)
-	out := &RowSet{Schema: schema, Cols: append(lpart.Cols, rpart.Cols...), N: len(lsel)}
+	var cand *RowSet
 	if len(residual) > 0 {
 		fn, err := compileVec(opt.AndAll(residual), schema, ex.env)
 		if err != nil {
 			return nil, err
 		}
-		if out, err = ex.filterGather(out, out, fn); err != nil {
+		cand = joinRows(left, right, schema, lsel, rsel)
+		sels, err := ex.filterMorsels(fn, cand, ex.workers(cand.N))
+		k := 0 // compact the surviving pairs in place: sels ascend
+		for _, s := range sels {
+			if s == nil {
+				continue
+			}
+			for _, i := range *s {
+				lsel[k], rsel[k] = lsel[i], rsel[i]
+				k++
+			}
+			putSel(s)
+		}
+		if err != nil {
 			return nil, err
 		}
+		lsel, rsel = lsel[:k], rsel[:k]
 	}
-	if len(leftUnmatched) > 0 {
-		// LEFT JOIN unmatched rows: right columns are zero-valued (the
-		// engine stores no NULL bitmap; documented limitation).
-		lpad := left.Gather(leftUnmatched)
-		padCols := make([]Column, len(right.Cols))
-		for i := range right.Cols {
-			padCols[i] = NewColumn(right.Cols[i].Type)
-			for k := 0; k < len(leftUnmatched); k++ {
-				_ = padCols[i].Append(NullValue())
+	if leftJoin {
+		matched := make([]bool, left.N)
+		for _, l := range lsel {
+			matched[l] = true
+		}
+		for l, m := range matched {
+			if !m {
+				lsel = append(lsel, int32(l))
 			}
 		}
-		merged := &RowSet{Schema: schema, N: out.N + len(leftUnmatched)}
-		merged.Cols = make([]Column, len(schema))
-		for i := range schema {
-			var a, b Column
-			if i < len(left.Cols) {
-				a, b = out.Cols[i], lpad.Cols[i]
-			} else {
-				a, b = out.Cols[i], padCols[i-len(left.Cols)]
-			}
-			merged.Cols[i] = concatColumns(a, b)
-		}
-		return merged, nil
+	}
+	if cand != nil && cand.N == len(lsel) && len(rsel) == len(lsel) {
+		return cand, nil // the residual kept every pair and nothing is padded
+	}
+	out := joinRows(left, right, schema, lsel, rsel)
+	if c := ex.o.Counters; c != nil && cand != nil {
+		c.CellsGathered.Add(int64(out.N) * int64(len(out.Cols)))
 	}
 	return out, nil
 }
 
-func concatColumns(a, b Column) Column {
-	out := Column{Type: a.Type}
-	switch a.Type {
-	case TypeInt:
-		out.Ints = append(append([]int64(nil), a.Ints...), b.Ints...)
-	case TypeFloat:
-		out.Floats = append(append([]float64(nil), a.Floats...), b.Floats...)
-	case TypeString:
-		out.Strs = append(append([]string(nil), a.Strs...), b.Strs...)
-	case TypeBool:
-		out.Bools = append(append([]bool(nil), a.Bools...), b.Bools...)
+// joinRows gathers the join rows (lsel[i], rsel[i]). Rows past the end of
+// rsel, the LEFT join's padded ones, read the right columns' zero value.
+func joinRows(left, right *RowSet, schema Schema, lsel, rsel []int32) *RowSet {
+	out := &RowSet{Schema: schema, N: len(lsel), Cols: make([]Column, 0, len(schema))}
+	for i := range left.Cols {
+		out.Cols = append(out.Cols, left.Cols[i].Gather(lsel))
+	}
+	for i := range right.Cols {
+		out.Cols = append(out.Cols, right.Cols[i].gatherPadded(rsel, len(lsel)))
 	}
 	return out
 }

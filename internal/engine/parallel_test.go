@@ -238,24 +238,40 @@ var equivalenceQueries = []equivalenceCase{
 				func(f refFact, m refDim) bool { return f.val > 650 && f.grp == m.k },
 				func(f refFact, m refDim) []Value { return []Value{IntValue(f.id), StringValue(m.name)} })
 		}},
-	// Both WHERE conjuncts are single-table, so each filters its own scan:
-	// the join sees only the dim rows named above 'd250'.
+	// f.id < 20000 filters the preserved side's scan; d.name > 'd250' is
+	// over the padded side, so it filters the joined rows and drops every
+	// padded one (its name reads '').
 	{query: `SELECT f.id, d.name FROM facts f LEFT JOIN dim d ON f.grp = d.k WHERE f.id < 20000 AND d.name > 'd250'`,
-		want: func(d *refData) [][]Value {
+		want: func(d *refData) (out [][]Value) {
 			var left []refFact
 			for _, f := range d.facts {
 				if f.id < 20000 {
 					left = append(left, f)
 				}
 			}
-			var right []refDim
-			for _, m := range d.dims {
-				if m.name > "d250" {
-					right = append(right, m)
+			for _, row := range refJoin(&refData{facts: left, dims: d.dims}, true,
+				func(f refFact, m refDim) bool { return f.grp == m.k },
+				func(f refFact, m refDim) []Value { return []Value{IntValue(f.id), StringValue(m.name)} }) {
+				if row[1].S > "d250" {
+					out = append(out, row)
 				}
 			}
-			return refJoin(&refData{facts: left, dims: right}, true,
-				func(f refFact, m refDim) bool { return f.grp == m.k },
+			return out
+		}},
+	// The ON residual fails for some key-matched pairs: the hot key keeps
+	// one of its two dim rows, keys 100-250 keep none and are padded.
+	{query: `SELECT f.id, d.k, d.name FROM facts f LEFT JOIN dim d ON f.grp = d.k AND (d.name > 'd250' OR f.flag)`,
+		want: func(d *refData) [][]Value {
+			return refJoin(d, true,
+				func(f refFact, m refDim) bool { return f.grp == m.k && (m.name > "d250" || f.flag) },
+				func(f refFact, m refDim) []Value {
+					return []Value{IntValue(f.id), IntValue(m.k), StringValue(m.name)}
+				})
+		}},
+	{query: `SELECT f.id, d.name FROM facts f JOIN dim d ON f.grp = d.k AND d.name < 'd300' AND f.cat <> 'beta'`,
+		want: func(d *refData) [][]Value {
+			return refJoin(d, false,
+				func(f refFact, m refDim) bool { return f.grp == m.k && m.name < "d300" && f.cat != "beta" },
 				func(f refFact, m refDim) []Value { return []Value{IntValue(f.id), StringValue(m.name)} })
 		}},
 	{query: `SELECT count(*) AS n FROM facts f JOIN dim d ON f.grp = d.k AND f.cat = 'alpha'`,
@@ -543,8 +559,8 @@ func refDistinct(rows [][]Value) [][]Value {
 // refJoin is a nested-loop join of d.facts (left) with d.dims (right): every
 // pair on matches, in left-then-right row order. A LEFT join then appends
 // each left row no pair matched, in row order, with the right columns at
-// their zero values — how the engine stores NULL. The LEFT case is used with
-// a key-only ON: the reference does not model an ON residual under LEFT JOIN.
+// their zero values — how the engine stores NULL. on is the whole ON
+// condition, keys and residual alike.
 func refJoin(d *refData, leftJoin bool, on func(refFact, refDim) bool, emit func(refFact, refDim) []Value) [][]Value {
 	var out, unmatched [][]Value
 	for _, f := range d.facts {

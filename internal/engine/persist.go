@@ -50,19 +50,23 @@ type savedDB struct {
 	EpochStart int64
 }
 
-// buildSnapshot deep-copies the whole database under the commit barrier.
+// buildSnapshot captures the whole database under the commit barrier.
 func (db *DB) buildSnapshot() savedDB {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	return db.buildSnapshotLocked()
 }
 
-// buildSnapshotLocked assembles a deep copy of every table, the query log
-// and the covered LSN. The caller holds commitMu exclusively, so no
-// statement can commit between any two copies: the log, each table, and
-// cross-table state are captured at one instant (a torn snapshot whose log
-// and data disagree — or whose tables are from different moments — cannot
-// be produced).
+// buildSnapshotLocked assembles every table, a copy of the query log and
+// the covered LSN. The caller holds commitMu exclusively, so no statement
+// can commit between any two reads: the log, each table, and cross-table
+// state are captured at one instant (a torn snapshot whose log and data
+// disagree — or whose tables are from different moments — cannot be
+// produced). Tables are captured as column headers, current ones truncated
+// at the committed row count, and not copied: a committed row range is
+// never written again (appends land past it, UPDATE clones the column,
+// DELETE gathers a new one), so the snapshot can be encoded after the
+// barrier is released.
 func (db *DB) buildSnapshotLocked() savedDB {
 	db.logMu.Lock()
 	snap := savedDB{
@@ -87,15 +91,8 @@ func (db *DB) buildSnapshotLocked() savedDB {
 	for _, t := range tables {
 		t.mu.RLock()
 		st := savedTable{Name: t.Name, Schema: t.schema, Version: t.version, Retain: t.retain, Cols: t.currentLocked()}
-		for i := range st.Cols {
-			st.Cols[i] = copyColumn(st.Cols[i])
-		}
 		for _, h := range t.history {
-			hv := savedVersion{Version: h.version, Rows: h.rows, Cols: make([]Column, len(h.cols))}
-			for i := range h.cols {
-				hv.Cols[i] = copyColumn(h.cols[i])
-			}
-			st.History = append(st.History, hv)
+			st.History = append(st.History, savedVersion{Version: h.version, Rows: h.rows, Cols: h.cols})
 		}
 		t.mu.RUnlock()
 		snap.Tables = append(snap.Tables, st)
@@ -120,21 +117,6 @@ func (snap savedDB) encode(w io.Writer) error {
 // encoding happens after the barrier is released.
 func (db *DB) SaveSnapshot(w io.Writer) error {
 	return db.buildSnapshot().encode(w)
-}
-
-func copyColumn(c Column) Column {
-	out := Column{Type: c.Type}
-	switch c.Type {
-	case TypeInt:
-		out.Ints = append([]int64(nil), c.Ints...)
-	case TypeFloat:
-		out.Floats = append([]float64(nil), c.Floats...)
-	case TypeString:
-		out.Strs = append([]string(nil), c.Strs...)
-	case TypeBool:
-		out.Bools = append([]bool(nil), c.Bools...)
-	}
-	return out
 }
 
 // checkSavedCols validates decoded columns against a schema: count, types,

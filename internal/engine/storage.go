@@ -113,26 +113,30 @@ func (c *Column) Append(v Value) error {
 }
 
 // Gather returns a new column holding the selected rows.
-func (c *Column) Gather(sel []int32) Column {
+func (c *Column) Gather(sel []int32) Column { return c.gatherPadded(sel, len(sel)) }
+
+// gatherPadded returns an n-row column (n >= len(sel)) holding the selected
+// rows, then n-len(sel) zero values.
+func (c *Column) gatherPadded(sel []int32, n int) Column {
 	out := Column{Type: c.Type}
 	switch c.Type {
 	case TypeInt:
-		out.Ints = make([]int64, len(sel))
+		out.Ints = make([]int64, n)
 		for i, s := range sel {
 			out.Ints[i] = c.Ints[s]
 		}
 	case TypeFloat:
-		out.Floats = make([]float64, len(sel))
+		out.Floats = make([]float64, n)
 		for i, s := range sel {
 			out.Floats[i] = c.Floats[s]
 		}
 	case TypeString:
-		out.Strs = make([]string, len(sel))
+		out.Strs = make([]string, n)
 		for i, s := range sel {
 			out.Strs[i] = c.Strs[s]
 		}
 	case TypeBool:
-		out.Bools = make([]bool, len(sel))
+		out.Bools = make([]bool, n)
 		for i, s := range sel {
 			out.Bools[i] = c.Bools[s]
 		}

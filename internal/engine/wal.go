@@ -700,12 +700,14 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 
 // Checkpoint folds the write-ahead log into the snapshot: under the commit
 // barrier it frames the query-log tail (so the snapshot's LSN covers every
-// framed entry and replay never duplicates one), deep-copies the database
-// state and rotates the live log, then (outside the barrier) writes the
-// snapshot durably — temp file, fsync, atomic rename, directory fsync — and
-// retires every folded segment. A crash at any point leaves a recoverable directory: until the rename
-// lands, the old snapshot plus the rotated segments reconstruct the same
-// state; after it, replay skips the folded records by LSN.
+// framed entry and replay never duplicates one), captures the database
+// state (column headers, not copies: see buildSnapshotLocked) and rotates
+// the live log, then (outside the barrier) writes the snapshot durably —
+// temp file, fsync, atomic rename, directory fsync — and retires every
+// folded segment. A crash at any point leaves a recoverable directory:
+// until the rename lands, the old snapshot plus the rotated segments
+// reconstruct the same state; after it, replay skips the folded records by
+// LSN.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()

@@ -94,6 +94,9 @@ type Scan struct {
 	// tableCols is the catalog's column list at plan time, kept so that the
 	// prune pass can spell Cols in table order without a second lookup.
 	tableCols []string
+	// padded marks a LEFT join's right (null-supplying) side: a WHERE
+	// conjunct over it must see the padded rows, so it filters above the join.
+	padded bool
 }
 
 // Filter applies residual conjuncts.

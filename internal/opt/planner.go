@@ -444,7 +444,7 @@ func (p *planner) planFrom(from []sql.FromItem) (Node, []*Scan, error) {
 			if alias == "" {
 				alias = f.Table
 			}
-			sc := &Scan{Table: f.Table, Alias: alias, Version: f.Version, tableCols: cols}
+			sc := &Scan{Table: f.Table, Alias: alias, Version: f.Version, tableCols: cols, padded: f.Join == sql.JoinLeft}
 			scans = append(scans, sc)
 			item = sc
 		}
@@ -461,9 +461,11 @@ func (p *planner) planFrom(from []sql.FromItem) (Node, []*Scan, error) {
 	return node, scans, nil
 }
 
-// scanFor returns the single scan a conjunct can be pushed into, or nil.
+// scanFor returns the single scan a conjunct can be pushed into, or nil. A
+// LEFT join's right side is never one (Scan.padded).
 func (p *planner) scanFor(c sql.Expr, scans []*Scan) *Scan {
 	quals := qualifiers(c)
+	var sc *Scan
 	if len(scans) == 1 {
 		// Single table: bare and alias-qualified refs all resolve to it.
 		for q := range quals {
@@ -471,24 +473,19 @@ func (p *planner) scanFor(c sql.Expr, scans []*Scan) *Scan {
 				return nil
 			}
 		}
-		return scans[0]
-	}
-	if len(quals) != 1 {
-		return nil
-	}
-	var q string
-	for k := range quals {
-		q = k
-	}
-	if q == "" {
-		return nil // ambiguous bare reference with multiple tables
-	}
-	for _, sc := range scans {
-		if sc.Alias == q || sc.Table == q {
-			return sc
+		sc = scans[0]
+	} else if len(quals) == 1 && !quals[""] { // a bare reference is ambiguous
+		for _, s := range scans {
+			if quals[s.Alias] || quals[s.Table] {
+				sc = s
+				break
+			}
 		}
 	}
-	return nil
+	if sc == nil || sc.padded {
+		return nil
+	}
+	return sc
 }
 
 // stripQualifier rewrites alias-qualified references into bare ones for
@@ -647,8 +644,9 @@ func (p *planner) compressModels(calls []*predictCall) {
 }
 
 // attachJoinCondition tries to attach an equality conjunct as the ON
-// condition of the lowest join whose two sides cover the conjunct's
-// qualifiers. Returns true when attached.
+// condition of the lowest inner join whose two sides cover the conjunct's
+// qualifiers. Returns true when attached. A LEFT join's ON never takes a
+// WHERE conjunct: there it would pad the rows it should drop.
 func attachJoinCondition(root Node, c sql.Expr) bool {
 	b, ok := c.(*sql.Binary)
 	if !ok || b.Op != "=" {
@@ -697,6 +695,9 @@ func attachJoinCondition(root Node, c sql.Expr) bool {
 		// Prefer the deepest applicable join.
 		if attach(j.Left) {
 			return true
+		}
+		if j.Type == sql.JoinLeft {
+			return false
 		}
 		l0, r0 := covers(j.Left, want[0]), covers(j.Right, want[1])
 		l1, r1 := covers(j.Left, want[1]), covers(j.Right, want[0])
