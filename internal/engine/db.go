@@ -55,10 +55,12 @@ type DB struct {
 	walSync   bool // the fsync policy OpenDirDB attached the WAL with (ReopenWAL reuses it)
 	replayLSN int64
 	ckptMu    sync.Mutex
-	// walHorizon is the highest LSN folded into the on-disk snapshot:
-	// frames at or below it are no longer on disk, so log shipping from
-	// below the horizon must bootstrap from the snapshot instead. Guarded
-	// by ckptMu (every writer holds it; OpenDirDB writes pre-publication).
+	// snapLSN is the LSN the on-disk snapshot covers. walHorizon is the
+	// LSN before the oldest frame still on disk — the previous snapshot's,
+	// since a checkpoint keeps one interval of log: log shipping from below
+	// the horizon must bootstrap from the snapshot instead. Both guarded by
+	// ckptMu (every writer holds it; OpenDirDB writes pre-publication).
+	snapLSN    int64
 	walHorizon int64
 	// replica, when non-nil, marks this database a read-only replica: local
 	// writes fail with ErrReadOnly and the only accepted mutations are

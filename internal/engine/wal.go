@@ -185,7 +185,33 @@ type WAL struct {
 	durableSynced   int64 // durable records covered by completed fsyncs
 	groupSyncs      int64 // completed group-commit fsyncs
 	groupRecords    int64 // durable records those fsyncs covered
+
+	// idx locates every frame of the live file and segs those of the
+	// rotated segments not yet retired, oldest first, so the log shipper
+	// reads a batch as one byte range instead of decoding its way to the
+	// follower's LSN. Every WAL file on disk was written by this process
+	// (OpenDirDB and rebases fold and retire whatever they find), so the
+	// index is never rebuilt from disk and never persisted.
+	idx  walIndex
+	segs []walIndex
 }
+
+// walIndex locates the frames of one WAL file: frame base+i+1 (its 8-byte
+// header, then its payload) occupies bytes [offs[i], offs[i+1]), so the
+// last entry of offs is the end of the last indexed frame. Offsets are
+// only ever appended, so a copy taken under w.mu stays valid to read
+// while later appends extend the live index.
+type walIndex struct {
+	path string
+	base int64 // the LSN before the file's first frame
+	offs []int64
+}
+
+// last is the LSN of the file's last indexed frame (base when empty).
+func (x *walIndex) last() int64 { return x.base + int64(len(x.offs)-1) }
+
+// payloadLen is the payload length of the k-th indexed frame.
+func (x *walIndex) payloadLen(k int64) int64 { return x.offs[k+1] - x.offs[k] - frameHeaderLen }
 
 // createWAL creates (truncating) a fresh log file whose next record gets
 // LSN startLSN+1.
@@ -207,7 +233,9 @@ func createWAL(path string, syncPolicy bool, startLSN int64) (*WAL, error) {
 			return nil, fmt.Errorf("engine: wal: %w", err)
 		}
 	}
-	w := &WAL{f: f, path: path, sync: syncPolicy, lsn: startLSN, syncedLSN: startLSN, size: int64(len(walHeader))}
+	size := int64(len(walHeader))
+	w := &WAL{f: f, path: path, sync: syncPolicy, lsn: startLSN, syncedLSN: startLSN, size: size,
+		idx: walIndex{path: path, base: startLSN, offs: []int64{size}}}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -253,6 +281,7 @@ func (w *WAL) appendFrame(rec *WALRecord, durable bool) (int64, error) {
 	w.lsn++
 	rec.LSN = w.lsn
 	w.size += int64(frameHeaderLen + buf.Len())
+	w.idx.offs = append(w.idx.offs, w.size)
 	if durable {
 		w.durableAppended++
 	}
@@ -404,17 +433,33 @@ func (w *WAL) rotate() (segment string, err error) {
 		// fresh log there is nothing to append to.
 		return "", w.poisonLocked(fmt.Errorf("engine: wal rotate: %w", err))
 	}
+	w.idx.path = segment
+	w.segs = append(w.segs, w.idx)
 	nw, err := createWAL(w.path, w.sync, w.lsn)
 	if err != nil {
 		return "", w.poisonLocked(fmt.Errorf("engine: wal rotate: %w", err))
 	}
-	w.f, w.size = nw.f, nw.size
+	w.f, w.size, w.idx = nw.f, nw.size, nw.idx
 	// The pre-rotation Sync covered every frame in the old file.
 	w.syncedLSN = w.lsn
 	w.durableSynced = w.durableAppended
 	w.cond.Broadcast()
 	w.notifyLocked()
 	return segment, nil
+}
+
+// dropSegments forgets the index of every rotated segment whose frames
+// all lie at or below upTo — the in-memory half of retireWAL.
+func (w *WAL) dropSegments(upTo int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	keep := w.segs[:0]
+	for _, s := range w.segs {
+		if s.last() > upTo {
+			keep = append(keep, s)
+		}
+	}
+	w.segs = keep
 }
 
 func (w *WAL) close() error {
@@ -486,6 +531,11 @@ func OpenDirDB(dir string, syncWAL bool) (*DB, RecoveryInfo, error) {
 		return nil, info, err
 	}
 	for i, path := range files {
+		if lsn, ok := segLSN(filepath.Base(path)); ok && lsn <= db.replayLSN {
+			// The snapshot covers the whole segment (a checkpoint keeps the
+			// interval it folded until the next one): nothing to apply.
+			continue
+		}
 		applied, skipped, torn, err := db.replayWALFile(path)
 		if err != nil {
 			return nil, info, fmt.Errorf("engine: replaying %s: %w", path, err)
@@ -526,6 +576,7 @@ func OpenDirDB(dir string, syncWAL bool) (*DB, RecoveryInfo, error) {
 	// snapshot (or by nothing, on a fresh directory where info.LSN is 0):
 	// that is the shipping horizon until the next checkpoint moves it.
 	db.walHorizon = info.LSN
+	db.snapLSN = info.LSN
 	// A directory that never recorded an epoch (fresh, or written before
 	// epochs existed) starts at generation 1; a directory that lived through
 	// a promotion recovered its epoch from the snapshot or a WALEpoch frame.
@@ -596,9 +647,9 @@ func (db *DB) ReplayWAL(r io.Reader) (applied, skipped int, torn bool, err error
 	return applied, skipped, torn, err
 }
 
-// readWAL is the one reader of WAL files, shared by boot replay and the
-// log shipper: it checks the header, then hands each intact frame's decoded
-// record and raw payload to fn. It reports whether the stream ended in a
+// readWAL is boot replay's reader of WAL files (the log shipper reads by
+// the WAL's frame index instead, see ReadWALSince): it checks the header,
+// then hands each intact frame's decoded record and raw payload to fn. It reports whether the stream ended in a
 // torn frame; an empty or torn header reads as a torn empty log (nothing
 // was ever logged).
 func readWAL(r io.Reader, fn func(rec *WALRecord, payload []byte) error) (torn bool, err error) {
@@ -703,16 +754,19 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 // framed entry and replay never duplicates one), captures the database
 // state (column headers, not copies: see buildSnapshotLocked) and rotates
 // the live log, then (outside the barrier) writes the snapshot durably —
-// temp file, fsync, atomic rename, directory fsync — and retires every
-// folded segment. A crash at any point leaves a recoverable directory:
-// until the rename lands, the old snapshot plus the rotated segments
-// reconstruct the same state; after it, replay skips the folded records by
-// LSN.
+// temp file, fsync, atomic rename, directory fsync — and retires the
+// segments the previous snapshot folded. The segments this checkpoint
+// folded stay one more interval, so a follower that lags by less than one
+// checkpoint interval catches up from the log instead of bootstrapping. A
+// crash at any point leaves a recoverable directory: until the rename
+// lands, the old snapshot plus the rotated segments reconstruct the same
+// state; after it, replay skips the folded records by LSN.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	db.commitMu.Lock()
-	if db.wal == nil || db.durDir == "" {
+	w := db.wal
+	if w == nil || db.durDir == "" {
 		db.commitMu.Unlock()
 		return fmt.Errorf("engine: Checkpoint requires a database opened with OpenDirDB")
 	}
@@ -721,7 +775,7 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	snap := db.buildSnapshotLocked()
-	_, err := db.wal.rotate()
+	_, err := w.rotate()
 	db.commitMu.Unlock()
 	if err != nil {
 		// A failed rotation poisons the WAL (the live file may already be
@@ -733,13 +787,16 @@ func (db *DB) Checkpoint() error {
 	if err := writeFileDurable(filepath.Join(db.durDir, snapshotFile), "snapshot", snap.encode); err != nil {
 		return err
 	}
-	// Frames at or below snap.LSN are folded: followers behind this point
-	// must bootstrap from the snapshot instead (ckptMu is held throughout,
-	// so no ReadWALSince can observe the horizon ahead of the retirement).
-	db.walHorizon = snap.LSN
-	// The snapshot covers every rotated segment (snap.LSN >= their records);
-	// the live log holds only newer commits and stays.
-	return retireWAL(db.durDir, snap.LSN)
+	// Frames at or below the previous snapshot's LSN leave the log:
+	// followers behind that point must bootstrap from the snapshot instead
+	// (ckptMu is held throughout, so no ReadWALSince can observe the horizon
+	// ahead of the retirement). The live log holds only newer commits and
+	// stays.
+	prev := db.snapLSN
+	db.snapLSN = snap.LSN
+	db.walHorizon = prev
+	w.dropSegments(prev)
+	return retireWAL(db.durDir, prev)
 }
 
 // rebaseLocked makes a freshly published snapshot the data directory's
@@ -784,6 +841,7 @@ func (db *DB) rebaseLocked(lsn int64, point string, write func(io.Writer) error,
 	db.retiredWAL = nil
 	db.replayLSN = lsn
 	db.walHorizon = lsn
+	db.snapLSN = lsn
 	db.degraded.Store(nil)
 	return nil
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -151,96 +153,126 @@ func (db *DB) SyncWALTo(lsn int64) error {
 	return err
 }
 
-// WALHorizon reports the lowest LSN still readable from disk + 1's
-// predecessor: frames with LSN <= horizon were folded into the snapshot and
-// are gone. A follower behind the horizon must bootstrap from the snapshot.
+// WALHorizon reports the LSN before the oldest frame still on disk: frames
+// with LSN <= horizon were folded into a snapshot and are gone. A checkpoint
+// keeps one interval of log, so the horizon trails the snapshot's LSN by
+// one checkpoint. A follower behind the horizon must bootstrap from the
+// snapshot.
 func (db *DB) WALHorizon() int64 {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	return db.walHorizon
 }
 
-// errStopRead is the internal sentinel that ends a bounded ReadWALSince
-// scan early (watermark or byte budget reached).
-var errStopRead = errors.New("engine: stop wal read")
+// SnapshotLSN reports the LSN the on-disk snapshot covers: where a follower
+// that bootstraps from it lands.
+func (db *DB) SnapshotLSN() int64 {
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	return db.snapLSN
+}
 
 // ReadWALSince streams committed, durable WAL frames with LSNs in
 // (fromLSN, DurableLSN()] to fn in order, stopping after ~maxBytes of
 // payload (at least one frame is always delivered when available). It
 // returns the last LSN delivered and the durable watermark observed.
 //
+// One call reads from one file: the WAL's in-memory frame index locates
+// frame fromLSN+1, and the batch — up to the durable watermark, the end of
+// that file or the byte budget — is read as one byte range. Nothing is
+// decoded and no frame at or below fromLSN is touched, so a call costs
+// O(frames shipped), not O(log retained); a caller pages on from the
+// returned LSN.
+//
 // fn receives the raw frame payload (the gob-encoded record, exactly the
-// bytes on disk) and must not block: the scan holds the checkpoint lock so
+// bytes on disk) and must not block: the read holds the checkpoint lock so
 // rotation cannot retire a segment mid-read — buffer, then transmit.
 //
 // A fromLSN older than the horizon returns ErrWALTruncated (the frames were
-// folded into the snapshot; ship the snapshot instead). A gap or a tear
-// anywhere below the durable watermark is corruption and errors loudly.
+// folded into the snapshot; ship the snapshot instead). A short read, a
+// length that disagrees with the index, or a CRC mismatch below the durable
+// watermark is corruption and errors loudly.
 func (db *DB) ReadWALSince(fromLSN int64, maxBytes int, fn func(lsn int64, payload []byte) error) (last int64, durable int64, err error) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	if db.durDir == "" {
 		return 0, 0, fmt.Errorf("engine: ReadWALSince requires a database opened with OpenDirDB")
 	}
-	durable = db.DurableLSN()
+	db.commitMu.RLock()
+	w := db.wal
+	if w == nil {
+		w = db.retiredWAL // closed, but its files are still on disk
+	}
+	durable, x, found := w.locate(fromLSN)
+	db.commitMu.RUnlock()
 	if fromLSN < db.walHorizon {
 		return 0, durable, fmt.Errorf("%w (from %d, horizon %d)", ErrWALTruncated, fromLSN, db.walHorizon)
 	}
 	if fromLSN >= durable {
 		return fromLSN, durable, nil
 	}
-	files, err := walFilesInOrder(db.durDir)
+	if !found {
+		return fromLSN, durable, fmt.Errorf("engine: no retained wal file holds LSN %d (horizon %d, durable %d)", fromLSN+1, db.walHorizon, durable)
+	}
+
+	// Frames first..end-1 of x (LSNs x.base+first+1 ...) make the batch.
+	first := fromLSN - x.base
+	limit := min(durable, x.last()) - x.base
+	end := first + 1
+	for sent := x.payloadLen(first); end < limit; end++ {
+		n := x.payloadLen(end)
+		if sent+n > int64(maxBytes) {
+			break
+		}
+		sent += n
+	}
+	buf := make([]byte, x.offs[end]-x.offs[first])
+	f, err := os.Open(x.path)
 	if err != nil {
-		return 0, durable, err
+		return fromLSN, durable, err
+	}
+	_, err = f.ReadAt(buf, x.offs[first])
+	_ = f.Close()
+	if err != nil {
+		return fromLSN, durable, fmt.Errorf("engine: reading frames %d..%d of %s: %w", x.base+first+1, x.base+end, x.path, err)
 	}
 	last = fromLSN
-	expect := fromLSN + 1
-	sentBytes := 0
-	for _, path := range files {
-		if lsn, ok := segLSN(filepath.Base(path)); ok && lsn <= fromLSN {
-			continue // the whole segment predates the request
+	for k := first; k < end; k++ {
+		frame := buf[x.offs[k]-x.offs[first] : x.offs[k+1]-x.offs[first]]
+		payload := frame[frameHeaderLen:]
+		lsn := x.base + k + 1
+		if n := binary.LittleEndian.Uint32(frame[0:4]); int64(n) != int64(len(payload)) {
+			return last, durable, fmt.Errorf("engine: wal frame %d in %s: length %d, index says %d (corrupt log)", lsn, x.path, n, len(payload))
 		}
-		f, err := os.Open(path)
-		if err != nil {
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
+			return last, durable, fmt.Errorf("engine: wal frame %d in %s fails its CRC (corrupt log)", lsn, x.path)
+		}
+		if err := fn(lsn, payload); err != nil {
 			return last, durable, err
 		}
-		// A torn tail ends the file silently: frames past the durable
-		// watermark may legitimately be mid-append.
-		_, err = readWAL(f, func(rec *WALRecord, payload []byte) error {
-			if rec.LSN <= fromLSN {
-				return nil
-			}
-			if rec.LSN > durable {
-				return errStopRead
-			}
-			if rec.LSN != expect {
-				return fmt.Errorf("engine: wal gap: frame %d after %d", rec.LSN, expect-1)
-			}
-			if sentBytes > 0 && sentBytes+len(payload) > maxBytes {
-				return errStopRead
-			}
-			if err := fn(rec.LSN, payload); err != nil {
-				return err
-			}
-			last = rec.LSN
-			expect++
-			sentBytes += len(payload)
-			return nil
-		})
-		_ = f.Close()
-		if errors.Is(err, errStopRead) {
-			return last, durable, nil
-		}
-		if err != nil {
-			return last, durable, fmt.Errorf("engine: reading %s: %w", path, err)
-		}
-	}
-	if last < durable {
-		// Every file was scanned yet durable frames are missing: the
-		// directory lost data (a torn or deleted segment mid-sequence).
-		return last, durable, fmt.Errorf("engine: wal ends at %d but the durable watermark is %d (missing frames)", last, durable)
+		last = lsn
 	}
 	return last, durable, nil
+}
+
+// locate reports the durable watermark and the index of the file holding
+// frame from+1 (found is false when no retained file does).
+func (w *WAL) locate(from int64) (durable int64, x walIndex, found bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	durable = w.syncedLSN
+	if !w.sync {
+		durable = w.lsn
+	}
+	for _, s := range w.segs {
+		if from >= s.base && from < s.last() {
+			return durable, s, true
+		}
+	}
+	if from >= w.idx.base && from < w.idx.last() {
+		return durable, w.idx, true
+	}
+	return durable, walIndex{}, false
 }
 
 // SnapshotForShip returns the on-disk snapshot (the follower bootstrap
@@ -263,7 +295,7 @@ func (db *DB) SnapshotForShip() ([]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return blob, db.walHorizon, nil
+	return blob, db.snapLSN, nil
 }
 
 // AppliedLSN reports the highest LSN applied on a replica (== its WAL
@@ -419,6 +451,7 @@ func (w *WAL) appendRaw(payload []byte, lsn int64) error {
 	}
 	w.lsn = lsn
 	w.size += int64(frameHeaderLen + len(payload))
+	w.idx.offs = append(w.idx.offs, w.size)
 	w.durableAppended++
 	if !w.sync {
 		w.notifyLocked()

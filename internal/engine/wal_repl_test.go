@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // rotateWAL forces a segment rotation without a checkpoint, producing the
@@ -93,9 +96,12 @@ func TestReadWALSinceOffsets(t *testing.T) {
 	}
 }
 
-// TestReadWALSinceTruncated pins the horizon contract: after a checkpoint
-// folds frames into the snapshot, reading from below the horizon reports
-// ErrWALTruncated (bootstrap needed) while reading from the horizon works.
+// TestReadWALSinceTruncated pins the horizon contract: a checkpoint keeps
+// one interval of log, so after the first checkpoint the whole history is
+// still readable; after the second, reading from below the horizon (the
+// first snapshot's LSN) reports ErrWALTruncated (bootstrap needed) while
+// reading from the horizon works, and the shipped snapshot covers the
+// second checkpoint.
 func TestReadWALSinceTruncated(t *testing.T) {
 	dir := t.TempDir()
 	db, _, err := OpenDirDB(dir, false)
@@ -110,28 +116,41 @@ func TestReadWALSinceTruncated(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	first := db.LastLSN()
+	if h := db.WALHorizon(); h != 0 {
+		t.Fatalf("horizon %d after the first checkpoint, want 0 (one interval of log kept)", h)
+	}
+	mustExec(t, db, "INSERT INTO kv VALUES (98)")
+	if lsns, _ := collectSince(t, db, 0, 1<<20); int64(len(lsns)) != db.DurableLSN() {
+		t.Fatalf("read from 0 after one checkpoint returned %d frames, want %d", len(lsns), db.DurableLSN())
+	}
+
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	second := db.LastLSN()
 	horizon := db.WALHorizon()
-	if horizon == 0 {
-		t.Fatal("horizon still 0 after checkpoint")
+	if horizon != first {
+		t.Fatalf("horizon %d after the second checkpoint, want the first snapshot's LSN %d", horizon, first)
 	}
 	mustExec(t, db, "INSERT INTO kv VALUES (99)")
 
-	_, _, err = db.ReadWALSince(0, 1<<20, func(int64, []byte) error { return nil })
+	_, _, err = db.ReadWALSince(horizon-1, 1<<20, func(int64, []byte) error { return nil })
 	if !errors.Is(err, ErrWALTruncated) {
 		t.Fatalf("read below horizon: got %v, want ErrWALTruncated", err)
 	}
 	lsns, _ := collectSince(t, db, horizon, 1<<20)
-	if len(lsns) == 0 {
-		t.Fatal("read from horizon returned nothing")
+	if int64(len(lsns)) != db.DurableLSN()-horizon {
+		t.Fatalf("read from horizon returned %d frames, want %d", len(lsns), db.DurableLSN()-horizon)
 	}
 
-	// A snapshot now exists and covers exactly the horizon.
+	// The snapshot covers the second checkpoint, not the horizon.
 	blob, snapLSN, err := db.SnapshotForShip()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapLSN != horizon {
-		t.Fatalf("snapshot LSN %d != horizon %d", snapLSN, horizon)
+	if snapLSN != second {
+		t.Fatalf("snapshot LSN %d, want the second checkpoint's %d", snapLSN, second)
 	}
 	if len(blob) == 0 {
 		t.Fatal("empty snapshot blob")
@@ -246,8 +265,8 @@ func TestReplicaApplyRoundTrip(t *testing.T) {
 }
 
 // TestBootstrapReplicaFromSnapshot covers the behind-the-horizon path: a
-// fresh replica cannot read from LSN 0 after the leader checkpointed, so
-// it rebases onto the shipped snapshot and tails the rest of the log.
+// fresh replica cannot read from LSN 0 after the leader checkpointed twice,
+// so it rebases onto the shipped snapshot and tails the rest of the log.
 func TestBootstrapReplicaFromSnapshot(t *testing.T) {
 	leader, _, err := OpenDirDB(t.TempDir(), false)
 	if err != nil {
@@ -258,8 +277,12 @@ func TestBootstrapReplicaFromSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustExec(t, leader, fmt.Sprintf("INSERT INTO kv VALUES (%d)", i))
 	}
-	if err := leader.Checkpoint(); err != nil {
-		t.Fatal(err)
+	// Two checkpoints: the first keeps its interval of log, the second
+	// retires it.
+	for round := 0; round < 2; round++ {
+		if err := leader.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 10; i < 15; i++ {
 		mustExec(t, leader, fmt.Sprintf("INSERT INTO kv VALUES (%d)", i))
@@ -505,4 +528,368 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		dup = append(dup, b...) // stale duplicated segment at the tail
 	}
 	write("multiseg_dup", dup)
+}
+
+// walFrame is one frame as the sequential reference reader sees it.
+type walFrame struct {
+	file    string
+	lsn     int64
+	payload []byte
+}
+
+// sequentialFrames reads every intact frame of dir's WAL files oldest-first
+// with the boot-replay reader (walFilesInOrder + readWAL, decoding each
+// record for its LSN): the reference ReadWALSince's indexed reads must
+// agree with.
+func sequentialFrames(t testing.TB, dir string) []walFrame {
+	t.Helper()
+	files, err := walFilesInOrder(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []walFrame
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = readWAL(f, func(rec *WALRecord, payload []byte) error {
+			out = append(out, walFrame{file: path, lsn: rec.LSN, payload: append([]byte(nil), payload...)})
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatalf("reading %s: %v", path, err)
+		}
+	}
+	return out
+}
+
+// referenceSince is the batch ReadWALSince must return for (from,
+// maxBytes): the frames past from in the file holding from+1, up to
+// durable, at least one and then as many as the payload budget fits.
+func referenceSince(frames []walFrame, from, durable int64, maxBytes int) []walFrame {
+	var out []walFrame
+	sent := 0
+	for _, fr := range frames {
+		if fr.lsn <= from {
+			continue
+		}
+		if fr.lsn > durable || (len(out) > 0 && (fr.file != out[0].file || sent+len(fr.payload) > maxBytes)) {
+			break
+		}
+		out = append(out, fr)
+		sent += len(fr.payload)
+	}
+	return out
+}
+
+// checkReaderMatchesSequential asserts, for every from in [horizon,
+// durable] and every budget — including one the first two frames fill
+// exactly — that one ReadWALSince call delivers exactly the reference
+// batch (LSNs and payload bytes) and reports its last LSN.
+func checkReaderMatchesSequential(t *testing.T, layout string, db *DB, dir string) {
+	t.Helper()
+	frames := sequentialFrames(t, dir)
+	horizon, durable := db.WALHorizon(), db.DurableLSN()
+	if len(frames) == 0 || frames[0].lsn != horizon+1 || frames[len(frames)-1].lsn < durable {
+		t.Fatalf("%s: sequential reader sees %d frames; want %d..%d", layout, len(frames), horizon+1, durable)
+	}
+	const exactFit = -1
+	for _, b := range []int{1, 4096, 1 << 30, exactFit} {
+		for from := horizon; from <= durable; from++ {
+			budget := b
+			if b == exactFit {
+				budget = 0
+				for i, fr := range referenceSince(frames, from, durable, 1<<30) {
+					if i < 2 {
+						budget += len(fr.payload)
+					}
+				}
+			}
+			var got []walFrame
+			last, d, err := db.ReadWALSince(from, budget, func(lsn int64, payload []byte) error {
+				got = append(got, walFrame{lsn: lsn, payload: append([]byte(nil), payload...)})
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: ReadWALSince(%d, %d): %v", layout, from, budget, err)
+			}
+			want := referenceSince(frames, from, durable, budget)
+			if d != durable || len(got) != len(want) || last != from+int64(len(want)) {
+				t.Fatalf("%s: ReadWALSince(%d, %d): %d frames to %d (durable %d), want %d frames (durable %d)",
+					layout, from, budget, len(got), last, d, len(want), durable)
+			}
+			for i := range want {
+				if got[i].lsn != want[i].lsn || !bytes.Equal(got[i].payload, want[i].payload) {
+					t.Fatalf("%s: ReadWALSince(%d, %d): frame %d is LSN %d, want LSN %d with the same bytes",
+						layout, from, budget, i, got[i].lsn, want[i].lsn)
+				}
+			}
+		}
+	}
+}
+
+// TestReadWALSinceMatchesSequentialReader is the indexed reader's
+// differential: over rotated segments kept across checkpoints, after a
+// failed append the WAL rewound, and on a replica log built by appendRaw,
+// every batch equals the one a sequential decode of the directory gives.
+// The layouts build on one another, in order.
+func TestReadWALSinceMatchesSequentialReader(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	db, _, err := OpenDirDB(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseDurability()
+	mustExec(t, db, "CREATE TABLE kv (id int, v text)")
+	row := 0
+	insert := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			// Payloads of varied size, so the 4096-byte budget cuts batches
+			// at different frame counts.
+			mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, '%s')", row, strings.Repeat("x", row*37%900)))
+			row++
+		}
+	}
+
+	// Segments across checkpoints: the second checkpoint retires the
+	// first's interval, so the horizon is past 0.
+	insert(12)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(8)
+	mustExec(t, db, "UPDATE kv SET v = 'y' WHERE id < 4") // a whole-table WALReplace frame
+	rotateWAL(t, db)
+	insert(8)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(6)
+	if db.WALHorizon() == 0 {
+		t.Fatal("horizon still 0: the layout has no retired interval")
+	}
+	checkReaderMatchesSequential(t, "segments across checkpoints", db, dir)
+
+	// A failed append the WAL rewound: tear the second write of the next
+	// append (a frame's payload), so half of it reaches the file first.
+	fault.Enable("wal.write", fault.Spec{Count: 1, Partial: true, After: 1})
+	_, _ = db.Exec("INSERT INTO kv VALUES (-1, 'torn')")
+	if fault.Triggered("wal.write") != 1 {
+		t.Fatal("the wal.write failpoint never fired")
+	}
+	fault.Reset()
+	if down, reason := db.Degraded(); down {
+		t.Fatalf("a rewound append degraded the database: %s", reason)
+	}
+	insert(5)
+	checkReaderMatchesSequential(t, "rewound failed append", db, dir)
+
+	// A replica's log, built by appendRaw across a rotation.
+	rdir := t.TempDir()
+	replica, _, err := OpenDirDB(rdir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.CloseDurability()
+	replica.SetReplicaMode("test-leader")
+	blob, _, err := db.SnapshotForShip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.BootstrapReplica(blob); err != nil {
+		t.Fatal(err)
+	}
+	_, payloads := collectSince(t, db, replica.AppliedLSN(), 1<<30)
+	for i, p := range payloads {
+		if _, err := replica.ApplyReplicated(p); err != nil {
+			t.Fatal(err)
+		}
+		if i == len(payloads)/2 {
+			rotateWAL(t, replica)
+		}
+	}
+	checkReaderMatchesSequential(t, "replica log built by appendRaw", replica, rdir)
+}
+
+// TestReadWALSinceDetectsCorruption: a flipped payload byte or length
+// field below the durable watermark, or a file cut short under it, errors
+// loudly — and a read starting past the damaged frame never touches it.
+func TestReadWALSinceDetectsCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, path string, off int64)
+	}{
+		{"payload byte", func(t *testing.T, path string, off int64) { flipByte(t, path, off+frameHeaderLen+2) }},
+		{"length field", func(t *testing.T, path string, off int64) { flipByte(t, path, off) }},
+		{"short file", func(t *testing.T, path string, off int64) {
+			if err := os.Truncate(path, off+frameHeaderLen+1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, _, err := OpenDirDB(t.TempDir(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.CloseDurability()
+			mustExec(t, db, "CREATE TABLE kv (id int)")
+			for i := 0; i < 10; i++ {
+				mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d)", i))
+			}
+			rotateWAL(t, db)
+			mustExec(t, db, "INSERT INTO kv VALUES (10)")
+
+			seg := db.wal.segs[0]
+			const k = 5 // damage frame seg.base+k+1
+			tc.damage(t, seg.path, seg.offs[k])
+			if _, _, err := db.ReadWALSince(seg.base+k, 1<<20, func(int64, []byte) error { return nil }); err == nil {
+				t.Fatal("read over a damaged frame below the durable watermark succeeded")
+			}
+			if tc.name == "short file" {
+				return // every later frame of the segment is gone too
+			}
+			lsns, _ := collectSince(t, db, seg.base+k+1, 1<<20)
+			if want := db.DurableLSN() - (seg.base + k + 1); int64(len(lsns)) != want {
+				t.Fatalf("read past the damaged frame returned %d frames, want %d", len(lsns), want)
+			}
+		})
+	}
+}
+
+// flipByte inverts one byte of the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadWALSinceUnderConcurrentCommits runs two tailing readers against
+// concurrent commits and checkpoints (the -race focus): every frame a
+// reader receives decodes to the LSN it was delivered under, positions
+// advance without gaps, and a reader the horizon passed resumes from the
+// snapshot, as a bootstrapping follower would.
+func TestReadWALSinceUnderConcurrentCommits(t *testing.T) {
+	db, _, err := OpenDirDB(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseDurability()
+	mustExec(t, db, "CREATE TABLE kv (id int, v int)")
+
+	const writers, rounds = 3, 40
+	var writes, readers sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writes.Add(1)
+		go func(w int) {
+			defer writes.Done()
+			for i := 0; i < rounds; i++ {
+				q := fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", w*rounds+i, i)
+				if i%10 == 9 {
+					q = fmt.Sprintf("UPDATE kv SET v = v + 1 WHERE id = %d", w*rounds)
+				}
+				if _, err := db.Exec(q); err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+			}
+		}(w)
+	}
+	writes.Add(1)
+	go func() {
+		defer writes.Done()
+		for i := 0; i < 6; i++ {
+			if err := db.Checkpoint(); err != nil {
+				t.Errorf("checkpoint: %v", err)
+			}
+		}
+	}()
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(budget int) {
+			defer readers.Done()
+			pos := int64(0)
+			for {
+				last, durable, err := db.ReadWALSince(pos, budget, func(lsn int64, payload []byte) error {
+					rec, err := decodeWALRecord(payload)
+					if err != nil {
+						return err
+					}
+					if rec.LSN != lsn || lsn != pos+1 {
+						return fmt.Errorf("frame decodes to LSN %d, delivered as %d after %d", rec.LSN, lsn, pos)
+					}
+					pos = lsn
+					return nil
+				})
+				if errors.Is(err, ErrWALTruncated) {
+					pos = db.SnapshotLSN()
+					continue
+				}
+				if err != nil {
+					t.Errorf("reader at %d: %v", pos, err)
+					return
+				}
+				if last != pos {
+					t.Errorf("reader reported last %d, delivered through %d", last, pos)
+					return
+				}
+				select {
+				case <-done:
+					if pos >= durable {
+						return
+					}
+				default:
+				}
+			}
+		}(256 << r)
+	}
+	writes.Wait()
+	close(done)
+	readers.Wait()
+}
+
+// BenchmarkReadWALSinceTail reads the newest frame of a log holding
+// `behind` earlier frames — a caught-up follower's ship. Its cost must not
+// grow with the log.
+func BenchmarkReadWALSinceTail(b *testing.B) {
+	for _, behind := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("behind=%d", behind), func(b *testing.B) {
+			db, _, err := OpenDirDB(b.TempDir(), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.CloseDurability()
+			for i := 0; i <= behind; i++ {
+				rec := &WALRecord{Kind: WALInsert, Table: "kv", Rows: [][]Value{{IntValue(int64(i))}}}
+				if _, err := db.wal.appendFrame(rec, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := db.DurableLSN() - 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if _, _, err := db.ReadWALSince(from, 1<<20, func(int64, []byte) error { n++; return nil }); err != nil || n != 1 {
+					b.Fatalf("read %d frames: %v", n, err)
+				}
+			}
+		})
+	}
 }

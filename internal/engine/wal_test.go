@@ -100,9 +100,10 @@ func TestOpenDirRecoversWithoutCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointFoldsWAL: a checkpoint truncates the live log, retires the
-// rotated segment, and the directory still recovers (snapshot + post-
-// checkpoint records).
+// TestCheckpointFoldsWAL: a checkpoint truncates the live log and keeps
+// the segment it rotated for one more interval; the second checkpoint
+// retires it (only the second's segment remains), and the directory still
+// recovers (snapshot + post-checkpoint records).
 func TestCheckpointFoldsWAL(t *testing.T) {
 	dir := t.TempDir()
 	db := workloadDirDB(t, dir)
@@ -110,20 +111,43 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 	if before <= int64(len(walHeader)) {
 		t.Fatalf("wal size before checkpoint = %d", before)
 	}
+	segments := func() []string {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*"+walSegSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if after := db.WALSizeBytes(); after >= before {
 		t.Errorf("wal size after checkpoint = %d, want < %d", after, before)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*"+walSegSuffix)); len(segs) != 0 {
-		t.Errorf("rotated segments not retired: %v", segs)
+	first := db.LastLSN()
+	if segs := segments(); len(segs) != 1 || filepath.Base(segs[0]) != segName(first) {
+		t.Errorf("after the first checkpoint: segments %v, want only %s", segs, segName(first))
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
 		t.Fatalf("no snapshot after checkpoint: %v", err)
 	}
 	// Writes after the checkpoint land in the fresh log and replay on boot.
 	mustExec(t, db, "INSERT INTO kv VALUES (99, 99)")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	second := db.LastLSN()
+	if segs := segments(); len(segs) != 1 || filepath.Base(segs[0]) != segName(second) {
+		t.Errorf("after the second checkpoint: segments %v, want only %s (the first must be retired)", segs, segName(second))
+	}
+	if h := db.WALHorizon(); h != first {
+		t.Errorf("horizon after the second checkpoint = %d, want the first snapshot's LSN %d", h, first)
+	}
+	if segs := db.wal.segs; len(segs) != 1 || segs[0].base != first || segs[0].last() != second {
+		t.Errorf("frame index keeps %d segments, want only (%d, %d]", len(segs), first, second)
+	}
+	mustExec(t, db, "INSERT INTO kv VALUES (100, 100)")
 
 	db2, info, err := OpenDirDB(dir, false)
 	if err != nil {
@@ -132,8 +156,11 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 	if !info.SnapshotLoaded {
 		t.Error("recovery did not load the checkpoint snapshot")
 	}
-	if got := countOf(t, db2, "SELECT count(*) FROM kv"); got != 10 {
-		t.Fatalf("rows = %d, want 10", got)
+	if info.Segments != 1 {
+		t.Errorf("recovery replayed %d files, want only wal.log (the kept segment is inside the snapshot)", info.Segments)
+	}
+	if got := countOf(t, db2, "SELECT count(*) FROM kv"); got != 11 {
+		t.Fatalf("rows = %d, want 11", got)
 	}
 }
 

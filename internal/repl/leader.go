@@ -225,7 +225,7 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, map[string]any{
 			"error": fmt.Sprintf("repl: diverged: follower %q at LSN %d under stale epoch %d (epoch %d began after LSN %d); re-bootstrap from the snapshot",
 				req.Follower, req.FromLSN, req.Epoch, epoch, l.db.EpochStart()),
-			"snapshot_lsn": l.db.WALHorizon(),
+			"snapshot_lsn": l.db.SnapshotLSN(),
 			"diverged":     true,
 		})
 		return
@@ -260,7 +260,7 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 			// sanity-check the image it fetches next.
 			writeJSON(w, http.StatusConflict, map[string]any{
 				"error":        err.Error(),
-				"snapshot_lsn": l.db.WALHorizon(),
+				"snapshot_lsn": l.db.SnapshotLSN(),
 			})
 			return
 		}
@@ -272,12 +272,18 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 		if frames > 0 || !time.Now().Before(deadline) {
 			break
 		}
-		// Caught up: wait for the durable watermark to move. If the append
-		// position is ahead of the watermark (trailing query-log frames
-		// never force an fsync of their own), nudge them to disk so the
-		// follower converges on the full LSN sequence instead of stalling
-		// one fsync behind.
+		// Caught up: wait for the durable watermark to move past the one
+		// the read saw. A commit that became durable between the read and
+		// the watch closed no channel anyone held, so re-read instead of
+		// waiting for the next advance. If the append position is ahead of
+		// the watermark (trailing query-log frames never force an fsync of
+		// their own), nudge them to disk so the follower converges on the
+		// full LSN sequence instead of stalling one fsync behind.
+		_ = fault.Inject(FaultShipWatch) // arm with latency to widen the read-to-watch window
 		cur, ch := l.db.WatchDurable()
+		if cur > durable {
+			continue
+		}
 		if tip := l.db.LastLSN(); tip > cur {
 			if serr := l.db.SyncWALTo(tip); serr == nil {
 				continue

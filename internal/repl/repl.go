@@ -20,8 +20,9 @@
 //	     is caught up. Headers: X-Flock-Repl-Last-LSN (last frame in the
 //	     body), X-Flock-Repl-Durable-LSN (leader durable watermark),
 //	     X-Flock-Repl-Epoch (the leader's current epoch).
-//	  -> 409 {"error":..., "snapshot_lsn":H} when N predates the retention
-//	     horizon (a checkpoint folded those frames away), OR when the
+//	  -> 409 {"error":..., "snapshot_lsn":S} when N predates the retention
+//	     horizon (a checkpoint folded those frames away; S is the LSN the
+//	     bootstrap image covers), OR when the
 //	     requester's (epoch, LSN) proves a diverged unreplicated tail
 //	     ({"diverged":true}): bootstrap from the snapshot in both cases.
 //	  -> 503 {"error":"fenced: ..."} when this node has been deposed; a
@@ -84,6 +85,10 @@ const (
 	// FaultShip tears a shipped batch on the leader: the response body is
 	// cut mid-frame, exactly like a connection dying mid-transfer.
 	FaultShip = "repl.ship"
+	// FaultShipWatch fires on the leader between a caught-up ship read and
+	// taking the durable-watermark watch; armed with latency it holds the
+	// window a commit can become durable in unseen by both.
+	FaultShipWatch = "repl.ship.watch"
 	// FaultStream drops the follower's stream between two applied frames,
 	// forcing a reconnect + resume-from-LSN.
 	FaultStream = "repl.stream"

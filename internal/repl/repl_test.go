@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -244,16 +245,19 @@ func TestReplicationReconnectAfterStreamDrop(t *testing.T) {
 }
 
 // TestReplicationSnapshotBootstrap starts a replica after the leader has
-// checkpointed away the log prefix: the 409 from /v1/repl/wal routes the
-// follower through the snapshot bootstrap, then shipping continues.
+// checkpointed away the log prefix (two checkpoints: the first keeps its
+// interval of log): the 409 from /v1/repl/wal routes the follower through
+// the snapshot bootstrap, then shipping continues.
 func TestReplicationSnapshotBootstrap(t *testing.T) {
 	ldb, l, srv := newLeaderNode(t, Options{})
 	execOK(t, ldb, "CREATE TABLE kv (id int)")
 	for i := 0; i < 12; i++ {
 		execOK(t, ldb, fmt.Sprintf("INSERT INTO kv VALUES (%d)", i))
 	}
-	if err := ldb.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 2; round++ {
+		if err := ldb.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 12; i < 18; i++ {
 		execOK(t, ldb, fmt.Sprintf("INSERT INTO kv VALUES (%d)", i))
@@ -268,6 +272,121 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("leader snapshots gauge %v, want 1", got)
 	}
 	assertSameContents(t, ldb, rdb, "SELECT count(*) FROM kv", "SELECT sum(id) FROM kv")
+}
+
+// TestFollowerLagAcrossCheckpoints pins the retention contract end to end:
+// a checkpoint keeps one interval of log, so a follower that lags across
+// one checkpoint catches up from the log without a bootstrap, and only a
+// follower that lags across two bootstraps.
+func TestFollowerLagAcrossCheckpoints(t *testing.T) {
+	ldb, l, srv := newLeaderNode(t, Options{})
+	execOK(t, ldb, "CREATE TABLE kv (id int)")
+	next := 0
+	insert := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			execOK(t, ldb, fmt.Sprintf("INSERT INTO kv VALUES (%d)", next))
+			next++
+		}
+	}
+	checkpoint := func() {
+		t.Helper()
+		if err := ldb.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bootstraps := func(f *Follower, want float64) {
+		t.Helper()
+		if got := f.Gauges()["flock_repl_bootstraps_total"]; got != want {
+			t.Fatalf("follower %s: flock_repl_bootstraps_total %v, want %v", f.opts.ID, got, want)
+		}
+	}
+
+	// A fresh follower after one checkpoint still starts from LSN 0.
+	insert(10)
+	checkpoint()
+	rdb := newReplicaNode(t, "", srv.URL)
+	f := NewFollower(rdb, srv.URL, FollowerOptions{ID: "lag", PollWait: 10 * time.Millisecond})
+	syncUntilCaughtUp(t, f, ldb)
+	bootstraps(f, 0)
+
+	// Lagging across one checkpoint: the frames it missed are still in the
+	// log, past a non-trivial horizon.
+	insert(10)
+	checkpoint()
+	insert(10)
+	if h := ldb.WALHorizon(); h == 0 || h > rdb.AppliedLSN() {
+		t.Fatalf("horizon %d, follower at %d: want 0 < horizon <= follower", h, rdb.AppliedLSN())
+	}
+	syncUntilCaughtUp(t, f, ldb)
+	bootstraps(f, 0)
+	if got := l.Gauges()["flock_repl_snapshots_total"]; got != 0 {
+		t.Fatalf("leader shipped %v snapshots to a follower one checkpoint behind", got)
+	}
+	assertSameContents(t, ldb, rdb, "SELECT count(*) FROM kv", "SELECT sum(id) FROM kv")
+	assertSameFrames(t, ldb, rdb)
+
+	// Lagging across two checkpoints: its frames left the log.
+	insert(10)
+	checkpoint()
+	insert(10)
+	checkpoint()
+	insert(10)
+	if h := ldb.WALHorizon(); h <= rdb.AppliedLSN() {
+		t.Fatalf("horizon %d, follower at %d: want the follower behind the horizon", h, rdb.AppliedLSN())
+	}
+	syncUntilCaughtUp(t, f, ldb)
+	bootstraps(f, 1)
+	assertSameContents(t, ldb, rdb, "SELECT count(*) FROM kv", "SELECT sum(id) FROM kv")
+	assertSameFrames(t, ldb, rdb)
+}
+
+// TestShipWakesOnCommitBetweenReadAndWatch pins the long poll's wakeup
+// order: a commit that becomes durable after a caught-up ship read found no
+// frames, but before the handler took its durable-watermark watch, must
+// ship at once, not after the next commit or the whole wait_ms.
+func TestShipWakesOnCommitBetweenReadAndWatch(t *testing.T) {
+	defer fault.Reset()
+	ldb, _, srv := newLeaderNode(t, Options{})
+	execOK(t, ldb, "CREATE TABLE kv (id int)")
+	from := ldb.DurableLSN()
+
+	// Hold the read-to-watch window open and commit inside it.
+	fault.Enable(FaultShipWatch, fault.Spec{Latency: 300 * time.Millisecond, Count: 1})
+	committed := make(chan error, 1)
+	go func() {
+		for give := time.Now().Add(5 * time.Second); fault.Triggered(FaultShipWatch) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(give) {
+				committed <- errors.New("the ship handler never reached its watch")
+				return
+			}
+		}
+		_, err := ldb.Exec("INSERT INTO kv VALUES (1)")
+		committed <- err
+	}()
+
+	const wait = 10 * time.Second
+	body, _ := json.Marshal(walRequest{FromLSN: from, WaitMS: wait.Milliseconds(), Follower: "w"})
+	start := time.Now()
+	resp, err := http.Post(srv.URL+PathWAL, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := 0
+	if _, err := engine.ReadFrames(resp.Body, func([]byte) error { frames++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || frames == 0 {
+		t.Fatalf("ship answered %d with %d frames, want 200 with the commit's frames", resp.StatusCode, frames)
+	}
+	if elapsed > wait/2 {
+		t.Fatalf("the commit shipped after %v: the handler waited out the long poll", elapsed)
+	}
 }
 
 // TestQuorumGate wires the leader's gate into the engine commit path: with
