@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,7 +177,8 @@ func BenchmarkProvenanceEagerVsLazy(b *testing.B) {
 
 // BenchmarkProvenanceCompression is the graph-compression ablation.
 func BenchmarkProvenanceCompression(b *testing.B) {
-	tracker := provenance.NewSQLTracker(provenance.NewCatalog())
+	catalog := provenance.NewCatalog()
+	tracker := provenance.NewSQLTracker(catalog)
 	for _, q := range workload.TPCHWorkload(1000, 4) {
 		if _, err := tracker.CaptureQuery(q, "u"); err != nil {
 			b.Fatal(err)
@@ -185,11 +187,11 @@ func BenchmarkProvenanceCompression(b *testing.B) {
 	var after int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compressed, _ := provenance.Compress(tracker.Catalog())
+		compressed, _ := provenance.Compress(catalog)
 		n, e := compressed.Size()
 		after = n + e
 	}
-	nb, eb := tracker.Catalog().Size()
+	nb, eb := catalog.Size()
 	b.ReportMetric(float64(nb+eb), "size-before")
 	b.ReportMetric(float64(after), "size-after")
 }
@@ -405,15 +407,16 @@ func BenchmarkSnapshotPersistence(b *testing.B) {
 	env := fig4Env(b, 100000)
 	b.Run("Save", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := env.DB.SnapshotBytes(); err != nil {
+			if err := env.DB.SaveSnapshot(io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	blob, err := env.DB.SnapshotBytes()
-	if err != nil {
+	var snap bytes.Buffer
+	if err := env.DB.SaveSnapshot(&snap); err != nil {
 		b.Fatal(err)
 	}
+	blob := snap.Bytes()
 	b.Run("Load", func(b *testing.B) {
 		b.SetBytes(int64(len(blob)))
 		for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func TestRegistryCreatePromoteResolve(t *testing.T) {
 		t.Fatalf("second version = %d", v2)
 	}
 	// Production version still wins over newer staging.
-	meta1, _ := f.Models.Meta("churn", 1)
+	meta1, _ := metaOf(f.Models, "churn", 1)
 	if meta1.Stage != StageProduction {
 		t.Errorf("v1 stage = %s", meta1.Stage)
 	}
@@ -98,7 +99,7 @@ func TestRegistryCreatePromoteResolve(t *testing.T) {
 	if err := f.Models.Promote("churn", 2, StageProduction); err != nil {
 		t.Fatal(err)
 	}
-	meta1, _ = f.Models.Meta("churn", 1)
+	meta1, _ = metaOf(f.Models, "churn", 1)
 	if meta1.Stage != StageRetired {
 		t.Errorf("v1 stage after demotion = %s", meta1.Stage)
 	}
@@ -149,7 +150,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 	if g2.Width() != g.Width() || len(g2.Model.Trees) != len(g.Model.Trees) {
 		t.Error("persisted graph differs")
 	}
-	meta, err := f.Models.Meta("churn", 1)
+	meta, err := metaOf(f.Models, "churn", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
 	f := newFlock(t)
 	g, _ := onnx.Export(trainPipe(t))
-	if _, err := f.DeployGraph("root", "churn", g, TrainingInfo{}); err != nil {
+	if _, err := f.deployGraph("root", "churn", g, TrainingInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.RefreshModels(); err != nil {
@@ -217,7 +218,7 @@ func TestRegistryModelNamesAreData(t *testing.T) {
 	g, _ := onnx.Export(trainPipe(t))
 	const inject = `x' OR name <> 'x`
 	for _, name := range []string{"alpha", "alpha", "o'brien", "o'brien", inject} {
-		if _, err := f.DeployGraph("root", name, g, TrainingInfo{}); err != nil {
+		if _, err := f.deployGraph("root", name, g, TrainingInfo{}); err != nil {
 			t.Fatalf("deploy %q: %v", name, err)
 		}
 	}
@@ -239,10 +240,7 @@ func TestRegistryModelNamesAreData(t *testing.T) {
 	if err := f.DB.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := restore(t, &buf)
 	got := f2.Models.List()
 	if len(got) != len(want) {
 		t.Fatalf("reopened registry holds %d versions, want %d", len(got), len(want))
@@ -255,13 +253,39 @@ func TestRegistryModelNamesAreData(t *testing.T) {
 	}
 }
 
+// restore opens a Flock over a snapshot the way a restart does: the engine
+// loads the image and the facade assembles over it (OpenDir's path, minus
+// the directory).
+func restore(t *testing.T, snap *bytes.Buffer) *Flock {
+	t.Helper()
+	db := engine.NewDB()
+	if err := db.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	f, err := newFromDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// metaOf finds one version's metadata in the registry's listing.
+func metaOf(r *ModelRegistry, name string, version int) (ModelMeta, error) {
+	for _, m := range r.List() {
+		if m.Name == name && m.Version == version {
+			return m, nil
+		}
+	}
+	return ModelMeta{}, fmt.Errorf("model %s version %d not found", name, version)
+}
+
 func TestDeployAllAtomic(t *testing.T) {
 	f := newFlock(t)
 	g, _ := onnx.Export(trainPipe(t))
 	bad := g.Clone()
 	bad.Feats[0].Input = "ghost" // invalid
 
-	err := f.Models.DeployAll([]Deployment{
+	err := f.Models.deployAll([]deployment{
 		{Name: "a", Graph: g, Creator: "x"},
 		{Name: "b", Graph: bad, Creator: "x"},
 	})
@@ -273,14 +297,14 @@ func TestDeployAllAtomic(t *testing.T) {
 	}
 
 	// All-valid deployment succeeds and lands in production.
-	if err := f.Models.DeployAll([]Deployment{
+	if err := f.Models.deployAll([]deployment{
 		{Name: "a", Graph: g, Creator: "x"},
 		{Name: "b", Graph: g.Clone(), Creator: "x"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ma, _ := f.Models.Meta("a", 1)
-	mb, _ := f.Models.Meta("b", 1)
+	ma, _ := metaOf(f.Models, "a", 1)
+	mb, _ := metaOf(f.Models, "b", 1)
 	if ma.Stage != StageProduction || mb.Stage != StageProduction {
 		t.Error("deployed models should be in production")
 	}
@@ -488,12 +512,9 @@ func TestFlockRestartFromSnapshot(t *testing.T) {
 
 	// "Restart": restore into a fresh Flock; models recover from the
 	// system table, and scoring produces identical results.
-	f2, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := restore(t, &buf)
 	f2.Access.AssignRole("root", "admin")
-	meta, err := f2.Models.Meta("churn", 1)
+	meta, err := metaOf(f2.Models, "churn", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

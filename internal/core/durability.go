@@ -320,9 +320,6 @@ func (d *Durability) Recovery() engine.RecoveryInfo {
 	return d.recovery
 }
 
-// Dir returns the data directory.
-func (d *Durability) Dir() string { return d.dir }
-
 // Gauges exports the durability state for /metrics: live WAL size, age of
 // the last checkpoint, total checkpoints taken, and how long boot-time
 // recovery took (plus how many WAL records it replayed).

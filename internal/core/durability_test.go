@@ -66,7 +66,7 @@ func TestOpenDirFullLifecycle(t *testing.T) {
 	f2.Access.AssignRole("root", "admin")
 
 	// Model registry recovered from the system table, still in production.
-	meta, err := f2.Models.Meta("churn", 1)
+	meta, err := metaOf(f2.Models, "churn", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

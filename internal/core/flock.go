@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/engine"
 	"repro/internal/governance"
@@ -69,21 +68,6 @@ func (f *Flock) DisableInferPlane() {
 // permission; assign it to bootstrap users.
 func New() (*Flock, error) {
 	return newFromDB(engine.NewDB())
-}
-
-// Open restores a Flock from a durable engine snapshot (see
-// engine.DB.SaveSnapshot): tables, time-travel history, query log and
-// every deployed model version come back; governance and provenance state
-// start fresh (the provenance catalog can be rebuilt lazily from the
-// restored query log via SQLTracker.CaptureLog). For crash-safe operation
-// with a write-ahead log, checkpoints and audit-chain recovery, use
-// OpenDir instead.
-func Open(r io.Reader) (*Flock, error) {
-	db := engine.NewDB()
-	if err := db.LoadSnapshot(r); err != nil {
-		return nil, err
-	}
-	return newFromDB(db)
 }
 
 func newFromDB(db *engine.DB) (*Flock, error) {
@@ -193,16 +177,6 @@ func (f *Flock) DeployPipeline(user, name string, pipe *ml.Pipeline, info Traini
 	}
 	g, err := onnx.Export(pipe)
 	if err != nil {
-		return 0, err
-	}
-	return f.deployGraph(user, name, g, info)
-}
-
-// DeployGraph registers an already-exported graph (e.g. one trained in the
-// cloud and shipped as a blob — "train in the cloud, score in the DBMS").
-func (f *Flock) DeployGraph(user, name string, g *onnx.Graph, info TrainingInfo) (int, error) {
-	if err := f.Access.Check(user, governance.ActDeploy, governance.ModelObject(name)); err != nil {
-		f.Audit.Record(user, "denied", string(governance.ModelObject(name)), "deploy", false)
 		return 0, err
 	}
 	return f.deployGraph(user, name, g, info)

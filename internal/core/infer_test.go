@@ -157,7 +157,7 @@ func TestRetrainMidFlightGenerationSafety(t *testing.T) {
 	f := newFlock(t)
 	seedEvents(t, f, 20)
 	consts := []float64{0.25, 0.75}
-	if _, err := f.DeployGraph("root", "const", constGraph(consts[0]), TrainingInfo{}); err != nil {
+	if _, err := f.deployGraph("root", "const", constGraph(consts[0]), TrainingInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	f.EnableInferPlane(infer.Config{})
@@ -172,7 +172,7 @@ func TestRetrainMidFlightGenerationSafety(t *testing.T) {
 		defer wg.Done()
 		for k := 1; k <= 12; k++ {
 			time.Sleep(2 * time.Millisecond)
-			if _, err := f.DeployGraph("root", "const", constGraph(consts[k%2]), TrainingInfo{}); err != nil {
+			if _, err := f.deployGraph("root", "const", constGraph(consts[k%2]), TrainingInfo{}); err != nil {
 				t.Error(err)
 				break
 			}

@@ -58,9 +58,6 @@ func (p *Prepared) Kind() string {
 	return "exec"
 }
 
-// Text returns the canonical formatted statement.
-func (p *Prepared) Text() string { return p.text }
-
 // Parse is the one way text becomes statements: it parses query into
 // unplanned statements at level, failing on an empty one. A failure is
 // audited as "parse" for user; user "" parses ungoverned and audits nothing

@@ -204,19 +204,19 @@ func (r *ModelRegistry) syncStage(m ModelMeta) {
 	}
 }
 
-// Deployment is one step of a transactional deployment.
-type Deployment struct {
+// deployment is one step of a transactional deployment.
+type deployment struct {
 	Name    string
 	Graph   *onnx.Graph // nil to promote an existing version
 	Version int         // used when Graph is nil
 	Creator string
 }
 
-// DeployAll atomically deploys a set of models to production: either every
+// deployAll atomically deploys a set of models to production: either every
 // deployment validates and applies, or none does. This is the paper's
 // requirement that "multiple models might have to be updated
 // transactionally" (e.g. a featurizer model and its downstream scorer).
-func (r *ModelRegistry) DeployAll(deps []Deployment) error {
+func (r *ModelRegistry) deployAll(deps []deployment) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
@@ -225,11 +225,11 @@ func (r *ModelRegistry) DeployAll(deps []Deployment) error {
 	for i, d := range deps {
 		if d.Graph != nil {
 			if err := d.Graph.Validate(); err != nil {
-				return fmt.Errorf("core: DeployAll: model %q invalid, nothing deployed: %w", d.Name, err)
+				return fmt.Errorf("core: deployAll: model %q invalid, nothing deployed: %w", d.Name, err)
 			}
 			blob, err := onnx.Marshal(d.Graph)
 			if err != nil {
-				return fmt.Errorf("core: DeployAll: model %q, nothing deployed: %w", d.Name, err)
+				return fmt.Errorf("core: deployAll: model %q, nothing deployed: %w", d.Name, err)
 			}
 			blobs[i] = blob
 		} else {
@@ -240,7 +240,7 @@ func (r *ModelRegistry) DeployAll(deps []Deployment) error {
 				}
 			}
 			if !found {
-				return fmt.Errorf("core: DeployAll: model %s version %d not found, nothing deployed", d.Name, d.Version)
+				return fmt.Errorf("core: deployAll: model %s version %d not found, nothing deployed", d.Name, d.Version)
 			}
 		}
 	}
@@ -264,7 +264,7 @@ func (r *ModelRegistry) DeployAll(deps []Deployment) error {
 			r.graphs[key(d.Name, version)] = d.Graph.Clone()
 		}
 		if err := r.promoteLocked(d.Name, version, StageProduction); err != nil {
-			panic(fmt.Sprintf("core: DeployAll postcondition violated: %v", err))
+			panic(fmt.Sprintf("core: deployAll postcondition violated: %v", err))
 		}
 	}
 	return nil
@@ -305,18 +305,6 @@ func (r *ModelRegistry) GraphFor(name string) (*onnx.Graph, error) {
 		return nil, fmt.Errorf("core: model %q has no active version", name)
 	}
 	return r.graphs[key(name, pick.Version)], nil
-}
-
-// Meta returns the metadata of a specific version.
-func (r *ModelRegistry) Meta(name string, version int) (ModelMeta, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, m := range r.metas[name] {
-		if m.Version == version {
-			return m, nil
-		}
-	}
-	return ModelMeta{}, fmt.Errorf("core: model %s version %d not found", name, version)
 }
 
 // List returns all model versions, sorted by name then version.

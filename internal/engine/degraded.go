@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Graceful degradation. A poisoned write-ahead log (failed fsync, an append
@@ -23,10 +22,9 @@ import (
 // and errors.Is(err, ErrWALPoisoned) both hold for WAL-driven degradation.
 var ErrReadOnly = errors.New("engine: database is in read-only degraded mode")
 
-// degradedState records why and when the DB degraded.
+// degradedState records why the DB degraded.
 type degradedState struct {
 	reason string
-	since  time.Time
 }
 
 // Degraded reports whether the DB is in read-only degraded mode and why.
@@ -36,15 +34,6 @@ func (db *DB) Degraded() (bool, string) {
 		return false, ""
 	}
 	return true, s.reason
-}
-
-// DegradedSince reports when the DB degraded (zero time when healthy).
-func (db *DB) DegradedSince() time.Time {
-	s := db.degraded.Load()
-	if s == nil {
-		return time.Time{}
-	}
-	return s.since
 }
 
 // checkWritable is the write-path gate: nil when healthy, a fast typed
@@ -72,7 +61,6 @@ func (db *DB) noteWALErr(err error) {
 	}
 	db.degraded.CompareAndSwap(nil, &degradedState{
 		reason: strings.TrimSpace(err.Error()),
-		since:  time.Now(),
 	})
 }
 

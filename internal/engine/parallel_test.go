@@ -55,7 +55,7 @@ func parallelTestDB(t testing.TB, rows int) *DB {
 	}
 	if _, err := db.CreateTableFromColumns("facts",
 		[]string{"id", "grp", "val", "cat", "flag"},
-		[]Column{IntColumn(ids), IntColumn(grps), FloatColumn(vals), StringColumn(cats), BoolColumn(flags)}); err != nil {
+		[]Column{IntColumn(ids), IntColumn(grps), FloatColumn(vals), StringColumn(cats), Column{Type: TypeBool, Bools: flags}}); err != nil {
 		t.Fatal(err)
 	}
 	const dimRows = 600

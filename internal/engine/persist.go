@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -216,14 +215,5 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 // same directory, fsync, atomic rename, directory fsync — the export path
 // (e.g. flock-sql's \save) shares the checkpoint's write discipline.
 func (db *DB) SaveSnapshotFile(path string) error {
-	return writeFileDurable(path, "snapshot", db.buildSnapshot().encode)
-}
-
-// SnapshotBytes is a convenience wrapper returning the snapshot as a blob.
-func (db *DB) SnapshotBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := db.SaveSnapshot(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return writeFileDurable(path, "snapshot", db.SaveSnapshot)
 }

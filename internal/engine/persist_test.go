@@ -15,7 +15,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := db.SnapshotBytes()
+	blob, err := snapshotBytes(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSnapshotErrors(t *testing.T) {
 	if err := db.LoadSnapshot(strings.NewReader("not a snapshot")); err == nil {
 		t.Error("bad magic should error")
 	}
-	blob, _ := db.SnapshotBytes()
+	blob, _ := snapshotBytes(db)
 	if err := db.LoadSnapshot(bytes.NewReader(blob)); err == nil {
 		t.Error("loading into a non-empty database should error")
 	}
@@ -73,8 +73,15 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
+// snapshotBytes is DB.SaveSnapshot into a fresh buffer.
+func snapshotBytes(db *DB) ([]byte, error) {
+	var buf bytes.Buffer
+	err := db.SaveSnapshot(&buf)
+	return buf.Bytes(), err
+}
+
 func TestSnapshotEmptyDB(t *testing.T) {
-	blob, err := NewDB().SnapshotBytes()
+	blob, err := snapshotBytes(NewDB())
 	if err != nil {
 		t.Fatal(err)
 	}

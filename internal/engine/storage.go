@@ -30,9 +30,6 @@ func FloatColumn(vals []float64) Column { return Column{Type: TypeFloat, Floats:
 // StringColumn wraps a slice as a column (no copy).
 func StringColumn(vals []string) Column { return Column{Type: TypeString, Strs: vals} }
 
-// BoolColumn wraps a slice as a column (no copy).
-func BoolColumn(vals []bool) Column { return Column{Type: TypeBool, Bools: vals} }
-
 // Len returns the number of rows.
 func (c *Column) Len() int {
 	switch c.Type {
@@ -272,8 +269,8 @@ func NewTable(name string, schema Schema) *Table {
 		retain: DefaultRetention}
 }
 
-// SetRetention bounds the historical versions kept for time travel.
-func (t *Table) SetRetention(n int) {
+// setRetention bounds the historical versions kept for time travel.
+func (t *Table) setRetention(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.retain = n
@@ -321,9 +318,9 @@ func (t *Table) SnapshotAt(version int64) ([]Column, Schema, int, error) {
 		t.Name, version, t.retain, t.version)
 }
 
-// RetainedVersions lists the historical versions available for time
+// retainedVersions lists the historical versions available for time
 // travel, oldest first, excluding the current version.
-func (t *Table) RetainedVersions() []int64 {
+func (t *Table) retainedVersions() []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]int64, len(t.history))
@@ -474,6 +471,8 @@ func (t *Table) validateReplace(cols []Column) error {
 
 // Stats folds the current version's statistics from its zone map
 // (snapshotStats), the ones a PREDICT over a scan of it is compressed with.
+//
+//flockvet:ignore deadexport the statistics PREDICT compression folds from the zone map; the workload tests and the root compression benchmark check against them
 func (t *Table) Stats() onnx.Stats {
 	cols, zones, schema, _ := t.snapshot()
 	return snapshotStats(schema, cols, zones)

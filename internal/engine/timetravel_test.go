@@ -74,7 +74,7 @@ func TestTimeTravelRetentionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("t")
-	tab.SetRetention(2)
+	tab.setRetention(2)
 	for i := 0; i < 5; i++ {
 		if _, err := db.Exec("INSERT INTO t VALUES (1)"); err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTimeTravelRetentionWindow(t *testing.T) {
 	if _, err := db.Exec("SELECT count(*) AS n FROM t VERSION 0"); err == nil {
 		t.Error("evicted version should error")
 	}
-	versions := tab.RetainedVersions()
+	versions := tab.retainedVersions()
 	if len(versions) != 2 || versions[0] != 3 || versions[1] != 4 {
 		t.Errorf("retained = %v, want [3 4]", versions)
 	}

@@ -36,7 +36,7 @@ func topkTestDB(t testing.TB, rows int) *DB {
 	}
 	if _, err := db.CreateTableFromColumns("t",
 		[]string{"id", "ki", "kf", "ks", "kb"},
-		[]Column{IntColumn(ids), IntColumn(ki), FloatColumn(kf), StringColumn(ks), BoolColumn(kb)}); err != nil {
+		[]Column{IntColumn(ids), IntColumn(ki), FloatColumn(kf), StringColumn(ks), Column{Type: TypeBool, Bools: kb}}); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -92,8 +92,8 @@ func (v Value) AsFloat() (float64, error) {
 	return 0, fmt.Errorf("engine: %s is not numeric", v.Kind)
 }
 
-// Truthy interprets the value as a boolean predicate result.
-func (v Value) Truthy() bool {
+// truthy interprets the value as a boolean predicate result.
+func (v Value) truthy() bool {
 	if v.Null {
 		return false
 	}

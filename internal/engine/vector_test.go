@@ -52,7 +52,7 @@ func equivRowSet(r *rand.Rand, n int) *RowSet {
 	}
 	cols := []Column{
 		IntColumn(i1), IntColumn(i2), FloatColumn(f1), FloatColumn(f2),
-		StringColumn(s1), StringColumn(s2), BoolColumn(b1),
+		StringColumn(s1), StringColumn(s2), Column{Type: TypeBool, Bools: b1},
 	}
 	rs, err := NewRowSet(schema, cols)
 	if err != nil {
@@ -400,7 +400,7 @@ func TestFilterMatchesInterpreter(t *testing.T) {
 			}
 			var wantIDs []int64
 			for i, row := range rows[trial] {
-				if c.want(row).Truthy() {
+				if c.want(row).truthy() {
 					wantIDs = append(wantIDs, int64(i))
 				}
 			}

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 )
 
 // Replication hooks over the write-ahead log. The WAL is already a
@@ -350,7 +349,6 @@ func (db *DB) ApplyReplicated(payload []byte) (lsn int64, err error) {
 		// then reads would serve a state no LSN describes). Degrade loudly.
 		db.degraded.CompareAndSwap(nil, &degradedState{
 			reason: fmt.Sprintf("replica apply failed at LSN %d: %v", rec.LSN, err),
-			since:  time.Now(),
 		})
 		return 0, fmt.Errorf("engine: replica apply at LSN %d: %w", rec.LSN, err)
 	}

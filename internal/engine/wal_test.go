@@ -61,7 +61,7 @@ func TestOpenDirRecoversWithoutCheckpoint(t *testing.T) {
 	db := workloadDirDB(t, dir)
 	tab, _ := db.Table("kv")
 	wantVersion := tab.Version()
-	wantRetained := tab.RetainedVersions()
+	wantRetained := tab.retainedVersions()
 	// No Checkpoint, no CloseDurability: simulate a crash (the OS file is
 	// written; only the in-memory state dies with the first DB).
 
@@ -85,7 +85,7 @@ func TestOpenDirRecoversWithoutCheckpoint(t *testing.T) {
 	if tab2.Version() != wantVersion {
 		t.Errorf("recovered version = %d, want %d", tab2.Version(), wantVersion)
 	}
-	got := tab2.RetainedVersions()
+	got := tab2.retainedVersions()
 	if len(got) != len(wantRetained) {
 		t.Fatalf("retained versions = %v, want %v", got, wantRetained)
 	}
@@ -291,7 +291,7 @@ func TestSnapshotConsistentUnderConcurrentDML(t *testing.T) {
 	}()
 
 	for i := 0; i < 10; i++ {
-		blob, err := db.SnapshotBytes()
+		blob, err := snapshotBytes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestSnapshotV2KeepsHistory(t *testing.T) {
 	}
 	mustExec(t, db, "UPDATE t SET a = a * 10 WHERE a = 2")
 
-	blob, err := db.SnapshotBytes()
+	blob, err := snapshotBytes(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +369,8 @@ func TestSnapshotV2KeepsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tab.RetainedVersions()
-	got := rtab.RetainedVersions()
+	want := tab.retainedVersions()
+	got := rtab.retainedVersions()
 	if len(got) != len(want) {
 		t.Fatalf("retained = %v, want %v", got, want)
 	}

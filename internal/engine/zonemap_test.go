@@ -806,7 +806,7 @@ func TestFoldedStatsEqualRescan(t *testing.T) {
 	}
 	for _, name := range names {
 		tab, _ := db.Table(name)
-		tab.SetRetention(0) // history is not what is checked; it only slows the snapshots
+		tab.setRetention(0) // history is not what is checked; it only slows the snapshots
 	}
 	checks := requireFoldedStats(t, db, "after bulk load", names...)
 

@@ -119,7 +119,7 @@ func TestEagerVsLazyBothComplete(t *testing.T) {
 		"INSERT INTO t (a) VALUES (2)",
 		"UPDATE t SET a = 3 WHERE b = 4",
 	}
-	eager, lazy := EagerVsLazy(queries)
+	eager, lazy := eagerVsLazy(queries)
 	if eager <= 0 || lazy <= 0 {
 		t.Errorf("timings: eager=%v lazy=%v", eager, lazy)
 	}

@@ -53,9 +53,9 @@ func RunProvenanceCapture(tpchQueries, tpccQueries int) ([]ProvRow, error) {
 	return out, nil
 }
 
-// EagerVsLazy compares per-query eager capture against batch lazy capture
+// eagerVsLazy compares per-query eager capture against batch lazy capture
 // from a query log (ablation).
-func EagerVsLazy(queries []string) (eager, lazy time.Duration) {
+func eagerVsLazy(queries []string) (eager, lazy time.Duration) {
 	catalog := provenance.NewCatalog()
 	tracker := provenance.NewSQLTracker(catalog)
 	start := time.Now()

@@ -89,6 +89,8 @@ var (
 
 // Seed reseeds the probability source (chaos harnesses log the seed so a
 // failing schedule can be replayed).
+//
+//flockvet:ignore deadexport test hook: chaos tests seed the fault plane through it
 func Seed(seed int64) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -106,6 +108,8 @@ func Enable(name string, s Spec) {
 }
 
 // Disable disarms one failpoint.
+//
+//flockvet:ignore deadexport test hook: chaos tests disarm one failpoint mid-schedule
 func Disable(name string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -116,6 +120,8 @@ func Disable(name string) {
 }
 
 // Reset disarms every failpoint (test cleanup).
+//
+//flockvet:ignore deadexport test hook: the fault-injection tests of many packages clean up through it
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
@@ -125,6 +131,8 @@ func Reset() {
 
 // Triggered reports how many times the named failpoint has fired since it
 // was armed (assertions that a schedule actually exercised a fault).
+//
+//flockvet:ignore deadexport test hook: chaos tests assert that a schedule fired its fault
 func Triggered(name string) int {
 	mu.Lock()
 	defer mu.Unlock()
@@ -134,9 +142,8 @@ func Triggered(name string) int {
 	return 0
 }
 
-// Armed lists the currently armed failpoint names (exported on /metrics by
-// the serving layer so a chaos drill is visible to observability).
-func Armed() []string {
+// armedNames lists the currently armed failpoint names.
+func armedNames() []string {
 	mu.Lock()
 	defer mu.Unlock()
 	out := make([]string, 0, len(points))

@@ -124,7 +124,7 @@ func TestArmedListing(t *testing.T) {
 	Enable("a.one", Spec{})
 	Enable("b.two", Spec{})
 	names := map[string]bool{}
-	for _, n := range Armed() {
+	for _, n := range armedNames() {
 		names[n] = true
 	}
 	if !names["a.one"] || !names["b.two"] || len(names) != 2 {
@@ -140,7 +140,7 @@ func TestFromEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed := map[string]bool{}
-	for _, n := range Armed() {
+	for _, n := range armedNames() {
 		armed[n] = true
 	}
 	if !armed["wal.fsync"] || !armed["scorer.http"] {

@@ -75,8 +75,8 @@ func (a *AccessController) Grant(role string, act Action, obj Object) {
 	a.roles[role][perm{act, obj}] = true
 }
 
-// Revoke removes a grant from a role.
-func (a *AccessController) Revoke(role string, act Action, obj Object) {
+// revoke removes a grant from a role.
+func (a *AccessController) revoke(role string, act Action, obj Object) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	delete(a.roles[role], perm{act, obj})
@@ -92,8 +92,8 @@ func (a *AccessController) AssignRole(user, role string) {
 	a.users[user][role] = true
 }
 
-// RemoveRole revokes a user's role membership.
-func (a *AccessController) RemoveRole(user, role string) {
+// removeRole revokes a user's role membership.
+func (a *AccessController) removeRole(user, role string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	delete(a.users[user], role)
@@ -124,8 +124,8 @@ func (a *AccessController) Check(user string, act Action, obj Object) error {
 	return &PermissionError{User: user, Act: act, Obj: obj}
 }
 
-// RolesOf lists a user's roles (sorted).
-func (a *AccessController) RolesOf(user string) []string {
+// rolesOf lists a user's roles (sorted).
+func (a *AccessController) rolesOf(user string) []string {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var out []string

@@ -35,7 +35,7 @@ func TestAccessGrantRevoke(t *testing.T) {
 	if err := a.Check("alice", ActSelect, TableObject("other")); err == nil {
 		t.Error("ungranted object should be denied")
 	}
-	a.Revoke("analyst", ActSelect, TableObject("orders"))
+	a.revoke("analyst", ActSelect, TableObject("orders"))
 	if err := a.Check("alice", ActSelect, TableObject("orders")); err == nil {
 		t.Error("revoked access should be denied")
 	}
@@ -65,11 +65,11 @@ func TestRemoveRole(t *testing.T) {
 	if err := a.Check("bob", ActSelect, TableObject("t")); err != nil {
 		t.Fatal(err)
 	}
-	a.RemoveRole("bob", "analyst")
+	a.removeRole("bob", "analyst")
 	if err := a.Check("bob", ActSelect, TableObject("t")); err == nil {
 		t.Error("removed role should deny")
 	}
-	if got := len(a.RolesOf("bob")); got != 0 {
+	if got := len(a.rolesOf("bob")); got != 0 {
 		t.Errorf("roles = %d", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestRevokeMonotonicProperty(t *testing.T) {
 			}
 		}
 		// Revoke something.
-		a.Revoke("r", acts[int(grantBits)%len(acts)], objs[int(grantBits)%len(objs)])
+		a.revoke("r", acts[int(grantBits)%len(acts)], objs[int(grantBits)%len(objs)])
 		idx = 0
 		for _, act := range acts {
 			for _, obj := range objs {

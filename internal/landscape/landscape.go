@@ -322,9 +322,9 @@ func initials(name string) string {
 	return string(out)
 }
 
-// SystemsSupporting lists systems with at least the given level on a
+// systemsSupporting lists systems with at least the given level on a
 // feature, sorted by name.
-func SystemsSupporting(feature string, atLeast Support) []string {
+func systemsSupporting(feature string, atLeast Support) []string {
 	var out []string
 	for i := range Systems {
 		if Systems[i].Grades[feature] >= atLeast {

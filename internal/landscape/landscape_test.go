@@ -77,17 +77,17 @@ func TestRender(t *testing.T) {
 }
 
 func TestSystemsSupporting(t *testing.T) {
-	indb := SystemsSupporting("In-DB ML", OK)
+	indb := systemsSupporting("In-DB ML", OK)
 	// Azure ML and Google Cloud AI ship in-DB scoring paths; Bing counts
 	// via SQL Server integration.
 	if len(indb) < 2 {
 		t.Errorf("in-DB ML supporters = %v", indb)
 	}
-	all := SystemsSupporting("Batch prediction", OK)
+	all := systemsSupporting("Batch prediction", OK)
 	if len(all) != len(Systems) {
 		t.Errorf("batch prediction should be table stakes, got %v", all)
 	}
-	none := SystemsSupporting("Feature Store", Good)
+	none := systemsSupporting("Feature Store", Good)
 	for _, n := range none {
 		found := false
 		for _, s := range Systems {

@@ -62,20 +62,3 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	}
 	return nil
 }
-
-// ObjectOf resolves an identifier to its object (nil when unknown).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.TypesInfo.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
-
-// Inspect walks every file in the pass in depth-first order, calling f
-// for each node; f returning false prunes the subtree (ast.Inspect
-// semantics, extended over all files).
-func (p *Pass) Inspect(f func(ast.Node) bool) {
-	for _, file := range p.Files {
-		ast.Inspect(file, f)
-	}
-}

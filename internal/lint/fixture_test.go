@@ -90,7 +90,24 @@ func runFixture(t *testing.T, a *analysis.Analyzer) {
 		t.Fatalf("no fixture files in %s", dir)
 	}
 
-	// Collect expectations from the sources.
+	expByFile := wants(t, files)
+	fset := token.NewFileSet()
+	imp := load.NewImporter(fset, exports)
+	pkg, err := load.TypeCheck(fset, "testdata/"+a.Name, dir, files, imp.ForPackage(nil), "")
+	if err != nil {
+		t.Fatalf("typechecking fixture: %v", err)
+	}
+	findings, err := RunPackage(pkg, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+
+	checkWants(t, findings, expByFile)
+}
+
+// wants collects the want annotations of files, by file.
+func wants(t *testing.T, files []string) map[string][]expectation {
+	t.Helper()
 	expByFile := map[string][]expectation{}
 	for _, f := range files {
 		src, err := os.ReadFile(f)
@@ -117,19 +134,13 @@ func runFixture(t *testing.T, a *analysis.Analyzer) {
 			expByFile[f] = append(expByFile[f], expectation{line: wantLine, re: re})
 		}
 	}
+	return expByFile
+}
 
-	fset := token.NewFileSet()
-	imp := load.NewImporter(fset, exports)
-	pkg, err := load.TypeCheck(fset, "testdata/"+a.Name, dir, files, imp.ForPackage(nil), "")
-	if err != nil {
-		t.Fatalf("typechecking fixture: %v", err)
-	}
-	findings, err := RunPackage(pkg, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-
-	// Match findings to expectations.
+// checkWants matches findings to expectations one to one: every want must
+// be matched by a finding on its line and every finding must be wanted.
+func checkWants(t *testing.T, findings []Finding, expByFile map[string][]expectation) {
+	t.Helper()
 	matched := map[*expectation]bool{}
 	for _, f := range findings {
 		exps := expByFile[f.Pos.Filename]
@@ -170,3 +181,19 @@ func TestIgnoreCheckFixture(t *testing.T)     { runFixture(t, IgnoreCheck) }
 func TestEpochGateFixture(t *testing.T)       { runFixture(t, EpochGate) }
 func TestCacheGenFixture(t *testing.T)        { runFixture(t, CacheGen) }
 func TestGovernGateFixture(t *testing.T)      { runFixture(t, GovernGate) }
+
+// TestDeadExportFixture runs the whole-program dead-export check over a
+// module of its own under testdata: a library package, and a main package
+// that load type-checks against the library's export data.
+func TestDeadExportFixture(t *testing.T) {
+	root, _ := exportsForFixtures(t)
+	pkgs, err := load.Load(filepath.Join(root, "internal", "lint", "testdata", "src", deadExport), "./...")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	var files []string
+	for _, p := range pkgs {
+		files = append(files, p.GoFiles...)
+	}
+	checkWants(t, deadExports(pkgs), wants(t, files))
+}

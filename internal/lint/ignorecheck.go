@@ -2,6 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/lint/analysis"
 )
@@ -47,7 +50,8 @@ func checkIgnoreComment(pass *analysis.Pass, known map[string]bool, c *ast.Comme
 	case d.analyzer == "":
 		pass.Reportf(c.Pos(), "flockvet:ignore without an analyzer name: use //flockvet:ignore <analyzer> <reason>")
 	case !known[d.analyzer]:
-		pass.Reportf(c.Pos(), "flockvet:ignore names unknown analyzer %q: the directive suppresses nothing (known: ackaftersync, closecheck, ctxloop, faultpoint, ignorecheck, lockorder, retryidempotent)", d.analyzer)
+		names := slices.Sorted(maps.Keys(known))
+		pass.Reportf(c.Pos(), "flockvet:ignore names unknown analyzer %q: the directive suppresses nothing (known: %s)", d.analyzer, strings.Join(names, ", "))
 	case d.reason == "":
 		pass.Reportf(c.Pos(), "flockvet:ignore %s without a reason: suppressions must be auditable — state why the invariant does not apply here", d.analyzer)
 	}

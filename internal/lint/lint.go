@@ -39,9 +39,10 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// knownNames is the set ignore directives may reference.
+// knownNames is the set ignore directives may reference: the analyzers
+// and the whole-program dead-export check.
 func knownNames() map[string]bool {
-	m := map[string]bool{}
+	m := map[string]bool{deadExport: true}
 	for _, a := range Analyzers() {
 		m[a.Name] = true
 	}

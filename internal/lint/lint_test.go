@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/lint/load"
@@ -78,4 +79,30 @@ func tokenPosition(file string, line int) (p token.Position) {
 	p.Filename = file
 	p.Line = line
 	return p
+}
+
+// TestNoDeadExports is the whole-program meta-test beside
+// TestFlockVetCleanOnTree: every exported identifier of the module is
+// referenced by a non-test file of the module or of bench/ (a module of
+// its own that drives the real server), or carries a reasoned
+// //flockvet:ignore deadexport directive.
+func TestNoDeadExports(t *testing.T) {
+	root, err := load.ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	pkgs, err := load.Load(root, "./...")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	bench, err := load.Load(filepath.Join(root, "bench"), "./...")
+	if err != nil {
+		t.Fatalf("loading bench: %v", err)
+	}
+	if len(bench) == 0 {
+		t.Fatal("bench/ loaded no packages")
+	}
+	for _, f := range deadExports(append(pkgs, bench...)) {
+		t.Errorf("%s:%d:%d: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message)
+	}
 }

@@ -213,6 +213,8 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // ModuleRoot locates the enclosing module root of dir (the directory
 // holding go.mod), for tests that need to run the loader from anywhere
 // inside the repository.
+//
+//flockvet:ignore deadexport the lint and load tests locate the module through it
 func ModuleRoot(dir string) (string, error) {
 	cmd := exec.Command("go", "env", "GOMOD")
 	cmd.Dir = dir

@@ -78,10 +78,10 @@ func (o *OneHotEncoder) buildIndex() {
 	}
 }
 
-// Restrict narrows the encoder to the given categories (in their current
+// restrict narrows the encoder to the given categories (in their current
 // relative order), returning the indices of the surviving slots in the old
 // encoding. The cross-optimizer uses this for stats-driven model compression.
-func (o *OneHotEncoder) Restrict(keep map[string]bool) []int {
+func (o *OneHotEncoder) restrict(keep map[string]bool) []int {
 	var kept []string
 	var surviving []int
 	for i, c := range o.Categories {
@@ -229,17 +229,6 @@ func (ft *Featurizer) Fit(f *Frame) error {
 // Width returns the total number of output features.
 func (ft *Featurizer) Width() int { return ft.width }
 
-// Relayout recomputes offsets and width after encoders were mutated (e.g.
-// by the cross-optimizer's compression pass).
-func (ft *Featurizer) Relayout() {
-	off := 0
-	for i := range ft.Slots {
-		ft.Slots[i].Offset = off
-		off += ft.Slots[i].Encoder.Width()
-	}
-	ft.width = off
-}
-
 // Transform featurizes the whole frame into a matrix (vectorized path).
 func (ft *Featurizer) Transform(f *Frame) (*Matrix, error) {
 	n := f.NumRows()
@@ -266,13 +255,4 @@ func (ft *Featurizer) TransformRow(cols []*FrameCol, row int, out []float64) {
 		w := s.Encoder.Width()
 		s.Encoder.EncodeInto(cols[i], row, out[s.Offset:s.Offset+w])
 	}
-}
-
-// Columns returns the source column names in slot order.
-func (ft *Featurizer) Columns() []string {
-	names := make([]string, len(ft.Slots))
-	for i := range ft.Slots {
-		names[i] = ft.Slots[i].ColName
-	}
-	return names
 }

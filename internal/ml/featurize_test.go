@@ -70,7 +70,7 @@ func TestOneHotRestrict(t *testing.T) {
 	if err := o.Fit(col); err != nil {
 		t.Fatal(err)
 	}
-	surviving := o.Restrict(map[string]bool{"b": true, "d": true})
+	surviving := o.restrict(map[string]bool{"b": true, "d": true})
 	if o.Width() != 2 {
 		t.Fatalf("restricted width = %d, want 2", o.Width())
 	}
@@ -284,7 +284,7 @@ func TestFrameValidate(t *testing.T) {
 
 func TestFrameSlice(t *testing.T) {
 	f := testFrame()
-	s := f.Slice(1, 3)
+	s := f.sliceRows(1, 3)
 	if s.NumRows() != 2 {
 		t.Fatalf("slice rows = %d", s.NumRows())
 	}
@@ -337,9 +337,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if acc := Accuracy(batchPred, y); acc < 0.9 {
 		t.Errorf("pipeline accuracy = %v, want >= 0.9", acc)
 	}
-	cols := p.InputColumns()
-	if len(cols) != 3 || cols[0] != "age" {
-		t.Errorf("InputColumns = %v", cols)
+	if slots := p.Feat.Slots; len(slots) != 3 || slots[0].ColName != "age" {
+		t.Errorf("featurizer slots = %+v, want 3 starting at age", slots)
 	}
 }
 

@@ -99,8 +99,8 @@ func (f *Frame) Validate() error {
 	return nil
 }
 
-// Slice returns a shallow frame containing rows [lo, hi).
-func (f *Frame) Slice(lo, hi int) *Frame {
+// sliceRows returns a shallow frame containing rows [lo, hi).
+func (f *Frame) sliceRows(lo, hi int) *Frame {
 	out := &Frame{Cols: make([]FrameCol, len(f.Cols))}
 	for i := range f.Cols {
 		c := f.Cols[i]

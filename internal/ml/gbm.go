@@ -163,40 +163,6 @@ func (g *GradientBoosting) PredictInto(x *Matrix, out []float64) {
 	}
 }
 
-// PredictColumns scores a column-major batch (cols[f][i] is feature f of
-// row i) into out, with the same row-outer accumulation as PredictInto.
-func (g *GradientBoosting) PredictColumns(cols [][]float64, out []float64) {
-	rate := g.LearningRate
-	if rate == 0 {
-		rate = 0.1
-	}
-	trees := g.Trees
-	logistic := g.Loss == LossLogistic
-	for i := range out {
-		s := g.Base
-		for ti := range trees {
-			nodes := trees[ti].Nodes
-			nn := int32(0)
-			for {
-				nd := &nodes[nn]
-				if nd.Left < 0 {
-					s += rate * nd.Value
-					break
-				}
-				if cols[nd.Feature][i] < nd.Threshold {
-					nn = nd.Left
-				} else {
-					nn = nd.Right
-				}
-			}
-		}
-		if logistic {
-			s = Sigmoid(s)
-		}
-		out[i] = s
-	}
-}
-
 // PredictRow scores a single feature vector.
 func (g *GradientBoosting) PredictRow(row []float64) float64 {
 	s := g.rawRow(row)
@@ -206,8 +172,8 @@ func (g *GradientBoosting) PredictRow(row []float64) float64 {
 	return s
 }
 
-// UsedFeatures returns the sorted union of feature indices used by any tree.
-func (g *GradientBoosting) UsedFeatures() []int {
+// usedFeatures returns the sorted union of feature indices used by any tree.
+func (g *GradientBoosting) usedFeatures() []int {
 	seen := map[int]bool{}
 	for _, t := range g.Trees {
 		for _, f := range t.UsedFeatures() {

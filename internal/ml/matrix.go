@@ -26,9 +26,9 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix by copying the given rows, which must all
+// matrixFromRows builds a matrix by copying the given rows, which must all
 // have the same length.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
+func matrixFromRows(rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 {
 		return &Matrix{}, nil
 	}
@@ -59,8 +59,8 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
+// transpose returns the transpose of m as a new matrix.
+func (m *Matrix) transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -71,11 +71,11 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// MatMul returns a*b. It panics if the inner dimensions disagree, matching
+// matMul returns a*b. It panics if the inner dimensions disagree, matching
 // the behaviour of out-of-range slice indexing for programmer errors.
-func MatMul(a, b *Matrix) *Matrix {
+func matMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("ml: MatMul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("ml: matMul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -94,8 +94,8 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m*v as a new vector.
-func (m *Matrix) MulVec(v []float64) []float64 {
+// mulVec returns m*v as a new vector.
+func (m *Matrix) mulVec(v []float64) []float64 {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("ml: MulVec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
 	}
@@ -111,8 +111,8 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Gram returns X^T X (a Cols x Cols symmetric positive semidefinite matrix).
-func (m *Matrix) Gram() *Matrix {
+// gram returns X^T X (a Cols x Cols symmetric positive semidefinite matrix).
+func (m *Matrix) gram() *Matrix {
 	g := NewMatrix(m.Cols, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)

@@ -27,25 +27,25 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestMatrixFromRows(t *testing.T) {
-	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	m, err := matrixFromRows([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rows != 2 || m.Cols != 2 || m.At(1, 0) != 3 {
 		t.Errorf("unexpected matrix %+v", m)
 	}
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := matrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged rows should error")
 	}
-	empty, err := MatrixFromRows(nil)
+	empty, err := matrixFromRows(nil)
 	if err != nil || empty.Rows != 0 {
 		t.Errorf("empty input: %v %v", empty, err)
 	}
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m, _ := matrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := m.transpose()
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.Rows, tr.Cols)
 	}
@@ -59,14 +59,14 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMatMul(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
+	a, _ := matrixFromRows([][]float64{{1, 2}, {3, 4}})
+	b, _ := matrixFromRows([][]float64{{5, 6}, {7, 8}})
+	c := matMul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
 			if c.At(i, j) != want[i][j] {
-				t.Errorf("MatMul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
+				t.Errorf("matMul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
 			}
 		}
 	}
@@ -80,12 +80,12 @@ func TestMatMulDimensionPanic(t *testing.T) {
 	}()
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
-	MatMul(a, b)
+	matMul(a, b)
 }
 
 func TestMulVec(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	got := m.MulVec([]float64{2, 1, 1})
+	m, _ := matrixFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
+	got := m.mulVec([]float64{2, 1, 1})
 	if got[0] != 4 || got[1] != 3 {
 		t.Errorf("MulVec = %v", got)
 	}
@@ -97,8 +97,8 @@ func TestGramMatchesMatMul(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = r.NormFloat64()
 	}
-	g := m.Gram()
-	ref := MatMul(m.T(), m)
+	g := m.gram()
+	ref := matMul(m.transpose(), m)
 	for i := range g.Data {
 		if !almostEq(g.Data[i], ref.Data[i], 1e-9) {
 			t.Fatalf("Gram differs from X^T X at %d: %v vs %v", i, g.Data[i], ref.Data[i])
@@ -108,7 +108,7 @@ func TestGramMatchesMatMul(t *testing.T) {
 
 func TestSolveSPD(t *testing.T) {
 	// A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11]
-	a, _ := MatrixFromRows([][]float64{{4, 1}, {1, 3}})
+	a, _ := matrixFromRows([][]float64{{4, 1}, {1, 3}})
 	x, err := SolveSPD(a, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSolveSPD(t *testing.T) {
 }
 
 func TestSolveSPDSingular(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 1}, {1, 1}})
+	a, _ := matrixFromRows([][]float64{{1, 1}, {1, 1}})
 	if _, err := SolveSPD(a, []float64{1, 1}); err == nil {
 		t.Error("singular system should error")
 	}
@@ -142,7 +142,7 @@ func TestSolveSPDProperty(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = r.NormFloat64()
 		}
-		g := x.Gram()
+		g := x.gram()
 		for i := 0; i < n; i++ {
 			g.Set(i, i, g.At(i, i)+1)
 		}
@@ -154,7 +154,7 @@ func TestSolveSPDProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := g.MulVec(sol)
+		res := g.mulVec(sol)
 		for i := range res {
 			if !almostEq(res[i], b[i], 1e-6) {
 				return false

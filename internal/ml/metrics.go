@@ -41,9 +41,9 @@ func Accuracy(pred, y []float64) float64 {
 	return float64(hits) / float64(len(pred))
 }
 
-// AUC returns the area under the ROC curve for probability scores against
+// rocAUC returns the area under the ROC curve for probability scores against
 // binary targets, computed via the rank statistic (ties get midranks).
-func AUC(pred, y []float64) (float64, error) {
+func rocAUC(pred, y []float64) (float64, error) {
 	if len(pred) != len(y) {
 		return 0, fmt.Errorf("ml: AUC: %d predictions but %d targets", len(pred), len(y))
 	}
@@ -85,9 +85,9 @@ func AUC(pred, y []float64) (float64, error) {
 	return (rankSum - np*(np+1)/2) / (np * nn), nil
 }
 
-// TrainTestSplit partitions indices [0, n) into train and test sets using a
+// trainTestSplit partitions indices [0, n) into train and test sets using a
 // deterministic multiplicative hash so results are reproducible.
-func TrainTestSplit(n int, testFrac float64, seed uint64) (train, test []int) {
+func trainTestSplit(n int, testFrac float64, seed uint64) (train, test []int) {
 	for i := 0; i < n; i++ {
 		h := splitmix(seed + uint64(i))
 		if float64(h%10000)/10000.0 < testFrac {

@@ -99,7 +99,7 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 	if acc := Accuracy(pred, y); acc < 0.95 {
 		t.Errorf("accuracy = %v, want >= 0.95", acc)
 	}
-	auc, err := AUC(pred, y)
+	auc, err := rocAUC(pred, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDecisionTreeFitsStepFunction(t *testing.T) {
 	if p := dt.PredictRow([]float64{2}); p != -10 {
 		t.Errorf("predict(2) = %v, want -10", p)
 	}
-	if d := dt.Depth(); d < 1 || d > 2 {
+	if d := dt.depth(); d < 1 || d > 2 {
 		t.Errorf("depth = %d, want 1..2", d)
 	}
 }
@@ -290,7 +290,7 @@ func TestGradientBoostingUsedFeatures(t *testing.T) {
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	used := g.UsedFeatures()
+	used := g.usedFeatures()
 	for _, f := range used {
 		if f != 2 {
 			// Small spurious splits are possible but feature 2 must dominate.
@@ -338,23 +338,23 @@ func TestMetrics(t *testing.T) {
 	if got := Accuracy([]float64{0.9, 0.2, 0.7}, []float64{1, 0, 0}); !almostEq(got, 2.0/3, 1e-12) {
 		t.Errorf("Accuracy = %v", got)
 	}
-	auc, err := AUC([]float64{0.1, 0.4, 0.35, 0.8}, []float64{0, 0, 1, 1})
+	auc, err := rocAUC([]float64{0.1, 0.4, 0.35, 0.8}, []float64{0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(auc, 0.75, 1e-12) {
 		t.Errorf("AUC = %v, want 0.75", auc)
 	}
-	if _, err := AUC([]float64{0.5}, []float64{1}); err == nil {
+	if _, err := rocAUC([]float64{0.5}, []float64{1}); err == nil {
 		t.Error("single-class AUC should error")
 	}
-	if _, err := AUC([]float64{0.5, 0.5}, []float64{1}); err == nil {
+	if _, err := rocAUC([]float64{0.5, 0.5}, []float64{1}); err == nil {
 		t.Error("length mismatch should error")
 	}
 }
 
 func TestTrainTestSplit(t *testing.T) {
-	train, test := TrainTestSplit(1000, 0.25, 42)
+	train, test := trainTestSplit(1000, 0.25, 42)
 	if len(train)+len(test) != 1000 {
 		t.Fatal("split must partition")
 	}
@@ -363,7 +363,7 @@ func TestTrainTestSplit(t *testing.T) {
 		t.Errorf("test fraction = %v, want ~0.25", frac)
 	}
 	// Deterministic.
-	train2, _ := TrainTestSplit(1000, 0.25, 42)
+	train2, _ := trainTestSplit(1000, 0.25, 42)
 	if len(train2) != len(train) {
 		t.Error("split not deterministic")
 	}

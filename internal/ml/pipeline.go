@@ -40,6 +40,8 @@ func (p *Pipeline) Fit(f *Frame, y []float64) error {
 // Predict is the deliberately interpreted, row-oriented scoring path: one
 // featurization buffer allocation and full per-row dispatch per input row.
 // This models the standalone "scikit-learn" baseline of Figure 4.
+//
+//flockvet:ignore deadexport Figure 4's interpreted row-at-a-time baseline, which the root ablation benchmark times
 func (p *Pipeline) Predict(f *Frame) ([]float64, error) {
 	cols, err := p.bindColumns(f)
 	if err != nil {
@@ -78,6 +80,3 @@ func (p *Pipeline) bindColumns(f *Frame) ([]*FrameCol, error) {
 	}
 	return cols, nil
 }
-
-// InputColumns returns the source columns the pipeline consumes.
-func (p *Pipeline) InputColumns() []string { return p.Feat.Columns() }

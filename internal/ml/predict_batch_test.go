@@ -15,18 +15,6 @@ func synthMatrix(rows, cols int, seed int64) *Matrix {
 	return m
 }
 
-// columnsOf transposes a row-major matrix into column-major slices.
-func columnsOf(m *Matrix) [][]float64 {
-	cols := make([][]float64, m.Cols)
-	for f := range cols {
-		cols[f] = make([]float64, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			cols[f][i] = m.At(i, f)
-		}
-	}
-	return cols
-}
-
 func synthLabels(x *Matrix, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	y := make([]float64, x.Rows)
@@ -38,8 +26,8 @@ func synthLabels(x *Matrix, seed int64) []float64 {
 	return y
 }
 
-// TestTreeBatchRowEquivalence pins the vectorized batch walks (row-major,
-// column-major) to the scalar PredictRow walk bit for bit.
+// TestTreeBatchRowEquivalence pins the vectorized batch walk to the scalar
+// PredictRow walk bit for bit.
 func TestTreeBatchRowEquivalence(t *testing.T) {
 	x := synthMatrix(500, 6, 1)
 	y := synthLabels(x, 2)
@@ -49,19 +37,13 @@ func TestTreeBatchRowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	xt := synthMatrix(333, 6, 3)
-	cols := columnsOf(xt)
 
 	batch := make([]float64, xt.Rows)
 	tree.PredictInto(xt, batch)
-	byCols := make([]float64, xt.Rows)
-	tree.PredictColumns(cols, byCols)
 	for i := 0; i < xt.Rows; i++ {
 		want := tree.PredictRow(xt.Row(i))
 		if batch[i] != want {
 			t.Fatalf("row %d: PredictInto %v != PredictRow %v", i, batch[i], want)
-		}
-		if byCols[i] != want {
-			t.Fatalf("row %d: PredictColumns %v != PredictRow %v", i, byCols[i], want)
 		}
 	}
 }
@@ -78,19 +60,13 @@ func TestGBMBatchRowEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		xt := synthMatrix(257, 5, 6)
-		cols := columnsOf(xt)
 
 		batch := make([]float64, xt.Rows)
 		g.PredictInto(xt, batch)
-		byCols := make([]float64, xt.Rows)
-		g.PredictColumns(cols, byCols)
 		for i := 0; i < xt.Rows; i++ {
 			want := g.PredictRow(xt.Row(i))
 			if batch[i] != want {
 				t.Fatalf("loss %d row %d: PredictInto %v != PredictRow %v", loss, i, batch[i], want)
-			}
-			if byCols[i] != want {
-				t.Fatalf("loss %d row %d: PredictColumns %v != PredictRow %v", loss, i, byCols[i], want)
 			}
 		}
 	}

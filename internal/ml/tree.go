@@ -180,28 +180,6 @@ func (t *DecisionTree) PredictInto(x *Matrix, out []float64) {
 	}
 }
 
-// PredictColumns scores a column-major batch — cols[f][i] is feature f of
-// row i, the layout the engine's columnar batches arrive in — without
-// materializing a row-major Matrix. len(out) rows are scored.
-func (t *DecisionTree) PredictColumns(cols [][]float64, out []float64) {
-	nodes := t.Nodes
-	for i := range out {
-		n := int32(0)
-		for {
-			nd := &nodes[n]
-			if nd.Left < 0 {
-				out[i] = nd.Value
-				break
-			}
-			if cols[nd.Feature][i] < nd.Threshold {
-				n = nd.Left
-			} else {
-				n = nd.Right
-			}
-		}
-	}
-}
-
 // PredictRow routes a single feature vector to its leaf value.
 func (t *DecisionTree) PredictRow(row []float64) float64 {
 	n := int32(0)
@@ -218,8 +196,8 @@ func (t *DecisionTree) PredictRow(row []float64) float64 {
 	}
 }
 
-// Depth returns the maximum depth of the fitted tree (0 for a single leaf).
-func (t *DecisionTree) Depth() int {
+// depth returns the maximum depth of the fitted tree (0 for a single leaf).
+func (t *DecisionTree) depth() int {
 	var walk func(n int32) int
 	walk = func(n int32) int {
 		node := &t.Nodes[n]

@@ -117,9 +117,9 @@ func pkgName(rank int) string {
 	return fmt.Sprintf("pkg_%04d", rank)
 }
 
-// ExtractImports parses a notebook's source and returns the imported
+// extractImports parses a notebook's source and returns the imported
 // package roots ("import a.b as c" and "from a.b import c" both yield "a").
-func ExtractImports(source string) []string {
+func extractImports(source string) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, line := range strings.Split(source, "\n") {

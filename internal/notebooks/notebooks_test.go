@@ -12,7 +12,7 @@ import sklearn.linear_model
 import numpy
 x = 1
 `
-	got := ExtractImports(src)
+	got := extractImports(src)
 	want := []string{"numpy", "pandas", "sklearn"}
 	if len(got) != len(want) {
 		t.Fatalf("imports = %v", got)
@@ -34,7 +34,7 @@ func TestGenerateCorpusShape(t *testing.T) {
 			t.Fatal("notebook with fewer than 2 imports")
 		}
 		// Source round-trips through the extractor.
-		ex := ExtractImports(nb.Source)
+		ex := extractImports(nb.Source)
 		if len(ex) != len(nb.Packages) {
 			t.Fatalf("extractor mismatch: %v vs %v", ex, nb.Packages)
 		}

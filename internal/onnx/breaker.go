@@ -160,6 +160,8 @@ func SharedBreaker(endpoint string, threshold int, cooldown time.Duration) *Brea
 }
 
 // ResetBreakers clears the shared registry (test isolation).
+//
+//flockvet:ignore deadexport test isolation for the process-wide breaker registry in the onnx and server tests
 func ResetBreakers() {
 	breakerMu.Lock()
 	defer breakerMu.Unlock()
@@ -178,11 +180,9 @@ func BreakerGauges() map[string]float64 {
 	}
 	for _, ep := range breakerSeq {
 		b := breakers[ep]
+		state := b.State()
 		b.mu.Lock()
-		state, opens := b.state, b.opens
-		if state == breakerOpen && time.Since(b.openedAt) >= b.cooldown {
-			state = breakerHalfOpen
-		}
+		opens := b.opens
 		b.mu.Unlock()
 		out[fmt.Sprintf(`flock_scorer_breaker_state{endpoint=%q}`, ep)] = float64(state)
 		out[fmt.Sprintf(`flock_scorer_breaker_opens_total{endpoint=%q}`, ep)] = float64(opens)

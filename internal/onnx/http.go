@@ -171,12 +171,9 @@ func NewHTTPScorer(g *Graph, url string, chunkRows int) *HTTPScorer {
 		client: &http.Client{}, reqTimeout: 60 * time.Second}
 }
 
-// SetTimeout replaces the per-chunk safety timeout (0 disables it;
+// setTimeout replaces the per-chunk safety timeout (0 disables it;
 // cancellation then comes only from ScoreContext's context).
-func (hs *HTTPScorer) SetTimeout(d time.Duration) { hs.reqTimeout = d }
-
-// URL reports the scoring endpoint (the SharedBreaker key).
-func (hs *HTTPScorer) URL() string { return hs.url }
+func (hs *HTTPScorer) setTimeout(d time.Duration) { hs.reqTimeout = d }
 
 // Score POSTs the batch chunk by chunk and collects the scores.
 func (hs *HTTPScorer) Score(b *Batch) ([]float64, error) {

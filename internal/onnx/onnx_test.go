@@ -334,21 +334,20 @@ func TestCompressDropsAbsentCategories(t *testing.T) {
 	// Predictions must agree on rows whose region is within the stats.
 	sOrig, _ := NewSession(orig)
 	sComp, _ := NewSession(g)
+	bO, _ := BatchFromFrame(orig, f)
+	bC, err := BatchFromFrame(g, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, _ := sOrig.Run(bO)
+	r2, _ := sComp.Run(bC)
 	for i := 0; i < f.NumRows(); i++ {
 		region := f.Col("region").Strs[i]
 		if region != "us" && region != "eu" {
 			continue
 		}
-		row := f.Slice(i, i+1)
-		bO, _ := BatchFromFrame(orig, row)
-		bC, err := BatchFromFrame(g, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, _ := sOrig.Run(bO)
-		r2, _ := sComp.Run(bC)
-		if math.Abs(r1[0]-r2[0]) > 1e-12 {
-			t.Fatalf("row %d (%s): %v vs %v", i, region, r1[0], r2[0])
+		if math.Abs(r1[i]-r2[i]) > 1e-12 {
+			t.Fatalf("row %d (%s): %v vs %v", i, region, r1[i], r2[i])
 		}
 	}
 }

@@ -246,7 +246,7 @@ func TestHTTPScorerErrorKinds(t *testing.T) {
 	}))
 	defer hang.Close()
 	slow := NewHTTPScorer(g, hang.URL, 0)
-	slow.SetTimeout(30 * time.Millisecond)
+	slow.setTimeout(30 * time.Millisecond)
 	_, err = slow.Score(b)
 	if !errors.As(err, &se) || se.Kind != KindTimeout {
 		t.Fatalf("hung endpoint error = %v, want KindTimeout", err)

@@ -59,9 +59,6 @@ func NewSession(g *Graph) (*Session, error) {
 	return s, nil
 }
 
-// Graph returns the session's (immutable) graph.
-func (s *Session) Graph() *Graph { return s.graph }
-
 // Width returns the feature-matrix width.
 func (s *Session) Width() int { return s.width }
 

@@ -198,6 +198,8 @@ func (*Limit) node()     {}
 
 // Inputs returns the children of n, left before right: none for a Scan or a
 // nil node. Plan walks that only look for a node type recurse through it.
+//
+//flockvet:ignore deadexport the child list of every plan node: the plan walks of the engine and opt tests share it, so a new node type cannot hide from them
 func Inputs(n Node) []Node {
 	switch x := n.(type) {
 	case *Filter:

@@ -140,10 +140,10 @@ func (e *Engine) recordLocked(o Outcome) {
 	}
 }
 
-// History returns the most recent n outcomes (all when n <= 0), newest
+// recent returns the most recent n outcomes (all when n <= 0), newest
 // last — the state that lets operators "easily debug and explain the
 // system's actions".
-func (e *Engine) History(n int) []Outcome {
+func (e *Engine) recent(n int) []Outcome {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if n <= 0 || n > len(e.history) {

@@ -100,7 +100,7 @@ func TestHistory(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Apply(Decision{Model: "m", Entity: "x", Score: float64(i)})
 	}
-	h := e.History(3)
+	h := e.recent(3)
 	if len(h) != 3 {
 		t.Fatalf("history = %d", len(h))
 	}

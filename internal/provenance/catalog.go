@@ -26,7 +26,6 @@ const (
 	TypeTemplate   EntityType = "template"
 	TypeModel      EntityType = "model"
 	TypeScript     EntityType = "script"
-	TypeDataset    EntityType = "dataset"
 	TypeHyperparam EntityType = "hyperparam"
 	TypeMetric     EntityType = "metric"
 	TypeUser       EntityType = "user"
@@ -143,8 +142,8 @@ func (c *Catalog) newVersionLocked(t EntityType, name string, attrs map[string]s
 	return e
 }
 
-// Latest returns the newest version of the entity, or nil.
-func (c *Catalog) Latest(t EntityType, name string) *Entity {
+// newest returns the newest version of the entity, or nil.
+func (c *Catalog) newest(t EntityType, name string) *Entity {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	v, ok := c.latest[baseKey(t, name)]
@@ -169,8 +168,8 @@ func (c *Catalog) Versions(t EntityType, name string) []*Entity {
 	return out
 }
 
-// Get returns an entity by ID, or nil.
-func (c *Catalog) Get(id string) *Entity {
+// get returns an entity by ID, or nil.
+func (c *Catalog) get(id string) *Entity {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.entities[id]
@@ -337,8 +336,8 @@ func (c *Catalog) Lineage(id string, dir Direction, maxDepth int) []*Entity {
 	return out
 }
 
-// EdgesFrom returns the outgoing edges of an entity.
-func (c *Catalog) EdgesFrom(id string) []Edge {
+// edgesFrom returns the outgoing edges of an entity.
+func (c *Catalog) edgesFrom(id string) []Edge {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []Edge

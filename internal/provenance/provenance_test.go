@@ -24,7 +24,7 @@ func TestCatalogVersioning(t *testing.T) {
 	if e2.Version != 2 {
 		t.Fatalf("second version = %d", e2.Version)
 	}
-	if c.Latest(TypeTable, "orders").ID != e2.ID {
+	if c.newest(TypeTable, "orders").ID != e2.ID {
 		t.Error("Latest should return v2")
 	}
 	vs := c.Versions(TypeTable, "orders")
@@ -33,7 +33,7 @@ func TestCatalogVersioning(t *testing.T) {
 	}
 	// Version chain edge exists v2 -> v1.
 	found := false
-	for _, e := range c.EdgesFrom(e2.ID) {
+	for _, e := range c.edgesFrom(e2.ID) {
 		if e.To == e1.ID && e.Label == EdgePrevious {
 			found = true
 		}
@@ -62,7 +62,7 @@ func TestCatalogEdgeDedup(t *testing.T) {
 	if _, edges := c.Size(); edges != 3 {
 		t.Errorf("edges = %d, want 3 (one per distinct from|label|to)", edges)
 	}
-	if got := c.EdgesFrom(a.ID); len(got) != 2 || got[0].Label != EdgeReads || got[1].Label != EdgeWrites {
+	if got := c.edgesFrom(a.ID); len(got) != 2 || got[0].Label != EdgeReads || got[1].Label != EdgeWrites {
 		t.Errorf("EdgesFrom(q1) = %v, want reads then writes", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestCaptureQueryEager(t *testing.T) {
 		t.Errorf("kind = %v", q.Attrs)
 	}
 	reads := 0
-	for _, e := range c.EdgesFrom(q.ID) {
+	for _, e := range c.edgesFrom(q.ID) {
 		if e.Label == EdgeReads {
 			reads++
 		}
@@ -110,7 +110,7 @@ func TestCaptureQueryEager(t *testing.T) {
 	if reads != 4 {
 		t.Errorf("read edges = %d, want 4", reads)
 	}
-	if c.Latest(TypeUser, "alice") == nil {
+	if c.newest(TypeUser, "alice") == nil {
 		t.Error("user entity missing")
 	}
 }
@@ -139,7 +139,7 @@ func TestCapturePredictLinksModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range c.EdgesFrom(q.ID) {
+	for _, e := range c.edgesFrom(q.ID) {
 		if e.Label == EdgeScores && strings.HasPrefix(e.To, "model:churn") {
 			found = true
 		}
@@ -184,9 +184,9 @@ func TestRecordTrainingAndImpact(t *testing.T) {
 		t.Error("unknown table should impact nothing")
 	}
 	// Hyperparameters and metrics attached.
-	mv := c.Latest(TypeModel, "churn@1")
+	mv := c.newest(TypeModel, "churn@1")
 	var hasParam, hasMetric bool
-	for _, e := range c.EdgesFrom(mv.ID) {
+	for _, e := range c.edgesFrom(mv.ID) {
 		switch e.Label {
 		case EdgeHasParam:
 			hasParam = true
@@ -360,13 +360,13 @@ func TestCaptureStmtAggregatesRepeats(t *testing.T) {
 				typ  EntityType
 				name string
 			}{{TypeTable, "t"}, {TypeColumn, "t.b"}} {
-				latest := c.Latest(tc.typ, tc.name)
+				latest := c.newest(tc.typ, tc.name)
 				linked := false
-				for _, e := range c.EdgesFrom(after.ID) {
+				for _, e := range c.edgesFrom(after.ID) {
 					linked = linked || e.To == latest.ID
 				}
 				if !linked {
-					t.Errorf("post-write read does not link %s (edges %v)", latest.ID, c.EdgesFrom(after.ID))
+					t.Errorf("post-write read does not link %s (edges %v)", latest.ID, c.edgesFrom(after.ID))
 				}
 			}
 			if q := capture(tr, read, "u"); q != after {

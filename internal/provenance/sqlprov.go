@@ -32,9 +32,6 @@ func NewSQLTracker(c *Catalog) *SQLTracker {
 	return &SQLTracker{catalog: c, reads: map[readKey]*Entity{}}
 }
 
-// Catalog returns the underlying catalog.
-func (tr *SQLTracker) Catalog() *Catalog { return tr.catalog }
-
 // CaptureQuery eagerly captures provenance for one statement string issued
 // by user. It returns the created query entity.
 func (tr *SQLTracker) CaptureQuery(query, user string) (*Entity, error) {

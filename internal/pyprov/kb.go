@@ -133,9 +133,3 @@ func (kb *KnowledgeBase) Lookup(path string) (KBEntry, bool) {
 	}
 	return KBEntry{}, false
 }
-
-// Add registers a custom entry (enterprise KBs extend the default one).
-func (kb *KnowledgeBase) Add(e KBEntry) { kb.entries[e.FullName] = e }
-
-// Len returns the number of known APIs.
-func (kb *KnowledgeBase) Len() int { return len(kb.entries) }

@@ -250,11 +250,7 @@ func TestKBLookup(t *testing.T) {
 	if _, ok := kb.Lookup("made.up.Thing"); ok {
 		t.Error("unknown path should miss")
 	}
-	kb.Add(KBEntry{FullName: "corp.ml.InternalModel", Role: RoleModel})
-	if _, ok := kb.Lookup("corp.ml.InternalModel"); !ok {
-		t.Error("custom entry lookup failed")
-	}
-	if kb.Len() < 40 {
-		t.Errorf("KB suspiciously small: %d", kb.Len())
+	if n := len(kb.entries); n < 40 {
+		t.Errorf("KB suspiciously small: %d", n)
 	}
 }

@@ -23,7 +23,7 @@ func BenchmarkReplicationShip(b *testing.B) {
 	defer ldb.CloseDurability()
 	l := NewLeader(ldb, Options{})
 	mux := http.NewServeMux()
-	l.Register(mux)
+	l.register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	if _, err := ldb.Exec("CREATE TABLE bench (id int, v int)"); err != nil {
@@ -71,7 +71,7 @@ func BenchmarkReplicationQuorum(b *testing.B) {
 			defer ldb.CloseDurability()
 			l := NewLeader(ldb, Options{Quorum: n, AckTimeout: 10 * time.Second})
 			mux := http.NewServeMux()
-			l.Register(mux)
+			l.register(mux)
 			srv := httptest.NewServer(mux)
 			defer srv.Close()
 			if _, err := ldb.Exec("CREATE TABLE bench (id int)"); err != nil {

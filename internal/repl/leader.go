@@ -207,8 +207,7 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req walRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		replError(w, http.StatusBadRequest, fmt.Errorf("repl: bad wal request: %w", err))
+	if !decodeBody(w, r, &req, "wal request") {
 		return
 	}
 	l.noteFollower(req.Follower)
@@ -335,7 +334,9 @@ func (l *Leader) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Follower string `json:"follower"`
 	}
-	_ = json.NewDecoder(r.Body).Decode(&req)
+	if !decodeBody(w, r, &req, "snapshot request") {
+		return
+	}
 	l.noteFollower(req.Follower)
 	// A fenced leader's checkpoint may already have folded divergent tail
 	// frames; bootstrapping a follower from it would spread them.
@@ -370,8 +371,7 @@ func (l *Leader) HandleAck(w http.ResponseWriter, r *http.Request) {
 		AppliedLSN int64  `json:"applied_lsn"`
 		Epoch      int64  `json:"epoch"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		replError(w, http.StatusBadRequest, fmt.Errorf("repl: bad ack: %w", err))
+	if !decodeBody(w, r, &req, "ack") {
 		return
 	}
 	if req.Follower == "" {
@@ -493,8 +493,8 @@ func (l *Leader) Gauges() map[string]float64 {
 	return g
 }
 
-// Register mounts the replication endpoints on mux.
-func (l *Leader) Register(mux *http.ServeMux) {
+// register mounts the replication endpoints on mux.
+func (l *Leader) register(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathWAL, l.HandleWAL)
 	mux.HandleFunc("POST "+PathSnapshot, l.HandleSnapshot)
 	mux.HandleFunc("POST "+PathAck, l.HandleAck)
@@ -509,4 +509,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func replError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// maxBodyBytes caps a replication request body; every one is a small JSON
+// object.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads r's JSON body into v, never more than maxBodyBytes of
+// it. On failure it has answered: 413 past the cap, else 400 naming what.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		replError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("repl: %s body exceeds %d bytes", what, tooLarge.Limit))
+	default:
+		replError(w, http.StatusBadRequest, fmt.Errorf("repl: bad %s: %w", what, err))
+	}
+	return false
 }

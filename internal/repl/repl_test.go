@@ -48,7 +48,7 @@ func newLeaderNode(t *testing.T, opts Options) (*engine.DB, *Leader, *httptest.S
 	t.Cleanup(func() { db.CloseDurability() })
 	l := NewLeader(db, opts)
 	mux := http.NewServeMux()
-	l.Register(mux)
+	l.register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return db, l, srv

@@ -61,31 +61,29 @@ func (a *admission) release() {
 }
 
 // request is one HTTP request's engine work — a query, a prepare, a cursor
-// open or fetch, a stream — from admission to exit: the context its steps
-// run under, the step it holds (a worker slot, plus the cursor lock when
-// the step is on a cursor), and the latency span it records.
+// open or fetch — from admission to exit: the context its step runs under,
+// the step it holds (a worker slot, plus the cursor lock when the step is
+// on a cursor), and the latency span it records.
 type request struct {
 	s    *Server
 	w    http.ResponseWriter
-	conn context.Context // the client connection's
 	sess *session
 	// kind is the flock_query_seconds family; "" records nothing.
-	kind    string
-	timeout time.Duration
-	ctx     context.Context
-	cancel  context.CancelFunc
-	stop    func() bool
-	start   time.Time
-	end     time.Time // the last slot release: the end of engine work
-	held    bool
-	locked  *serverCursor
+	kind   string
+	ctx    context.Context
+	cancel context.CancelFunc
+	stop   func() bool
+	start  time.Time
+	end    time.Time // the last slot release: the end of engine work
+	held   bool
+	locked *serverCursor
 }
 
 // admit opens a request. Its context descends from parent — the session,
 // or for a fetch the cursor — so session close, cursor close and shutdown
 // cancel it, and it also dies with the deadline and the client
 // connection. The session counts it in flight, so a long query is never
-// idle-reaped. Then it takes its first step (take on c, which may be
+// idle-reaped. Then it takes its step (take on c, which may be
 // nil). On failure it has answered the request. Either way the caller
 // defers q.exit().
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, sess *session, c *serverCursor,
@@ -95,25 +93,25 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, sess *session, c 
 	if c != nil {
 		parent = c.ctx
 	}
-	q = request{s: s, w: w, conn: r.Context(), sess: sess, kind: kind, timeout: timeout}
+	q = request{s: s, w: w, sess: sess, kind: kind}
 	q.ctx, q.cancel = context.WithTimeout(parent, timeout)
-	q.stop = context.AfterFunc(q.conn, q.cancel)
+	q.stop = context.AfterFunc(r.Context(), q.cancel)
 	sess.begin()
 	q.start = time.Now()
-	if err := q.take(q.ctx, c); err != nil {
+	if err := q.take(c); err != nil {
 		q.fail(err)
 		return q, false
 	}
 	return q, true
 }
 
-// take admits one engine step, waiting under ctx: c's lock first when the
-// step is on a cursor — requests queued behind a slow pull on one cursor
-// must not pin worker slots other sessions need — then a worker slot. On
-// nil the step holds both until release.
-func (q *request) take(ctx context.Context, c *serverCursor) error {
+// take admits the request's engine step, waiting under q.ctx: c's lock
+// first when the step is on a cursor — requests queued behind a slow fetch
+// on one cursor must not pin worker slots other sessions need — then a
+// worker slot. On nil the step holds both until release.
+func (q *request) take(c *serverCursor) error {
 	if c != nil {
-		if err := c.lock(ctx); err != nil {
+		if err := c.lock(q.ctx); err != nil {
 			return err
 		}
 		if c.finished.Load() {
@@ -122,7 +120,7 @@ func (q *request) take(ctx context.Context, c *serverCursor) error {
 		}
 		q.locked = c
 	}
-	if err := q.s.adm.acquire(ctx); err != nil {
+	if err := q.s.adm.acquire(q.ctx); err != nil {
 		q.release()
 		return err
 	}

@@ -9,15 +9,12 @@ package server
 // swept, and fetches against an expired or completed cursor get a distinct
 // 410 so clients can tell "re-run the query" from "bad request"), and
 // engine work per fetch goes through the same admission gate as queries.
-// A single-SELECT "stream": true is the same cursor, drained as NDJSON by
-// the request that opened it.
 
 import (
 	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -345,8 +342,7 @@ func (s *Server) resolveCursor(sessID, curID string) (*session, *serverCursor, i
 // fetches.
 func (s *Server) handleCursorFetch(w http.ResponseWriter, r *http.Request) {
 	var req fetchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad fetch request: %w", err))
+	if !decodeBody(w, r, &req, "fetch") {
 		return
 	}
 	sess, c, status, err := s.resolveCursor(req.Session, req.Cursor)
@@ -520,8 +516,7 @@ func appendChunk(enc *wire.Encoder, b *engine.Batch, lo, hi int) {
 // the sweeper into an error).
 func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request) {
 	var req cursorCloseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad cursor close request: %w", err))
+	if !decodeBody(w, r, &req, "cursor close") {
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -546,16 +541,12 @@ func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// openCursor runs the open half of the cursor protocol for "cursor": true
-// and a single-SELECT "stream": true alike: admission, the governed open
-// (core.Flock.QueryPrepared: planning plus any blocking materialization,
-// deadline-bound, under a worker slot), and registration in the store — so
-// a stream counts against the session's cursor cap, shows in
-// flock_cursors_open, and is released by session close, shutdown and the
-// TTL sweep like any cursor. A cursor answers with its id; a stream is
-// drained on the spot.
+// openCursor runs the open half of the cursor protocol for "cursor": true:
+// admission, the governed open (core.Flock.QueryPrepared: planning plus any
+// blocking materialization, deadline-bound, under a worker slot), and
+// registration in the store. It answers with the cursor's id.
 func (s *Server) openCursor(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, stream bool, p *core.Prepared) {
+	timeoutMS int64, p *core.Prepared) {
 
 	q, ok := s.admit(w, r, sess, nil, s.timeout(timeoutMS), "select")
 	defer q.exit()
@@ -576,55 +567,10 @@ func (s *Server) openCursor(w http.ResponseWriter, r *http.Request, sess *sessio
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	if stream {
-		q.drain(c)
-		return
-	}
 	q.observe("ok")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cursor":  c.id,
 		"columns": cols,
 		"ttl_s":   s.cfg.CursorTTL.Seconds(),
 	})
-}
-
-// drain streams a registered cursor as NDJSON until it is exhausted, an
-// execution error ends it, or the client goes away. Each pull is one
-// engine step; the rows are written after it, holding nothing.
-func (q *request) drain(c *serverCursor) {
-	defer q.s.cursors.finish(c)
-	// The stream is this request's alone: its context dies with the
-	// session, a close or expiry of the cursor, and the connection.
-	ctx := c.ctx
-	stop := context.AfterFunc(q.conn, c.cancel)
-	defer stop()
-	out := q.beginStream(c.cols)
-	var err error
-	for err == nil && !out.broken {
-		var b *engine.Batch
-		if b, err = q.pull(ctx, c); err == nil {
-			err = out.write(b)
-		}
-	}
-	if err == io.EOF {
-		err = nil
-	}
-	q.endStream(out, 0, err)
-}
-
-// pull is one engine step of a stream, admitted like a fetch (take) and
-// run under a per-pull deadline derived from ctx: the query timeout bounds
-// a window of engine work, not the client-paced transfer. The lock and
-// slot are released before it returns, so engine work always holds a
-// worker slot, the client's write never does, and session close or
-// shutdown never waits on a slow reader.
-func (q *request) pull(ctx context.Context, c *serverCursor) (*engine.Batch, error) {
-	ctx, cancel := context.WithTimeout(ctx, q.timeout)
-	defer cancel()
-	if err := q.take(ctx, c); err != nil {
-		return nil, err
-	}
-	defer q.release()
-	c.touch()
-	return c.cur.Next(ctx)
 }

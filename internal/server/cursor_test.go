@@ -1,13 +1,11 @@
 package server
 
-// Server-side cursor protocol + stream-drain pinning: pagination without
-// re-running queries, session scoping, the distinct 410 for expired
-// cursors, TTL interplay with the session sweep, mid-stream client
-// disconnects (abort counter, no silent truncation), and cursor-leak
-// detection under -race.
+// Server-side cursor protocol pinning: pagination without re-running
+// queries, session scoping, the distinct 410 for expired cursors, TTL
+// interplay with the session sweep, worker-slot admission of each fetch,
+// and cursor-leak detection under -race.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,8 +22,8 @@ import (
 	"repro/internal/onnx"
 )
 
-// waitForCursorsClosed polls until no engine cursor is open (drains tear
-// down asynchronously with the client's departure).
+// waitForCursorsClosed polls until no engine cursor is open (a cursor
+// closed by a sweep or a canceled fetch tears down asynchronously).
 func waitForCursorsClosed(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -223,107 +221,56 @@ func TestCursorTTLAndSessionSweep(t *testing.T) {
 	waitForCursorsClosed(t)
 }
 
-// TestStreamDrainFromCursor pins the pull-based NDJSON path: header, rows,
-// trailer — and that the drain consumed a cursor (no engine cursor leaks).
-func TestStreamDrainFromCursor(t *testing.T) {
-	const rows = 20_000
-	_, ts := newTestServer(t, rows, Config{})
-	sid := openSession(t, ts.URL, "root")
-
-	buf, _ := json.Marshal(map[string]any{
-		"session": sid, "sql": "SELECT id, income FROM customers", "stream": true,
-	})
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(string(buf)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lines := 0
-	var trailer map[string]any
-	for sc.Scan() {
-		lines++
-		line := sc.Bytes()
-		if lines == 1 {
-			var hdr map[string]any
-			if err := json.Unmarshal(line, &hdr); err != nil || hdr["columns"] == nil {
-				t.Fatalf("bad header: %s", line)
-			}
-			continue
-		}
-		if line[0] == '{' {
-			trailer = map[string]any{}
-			if err := json.Unmarshal(line, &trailer); err != nil {
-				t.Fatalf("bad trailer: %s", line)
-			}
-		}
-	}
-	if trailer == nil {
-		t.Fatal("no trailer object")
-	}
-	if got := trailer["rows"].(float64); int(got) != rows {
-		t.Fatalf("trailer rows %v, want %d", got, rows)
-	}
-	if lines != rows+2 {
-		t.Fatalf("%d NDJSON lines, want %d", lines, rows+2)
-	}
-	waitForCursorsClosed(t)
-}
-
-// TestStreamPullHoldsAWorkerSlot pins the one admission rule: every engine
-// pull of a stream holds a worker slot, so MaxWorkers bounds streams too.
-// (A stream used to give its slot back after the open and pull outside
-// admission: with one worker, this read inflight 0 and the second query ran
-// at once.) Counted, not timed.
-func TestStreamPullHoldsAWorkerSlot(t *testing.T) {
+// TestCursorFetchHoldsAWorkerSlot pins the one admission rule: the engine
+// work of every cursor step holds a worker slot, so MaxWorkers bounds
+// paging clients too. With one worker, a fetch parked in the scorer reads
+// flock_admission_inflight 1 and a second query queues behind it. Counted,
+// not timed.
+func TestCursorFetchHoldsAWorkerSlot(t *testing.T) {
 	s, ts := newTestServer(t, 200, Config{MaxWorkers: 1, MaxQueue: 4})
 	gate := &gatedScorer{started: make(chan struct{}, 1), release: make(chan struct{})}
 	var opened sync.Once
 	openGate := func() { opened.Do(func() { close(gate.release) }) }
 	t.Cleanup(openGate) // runs before the server's cleanup: a failed run does not wedge Close
-	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
+	s.flock.DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
 	sid := openSession(t, ts.URL, "root")
-
-	post := func(body map[string]any) (int, string) {
-		buf, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(string(buf)))
-		if err != nil {
-			return 0, err.Error()
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
+	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"session": sid, "sql": predictUDFSQL, "level": "udf", "cursor": true})
+	cur, _ := body["cursor"].(string)
+	if resp.StatusCode != http.StatusOK || cur == "" {
+		t.Fatalf("cursor open: %d %v", resp.StatusCode, body)
 	}
+
 	type answer struct {
 		code int
 		body string
 	}
-	stream, query := make(chan answer, 1), make(chan answer, 1)
-	go func() {
-		code, body := post(map[string]any{"session": sid, "sql": predictUDFSQL, "level": "udf", "stream": true})
-		stream <- answer{code, body}
-	}()
+	post := func(path string, body map[string]any, out chan<- answer) {
+		buf, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(buf)))
+		if err != nil {
+			out <- answer{0, err.Error()}
+			return
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		out <- answer{resp.StatusCode, string(raw)}
+	}
+	fetch, query := make(chan answer, 1), make(chan answer, 1)
+	go post("/v1/cursor/fetch", map[string]any{"session": sid, "cursor": cur}, fetch)
 	select {
-	case <-gate.started: // the first pull is parked in the scorer
+	case <-gate.started: // the fetch is parked in the scorer
 	case <-time.After(10 * time.Second):
-		t.Fatal("the stream's first pull never reached the scorer")
+		t.Fatal("the fetch never reached the scorer")
 	}
 	if n := gaugeValue(t, metricsBody(t, ts.URL), "flock_admission_inflight"); n != 1 {
-		t.Fatalf("flock_admission_inflight = %v while a stream pull runs, want 1", n)
+		t.Fatalf("flock_admission_inflight = %v while a fetch runs, want 1", n)
 	}
 
-	go func() {
-		code, body := post(map[string]any{"session": sid, "sql": "SELECT count(*) FROM customers"})
-		query <- answer{code, body}
-	}()
+	go post("/v1/query", map[string]any{"session": sid, "sql": "SELECT count(*) FROM customers"}, query)
 	for deadline := time.Now().Add(10 * time.Second); gaugeValue(t, metricsBody(t, ts.URL), "flock_admission_queue_depth") != 1; {
 		select {
 		case a := <-query:
-			t.Fatalf("a query ran beside the stream's pull on the only worker: %d %s", a.code, a.body)
+			t.Fatalf("a query ran beside the fetch on the only worker: %d %s", a.code, a.body)
 		default:
 		}
 		if time.Now().After(deadline) {
@@ -336,67 +283,15 @@ func TestStreamPullHoldsAWorkerSlot(t *testing.T) {
 	if a := <-query; a.code != http.StatusOK {
 		t.Fatalf("queued query: %d %s", a.code, a.body)
 	}
-	a := <-stream
-	lines := strings.Split(strings.TrimSpace(a.body), "\n")
-	if a.code != http.StatusOK || len(lines) != 200+2 || !strings.HasPrefix(lines[len(lines)-1], `{"affected":0,`) {
-		t.Fatalf("stream: %d, %d lines, trailer %q", a.code, len(lines), lines[len(lines)-1])
+	a := <-fetch
+	var page struct {
+		Rows [][]any `json:"rows"`
+		Done bool    `json:"done"`
+	}
+	if err := json.Unmarshal([]byte(a.body), &page); a.code != http.StatusOK || err != nil || len(page.Rows) != 200 || !page.Done {
+		t.Fatalf("fetch: %d, %d rows, done %v: %.200s", a.code, len(page.Rows), page.Done, a.body)
 	}
 	waitForCursorsClosed(t)
-}
-
-// TestStreamAbortOnClientDisconnect pins the satellite fix: a client
-// vanishing mid-drain aborts the stream, closes the cursor, and counts in
-// flock_stream_aborts_total — no silent truncation, no leak.
-func TestStreamAbortOnClientDisconnect(t *testing.T) {
-	s, ts := newTestServer(t, 200_000, Config{})
-	sid := openSession(t, ts.URL, "root")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	buf, _ := json.Marshal(map[string]any{
-		"session": sid, "sql": "SELECT id, income FROM customers", "stream": true,
-	})
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", strings.NewReader(string(buf)))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read a little, then walk away mid-stream.
-	b := make([]byte, 4096)
-	if _, err := resp.Body.Read(b); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	resp.Body.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.met.streamAborts.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flock_stream_aborts_total never incremented after a client disconnect")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	waitForCursorsClosed(t)
-
-	// The counter is on /metrics.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	sc := bufio.NewScanner(mresp.Body)
-	found := false
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "flock_stream_aborts_total") &&
-			!strings.HasPrefix(sc.Text(), "#") {
-			found = true
-			if strings.HasSuffix(sc.Text(), " 0") {
-				t.Fatalf("metric exported but zero: %s", sc.Text())
-			}
-		}
-	}
-	if !found {
-		t.Fatal("flock_stream_aborts_total not exported")
-	}
 }
 
 // TestCursorCloseDuringFetch races /v1/cursor/close (and session delete)

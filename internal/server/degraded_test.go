@@ -158,7 +158,7 @@ func TestPredictBreakerFailsFastAndHeals(t *testing.T) {
 	// is a generous bound for one request, and the heal waits on the
 	// breaker's own half-open gauge rather than on a sleep.
 	const cooldown = time.Second
-	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) {
+	s.flock.DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) {
 		if scoring == nil {
 			srv, err := onnx.ServeGraph(g)
 			if err != nil {

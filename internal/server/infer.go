@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -100,8 +99,7 @@ func (s *Server) routeInfer(p *infer.Plane) {
 // session named by *sessionField, the shared preamble of the admin
 // endpoints. On failure it writes the HTTP error and returns ok=false.
 func (s *Server) adminSession(w http.ResponseWriter, r *http.Request, req any, sessionField *string) (string, bool) {
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad admin request: %w", err))
+	if !decodeBody(w, r, req, "admin") {
 		return "", false
 	}
 	sess, ok := s.sessions.get(*sessionField)

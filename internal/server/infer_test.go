@@ -98,12 +98,14 @@ func TestInferAdminEndpoints(t *testing.T) {
 	if body["stage"] != "promoted" {
 		t.Fatalf("promote status: %v", body)
 	}
-	meta, err := flock.Models.Meta("churn", v2)
-	if err != nil {
-		t.Fatal(err)
+	stage := core.Stage("")
+	for _, meta := range flock.Models.List() {
+		if meta.Name == "churn" && meta.Version == v2 {
+			stage = meta.Stage
+		}
 	}
-	if meta.Stage != core.StageProduction {
-		t.Fatalf("version %d stage after promote: %s", v2, meta.Stage)
+	if stage != core.StageProduction {
+		t.Fatalf("version %d stage after promote: %q", v2, stage)
 	}
 
 	// A promoted candidate cannot be promoted again.

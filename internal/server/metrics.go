@@ -114,9 +114,6 @@ type metrics struct {
 	queriesTotal      *counterVec // by terminal status
 	admissionRejected atomic.Uint64
 
-	// streamAborts counts NDJSON drains aborted by a mid-stream encode or
-	// write error (client went away): the output was truncated, visibly.
-	streamAborts atomic.Uint64
 	// cursorsExpired counts server-side cursors reaped by the TTL sweep.
 	cursorsExpired atomic.Uint64
 
@@ -180,10 +177,6 @@ func (m *metrics) writeProm(w io.Writer, gauges map[string]float64) {
 	fmt.Fprintf(w, "# HELP flock_admission_rejected_total Queries rejected because the wait queue was full.\n")
 	fmt.Fprintf(w, "# TYPE flock_admission_rejected_total counter\n")
 	fmt.Fprintf(w, "flock_admission_rejected_total %d\n", m.admissionRejected.Load())
-
-	fmt.Fprintf(w, "# HELP flock_stream_aborts_total Stream drains aborted by a mid-stream write error.\n")
-	fmt.Fprintf(w, "# TYPE flock_stream_aborts_total counter\n")
-	fmt.Fprintf(w, "flock_stream_aborts_total %d\n", m.streamAborts.Load())
 
 	fmt.Fprintf(w, "# HELP flock_cursors_expired_total Server-side cursors reaped by the TTL sweep.\n")
 	fmt.Fprintf(w, "# TYPE flock_cursors_expired_total counter\n")

@@ -3,10 +3,8 @@ package server
 // Every JSON surface of a result, pinned byte for byte against goldens
 // captured from the commit before the server wrote row-JSON from typed
 // columns (07caadd): the /v1/query and /v1/exec answers, a DML answer, an
-// empty answer and an empty fetch page, and the NDJSON lines of a
-// one-SELECT stream (a drained cursor) and of a multi-statement stream (a
-// materialized result). The values are the ones
-// an encoder gets wrong first: HTML-significant and escaped characters,
+// empty answer and an empty fetch page. The values are the ones an encoder
+// gets wrong first: HTML-significant and escaped characters,
 // U+2028, integral and exponent-form floats, negative zero, an integer
 // beyond 2^53 and booleans. Only the elapsed time is masked.
 
@@ -40,8 +38,6 @@ var goldenRows = []string{
 	`[4,"x",-0,false,-0]`,
 	`[9007199254740993,"tab\there\u2028end",1e+21,false,2e+21]`,
 }
-
-const goldenHeader = `{"columns":["id","s","f","b","f2"]}`
 
 var elapsedMS = regexp.MustCompile(`"elapsed_ms":[-+.0-9e]+`)
 
@@ -78,18 +74,18 @@ func wantBody(t *testing.T, what string, resp *http.Response, got, want string) 
 func TestJSONSurfacesAreTheParentsBytes(t *testing.T) {
 	_, ts := newTestServer(t, 10, Config{})
 	sid := openSession(t, ts.URL, "root")
-	query := func(sql string, stream bool) (*http.Response, string) {
-		return postRaw(t, ts.URL+"/v1/query", map[string]any{"session": sid, "sql": sql, "stream": stream})
+	query := func(sql string) (*http.Response, string) {
+		return postRaw(t, ts.URL+"/v1/query", map[string]any{"session": sid, "sql": sql})
 	}
-	resp, got := query(goldenSetup[0], false)
+	resp, got := query(goldenSetup[0])
 	wantBody(t, "CREATE", resp, got, `{"columns":[],"rows":[],"affected":0,"elapsed_ms":_}`+"\n")
 	for _, sql := range goldenSetup[1:] {
-		resp, got := query(sql, false)
+		resp, got := query(sql)
 		wantBody(t, sql, resp, got, goldenDML)
 	}
 
 	answer := `{"columns":["id","s","f","b","f2"],"rows":[` + strings.Join(goldenRows, ",") + `],"affected":0,"elapsed_ms":_}` + "\n"
-	resp, got = query(goldenSelect, false)
+	resp, got = query(goldenSelect)
 	wantBody(t, "/v1/query", resp, got, answer)
 
 	resp, got = postRaw(t, ts.URL+"/v1/prepare", map[string]any{"session": sid, "sql": goldenSelect})
@@ -103,18 +99,10 @@ func TestJSONSurfacesAreTheParentsBytes(t *testing.T) {
 	resp, got = postRaw(t, ts.URL+"/v1/exec", map[string]any{"session": sid, "stmt": prepared.Stmt})
 	wantBody(t, "/v1/exec", resp, got, answer)
 
-	resp, got = query("SELECT id, s FROM g WHERE id < 0", false)
+	resp, got = query("SELECT id, s FROM g WHERE id < 0")
 	wantBody(t, "empty SELECT", resp, got, `{"columns":["id","s"],"rows":[],"affected":0,"elapsed_ms":_}`+"\n")
 	cur := openCursor(t, ts.URL, sid, "SELECT id, s FROM g WHERE id < 0")
 	resp, raw := fetchRaw(t, ts.URL, "", map[string]any{"session": sid, "cursor": cur})
 	wantBody(t, "empty fetch", resp, string(raw), `{"columns":["id","s"],"done":true,"rows":[]}`+"\n")
 
-	lines := strings.Join(append(append([]string{goldenHeader}, goldenRows...),
-		`{"affected":0,"elapsed_ms":_,"rows":4}`), "\n") + "\n"
-	resp, got = query(goldenSelect, true)
-	wantBody(t, "one-SELECT stream", resp, got, lines)
-	resp, got = query("SELECT count(*) FROM g; "+goldenSelect, true)
-	wantBody(t, "multi-statement stream", resp, got, lines)
-	resp, got = query("SELECT count(*) FROM g; INSERT INTO g VALUES (5, 'y', 0.5, TRUE)", true)
-	wantBody(t, "DML stream", resp, got, `{"columns":[]}`+"\n"+`{"affected":1,"elapsed_ms":_,"rows":0}`+"\n")
 }

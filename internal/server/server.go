@@ -3,7 +3,7 @@
 // identity feeds the existing governance and audit path), prepared
 // statements backed by an LRU plan cache, admission control (bounded worker
 // pool plus a bounded wait queue with rejection), per-query deadlines,
-// streaming result encoding, a Prometheus-style /metrics endpoint, and
+// cursor paging, a Prometheus-style /metrics endpoint, and
 // graceful shutdown with engine-wide cancellation — the seam the paper's
 // "heavy traffic from millions of users" scaling work plugs into.
 //
@@ -11,9 +11,9 @@
 //
 //	POST   /v1/sessions        {user, token}            -> {session, user}
 //	DELETE /v1/sessions/{id}                            -> 204
-//	POST   /v1/query           {session, sql, timeout_ms, level, stream, cursor}
+//	POST   /v1/query           {session, sql, timeout_ms, level, cursor}
 //	POST   /v1/prepare         {session, sql, level}    -> {stmt, kind, cached}
-//	POST   /v1/exec            {session, stmt, timeout_ms, stream, cursor}
+//	POST   /v1/exec            {session, stmt, timeout_ms, cursor}
 //	POST   /v1/cursor/fetch    {session, cursor, max_rows, timeout_ms} -> {columns, rows, done}
 //	POST   /v1/cursor/close    {session, cursor}        -> 204
 //	POST   /v1/admin/reopen    {session}                -> {"status":"ok"} (recover a degraded instance)
@@ -23,11 +23,11 @@
 //	GET    /healthz            {"status":"ok"} (liveness: the process serves)
 //	GET    /readyz             {"status":"ready"} | 503 {"status":"degraded", ...} (readiness: writes accepted)
 //
-// Results flow pull-based end-to-end: "cursor": true opens a server-side
-// cursor (TTL-bound, session-scoped) that /v1/cursor/fetch pages through
-// without ever re-running the query, and a single-SELECT "stream": true is
-// the same cursor drained as NDJSON on the spot, with O(batch) server
-// memory. See docs/api.md for the full wire protocol.
+// A result is either one JSON answer or a cursor: "cursor": true opens a
+// server-side cursor (TTL-bound, session-scoped) that /v1/cursor/fetch
+// pages through without ever re-running the query, with O(batch) server
+// memory. Request bodies are capped at maxBodyBytes. See docs/api.md for
+// the full wire protocol.
 //
 // The optional subsystems (durability, inference plane, replication node,
 // score monitors, a readiness gate) are Config fields that New wires once;
@@ -94,8 +94,8 @@ type Config struct {
 	SessionMaxLifetime time.Duration
 	// CursorTTL expires idle server-side cursors; defaults to 5m.
 	CursorTTL time.Duration
-	// MaxCursorsPerSession bounds open server-side cursors per session,
-	// NDJSON streams included; defaults to 16.
+	// MaxCursorsPerSession bounds open server-side cursors per session;
+	// defaults to 16.
 	MaxCursorsPerSession int
 	// PlanCacheSize bounds the prepared-plan LRU; defaults to 256 entries.
 	PlanCacheSize int
@@ -236,10 +236,9 @@ func New(flock *core.Flock, cfg Config) *Server {
 }
 
 // Handler returns the HTTP handler (for mounting under a custom server).
+//
+//flockvet:ignore deadexport mounts the server under httptest in the server and SDK tests
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Flock returns the served instance.
-func (s *Server) Flock() *core.Flock { return s.flock }
 
 // handleReadyz is the readiness probe: 200 while the instance accepts
 // writes, 503 with the degradation reason once the WAL is poisoned and the
@@ -442,11 +441,11 @@ type sessionRequest struct {
 }
 
 type queryRequest struct {
+	noStream
 	Session   string `json:"session"`
 	SQL       string `json:"sql"`
 	TimeoutMS int64  `json:"timeout_ms"`
 	Level     string `json:"level"`
-	Stream    bool   `json:"stream"`
 	// Cursor opens a server-side cursor instead of returning rows: the
 	// response carries a cursor id for /v1/cursor/fetch. SELECT only.
 	Cursor bool `json:"cursor"`
@@ -459,13 +458,22 @@ type prepareRequest struct {
 }
 
 type execRequest struct {
+	noStream
 	Session   string `json:"session"`
 	Stmt      string `json:"stmt"`
 	TimeoutMS int64  `json:"timeout_ms"`
-	Stream    bool   `json:"stream"`
 	// Cursor opens a server-side cursor over a prepared SELECT.
 	Cursor bool `json:"cursor"`
 }
+
+// noStream refuses "stream": true, the NDJSON response mode that paging a
+// cursor replaced. Decoding ignores unknown fields, so without it such a
+// client would silently get one JSON answer instead.
+type noStream struct {
+	Stream bool `json:"stream"`
+}
+
+var errNoStream = errors.New(`"stream" is not supported: open a cursor ("cursor": true) and page it with /v1/cursor/fetch`)
 
 // queryResponse always carries columns and rows (as [] rather than null or
 // an absent key for empty results), so clients can index unconditionally.
@@ -521,12 +529,31 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body. The largest body an in-tree client
+// sends is a bulk-load statement, a 1000-row INSERT … VALUES of tens of KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads r's JSON body into v, never more than maxBodyBytes of
+// it. On failure it has answered: 413 past the cap, else 400 naming what.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s request body exceeds %d bytes", what, tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s request: %w", what, err))
+	}
+	return false
+}
+
 // ---- handlers ----
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad session request: %w", err))
+	if !decodeBody(w, r, &req, "session") {
 		return
 	}
 	if req.User == "" {
@@ -570,8 +597,11 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad query request: %w", err))
+	if !decodeBody(w, r, &req, "query") {
+		return
+	}
+	if req.Stream {
+		writeError(w, http.StatusBadRequest, errNoStream)
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -593,7 +623,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, stmts...)
+	s.dispatch(w, r, sess, req.TimeoutMS, req.Cursor, stmts...)
 }
 
 // planEntry is one plan-cache entry. The plan cache (Server.plans) is an
@@ -624,8 +654,7 @@ func handleOf(key string) string {
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad prepare request: %w", err))
+	if !decodeBody(w, r, &req, "prepare") {
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -686,8 +715,11 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req execRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad exec request: %w", err))
+	if !decodeBody(w, r, &req, "exec") {
+		return
+	}
+	if req.Stream {
+		writeError(w, http.StatusBadRequest, errNoStream)
 		return
 	}
 	sess, ok := s.sessions.get(req.Session)
@@ -700,7 +732,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown prepared statement (evicted or never prepared); re-prepare"))
 		return
 	}
-	s.dispatch(w, r, sess, req.TimeoutMS, req.Stream, req.Cursor, e.p)
+	s.dispatch(w, r, sess, req.TimeoutMS, req.Cursor, e.p)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -712,8 +744,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Engine operator workers running right now across every in-flight
 		// query: the live intra-query parallel degree.
 		"flock_exec_workers": float64(engine.ActiveWorkers()),
-		// Server-side cursors currently open (NDJSON streams included) and
-		// engine cursors open across the whole process: the two diverging
+		// Server-side cursors currently open and engine cursors open across the whole process: the two diverging
 		// for long means a leak.
 		"flock_cursors_open":        float64(s.cursors.count()),
 		"flock_engine_cursors_open": float64(engine.CursorsOpen()),
@@ -769,12 +800,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // dispatch is where /v1/query and /v1/exec meet: it runs parsed statements
 // through admission control, deadline management, the governed engine path
-// and result encoding, recording metrics for every outcome. A cursor — or a
-// stream of one SELECT — opens a server-side cursor; anything else runs
-// each statement to completion and answers with the last result. The
-// latency family is "select" when every statement is a SELECT, else "dml".
+// and result encoding, recording metrics for every outcome. A cursor opens
+// a server-side cursor; anything else runs each statement to completion and
+// answers with the last result. The latency family is "select" when every
+// statement is a SELECT, else "dml".
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
-	timeoutMS int64, stream, cursor bool, stmts ...*core.Prepared) {
+	timeoutMS int64, cursor bool, stmts ...*core.Prepared) {
 
 	kind := "select"
 	for _, p := range stmts {
@@ -782,13 +813,12 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
 			kind = "dml"
 		}
 	}
-	single := len(stmts) == 1 && kind == "select"
-	if cursor && !single {
-		writeError(w, http.StatusBadRequest, errors.New("cursor requires a single SELECT statement"))
-		return
-	}
-	if cursor || stream && single {
-		s.openCursor(w, r, sess, timeoutMS, !cursor, stmts[0])
+	if cursor {
+		if len(stmts) != 1 || kind != "select" {
+			writeError(w, http.StatusBadRequest, errors.New("cursor requires a single SELECT statement"))
+			return
+		}
+		s.openCursor(w, r, sess, timeoutMS, stmts[0])
 		return
 	}
 
@@ -812,10 +842,6 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
 		q.fail(err)
 		return
 	}
-	if stream {
-		q.streamResult(res)
-		return
-	}
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer putJSONBuf(buf)
 	if err := encodeJSON(buf, queryResponse{
@@ -827,89 +853,6 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, sess *session,
 	}
 	q.observe("ok")
 	writeBody(w, http.StatusOK, "application/json", buf.Bytes())
-}
-
-// ndjson is a stream response: a {"columns":[...]} header line, one JSON
-// array per row, and a trailer object — the one writer for a materialized
-// result (DML, multi-statement strings) and a drained cursor alike. A
-// failed write means the client went away: every later write is skipped,
-// and endStream records the stream as aborted.
-type ndjson struct {
-	rowJSON // encodes over the response
-	flusher http.Flusher
-	rows    int
-	broken  bool
-}
-
-// beginStream answers 200 and writes the header line.
-func (q *request) beginStream(cols []string) *ndjson {
-	q.w.Header().Set("Content-Type", "application/x-ndjson")
-	q.w.WriteHeader(http.StatusOK)
-	out := &ndjson{rowJSON: rowJSON{enc: json.NewEncoder(q.w)}}
-	out.flusher, _ = q.w.(http.Flusher)
-	out.put(map[string]any{"columns": cols})
-	return out
-}
-
-// put writes one line unless an earlier write failed.
-func (out *ndjson) put(v any) {
-	if !out.broken && out.enc.Encode(v) != nil {
-		out.broken = true
-	}
-}
-
-// write sends the rows of rs, one line each, and flushes them. A row JSON
-// cannot carry ends the run with its error, for the trailer.
-func (out *ndjson) write(rs *engine.RowSet) error {
-	for i := 0; i < rs.N && !out.broken; i++ {
-		switch err := out.row(rs, i); {
-		case errors.Is(err, errNonFiniteJSON):
-			return err
-		case err != nil:
-			out.broken = true
-		default:
-			out.rows++
-		}
-	}
-	out.flush()
-	return nil
-}
-
-func (out *ndjson) flush() {
-	if out.flusher != nil && !out.broken {
-		out.flusher.Flush()
-	}
-}
-
-// endStream writes the trailer — the totals, or the execution error that
-// cut the rows short (the 200 header is long gone, so the trailer is the
-// only channel left) — and records the outcome. A stream the client
-// abandoned, by a failed write or by a pull its disconnect canceled, is
-// an abort (flock_stream_aborts_total): its output stops without a valid
-// trailer, visibly rather than silently truncated.
-func (q *request) endStream(out *ndjson, affected int64, err error) {
-	trailer := map[string]any{"rows": out.rows, "affected": affected, "elapsed_ms": millis(q.elapsed())}
-	label := "ok"
-	if err != nil {
-		trailer = map[string]any{"error": err.Error(), "rows": out.rows}
-		_, label = classifyErr(err)
-	}
-	out.put(trailer)
-	out.flush()
-	if out.broken || err != nil && q.conn.Err() != nil {
-		q.s.met.streamAborts.Add(1)
-		label = "abort"
-	}
-	q.observe(label)
-}
-
-// streamResult streams an already-materialized result — the shape kept for
-// DML and multi-statement strings; a single SELECT streams from a cursor
-// (drain).
-func (q *request) streamResult(res *engine.Result) {
-	out := q.beginStream(res.Schema.Names())
-	err := out.write(&res.RowSet)
-	q.endStream(out, res.Affected, err)
 }
 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

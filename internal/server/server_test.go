@@ -184,19 +184,6 @@ func TestDegenerateSQLReturns400(t *testing.T) {
 			t.Fatalf("sql %q: want 400, got %d %v", sql, resp.StatusCode, body)
 		}
 	}
-	// Streaming a DML result still yields a columns array, not null.
-	buf, _ := json.Marshal(map[string]any{
-		"session": sid, "sql": "INSERT INTO customers VALUES (7777, 30.0, 50000.0, 2.0, 'us-east')", "stream": true})
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	first := strings.SplitN(strings.TrimSpace(string(raw)), "\n", 2)[0]
-	if !strings.Contains(first, `"columns":[]`) {
-		t.Fatalf("stream header for DML must carry an empty columns array, got %q", first)
-	}
 }
 
 func TestPrepareGovernanceDenied(t *testing.T) {
@@ -235,36 +222,66 @@ func TestPrepareGovernanceDenied(t *testing.T) {
 	}
 }
 
-func TestQueryStreamNDJSON(t *testing.T) {
-	_, ts := newTestServer(t, 300, Config{})
+// TestStreamIsRefused pins the answer to the retired NDJSON mode: a body
+// asking for "stream": true gets a 400 that names the cursor protocol on
+// both routes, never a response in some other shape.
+func TestStreamIsRefused(t *testing.T) {
+	_, ts := newTestServer(t, 50, Config{})
 	sid := openSession(t, ts.URL, "alice")
-	buf, _ := json.Marshal(map[string]any{
-		"session": sid, "sql": "SELECT id, region FROM customers ORDER BY id LIMIT 5", "stream": true})
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
+	const sql = "SELECT id FROM customers ORDER BY id LIMIT 5"
+	resp, prepared := postJSON(t, ts.URL+"/v1/prepare", map[string]any{"session": sid, "sql": sql})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prepare: %d %v", resp.StatusCode, prepared)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("want ndjson content type, got %q", ct)
+	for _, c := range []struct{ route, key, val string }{
+		{"/v1/query", "sql", sql},
+		{"/v1/exec", "stmt", prepared["stmt"].(string)},
+	} {
+		resp, body := postJSON(t, ts.URL+c.route, map[string]any{"session": sid, c.key: c.val, "stream": true})
+		if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "/v1/cursor/fetch") {
+			t.Errorf("%s with stream: %d %v, want 400 naming the cursor protocol", c.route, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.URL+c.route, map[string]any{"session": sid, c.key: c.val, "stream": false})
+		if rows, _ := body["rows"].([]any); resp.StatusCode != http.StatusOK || len(rows) != 5 {
+			t.Errorf("%s with stream false: %d %v", c.route, resp.StatusCode, body)
+		}
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	// header + 5 rows + trailer
-	if len(lines) != 7 {
-		t.Fatalf("want 7 NDJSON lines, got %d: %q", len(lines), lines)
+}
+
+// countingReader yields n bytes of one JSON string body and counts what
+// was read.
+type countingReader struct {
+	n, read int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	if r.read >= r.n {
+		return 0, io.EOF
 	}
-	var header struct {
-		Columns []string `json:"columns"`
+	k := min(len(p), r.n-r.read)
+	for i := range k {
+		p[i] = 'a'
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &header); err != nil || len(header.Columns) != 2 {
-		t.Fatalf("bad stream header %q: %v", lines[0], err)
+	if r.read == 0 && k > 0 {
+		p[0] = '"'
 	}
-	var trailer struct {
-		Rows int `json:"rows"`
+	r.read += k
+	return k, nil
+}
+
+// TestOversizedBodyIsRefused sends a 64 MB /v1/query body: the server
+// answers 413 after reading about maxBodyBytes of it, not the whole body.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	s, _ := newTestServer(t, 10, Config{})
+	body := &countingReader{n: 64 << 20}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", body)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds") {
+		t.Fatalf("64 MB body: %d %s, want 413", rec.Code, rec.Body)
 	}
-	if err := json.Unmarshal([]byte(lines[6]), &trailer); err != nil || trailer.Rows != 5 {
-		t.Fatalf("bad stream trailer %q: %v", lines[6], err)
+	if body.read > 2*maxBodyBytes {
+		t.Fatalf("the server read %d bytes of a refused body, cap %d", body.read, maxBodyBytes)
 	}
 }
 
@@ -308,7 +325,7 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if idx := s.Flock().Audit.Verify(); idx != -1 {
+	if idx := s.flock.Audit.Verify(); idx != -1 {
 		t.Fatalf("audit chain corrupted at %d", idx)
 	}
 }
@@ -347,7 +364,7 @@ func TestCancellationOnSessionClose(t *testing.T) {
 	s, ts := newTestServer(t, 200, Config{})
 	gate := &gatedScorer{started: make(chan struct{}, 1), release: make(chan struct{})}
 	defer close(gate.release)
-	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
+	s.flock.DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
 
 	sid := openSession(t, ts.URL, "alice")
 	done := make(chan int, 1)
@@ -388,7 +405,7 @@ func TestQueryDeadline(t *testing.T) {
 	s, ts := newTestServer(t, 200, Config{})
 	gate := &gatedScorer{started: make(chan struct{}, 1), release: make(chan struct{})}
 	defer close(gate.release)
-	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
+	s.flock.DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
 
 	sid := openSession(t, ts.URL, "alice")
 	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{
@@ -404,7 +421,7 @@ func TestQueryDeadline(t *testing.T) {
 func TestAdmissionControlRejectsOverload(t *testing.T) {
 	s, ts := newTestServer(t, 200, Config{MaxWorkers: 1, MaxQueue: 1})
 	gate := &gatedScorer{started: make(chan struct{}, 8), release: make(chan struct{})}
-	s.Flock().DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
+	s.flock.DB.SetUDFScorerFactory(func(g *onnx.Graph) (onnx.Scorer, error) { return gate, nil })
 	sid := openSession(t, ts.URL, "alice")
 
 	codes := make(chan int, 3)
@@ -623,12 +640,12 @@ func TestPrepareAuditsParseFailure(t *testing.T) {
 	s, ts := newTestServer(t, 50, Config{})
 	sid := openSession(t, ts.URL, "alice")
 	for _, route := range []string{"/v1/prepare", "/v1/query"} {
-		before := s.Flock().Audit.Len()
+		before := s.flock.Audit.Len()
 		resp, body := postJSON(t, ts.URL+route, map[string]any{"session": sid, "sql": "SELEC id FROM customers"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: want 400 for bad SQL, got %d %v", route, resp.StatusCode, body)
 		}
-		entries := s.Flock().Audit.Entries()[before:]
+		entries := s.flock.Audit.Entries()[before:]
 		if len(entries) != 1 || entries[0].User != "alice" || entries[0].Action != "parse" || entries[0].Allowed {
 			t.Fatalf("%s: audit grew by %+v, want one failed parse record for alice", route, entries)
 		}

@@ -4,7 +4,8 @@ import "testing"
 
 // fuzzSeeds are the bench's statement shapes and the NULL and outer-join
 // probes the engine answers wrongly today (ROADMAP item 8); FuzzParse also
-// starts from every TestFormatRoundTrip query.
+// starts from every TestFormatRoundTrip query and from each shape of
+// expression one level deeper than maxExprDepth.
 var fuzzSeeds = []string{
 	"SELECT id, balance, owner, branch FROM accounts WHERE id = 7",
 	"SELECT count(*), sum(balance) FROM accounts WHERE branch = 3",
@@ -37,6 +38,9 @@ var fuzzSeeds = []string{
 // formats to the same text. No input may panic.
 func FuzzParse(f *testing.F) {
 	for _, q := range append(fuzzSeeds, roundTripQueries...) {
+		f.Add(q)
+	}
+	for _, q := range deepExprs(maxExprDepth + 1) {
 		f.Add(q)
 	}
 	f.Fuzz(func(t *testing.T, q string) {

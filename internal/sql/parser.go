@@ -11,6 +11,11 @@ type parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// depth is the height of the deepest expression parsed since the
+	// enclosing expression began: parseExpr's result height.
+	depth int
+	// nest counts parseExpr calls in progress.
+	nest int
 }
 
 // Parse parses a semicolon-separated sequence of statements.
@@ -125,6 +130,13 @@ func (p *parser) parseStatement() (Statement, error) {
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
+	// A FROM subquery recurses with no expression around it: it counts
+	// against the parser's recursion bound too.
+	p.nest++
+	defer func() { p.nest-- }()
+	if p.nest > maxExprNest {
+		return nil, p.errTooDeep()
+	}
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
@@ -493,12 +505,55 @@ const (
 	precNeg = 7
 )
 
+// maxExprDepth bounds the height of an expression tree: the nodes on its
+// longest root-to-leaf path, where a parenthesis adds no node. Every pass
+// after the parser recurses over the tree, so without a bound a chain like
+// 1+1+…+1, which the parser builds in a loop, overflows the goroutine stack
+// in the printer or the planner. SQLite's SQLITE_MAX_EXPR_DEPTH defaults to
+// the same 1000.
+const maxExprDepth = 1000
+
+// maxExprNest bounds the parser's own recursion, which parentheses deepen
+// without deepening the tree. The printer parenthesizes every operator, so
+// a tree within maxExprDepth prints with up to about twice as much nesting;
+// the bound leaves room for that, so formatted statements parse back.
+const maxExprNest = 3 * maxExprDepth
+
+func (p *parser) errTooDeep() error {
+	return p.errf("expression nests deeper than %d levels", maxExprDepth)
+}
+
+// parseExpr parses an expression binding at least as tightly as minPrec and
+// folds its height into p.depth for the enclosing expression.
 func (p *parser) parseExpr(minPrec int) (Expr, error) {
-	lhs, err := p.parseUnary(minPrec)
+	p.nest++
+	defer func() { p.nest-- }()
+	if p.nest > maxExprNest {
+		return nil, p.errTooDeep()
+	}
+	outer := p.depth
+	e, h, err := p.parseBinary(minPrec)
 	if err != nil {
 		return nil, err
 	}
-	for {
+	if h > maxExprDepth {
+		return nil, p.errTooDeep()
+	}
+	p.depth = max(outer, h)
+	return e, nil
+}
+
+// parseBinary is parseExpr's body: operators and postfix predicates folded
+// left to right, with the height of the tree built. It stops once the
+// height passes maxExprDepth.
+func (p *parser) parseBinary(minPrec int) (Expr, int, error) {
+	p.depth = 0
+	lhs, err := p.parseUnary(minPrec)
+	if err != nil {
+		return nil, 0, err
+	}
+	h := p.depth + 1 // one node over the expressions it holds
+	for h <= maxExprDepth {
 		t := p.peek()
 		var op string
 		var prec int
@@ -521,30 +576,33 @@ func (p *parser) parseExpr(minPrec int) (Expr, error) {
 			t.Text == "LIKE" || t.Text == "IS" || t.Text == "NOT"):
 			// Postfix-style predicates at comparison precedence.
 			if precCmp < minPrec {
-				return lhs, nil
+				return lhs, h, nil
 			}
+			p.depth = 0
 			post, err := p.parsePostfixPredicate(lhs)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if post == nil { // NOT was not part of a postfix predicate
-				return lhs, nil
+				return lhs, h, nil
 			}
-			lhs = post
+			lhs, h = post, 1+max(h, p.depth)
 			continue
 		default:
-			return lhs, nil
+			return lhs, h, nil
 		}
 		if prec < minPrec {
-			return lhs, nil
+			return lhs, h, nil
 		}
 		p.pos++
+		p.depth = 0
 		rhs, err := p.parseExpr(prec + 1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		lhs = &Binary{Op: op, L: lhs, R: rhs}
+		lhs, h = &Binary{Op: op, L: lhs, R: rhs}, 1+max(h, p.depth)
 	}
+	return lhs, h, nil
 }
 
 // parsePostfixPredicate handles x BETWEEN .. AND .., x [NOT] IN (...),
@@ -799,6 +857,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
+		p.depth-- // a parenthesis adds no node: e is the operand itself
 		return e, nil
 	case t.Kind == TokIdent:
 		p.pos++

@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"fmt"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -434,4 +436,61 @@ func TestRandomExprRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: format not a fixpoint:\n%s\n%s", seed, f1, f2)
 		}
 	}
+}
+
+// deepExprs are statements whose expression tree is height levels deep,
+// in the two shapes that reach the passes after the parser: nesting the
+// parser recurses through, and a left-deep chain it builds in a loop.
+func deepExprs(height int) map[string]string {
+	n := height - 1 // operators over one literal
+	return map[string]string{
+		"parentheses": "SELECT " + strings.Repeat("(1 + ", n) + "1" + strings.Repeat(")", n),
+		"chain":       "SELECT 1" + strings.Repeat(" + 1", n),
+		"negations":   "SELECT " + strings.Repeat("- ", n) + "1",
+	}
+}
+
+// fromChain is a SELECT whose FROM nests n subqueries.
+func fromChain(n int) string {
+	return "SELECT * FROM " + strings.Repeat("(SELECT * FROM ", n) + "t" + strings.Repeat(") s", n)
+}
+
+// TestExprDepthIsBounded: an expression deeper than maxExprDepth is a
+// parse error naming the limit, never a tree that overflows the stack of
+// the first pass that recurses over it (FormatStatement stands in for
+// them). A tree at the limit parses and round-trips. The stack is capped
+// so that an unbounded tree crashes the test rather than taking a
+// gigabyte of stack first.
+func TestExprDepthIsBounded(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	for shape, q := range deepExprs(100_000) {
+		stmts, err := Parse(q)
+		if err == nil {
+			FormatStatement(stmts[0])
+			t.Fatalf("%s: a 100000-level expression parsed", shape)
+		}
+		if want := fmt.Sprintf("expression nests deeper than %d levels", maxExprDepth); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want an error naming the limit", shape, err)
+		}
+	}
+	for shape, q := range deepExprs(maxExprDepth) {
+		text := FormatStatement(mustParse(t, q))
+		if again := FormatStatement(mustParse(t, text)); again != text {
+			t.Fatalf("%s at the limit does not round-trip", shape)
+		}
+	}
+	for shape, q := range deepExprs(maxExprDepth + 1) {
+		if _, err := Parse(q); err == nil {
+			t.Fatalf("%s one level past the limit parsed", shape)
+		}
+	}
+	for shape, q := range map[string]string{
+		"parentheses":     "SELECT " + strings.Repeat("(", maxExprNest) + "1" + strings.Repeat(")", maxExprNest),
+		"FROM subqueries": fromChain(100_000),
+	} {
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+			t.Fatalf("%s nested past the parser's recursion bound: %v, want an error naming the limit", shape, err)
+		}
+	}
+	mustParse(t, fromChain(100))
 }

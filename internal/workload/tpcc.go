@@ -6,8 +6,8 @@ import (
 	"repro/internal/ml"
 )
 
-// TPCCSchema is the DDL for the (simplified) TPC-C schema.
-var TPCCSchema = []string{
+// tpccSchema is the DDL for the (simplified) TPC-C schema.
+var tpccSchema = []string{
 	`CREATE TABLE warehouse (w_id int, w_name text, w_tax float, w_ytd float)`,
 	`CREATE TABLE district (d_id int, d_w_id int, d_name text, d_tax float, d_ytd float, d_next_o_id int)`,
 	`CREATE TABLE customer_t (c_id int, c_d_id int, c_w_id int, c_last text, c_balance float, c_ytd_payment float, c_payment_cnt int, c_delivery_cnt int)`,

@@ -40,6 +40,8 @@ func tpchDate(r *ml.Rand) string {
 
 // LoadTPCH creates and bulk-loads the 8 TPC-H tables into db. scale=1
 // yields 150 customers / 1,500 orders / ~6,000 lineitems (1/1000 of SF-1).
+//
+//flockvet:ignore deadexport loads TPC-H for the root TPC-H benchmarks and the workload tests
 func LoadTPCH(db *engine.DB, scale int) error {
 	if scale <= 0 {
 		scale = 1
@@ -260,4 +262,6 @@ func LoadTPCH(db *engine.DB, scale int) error {
 // ExecutableTPCHQueries lists the template numbers the engine can execute
 // end to end (the rest require correlated subqueries and are parse-only,
 // used by the provenance study).
+//
+//flockvet:ignore deadexport the TPC-H queries the engine runs, shared by the root TPC-H benchmark and the workload tests
 var ExecutableTPCHQueries = []int{1, 3, 5, 6, 10, 12, 14, 19}

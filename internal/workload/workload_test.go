@@ -103,7 +103,7 @@ func TestTPCCWorkload(t *testing.T) {
 
 func TestTPCCSchemaExecutesAndRuns(t *testing.T) {
 	db := engine.NewDB()
-	for _, ddl := range TPCCSchema {
+	for _, ddl := range tpccSchema {
 		if _, err := db.Exec(ddl); err != nil {
 			t.Fatalf("%s: %v", ddl, err)
 		}
