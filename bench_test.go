@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/governance"
 	"repro/internal/notebooks"
 	"repro/internal/onnx"
 	"repro/internal/opt"
@@ -151,9 +152,9 @@ func BenchmarkProvenanceCapture(b *testing.B) {
 // BenchmarkProvenanceEagerVsLazy is the capture-mode ablation.
 func BenchmarkProvenanceEagerVsLazy(b *testing.B) {
 	queries := workload.TPCHWorkload(500, 3)
-	log := make([]engine.LogEntry, len(queries))
+	log := make([]governance.AuditEntry, len(queries))
 	for i, q := range queries {
-		log[i] = engine.LogEntry{Seq: int64(i + 1), Text: q, User: "u"}
+		log[i] = governance.AuditEntry{Seq: int64(i + 1), User: "u", Detail: q, Allowed: true}
 	}
 	b.Run("Eager", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

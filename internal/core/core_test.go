@@ -3,17 +3,19 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
-
 	"repro/internal/governance"
 	"repro/internal/ml"
 	"repro/internal/onnx"
 	"repro/internal/policy"
 	"repro/internal/provenance"
+	"repro/internal/sql"
 )
 
 // boxed is res's rows with every cell boxed, for comparing answers.
@@ -162,7 +164,8 @@ func TestRegistryPersistenceRoundTrip(t *testing.T) {
 // TestRegistryRefreshReloadsOnlyOnChange: RefreshModels (a replica's
 // per-batch hook) reloads only when the system table changed. A refresh
 // with no change leaves the generation — and so every cached plan and
-// score — and the query log alone; a newly appended model row is picked up.
+// score — alone, and no refresh reaches the audit chain or the provenance
+// catalog; a newly appended model row is picked up.
 func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
 	f := newFlock(t)
 	g, _ := onnx.Export(trainPipe(t))
@@ -172,7 +175,17 @@ func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
 	if err := f.RefreshModels(); err != nil {
 		t.Fatal(err)
 	}
-	gen, logged := f.Models.Generation(), len(f.DB.QueryLog())
+	gen, audited := f.Models.Generation(), f.Audit.Len()
+	nodes, _ := f.Catalog.Size()
+	governed := func(what string) {
+		t.Helper()
+		if got := f.Audit.Len(); got != audited {
+			t.Fatalf("%s appended %d audit entries", what, got-audited)
+		}
+		if got, _ := f.Catalog.Size(); got != nodes {
+			t.Fatalf("%s added %d provenance nodes", what, got-nodes)
+		}
+	}
 	for range 5 {
 		if err := f.RefreshModels(); err != nil {
 			t.Fatal(err)
@@ -181,9 +194,7 @@ func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
 	if got := f.Models.Generation(); got != gen {
 		t.Fatalf("five refreshes with no model change moved the generation %d -> %d", gen, got)
 	}
-	if got := len(f.DB.QueryLog()); got != logged {
-		t.Fatalf("refreshes appended %d query-log entries", got-logged)
-	}
+	governed("refreshes")
 
 	// A row written by another writer, as a shipped frame lands on a replica.
 	blob, err := onnx.Marshal(g)
@@ -204,9 +215,7 @@ func TestRegistryRefreshReloadsOnlyOnChange(t *testing.T) {
 	if got := f.Models.Generation(); got != gen+1 {
 		t.Fatalf("generation after one real reload = %d, want %d", got, gen+1)
 	}
-	if got := len(f.DB.QueryLog()); got != logged {
-		t.Fatalf("reload appended %d query-log entries", got-logged)
-	}
+	governed("reload")
 }
 
 // TestRegistryModelNamesAreData: a model name is stored as data, never
@@ -467,25 +476,107 @@ func TestFlockDecideWithPolicy(t *testing.T) {
 	}
 }
 
-func TestFlockLazyCaptureFromQueryLog(t *testing.T) {
-	f := newFlock(t)
-	if _, err := f.Exec("root", "CREATE TABLE t (a int)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := f.Exec("root", "INSERT INTO t VALUES (1)"); err != nil {
+// TestFlockLazyCaptureFromAuditChain: the audit chain is the one record of
+// executed statements. After an OpenDir reopen, lazy capture from it into a
+// fresh catalog rebuilds every statement that ran — a statement longer than
+// the 200 characters a parse-failure record keeps included, whole — and
+// skips what was denied or failed.
+func TestFlockLazyCaptureFromAuditChain(t *testing.T) {
+	dir := t.TempDir()
+	f1, d1 := openDurable(t, dir)
+	mustExecD := func(q string) {
+		t.Helper()
+		if _, err := f1.Exec("root", q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Lazy capture into a FRESH catalog from the engine's query log.
-	lazy := provenance.NewCatalog()
-	tracker := provenance.NewSQLTracker(lazy)
-	captured, skipped := tracker.CaptureLog(f.DB.QueryLog())
-	if captured < 6 || skipped != 0 {
-		t.Errorf("captured=%d skipped=%d", captured, skipped)
+	mustExecD("CREATE TABLE t (a int)")
+	for i := 0; i < 5; i++ {
+		mustExecD("INSERT INTO t VALUES (1)")
 	}
-	if len(lazy.Versions(provenance.TypeTable, "t")) < 6 {
-		t.Error("lazy capture missed write versions")
+	var long strings.Builder
+	long.WriteString("SELECT count(*) FROM t WHERE a >= 0")
+	for i := 0; long.Len() <= 300; i++ {
+		fmt.Fprintf(&long, " AND a <> %d", 1000+i)
+	}
+	stmt, err := sql.ParseOne(long.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	longText := sql.FormatStatement(stmt)
+	mustExecD(longText)
+	if _, err := f1.Exec("nobody", "SELECT a FROM t"); err == nil {
+		t.Fatal("unauthorized read succeeded")
+	}
+	if _, err := f1.Exec("root", "INSERT INTO t VALUES ('x')"); err == nil {
+		t.Fatal("a text value went into an int column")
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f2, d2 := openDurable(t, dir)
+	defer d2.Close()
+	entries := f2.Audit.Entries()
+	var selects []string
+	for _, e := range entries {
+		if e.Action == "select" {
+			selects = append(selects, e.Detail)
+		}
+	}
+	if len(selects) != 1 || selects[0] != longText || len(longText) <= 200 {
+		t.Fatalf("selects audited as %q, want the whole %d-character statement once", selects, len(longText))
+	}
+	lazy := provenance.NewCatalog()
+	captured, skipped := provenance.NewSQLTracker(lazy).CaptureLog(entries)
+	if captured != 7 || skipped != 2 {
+		t.Errorf("captured=%d skipped=%d, want 7 and 2 (the denial and the failed insert)", captured, skipped)
+	}
+	if n := len(lazy.Versions(provenance.TypeTable, "t")); n != 7 {
+		t.Errorf("lazy capture made %d versions of t, want 7 (v1, then the create's and five inserts')", n)
+	}
+	found := 0
+	for _, q := range lazy.EntitiesOfType(provenance.TypeQuery) {
+		if q.Attrs["text"] == longText {
+			found++
+		}
+	}
+	if found != 1 {
+		t.Errorf("lazy capture holds %d entities with the long statement's text, want 1", found)
+	}
+}
+
+// TestCheckpointSizeIgnoresReads: reads leave no record in the engine, so
+// a checkpoint's snapshot is as large after a thousand SELECTs as before.
+func TestCheckpointSizeIgnoresReads(t *testing.T) {
+	dir := t.TempDir()
+	f, d := openDurable(t, dir)
+	defer d.Close()
+	if _, err := f.Exec("root", "CREATE TABLE t (a int)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Exec("root", "INSERT INTO t VALUES (1), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	snapshotSize := func() int64 {
+		t.Helper()
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(filepath.Join(dir, "snapshot.flk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	before := snapshotSize()
+	for i := 0; i < 1000; i++ {
+		if _, err := f.Exec("root", fmt.Sprintf("SELECT count(*) FROM t WHERE a > %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := snapshotSize(); after != before {
+		t.Fatalf("snapshot is %d bytes after 1000 SELECTs, %d before", after, before)
 	}
 }
 
@@ -530,12 +621,6 @@ func TestFlockRestartFromSnapshot(t *testing.T) {
 		if gotRows[i][1] != wantRows[i][1] {
 			t.Fatalf("restored score differs at row %d: %v vs %v", i, gotRows[i][1], wantRows[i][1])
 		}
-	}
-	// The restored query log supports lazy provenance reconstruction.
-	lazy := provenance.NewCatalog()
-	captured, _ := provenance.NewSQLTracker(lazy).CaptureLog(f2.DB.QueryLog())
-	if captured < 3 {
-		t.Errorf("lazy rebuild captured %d queries", captured)
 	}
 	// And new deployments continue the version sequence.
 	v, err := f2.DeployPipeline("root", "churn", trainPipe(t), TrainingInfo{})

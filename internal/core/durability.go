@@ -16,11 +16,12 @@ import (
 )
 
 // Crash-safe durability for a served Flock instance: engine.OpenDirDB
-// recovers tables, time-travel history, the query log and (through the
-// system table) every deployed model; this file adds the audit chain —
-// persisted as its own append-only frame stream, since tamper evidence
-// wants an independent medium — and the background checkpointer that folds
-// the WAL into snapshots while the server runs.
+// recovers tables, time-travel history and (through the system table)
+// every deployed model; this file adds the audit chain — the one record of
+// executed statements, which lazy provenance capture reads, persisted as
+// its own append-only frame stream since tamper evidence wants an
+// independent medium — and the background checkpointer that folds the WAL
+// into snapshots while the server runs.
 
 // auditFile holds the persisted audit chain inside the data directory.
 const auditFile = "audit.log"

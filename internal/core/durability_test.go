@@ -26,8 +26,7 @@ func openDurable(t *testing.T, dir string) (*Flock, *Durability) {
 
 // TestOpenDirFullLifecycle drives the whole durability loop: data + model
 // + audit accumulate, a clean Close folds the WAL, and a reopen recovers
-// tables, time-travel history, the model registry, the query log and the
-// audit chain.
+// tables, time-travel history, the model registry and the audit chain.
 func TestOpenDirFullLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	f1, d1 := openDurable(t, dir)
@@ -118,8 +117,8 @@ func TestOpenDirFullLifecycle(t *testing.T) {
 }
 
 // TestOpenDirCrashRecovery simulates a crash: no Close, no checkpoint —
-// the reopened instance must still hold every acknowledged write and the
-// audit/log state, replayed from the WAL.
+// the reopened instance must still hold every acknowledged write, replayed
+// from the WAL, and the audit chain.
 func TestOpenDirCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	f1, _ := openDurable(t, dir)

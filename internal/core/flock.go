@@ -246,6 +246,7 @@ func firstObject(acc sql.Access) string {
 	return ""
 }
 
+// truncate bounds the raw client text a parse-failure audit record keeps.
 func truncate(s string) string {
 	if len(s) > 200 {
 		return s[:200] + "..."

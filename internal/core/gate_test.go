@@ -2,7 +2,7 @@ package core
 
 // One gate, four routes: an ad hoc or prepared statement, run to
 // completion or opened as a cursor, leaves the same audit entries, the
-// same query-log texts and the same provenance growth.
+// same eagerly captured statement texts and the same provenance growth.
 
 import (
 	"context"
@@ -11,13 +11,14 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/governance"
+	"repro/internal/provenance"
 )
 
 // governed is what one statement leaves behind in the governance records.
 type governed struct {
 	Failed       bool
 	Audit        []governance.AuditEntry // User, Action, Object, Detail, Allowed only
-	Log          []string
+	Captured     []string                // texts of the query entities eager capture added
 	Nodes, Edges int
 }
 
@@ -73,7 +74,7 @@ func governFresh(t *testing.T, ctx context.Context, r route, user, query string)
 	f.Access.Grant("researcher", governance.ActSelect, governance.ColumnObject("readings", "v"))
 	f.Access.AssignRole("rae", "researcher")
 
-	audit, log := f.Audit.Len(), len(f.DB.QueryLog())
+	audit, queries := f.Audit.Len(), len(f.Catalog.EntitiesOfType(provenance.TypeQuery))
 	nodes, edges := f.Catalog.Size()
 	err := r.run(ctx, f, user, query)
 	var g governed
@@ -82,8 +83,8 @@ func governFresh(t *testing.T, ctx context.Context, r route, user, query string)
 		g.Audit = append(g.Audit, governance.AuditEntry{
 			User: e.User, Action: e.Action, Object: e.Object, Detail: e.Detail, Allowed: e.Allowed})
 	}
-	for _, e := range f.DB.QueryLog()[log:] {
-		g.Log = append(g.Log, e.Text)
+	for _, q := range f.Catalog.EntitiesOfType(provenance.TypeQuery)[queries:] {
+		g.Captured = append(g.Captured, q.Attrs["text"])
 	}
 	n, e := f.Catalog.Size()
 	g.Nodes, g.Edges = n-nodes, e-edges
@@ -110,9 +111,13 @@ func TestEveryRouteGovernsAlike(t *testing.T) {
 				want.Audit[0].User != c.user || want.Audit[0].Action != c.action || want.Audit[0].Allowed != c.ok {
 				t.Fatalf("%s: %+v, want one %q audit entry with ok=%t", c.routes[0].name, want, c.action, c.ok)
 			}
-			if logged := len(want.Log) == 1; logged != c.ok || (want.Nodes > 0) != c.ok {
-				t.Fatalf("%s: query log %q, %d new provenance nodes; want them only when allowed",
-					c.routes[0].name, want.Log, want.Nodes)
+			if captured := len(want.Captured) == 1; captured != c.ok || (want.Nodes > 0) != c.ok {
+				t.Fatalf("%s: captured %q, %d new provenance nodes; want them only when allowed",
+					c.routes[0].name, want.Captured, want.Nodes)
+			}
+			if c.ok && want.Audit[0].Detail != want.Captured[0] {
+				t.Fatalf("%s: audited %q, captured %q; want the same formatted text",
+					c.routes[0].name, want.Audit[0].Detail, want.Captured[0])
 			}
 			for _, r := range c.routes[1:] {
 				if got := governFresh(t, context.Background(), r, c.user, c.query); !reflect.DeepEqual(got, want) {
@@ -122,13 +127,13 @@ func TestEveryRouteGovernsAlike(t *testing.T) {
 		})
 	}
 
-	// A SELECT that passes the gate and then fails is logged, captured and
-	// audited as a failed select on every route that runs to completion.
+	// A SELECT that passes the gate and then fails is captured and audited
+	// as a failed select on every route that runs to completion.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, r := range execRoutes {
 		g := governFresh(t, canceled, r, "root", read)
-		if !g.Failed || len(g.Log) != 1 || len(g.Audit) != 1 ||
+		if !g.Failed || len(g.Captured) != 1 || len(g.Audit) != 1 ||
 			g.Audit[0].Action != "select" || g.Audit[0].Allowed {
 			t.Errorf("%s under a canceled context: %+v, want a failed run audited select ok=false", r.name, g)
 		}

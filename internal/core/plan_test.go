@@ -183,7 +183,9 @@ func TestPredictScoresLikeTheScorerUnderAppends(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; !done.Load(); i++ {
+			// Each reader reads once before it checks done, so a writer that
+			// finishes first still leaves reads to check.
+			for i := 0; i == 0 || !done.Load(); i++ {
 				var res *engine.Result
 				var err error
 				if (w+i)%2 == 0 {

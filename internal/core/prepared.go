@@ -135,20 +135,21 @@ func (f *Flock) CheckPrepared(user string, p *Prepared) error {
 }
 
 // gate is the one governance gate every statement passes before it runs:
-// the access check (a denial is audited), eager provenance capture and the
-// query log. Nothing is planned, scanned or released before it.
+// the access check (a denial is audited), then eager provenance capture.
+// Nothing is planned, scanned or released before it.
 func (f *Flock) gate(user string, p *Prepared) error {
 	if err := f.CheckPrepared(user, p); err != nil {
 		return err
 	}
 	f.Prov.CaptureStmt(p.stmt, p.text, user)
-	f.DB.LogStatement(p.text, user)
 	return nil
 }
 
-// record appends p's audit entry under action.
+// record appends p's audit entry under action. Its Detail is the formatted
+// statement, whole: the audit chain is the record lazy provenance capture
+// reads (provenance.SQLTracker.CaptureLog).
 func (f *Flock) record(user, action string, p *Prepared, ok bool) {
-	f.Audit.Record(user, action, firstObject(p.acc), truncate(p.text), ok)
+	f.Audit.Record(user, action, firstObject(p.acc), p.text, ok)
 }
 
 // ExecPrepared runs a statement to completion on behalf of user: the gate,

@@ -1,9 +1,8 @@
 package core
 
 // Cursor-path governance pinning: QueryPrepared performs the access check,
-// audit, provenance capture and query-log append BEFORE the first batch is
-// released, denied users get no cursor at all, and non-SELECT statements
-// are rejected.
+// audit and provenance capture BEFORE the first batch is released, denied
+// users get no cursor at all, and non-SELECT statements are rejected.
 
 import (
 	"context"
@@ -101,15 +100,16 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 		t.Fatalf("expected a denial audit record, got %+v", last)
 	}
 
-	logBefore := len(f.DB.QueryLog())
+	text := sql.FormatStatement(mustParseQ(t, `SELECT id FROM readings`))
+	capturedBefore := len(queryEntitiesWithText(f, text))
 	auditBefore := f.Audit.Len()
 	cur, err := queryText(context.Background(), f, "root", `SELECT id FROM readings`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No batch pulled yet: the statement must already be logged and audited.
-	if got := len(f.DB.QueryLog()); got != logBefore+1 {
-		t.Fatalf("query log grew %d entries at open, want 1", got-logBefore)
+	// No batch pulled yet: the statement must already be captured and audited.
+	if got := len(queryEntitiesWithText(f, text)); got != capturedBefore+1 {
+		t.Fatalf("provenance gained %d entities for %q at open, want 1", got-capturedBefore, text)
 	}
 	if got := f.Audit.Len(); got != auditBefore+1 {
 		t.Fatalf("audit grew %d entries at open, want 1", got-auditBefore)
@@ -118,7 +118,7 @@ func TestQueryGovernanceBeforeFirstBatch(t *testing.T) {
 }
 
 // TestLoggedTextIsFormatted pins what the ad hoc paths record, now that
-// each parses its statement once: the query-log entry and the provenance
+// each parses its statement once: the audit entry and the provenance
 // entity carry sql.FormatStatement of the parsed statement, not the text as
 // sent, for Exec (one and several statements) and a cursor alike.
 func TestLoggedTextIsFormatted(t *testing.T) {
@@ -132,7 +132,7 @@ func TestLoggedTextIsFormatted(t *testing.T) {
 	for _, s := range stmts {
 		want = append(want, sql.FormatStatement(s))
 	}
-	before := len(f.DB.QueryLog())
+	before := f.Audit.Len()
 	mustExecQ(t, f, multi)
 	cur, err := queryText(context.Background(), f, "root", `select id   from readings where id<3`)
 	if err != nil {
@@ -141,13 +141,13 @@ func TestLoggedTextIsFormatted(t *testing.T) {
 	cur.Close()
 	want = append(want, sql.FormatStatement(mustParseQ(t, `select id   from readings where id<3`)))
 
-	log := f.DB.QueryLog()[before:]
-	if len(log) != len(want) {
-		t.Fatalf("query log grew %d entries, want %d", len(log), len(want))
+	audit := f.Audit.Entries()[before:]
+	if len(audit) != len(want) {
+		t.Fatalf("audit chain grew %d entries, want %d", len(audit), len(want))
 	}
-	for i, e := range log {
-		if e.Text != want[i] || e.User != "root" {
-			t.Errorf("log entry %d = %q by %q, want %q by root", i, e.Text, e.User, want[i])
+	for i, e := range audit {
+		if e.Detail != want[i] || e.User != "root" {
+			t.Errorf("audit entry %d = %q by %q, want %q by root", i, e.Detail, e.User, want[i])
 		}
 		if len(queryEntitiesWithText(f, want[i])) != 1 {
 			t.Errorf("no single provenance entity for %q", want[i])
@@ -176,19 +176,20 @@ func queryEntitiesWithText(f *Flock, text string) []*provenance.Entity {
 
 // TestQueryRejectsNonSelect: an ad hoc (unplanned) DML statement cannot be
 // cursored, and the refusal comes before the gate, so it leaves nothing in
-// the query log or the audit log.
+// the provenance catalog or the audit log.
 func TestQueryRejectsNonSelect(t *testing.T) {
 	f := queryTestFlock(t)
 	stmts, err := f.Parse("root", `INSERT INTO readings VALUES (999, 1.0)`, f.DB.DefaultLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logBefore, auditBefore := len(f.DB.QueryLog()), f.Audit.Len()
+	nodesBefore, _ := f.Catalog.Size()
+	auditBefore := f.Audit.Len()
 	if _, err := f.QueryPrepared(context.Background(), "root", stmts[0]); err == nil {
 		t.Fatal("QueryPrepared accepted ad hoc DML")
 	}
-	if len(f.DB.QueryLog()) != logBefore || f.Audit.Len() != auditBefore {
-		t.Fatal("a refused cursor was logged or audited")
+	if nodes, _ := f.Catalog.Size(); nodes != nodesBefore || f.Audit.Len() != auditBefore {
+		t.Fatal("a refused cursor was captured or audited")
 	}
 }
 

@@ -5,42 +5,22 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/onnx"
 	"repro/internal/opt"
 	"repro/internal/sql"
 )
 
-// LogEntry is one statement recorded in the query log, the input to lazy
-// provenance capture.
-type LogEntry struct {
-	Seq  int64
-	Text string
-	User string
-	At   time.Time
-}
-
-// DB is the in-process database: named tables, a query log, and an optional
-// model provider enabling the PREDICT extension.
+// DB is the in-process database: named tables and an optional model
+// provider enabling the PREDICT extension.
 type DB struct {
 	mu         sync.RWMutex
 	tables     map[string]*Table
 	catalogGen atomic.Int64 // bumped under mu on every change to tables
 
-	// logMu guards the query log: log, logSeq and logFramed. It ranks
-	// below t.writeMu and db.mu and above the WAL's own mutex. logFramed is
-	// the index of the first entry that is neither in a WAL frame nor
-	// covered by a published snapshot: log[logFramed:] is the unframed
-	// tail frameLogLocked writes as one WALLog frame.
-	logMu     sync.Mutex
-	log       []LogEntry
-	logSeq    int64
-	logFramed int
-
 	// commitMu is the statement-level commit barrier: every committing
-	// statement (DML apply + WAL append, DDL, query-log append) holds it in
-	// read mode, and snapshot/checkpoint construction holds it exclusively.
+	// statement (DML apply + WAL append, DDL) holds it in read mode, and
+	// snapshot/checkpoint construction holds it exclusively.
 	// A snapshot therefore sits between whole statements — never inside one,
 	// and never between a statement's in-memory apply and its WAL record.
 	commitMu sync.RWMutex
@@ -224,68 +204,6 @@ func (db *DB) TableColumns(table string) ([]string, error) {
 	return t.Schema().Names(), nil
 }
 
-// QueryLog returns a copy of the query log (for lazy provenance capture).
-//
-//flockvet:ignore deadexport the tests' read of the query log (34 call sites) until the log moves behind an iterator, ROADMAP item 3
-func (db *DB) QueryLog() []LogEntry {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	return append([]LogEntry(nil), db.log...)
-}
-
-// logFrameBatch bounds the unframed query-log tail: once this many entries
-// are pending, appendLog frames them without waiting for a commit.
-const logFrameBatch = 256
-
-// appendLog records an executed statement in the query log. It holds the
-// commit barrier in read mode, so a snapshot falls between statements, but
-// takes no catalog lock and writes no WAL frame of its own: the unframed
-// tail goes to the WAL as one WALLog frame just before the next durable
-// record (whose fsync then covers it), once logFrameBatch entries are
-// pending, at a checkpoint, and at CloseDurability. The read-only tail
-// since the last frame is therefore lost by a crash — an accepted trade
-// for provenance metadata against one frame per SELECT. On a replica the
-// entries stay in memory only: the replica's WAL is a byte-for-byte copy of
-// the leader's frame sequence, and interleaving local frames would
-// desynchronize its LSNs.
-func (db *DB) appendLog(text, user string) {
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	db.logSeq++
-	db.log = append(db.log, LogEntry{Seq: db.logSeq, Text: text, User: user, At: time.Now()})
-	if len(db.log)-db.logFramed >= logFrameBatch {
-		_ = db.frameLogLocked()
-	}
-}
-
-// frameLogLocked writes the unframed query-log tail as one WALLog frame
-// that asks for no durability of its own. The caller holds commitMu (either
-// mode) and logMu. It is a no-op without an attached WAL and on a replica.
-// A failed append leaves the tail unframed for the next attempt and marks
-// a poisoned WAL degraded; only Checkpoint fails on the error, since its
-// snapshot must cover every framed entry.
-func (db *DB) frameLogLocked() error {
-	if db.wal == nil || db.logFramed == len(db.log) || db.IsReplica() {
-		return nil
-	}
-	rec := &WALRecord{Kind: WALLog, Entries: db.log[db.logFramed:]}
-	if _, err := db.wal.appendFrame(rec, false); err != nil {
-		db.noteWALErr(err)
-		return err
-	}
-	db.logFramed = len(db.log)
-	return nil
-}
-
-// frameLog is frameLogLocked for callers that do not hold logMu.
-func (db *DB) frameLog() error {
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	return db.frameLogLocked()
-}
-
 // installCreate registers a replayed or replicated CREATE TABLE without
 // WAL-logging it — the record already exists in the log being applied.
 func (db *DB) installCreate(name string, schema Schema) error {
@@ -464,10 +382,9 @@ func (db *DB) remoteFor(g *onnx.Graph) (onnx.Scorer, error) {
 	return onnx.NewRemoteScorerJSON(g, 1)
 }
 
-// Exec parses and executes a statement string at the default level on
-// behalf of "system", recording each statement in the query log — the
+// Exec parses and executes a statement string at the default level — the
 // text convenience for tests, loaders and tools. Governed callers go
-// through core.Flock instead.
+// through core.Flock instead, whose audit chain records every statement.
 func (db *DB) Exec(query string) (*Result, error) {
 	stmts, err := sql.Parse(query)
 	if err != nil {
@@ -478,7 +395,6 @@ func (db *DB) Exec(query string) (*Result, error) {
 	}
 	var last *Result
 	for _, stmt := range stmts {
-		db.appendLog(sql.FormatStatement(stmt), "system")
 		if last, err = db.ExecStmtContext(context.Background(), stmt, ExecOptions{Level: db.DefaultLevel}); err != nil {
 			return nil, err
 		}
@@ -486,14 +402,8 @@ func (db *DB) Exec(query string) (*Result, error) {
 	return last, nil
 }
 
-// LogStatement records an externally-executed statement in the query log
-// (the governed path logs through here, keeping lazy provenance capture
-// complete).
-func (db *DB) LogStatement(text, user string) { db.appendLog(text, user) }
-
-// ExecStmtContext executes a parsed statement (without logging) under a
-// cancellation context: execution aborts at the next batch boundary once
-// ctx is done.
+// ExecStmtContext executes a parsed statement under a cancellation
+// context: execution aborts at the next batch boundary once ctx is done.
 func (db *DB) ExecStmtContext(ctx context.Context, stmt sql.Statement, o ExecOptions) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:

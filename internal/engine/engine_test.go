@@ -412,23 +412,6 @@ func TestCompressionScoresNaNLikeTheScorer(t *testing.T) {
 	}
 }
 
-func TestQueryLog(t *testing.T) {
-	db := newTestDB(t)
-	if _, err := db.Exec("SELECT id FROM orders WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("INSERT INTO orders VALUES (9, 'us', 1.0, 1)"); err != nil {
-		t.Fatal(err)
-	}
-	log := db.QueryLog()
-	if len(log) != 2 {
-		t.Fatalf("log entries = %d", len(log))
-	}
-	if log[0].Seq != 1 || log[1].Seq != 2 {
-		t.Error("log sequence wrong")
-	}
-}
-
 func TestDateAndLike(t *testing.T) {
 	db := NewDB()
 	if _, err := db.Exec("CREATE TABLE ship (id int, d text, comment text)"); err != nil {

@@ -117,7 +117,7 @@ func (db *DB) PromoteToLeader() (int64, error) {
 	// The epoch record is the first frame of the new generation. It must be
 	// durable before the node leads: a leader whose own epoch transition
 	// could vanish in a crash would resurrect at the old epoch, unfenced.
-	lsn, err := db.wal.appendFrame(&WALRecord{Kind: WALEpoch, Epoch: newEpoch}, true)
+	lsn, err := db.wal.appendFrame(&WALRecord{Kind: WALEpoch, Epoch: newEpoch})
 	if err == nil {
 		err = db.wal.waitDurable(lsn)
 	}

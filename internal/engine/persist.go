@@ -7,16 +7,18 @@ import (
 )
 
 // Durable snapshots: the engine serializes every table (schema, data,
-// version counter, retained time-travel history) and the query log to a
-// single stream, and restores them into an empty database — the durability
-// half of the paper's call for "query, lineage-tracking and storage
-// technology that can cover heterogeneous, versioned, and durable data".
-// Model blobs live in the registry's system table, so a snapshot +
-// ModelRegistry.LoadPersisted is a full recovery.
+// version counter, retained time-travel history) to a single stream, and
+// restores them into an empty database — the durability half of the
+// paper's call for "query, lineage-tracking and storage technology that can
+// cover heterogeneous, versioned, and durable data". Model blobs live in
+// the registry's system table, so a snapshot + ModelRegistry.LoadPersisted
+// is a full recovery.
 //
 // Format v2 adds the retained history (time travel survives restarts) and
 // the WAL sequence number the snapshot covers (recovery replays only newer
-// records). v1 snapshots still load, with an empty history.
+// records). v1 snapshots still load, with an empty history. Snapshots of
+// earlier versions also carry a query log (Log, LogSeq); gob drops those
+// fields on decode.
 
 const snapshotMagic = "FLKD"
 
@@ -39,8 +41,6 @@ type savedTable struct {
 type savedDB struct {
 	FormatVersion int
 	Tables        []savedTable
-	Log           []LogEntry
-	LogSeq        int64
 	LSN           int64
 	// Epoch and EpochStart carry the replication leadership generation
 	// across restarts and follower bootstraps. Gob leaves them zero when
@@ -56,27 +56,22 @@ func (db *DB) buildSnapshot() savedDB {
 	return db.buildSnapshotLocked()
 }
 
-// buildSnapshotLocked assembles every table, a copy of the query log and
-// the covered LSN. The caller holds commitMu exclusively, so no statement
-// can commit between any two reads: the log, each table, and cross-table
-// state are captured at one instant (a torn snapshot whose log and data
-// disagree — or whose tables are from different moments — cannot be
-// produced). Tables are captured as column headers, current ones truncated
+// buildSnapshotLocked assembles every table and the covered LSN. The
+// caller holds commitMu exclusively, so no statement can commit between
+// any two reads: each table and cross-table state are captured at one
+// instant (a torn snapshot whose LSN and data disagree — or whose tables
+// are from different moments — cannot be produced). Tables are captured as column headers, current ones truncated
 // at the committed row count, and not copied: a committed row range is
 // never written again (appends land past it, UPDATE clones the column,
 // DELETE gathers a new one), so the snapshot can be encoded after the
 // barrier is released.
 func (db *DB) buildSnapshotLocked() savedDB {
-	db.logMu.Lock()
 	snap := savedDB{
 		FormatVersion: 2,
-		Log:           append([]LogEntry(nil), db.log...),
-		LogSeq:        db.logSeq,
 		LSN:           db.replayLSN,
 		Epoch:         db.epoch.Load(),
 		EpochStart:    db.epochStart.Load(),
 	}
-	db.logMu.Unlock()
 	db.mu.RLock()
 	if db.wal != nil {
 		snap.LSN = db.wal.lsn // quiesced: appenders hold commitMu in read mode
@@ -111,9 +106,9 @@ func (snap savedDB) encode(w io.Writer) error {
 }
 
 // SaveSnapshot writes a durable snapshot of all tables (including retained
-// time-travel history) and the query log. The copy is taken under the
-// statement-level commit barrier, so concurrent DML cannot tear it; the
-// encoding happens after the barrier is released.
+// time-travel history). The copy is taken under the statement-level commit
+// barrier, so concurrent DML cannot tear it; the encoding happens after the
+// barrier is released.
 func (db *DB) SaveSnapshot(w io.Writer) error {
 	return db.buildSnapshot().encode(w)
 }
@@ -198,11 +193,6 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 		db.tables[n] = t
 	}
 	db.catalogGen.Add(1)
-	db.logMu.Lock()
-	db.log = snap.Log
-	db.logSeq = snap.LogSeq
-	db.logFramed = len(db.log)
-	db.logMu.Unlock()
 	db.replayLSN = snap.LSN
 	if snap.Epoch > 0 {
 		db.epoch.Store(snap.Epoch)

@@ -28,8 +28,8 @@ type dirState struct {
 	epoch int64
 }
 
-// stateOf reads db's state without executing a statement: a statement
-// appends a query-log frame and would move the LSN it is reading.
+// stateOf reads db's state without executing a statement, so reading it
+// cannot move the LSN it reads.
 func stateOf(t *testing.T, db *DB) dirState {
 	t.Helper()
 	tbl, err := db.Table("t")

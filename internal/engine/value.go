@@ -4,11 +4,11 @@
 // whole columns per call with typed inner loops and null masks, typed
 // multi-column hash tables for aggregation/distinct/joins (hash.go),
 // volcano-style physical operators (including the vectorized, parallel
-// PREDICT operator of §4.1), table statistics, versioning, and a query log
-// for lazy provenance capture. The batch kernels are the one expression
-// evaluator: SELECT, DML and the LevelUDF PREDICT path (compile.go) all run
-// on them, and TestKernelInterpreterEquivalence pins their semantics against
-// plain Go; docs/engine.md describes the batch-kernel ABI.
+// PREDICT operator of §4.1), table statistics and versioning. The batch
+// kernels are the one expression evaluator: SELECT, DML and the LevelUDF
+// PREDICT path (compile.go) all run on them, and
+// TestKernelInterpreterEquivalence pins their semantics against plain Go;
+// docs/engine.md describes the batch-kernel ABI.
 package engine
 
 import (

@@ -48,7 +48,7 @@ const (
 	WALDrop                     // DROP TABLE: Table
 	WALInsert                   // committed INSERT batch: Table + Rows
 	WALReplace                  // committed UPDATE/DELETE/bulk-load rebuild: Table + Cols
-	WALLog                      // query-log batch: Entries (Entry in frames written before batching)
+	WALLog                      // reserved: an earlier version's query-log batch, replayed as a bare LSN advance
 	WALEpoch                    // leadership epoch transition: Epoch (replication failover)
 )
 
@@ -61,12 +61,6 @@ type WALRecord struct {
 	Schema Schema
 	Rows   [][]Value
 	Cols   []Column
-	// Entries is a WALLog record's batch of query-log entries. Entry is the
-	// single entry a WALLog record carried before entries were batched; it
-	// stays so those frames still replay (gob drops fields the type no
-	// longer has without an error).
-	Entries []LogEntry
-	Entry   *LogEntry
 	// Epoch is set only on WALEpoch records: the leadership generation that
 	// begins at this LSN. Shipping the record in-band teaches every follower
 	// the new epoch through the ordinary apply path.
@@ -178,13 +172,8 @@ type WAL struct {
 	// tailing wakeup (see DB.WatchDurable). Lazily created per wait round.
 	watch chan struct{}
 
-	// Group-commit accounting counts only durable-commit records (DML/DDL);
-	// WALLog query-log frames ride the same fsyncs but asking for no
-	// durability of their own, they would inflate the amortization gauge.
-	durableAppended int64 // durable records framed so far
-	durableSynced   int64 // durable records covered by completed fsyncs
-	groupSyncs      int64 // completed group-commit fsyncs
-	groupRecords    int64 // durable records those fsyncs covered
+	groupSyncs   int64 // completed group-commit fsyncs
+	groupRecords int64 // records those fsyncs covered
 
 	// idx locates every frame of the live file and segs those of the
 	// rotated segments not yet retired, oldest first, so the log shipper
@@ -242,13 +231,12 @@ func createWAL(path string, syncPolicy bool, startLSN int64) (*WAL, error) {
 
 // appendFrame encodes rec (assigning the next LSN) and frames it into the
 // log WITHOUT making it durable; the caller decides whether to wait on
-// waitDurable. durable marks records a commit will wait on (group-commit
-// accounting). Callers hold the DB commit barrier in read mode plus the
-// lock that orders the state involved (t.writeMu for a table, db.mu for DDL,
-// logMu for the query log), so each record stream arrives in commit order;
-// w.mu interleaves records from concurrent statements on different tables
-// (which commute on replay) without tearing frames.
-func (w *WAL) appendFrame(rec *WALRecord, durable bool) (int64, error) {
+// waitDurable. Callers hold the DB commit barrier in read mode plus the
+// lock that orders the state involved (t.writeMu for a table, db.mu for
+// DDL), so each record stream arrives in commit order; w.mu interleaves
+// records from concurrent statements on different tables (which commute on
+// replay) without tearing frames.
+func (w *WAL) appendFrame(rec *WALRecord) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken {
@@ -282,9 +270,6 @@ func (w *WAL) appendFrame(rec *WALRecord, durable bool) (int64, error) {
 	rec.LSN = w.lsn
 	w.size += int64(frameHeaderLen + buf.Len())
 	w.idx.offs = append(w.idx.offs, w.size)
-	if durable {
-		w.durableAppended++
-	}
 	if !w.sync {
 		// Without the fsync policy the append position IS the durable
 		// watermark: wake tailing shippers immediately.
@@ -362,7 +347,6 @@ func (w *WAL) waitDurable(lsn int64) error {
 		}
 		w.syncing = true
 		target := w.lsn // every frame appended so far rides this fsync
-		durableTarget := w.durableAppended
 		f := w.f
 		w.mu.Unlock()
 		err := f.Sync()
@@ -377,8 +361,7 @@ func (w *WAL) waitDurable(lsn int64) error {
 		}
 		if target > w.syncedLSN {
 			w.groupSyncs++
-			w.groupRecords += durableTarget - w.durableSynced
-			w.durableSynced = durableTarget
+			w.groupRecords += target - w.syncedLSN
 			w.syncedLSN = target
 			w.notifyLocked()
 		}
@@ -442,7 +425,6 @@ func (w *WAL) rotate() (segment string, err error) {
 	w.f, w.size, w.idx = nw.f, nw.size, nw.idx
 	// The pre-rotation Sync covered every frame in the old file.
 	w.syncedLSN = w.lsn
-	w.durableSynced = w.durableAppended
 	w.cond.Broadcast()
 	w.notifyLocked()
 	return segment, nil
@@ -474,7 +456,6 @@ func (w *WAL) close() error {
 	}
 	if err == nil {
 		w.syncedLSN = w.lsn
-		w.durableSynced = w.durableAppended
 	} else {
 		// A failed final sync means frames behind the watermark are not
 		// known durable: poison the WAL so any commit still racing toward
@@ -716,20 +697,8 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 			return err
 		}
 	case WALLog:
-		entries := rec.Entries
-		if rec.Entry != nil {
-			entries = []LogEntry{*rec.Entry}
-		}
-		if len(entries) == 0 {
-			return fmt.Errorf("engine: wal log record without entries (lsn %d)", rec.LSN)
-		}
-		db.logMu.Lock()
-		db.log = append(db.log, entries...)
-		for _, e := range entries {
-			db.logSeq = max(db.logSeq, e.Seq)
-		}
-		db.logFramed = len(db.log)
-		db.logMu.Unlock()
+		// A query-log batch from a directory or leader of an earlier
+		// version: it installs nothing and only advances the LSN.
 	case WALEpoch:
 		// The epoch check precedes the LSN bookkeeping: a transition record
 		// from a stale generation must never move this node's epoch backward.
@@ -750,11 +719,10 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 }
 
 // Checkpoint folds the write-ahead log into the snapshot: under the commit
-// barrier it frames the query-log tail (so the snapshot's LSN covers every
-// framed entry and replay never duplicates one), captures the database
-// state (column headers, not copies: see buildSnapshotLocked) and rotates
-// the live log, then (outside the barrier) writes the snapshot durably —
-// temp file, fsync, atomic rename, directory fsync — and retires the
+// barrier it captures the database state (column headers, not copies: see
+// buildSnapshotLocked) and rotates the live log, then (outside the
+// barrier) writes the snapshot durably — temp file, fsync, atomic rename,
+// directory fsync — and retires the
 // segments the previous snapshot folded. The segments this checkpoint
 // folded stay one more interval, so a follower that lags by less than one
 // checkpoint interval catches up from the log instead of bootstrapping. A
@@ -769,10 +737,6 @@ func (db *DB) Checkpoint() error {
 	if w == nil || db.durDir == "" {
 		db.commitMu.Unlock()
 		return fmt.Errorf("engine: Checkpoint requires a database opened with OpenDirDB")
-	}
-	if err := db.frameLog(); err != nil {
-		db.commitMu.Unlock()
-		return err
 	}
 	snap := db.buildSnapshotLocked()
 	_, err := w.rotate()
@@ -825,9 +789,6 @@ func (db *DB) rebaseLocked(lsn int64, point string, write func(io.Writer) error,
 	if install != nil {
 		install()
 	}
-	db.logMu.Lock()
-	db.logFramed = len(db.log) // the published snapshot holds the whole log
-	db.logMu.Unlock()
 	err := retireWAL(db.durDir, retireAll)
 	var w *WAL
 	if err == nil {
@@ -930,16 +891,15 @@ func (db *DB) LastLSN() int64 {
 	return db.wal.lsn
 }
 
-// CloseDurability frames the query-log tail, then flushes and closes the
-// write-ahead log (final shutdown; typically preceded by a Checkpoint). The
-// database remains usable but subsequent commits are no longer logged.
+// CloseDurability flushes and closes the write-ahead log (final shutdown;
+// typically preceded by a Checkpoint). The database remains usable but
+// subsequent commits are no longer logged.
 func (db *DB) CloseDurability() error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	if db.wal == nil {
 		return nil
 	}
-	_ = db.frameLog()
 	err := db.wal.close()
 	db.retiredWAL = db.wal
 	db.wal = nil
@@ -947,17 +907,14 @@ func (db *DB) CloseDurability() error {
 }
 
 // walAppend logs one committed DDL record and blocks for its durability
-// inline (rare, and already serialized on db.mu). The query-log tail is
-// framed first, so the record's fsync covers every entry appended before
-// it. Lock order: the caller's db.mu (or, on the DML path, t.writeMu) ranks
-// above logMu, which ranks above the WAL's w.mu; commitMu (read side) is
-// held throughout. No-op without an attached WAL.
+// inline (rare, and already serialized on db.mu). Lock order: the caller's
+// db.mu (or, on the DML path, t.writeMu) ranks above the WAL's w.mu;
+// commitMu (read side) is held throughout. No-op without an attached WAL.
 func (db *DB) walAppend(rec *WALRecord) error {
 	if db.wal == nil {
 		return nil
 	}
-	_ = db.frameLog()
-	lsn, err := db.wal.appendFrame(rec, true)
+	lsn, err := db.wal.appendFrame(rec)
 	if err == nil {
 		err = db.wal.waitDurable(lsn)
 	}
@@ -972,14 +929,12 @@ func (db *DB) walAppend(rec *WALRecord) error {
 
 // walAppendFrame frames one committed record without waiting for
 // durability (the DML commit path: frame under the statement lock, wait
-// after releasing it), after framing the query-log tail so the commit's
-// fsync covers it too. No-op without an attached WAL.
+// after releasing it). No-op without an attached WAL.
 func (db *DB) walAppendFrame(rec *WALRecord) error {
 	if db.wal == nil {
 		return nil
 	}
-	_ = db.frameLog()
-	_, err := db.wal.appendFrame(rec, true)
+	_, err := db.wal.appendFrame(rec)
 	db.noteWALErr(err)
 	return err
 }

@@ -36,11 +36,9 @@ type replicaState struct{ leader string }
 
 // SetReplicaMode marks the database a read-only replica of leader: every
 // local write fails fast with ErrReadOnly, and the only mutations accepted
-// are shipped WAL frames through ApplyReplicated / BootstrapReplica.
-// Local statements are still recorded in the in-memory query log (local
-// provenance) but never WAL-logged — the replica's WAL holds exactly the
-// leader's frame sequence, nothing else, so its LSNs stay aligned with the
-// leader's.
+// are shipped WAL frames through ApplyReplicated / BootstrapReplica. The
+// replica's WAL holds exactly the leader's frame sequence, nothing else,
+// so its LSNs stay aligned with the leader's.
 func (db *DB) SetReplicaMode(leader string) {
 	db.replica.Store(&replicaState{leader: leader})
 }
@@ -130,10 +128,9 @@ func (db *DB) WatchDurable() (int64, <-chan struct{}) {
 }
 
 // SyncWALTo forces an fsync covering every frame up to lsn WITHOUT running
-// the commit gate — the shipper's flush for the non-durable tail (query-log
-// frames never force an fsync of their own), and the follower's batch
-// durability wait. Running the gate here would deadlock the quorum path:
-// the shipper would wait for acks it is itself responsible for producing.
+// the commit gate — the follower's durability wait for a shipped batch,
+// which ApplyReplicated appends without syncing. The gate's quorum wait
+// belongs to a leader's own commits, not to frames a replica applies.
 func (db *DB) SyncWALTo(lsn int64) error {
 	if lsn == 0 {
 		return nil
@@ -304,8 +301,8 @@ func (db *DB) AppliedLSN() int64 { return db.LastLSN() }
 
 // ApplyReplicated applies one shipped WAL frame on a replica: append the
 // raw payload to the local WAL at the leader's LSN, then install its effect
-// through the replay primitives (versions, time-travel history, the query
-// log — identical to the original commit). It does NOT wait for
+// through the replay primitives (versions and time-travel history,
+// identical to the original commit). It does NOT wait for
 // durability; the follower applies a batch and then calls SyncWALTo once,
 // riding one fsync per shipped batch exactly like the leader's group
 // commit. Re-shipping an already-applied frame is a no-op (resume
@@ -397,11 +394,6 @@ func (db *DB) BootstrapReplica(snapshot []byte) error {
 		db.tables = scratch.tables
 		db.catalogGen.Add(1)
 		db.mu.Unlock()
-		db.logMu.Lock()
-		db.log = scratch.log
-		db.logSeq = scratch.logSeq
-		db.logFramed = len(db.log)
-		db.logMu.Unlock()
 		// Adopt the snapshot's leadership generation: a bootstrap from a
 		// post-promotion leader is exactly how a deposed node (its divergent
 		// tail now discarded) rejoins the new lineage, so any fence clears.
@@ -450,7 +442,6 @@ func (w *WAL) appendRaw(payload []byte, lsn int64) error {
 	w.lsn = lsn
 	w.size += int64(frameHeaderLen + len(payload))
 	w.idx.offs = append(w.idx.offs, w.size)
-	w.durableAppended++
 	if !w.sync {
 		w.notifyLocked()
 	}

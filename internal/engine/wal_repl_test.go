@@ -877,7 +877,7 @@ func BenchmarkReadWALSinceTail(b *testing.B) {
 			defer db.CloseDurability()
 			for i := 0; i <= behind; i++ {
 				rec := &WALRecord{Kind: WALInsert, Table: "kv", Rows: [][]Value{{IntValue(int64(i))}}}
-				if _, err := db.wal.appendFrame(rec, true); err != nil {
+				if _, err := db.wal.appendFrame(rec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -72,11 +72,6 @@ func TestOpenDirRecoversWithoutCheckpoint(t *testing.T) {
 	if info.Records == 0 {
 		t.Fatalf("recovery replayed no records: %+v", info)
 	}
-	// Query log survived too (lazy provenance depends on it); compare before
-	// the verification SELECTs below append to it.
-	if len(db2.QueryLog()) != len(db.QueryLog()) {
-		t.Errorf("log = %d entries, want %d", len(db2.QueryLog()), len(db.QueryLog()))
-	}
 	checkWorkloadState(t, db2)
 	tab2, err := db2.Table("kv")
 	if err != nil {
@@ -165,7 +160,7 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 }
 
 // TestWALReplayIdempotent: replaying the same log twice is a no-op — the
-// LSN skip leaves row counts, versions and the query log unchanged.
+// LSN skip leaves row counts and versions unchanged.
 func TestWALReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	db := workloadDirDB(t, dir)
@@ -185,7 +180,6 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	tab, _ := fresh.Table("kv")
 	version := tab.Version()
-	logLen := len(fresh.QueryLog())
 
 	applied2, skipped2, torn2, err := fresh.ReplayWAL(bytes.NewReader(wal))
 	if err != nil {
@@ -196,9 +190,6 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	if tab.Version() != version {
 		t.Errorf("version after double replay = %d, want %d", tab.Version(), version)
-	}
-	if len(fresh.QueryLog()) != logLen {
-		t.Errorf("log after double replay = %d entries, want %d", len(fresh.QueryLog()), logLen)
 	}
 	checkWorkloadState(t, fresh)
 }
@@ -259,7 +250,7 @@ func TestWALTornTail(t *testing.T) {
 }
 
 // TestSnapshotConsistentUnderConcurrentDML: the snapshot barrier must
-// capture all tables (and the query log) at one statement boundary. A
+// capture all tables at one statement boundary. A
 // writer inserts into a then b in lockstep; any consistent cut has
 // count(a) - count(b) ∈ {0, 1}, while a torn per-table copy could observe
 // b ahead of a. Run with -race to also exercise the locking.

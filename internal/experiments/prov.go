@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/governance"
 	"repro/internal/provenance"
 	"repro/internal/pyprov"
 	"repro/internal/workload"
@@ -54,7 +54,7 @@ func RunProvenanceCapture(tpchQueries, tpccQueries int) ([]ProvRow, error) {
 }
 
 // eagerVsLazy compares per-query eager capture against batch lazy capture
-// from a query log (ablation).
+// from an audit chain (ablation).
 func eagerVsLazy(queries []string) (eager, lazy time.Duration) {
 	catalog := provenance.NewCatalog()
 	tracker := provenance.NewSQLTracker(catalog)
@@ -64,9 +64,9 @@ func eagerVsLazy(queries []string) (eager, lazy time.Duration) {
 	}
 	eager = time.Since(start)
 
-	log := make([]engine.LogEntry, len(queries))
+	log := make([]governance.AuditEntry, len(queries))
 	for i, q := range queries {
-		log[i] = engine.LogEntry{Seq: int64(i + 1), Text: q, User: "u"}
+		log[i] = governance.AuditEntry{Seq: int64(i + 1), User: "u", Detail: q, Allowed: true}
 	}
 	catalog2 := provenance.NewCatalog()
 	tracker2 := provenance.NewSQLTracker(catalog2)

@@ -11,9 +11,8 @@ import (
 // GovernGate enforces the PR 30 one-gate contract: every statement becomes
 // a core.Prepared in (*Flock).Parse and passes one governance gate before
 // it runs. A second parse site, or a second caller of a gate step, is a
-// side door — a statement that skips the access check, the provenance
-// capture or the query log, or an access check that skips the denial
-// audit. Copies of one enforcement point drift apart; PR 30 found two
+// side door — a statement that skips the access check or the provenance
+// capture, or an access check that skips the denial audit. Copies of one enforcement point drift apart; PR 30 found two
 // such drifts before it folded them.
 var GovernGate = &analysis.Analyzer{
 	Name: "governgate",
@@ -21,9 +20,9 @@ var GovernGate = &analysis.Analyzer{
 
 In non-test repro/internal/core, a parse function of repro/internal/sql
 (Parse, ParseOne) is called only from (*Flock).Parse, checkAccess only
-from (*Flock).CheckPrepared, and CaptureStmt and LogStatement only from
-(*Flock).gate. repro/internal/server calls none of them: it reaches
-statements through core (one-gate invariant, PR 30).`,
+from (*Flock).CheckPrepared, and CaptureStmt only from (*Flock).gate.
+repro/internal/server calls none of them: it reaches statements through
+core (one-gate invariant, PR 30).`,
 	Run: runGovernGate,
 }
 
@@ -36,9 +35,8 @@ const (
 // gateSteps maps each governance step to the one *Flock method that may
 // call it.
 var gateSteps = map[string]string{
-	"checkAccess":  "CheckPrepared",
-	"CaptureStmt":  "gate",
-	"LogStatement": "gate",
+	"checkAccess": "CheckPrepared",
+	"CaptureStmt": "gate",
 }
 
 func runGovernGate(pass *analysis.Pass) (interface{}, error) {

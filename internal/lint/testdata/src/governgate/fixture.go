@@ -1,6 +1,6 @@
 // Fixture for the governgate analyzer: statement text is parsed only in
 // (*Flock).Parse, and each governance step has exactly one caller —
-// checkAccess in CheckPrepared, CaptureStmt and LogStatement in gate.
+// checkAccess in CheckPrepared, CaptureStmt in gate.
 package governgate_fixture
 
 import "repro/internal/sql"
@@ -9,10 +9,6 @@ type tracker struct{}
 
 func (tracker) CaptureStmt(stmt sql.Statement, text, user string) {}
 
-type db struct{}
-
-func (db) LogStatement(text, user string) {}
-
 type Prepared struct {
 	stmt sql.Statement
 	text string
@@ -20,7 +16,6 @@ type Prepared struct {
 
 type Flock struct {
 	Prov tracker
-	DB   db
 }
 
 // The one parse site.
@@ -49,7 +44,6 @@ func (f *Flock) gate(user string, p *Prepared) error {
 		return err
 	}
 	f.Prov.CaptureStmt(p.stmt, p.text, user)
-	f.DB.LogStatement(p.text, user)
 	return nil
 }
 
@@ -59,9 +53,9 @@ func (f *Flock) explain(query string) error {
 	return err
 }
 
-// A side door that logs a statement it never access-checked.
+// A side door that captures a statement it never access-checked.
 func (f *Flock) runUnchecked(user string, p *Prepared) {
-	f.DB.LogStatement(p.text, user) // want `LogStatement called in runUnchecked: only \(\*Flock\).gate may call it`
+	f.Prov.CaptureStmt(p.stmt, p.text, user) // want `CaptureStmt called in runUnchecked: only \(\*Flock\).gate may call it`
 }
 
 // An access check that skips CheckPrepared's denial audit.

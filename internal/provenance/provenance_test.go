@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/engine"
+	"repro/internal/governance"
 	"repro/internal/sql"
 )
 
@@ -149,16 +149,20 @@ func TestCapturePredictLinksModel(t *testing.T) {
 	}
 }
 
+// TestCaptureLogLazy: lazy capture reads an audit chain and keeps only the
+// statements that ran — allowed entries whose Detail parses.
 func TestCaptureLogLazy(t *testing.T) {
 	c := NewCatalog()
 	tr := NewSQLTracker(c)
-	log := []engine.LogEntry{
-		{Seq: 1, Text: "SELECT a FROM t", User: "u1"},
-		{Seq: 2, Text: "INSERT INTO t (a) VALUES (1)", User: "u2"},
-		{Seq: 3, Text: "THIS IS NOT SQL", User: "u3"},
+	log := []governance.AuditEntry{
+		{Seq: 1, User: "u1", Action: "select", Detail: "SELECT a FROM t", Allowed: true},
+		{Seq: 2, User: "u2", Action: "insert", Detail: "INSERT INTO t (a) VALUES (1)", Allowed: true},
+		{Seq: 3, User: "u3", Action: "login", Detail: "session 0123abcd", Allowed: true},
+		{Seq: 4, User: "u4", Action: "denied", Detail: "SELECT a FROM t", Allowed: false},
+		{Seq: 5, User: "u2", Action: "insert", Detail: "INSERT INTO t (a) VALUES ('x')", Allowed: false},
 	}
 	captured, skipped := tr.CaptureLog(log)
-	if captured != 2 || skipped != 1 {
+	if captured != 2 || skipped != 3 {
 		t.Errorf("captured=%d skipped=%d", captured, skipped)
 	}
 	if len(c.EntitiesOfType(TypeQuery)) != 2 {

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/engine"
+	"repro/internal/governance"
 	"repro/internal/sql"
 )
 
@@ -13,9 +13,9 @@ import (
 // provenance (input tables and columns, written tables, scored models) from
 // statements and populates the catalog. It supports the paper's two capture
 // modes: eager (per statement, as it executes) and lazy (batch, from the
-// database's query log). Trackers are safe for concurrent capture: the
-// query sequence is guarded here and all graph mutations go through the
-// (locked) catalog.
+// audit chain, the one record of executed statements). Trackers are safe
+// for concurrent capture: the query sequence is guarded here and all graph
+// mutations go through the (locked) catalog.
 type SQLTracker struct {
 	catalog  *Catalog
 	mu       sync.Mutex
@@ -69,18 +69,25 @@ func (tr *SQLTracker) CaptureStmt(stmt sql.Statement, text, user string) *Entity
 	return q
 }
 
-// CaptureLog lazily captures provenance from a query log, reconstructing
-// the provenance model from history in one pass. Unparseable entries are
-// skipped and counted (the paper's module "specializes to the engine's
-// parser" for those; we record them for inspection instead).
-func (tr *SQLTracker) CaptureLog(log []engine.LogEntry) (captured, skipped int) {
+// CaptureLog lazily captures provenance from an audit chain,
+// reconstructing the provenance model from history in one pass. An entry
+// is a statement that ran when it is Allowed and its Detail (the formatted
+// statement) parses; every other entry — a denial, a failed statement, a
+// login or deploy record, text the parser rejects — is skipped and counted
+// (the paper's module "specializes to the engine's parser" for those; we
+// record them for inspection instead).
+func (tr *SQLTracker) CaptureLog(log []governance.AuditEntry) (captured, skipped int) {
 	for _, entry := range log {
-		stmt, err := sql.ParseOne(entry.Text)
+		if !entry.Allowed {
+			skipped++
+			continue
+		}
+		stmt, err := sql.ParseOne(entry.Detail)
 		if err != nil {
 			skipped++
 			continue
 		}
-		tr.captureStmt(stmt, sql.Analyze(stmt), entry.Text, entry.User)
+		tr.captureStmt(stmt, sql.Analyze(stmt), entry.Detail, entry.User)
 		captured++
 	}
 	return captured, skipped

@@ -274,19 +274,13 @@ func (l *Leader) HandleWAL(w http.ResponseWriter, r *http.Request) {
 		// Caught up: wait for the durable watermark to move past the one
 		// the read saw. A commit that became durable between the read and
 		// the watch closed no channel anyone held, so re-read instead of
-		// waiting for the next advance. If the append position is ahead of
-		// the watermark (trailing query-log frames never force an fsync of
-		// their own), nudge them to disk so the follower converges on the
-		// full LSN sequence instead of stalling one fsync behind.
+		// waiting for the next advance. A frame past the watermark always
+		// has a committer waiting on its fsync, so the watermark moves
+		// without the shipper forcing one.
 		_ = fault.Inject(FaultShipWatch) // arm with latency to widen the read-to-watch window
 		cur, ch := l.db.WatchDurable()
 		if cur > durable {
 			continue
-		}
-		if tip := l.db.LastLSN(); tip > cur {
-			if serr := l.db.SyncWALTo(tip); serr == nil {
-				continue
-			}
 		}
 		select {
 		case <-ch:

@@ -98,9 +98,8 @@ func assertSameContents(t *testing.T, leader, replica *engine.DB, queries ...str
 }
 
 // assertSameFrames compares the two logs frame-for-frame from the higher of
-// the two horizons up to the replica's applied LSN. (The leader keeps
-// moving on its own — every audited read appends a query-log frame — so
-// the replica's position is the only stable comparison point.)
+// the two horizons up to the replica's applied LSN, the one stable
+// comparison point while the leader keeps committing.
 func assertSameFrames(t *testing.T, leader, replica *engine.DB) {
 	t.Helper()
 	from := leader.WALHorizon()
@@ -157,8 +156,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	durableAtSync := ldb.DurableLSN()
 
 	// The leader saw the follower and its ack. (Compare against the
-	// watermark captured at sync time — the leader's own audited reads keep
-	// appending query-log frames.)
+	// watermark captured at sync time.)
 	st := l.CurrentStatus()
 	if len(st.Followers) != 1 || st.Followers[0].ID != "r1" {
 		t.Fatalf("leader followers: %+v", st.Followers)
