@@ -17,7 +17,8 @@
 // checkpointer folds the log into an atomic snapshot every
 // -checkpoint-interval, and a restart recovers tables, time-travel
 // history, deployed models and the audit chain (the record of every
-// statement) — the demo workload is seeded only on first boot. See docs/durability.md.
+// statement) — the demo workload is seeded only on first boot. See
+// docs/durability.md.
 //
 // With -data-dir the instance also serves the /v1/repl/* log-shipping
 // endpoints, so read replicas can attach at any time; -repl-ack=quorum

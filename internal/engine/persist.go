@@ -60,11 +60,11 @@ func (db *DB) buildSnapshot() savedDB {
 // caller holds commitMu exclusively, so no statement can commit between
 // any two reads: each table and cross-table state are captured at one
 // instant (a torn snapshot whose LSN and data disagree — or whose tables
-// are from different moments — cannot be produced). Tables are captured as column headers, current ones truncated
-// at the committed row count, and not copied: a committed row range is
-// never written again (appends land past it, UPDATE clones the column,
-// DELETE gathers a new one), so the snapshot can be encoded after the
-// barrier is released.
+// are from different moments — cannot be produced). Tables are captured
+// as column headers, current ones truncated at the committed row count,
+// and not copied: a committed row range is never written again (appends
+// land past it, UPDATE clones the column, DELETE gathers a new one), so
+// the snapshot can be encoded after the barrier is released.
 func (db *DB) buildSnapshotLocked() savedDB {
 	snap := savedDB{
 		FormatVersion: 2,

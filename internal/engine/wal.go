@@ -722,13 +722,13 @@ func (db *DB) applyWALRecord(rec *WALRecord) error {
 // barrier it captures the database state (column headers, not copies: see
 // buildSnapshotLocked) and rotates the live log, then (outside the
 // barrier) writes the snapshot durably — temp file, fsync, atomic rename,
-// directory fsync — and retires the
-// segments the previous snapshot folded. The segments this checkpoint
-// folded stay one more interval, so a follower that lags by less than one
-// checkpoint interval catches up from the log instead of bootstrapping. A
-// crash at any point leaves a recoverable directory: until the rename
-// lands, the old snapshot plus the rotated segments reconstruct the same
-// state; after it, replay skips the folded records by LSN.
+// directory fsync — and retires the segments the previous snapshot
+// folded. The segments this checkpoint folded stay one more interval, so a
+// follower that lags by less than one checkpoint interval catches up from
+// the log instead of bootstrapping. A crash at any point leaves a
+// recoverable directory: until the rename lands, the old snapshot plus the
+// rotated segments reconstruct the same state; after it, replay skips the
+// folded records by LSN.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()

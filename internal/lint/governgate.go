@@ -12,8 +12,9 @@ import (
 // a core.Prepared in (*Flock).Parse and passes one governance gate before
 // it runs. A second parse site, or a second caller of a gate step, is a
 // side door — a statement that skips the access check or the provenance
-// capture, or an access check that skips the denial audit. Copies of one enforcement point drift apart; PR 30 found two
-// such drifts before it folded them.
+// capture, or an access check that skips the denial audit. Copies of one
+// enforcement point drift apart; PR 30 found two such drifts before it
+// folded them.
 var GovernGate = &analysis.Analyzer{
 	Name: "governgate",
 	Doc: `statements are parsed in (*Flock).Parse and governed in one gate
